@@ -3,9 +3,9 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload serve-zipf --seed 3 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload serve-zipf --seed 3 --seconds 12 --trace 0
     python3 perfbench/run.py --workload all          # the four, one process each
-    python3 perfbench/run.py --steady 10 --workload serve-zipf
+    python3 perfbench/run.py --steady 10 --workload all
     python3 perfbench/run.py --write-spec            # regenerate BENCHMARK.json
 
 One workload runs in this process, single-threaded.  It prints the
@@ -45,22 +45,24 @@ def parse_args(argv):
                         choices=spec.workload_names() + ["all"])
     parser.add_argument("--seed", type=int, default=spec.WORKLOAD_SEED,
                         help="workload seed: query order, request streams, check "
-                        f"samples (seed {spec.HELD_OUT_SEED} is held out for confirming claims)")
+                        f"samples (seed {spec.HELD_OUT_SEED} is held out for confirming "
+                        "claims; serve-churn reads the same edges at every workload seed)")
     parser.add_argument("--graph-seed", type=int, default=spec.GRAPH_SEED)
     parser.add_argument("--lca-seed", type=int, default=spec.LCA_SEED)
     parser.add_argument("--seconds", type=float, default=spec.RUN_SECONDS,
                         help="timed seconds per run")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--steady", type=int, metavar="N", default=0,
-                        help="run each workload N times (seeds --seed .. --seed+N-1) "
-                        "and print every metric's spread against its bound")
+                        help="make two sets of N runs of each workload (seeds --seed .. "
+                        "--seed+N-1) and print every metric's spreads and drift "
+                        "against its bound")
     parser.add_argument("--write-spec", action="store_true",
                         help="write BENCHMARK.json from perfbench/spec.py")
     args = parser.parse_args(argv)
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
-    if args.steady < 0:
-        parser.error("--steady must be >= 0")
+    if args.steady < 0 or args.steady == 1:
+        parser.error("--steady needs at least 2 runs a set")
     return args
 
 
@@ -84,7 +86,7 @@ def load_program():
     return workloads
 
 
-def environment(cleared, load1, kernel) -> dict:
+def environment(cleared, load1, kernel, block_ms) -> dict:
     try:
         import numpy
 
@@ -98,6 +100,8 @@ def environment(cleared, load1, kernel) -> dict:
         "nproc": len(os.sched_getaffinity(0)),
         "load1": round(load1, 2),
         "cleared": cleared,
+        # Median calibration block: the host's speed the timings were scaled by.
+        "host_block_ms": round(block_ms, 4),
     }
 
 
@@ -117,7 +121,8 @@ def run_workload(args) -> int:
         values, declared = workloads.per_layer(result), spec.PER_LAYER
     else:
         values, declared = workloads.end_to_end(result), spec.END_TO_END
-    env = environment(cleared, load1, result.descriptor["kernel"])
+    block_ms = workloads.REFERENCE_BLOCK_S / workloads.host_scale(result) * 1e3
+    env = environment(cleared, load1, result.descriptor["kernel"], block_ms)
     print(f"perfbench {args.workload} seed={args.seed} graph_seed={args.graph_seed} "
           f"lca_seed={args.lca_seed} seconds={args.seconds:g} trace={args.trace}")
     print("environment " + json.dumps(env, sort_keys=True))
@@ -125,6 +130,7 @@ def run_workload(args) -> int:
     print("rounds " + json.dumps({
         "setup_s": [round(r.setup_s, 4) for r in result.rounds],
         "timed_s": [round(r.timed_s, 4) for r in result.rounds],
+        "block_ms": [round(statistics.fmean(r.blocks_s) * 1e3, 4) for r in result.rounds],
         "ops": [r.ops for r in result.rounds],
         "traced": [r.traced for r in result.rounds],
     }))
@@ -159,8 +165,9 @@ def child(args, workload, seed, trace) -> dict:
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     for line in lines:
-        if line.startswith("rounds "):
-            result["rounds"] = json.loads(line[len("rounds "):])
+        for key in ("environment", "rounds"):
+            if line.startswith(key + " "):
+                result[key] = json.loads(line[len(key) + 1:])
     return result
 
 
@@ -192,36 +199,73 @@ def spread(values):
     return median, q1, q3, ((q3 - q1) / median if median else 0.0)
 
 
+def worse_share(metric, parent: float, change: float) -> float:
+    """How much worse ``change`` reads than ``parent``, as a share of ``parent``."""
+    if not parent:
+        return 0.0
+    delta = change - parent if metric.better == "lower" else parent - change
+    return delta / parent
+
+
+def drift(metric, first: float, second: float) -> float:
+    """How much worse one set's median reads than the other's, whichever set
+    is taken as the parent."""
+    return max(worse_share(metric, first, second), worse_share(metric, second, first))
+
+
+def verdict(bound, shares) -> str:
+    """``steady`` when every share is within a third of ``bound``, ``within
+    bound`` when within it, ``NOISY`` otherwise; "" for an unbounded metric."""
+    if bound is None:
+        return ""
+    worst = max(shares)
+    if worst <= bound / 3:
+        return "steady"
+    return "within bound" if worst <= bound else "NOISY"
+
+
 def run_steady(args) -> int:
+    """Two sets of ``--steady`` runs of each selected workload, as a comparison
+    of two commits makes them.  Within a set the workloads take turns seed by
+    seed, so one workload's runs do not all sit in one stretch of host speed."""
     names = spec.workload_names() if args.workload == "all" else [args.workload]
     declared = spec.PER_LAYER if args.trace else spec.END_TO_END
-    verdict_ok = True
+    seeds = range(args.seed, args.seed + args.steady)
+    sets = []
+    for _ in range(2):
+        runs = {name: [] for name in names}
+        for seed in seeds:
+            for name in names:
+                runs[name].append(child(args, name, seed, args.trace))
+        sets.append(runs)
+    out = ROOT / spec.OUT_DIR / f"steady-trace{args.trace}.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(sets, indent=1) + "\n")
+    ok = True
     for name in names:
-        runs = [child(args, name, args.seed + i, args.trace) for i in range(args.steady)]
-        out = ROOT / spec.OUT_DIR / f"steady-{name}-trace{args.trace}.json"
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(runs, indent=1) + "\n")
-        print(f"\n{name}: {args.steady} runs, seeds {args.seed}..{args.seed + args.steady - 1}, "
-              f"all correct: {all(r['correct'] for r in runs)}")
-        print(f"  {'metric':<26}{'median':>12}{'q1':>12}{'q3':>12}{'min':>12}{'max':>12}"
-              f"{'spread':>9}{'bound':>8}  verdict")
+        correct = all(r["correct"] for runs in sets for r in runs[name])
+        ok = ok and correct
+        hosts = [
+            statistics.median(r["environment"]["host_block_ms"] for r in runs[name])
+            for runs in sets
+        ]
+        print(f"\n{name}: two sets of {args.steady} runs, seeds {seeds.start}..{seeds.stop - 1}, "
+              f"all correct: {correct}, host block median {hosts[0]:.3f} / {hosts[1]:.3f} ms")
+        print(f"  {'metric':<26}{'set':>4}{'median':>12}{'q1':>12}{'q3':>12}{'min':>12}"
+              f"{'max':>12}{'spread':>9}{'drift':>9}{'bound':>8}  verdict")
         for item in declared:
-            values = [r["metrics"][item.name]["value"] for r in runs]
-            median, q1, q3, rel = spread(values)
-            if item.bound is None:
-                verdict = ""
-            elif item.name == "setup_s":
-                verdict = "setup (spread not bounded)"
-            elif rel <= item.bound / 3:
-                verdict = "steady"
-            elif rel <= item.bound:
-                verdict = "within bound"
-            else:
-                verdict, verdict_ok = "NOISY", False
+            values = [[r["metrics"][item.name]["value"] for r in runs[name]] for runs in sets]
+            stats = [spread(vals) for vals in values]
+            shift = drift(item, stats[0][0], stats[1][0])
+            word = verdict(item.bound, [stats[0][3], stats[1][3], shift])
+            ok = ok and word != "NOISY"
             bound = f"{item.bound:>8g}" if item.bound is not None else f"{'-':>8}"
-            print(f"  {item.name:<26}{median:>12.6g}{q1:>12.6g}{q3:>12.6g}"
-                  f"{min(values):>12.6g}{max(values):>12.6g}{rel:>9.4f}{bound}  {verdict}")
-    return 0 if verdict_ok else 1
+            for number, (vals, (median, q1, q3, rel)) in enumerate(zip(values, stats), 1):
+                label = item.name if number == 1 else ""
+                tail = f"{shift:>9.4f}{bound}  {word}" if number == 2 else ""
+                print(f"  {label:<26}{number:>4}{median:>12.6g}{q1:>12.6g}{q3:>12.6g}"
+                      f"{min(vals):>12.6g}{max(vals):>12.6g}{rel:>9.4f}{tail}")
+    return 0 if ok else 1
 
 
 def main(argv=None) -> int:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from perfbench import run as command
 from perfbench import spec
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -117,6 +118,49 @@ def test_raising_round_counts_its_operations_failed(tiny_graph, monkeypatch):
 def test_round_time_takes_each_segment_at_its_median():
     rounds = [workloads.Round(segments_s=s) for s in ([1.0, 2.0], [5.0, 2.0], [1.0, 9.0])]
     assert workloads.round_time_s(rounds) == 3.0
+
+
+def test_host_clock_takes_calibration_out_of_the_time():
+    host = workloads.HostClock(interval_s=0.0)
+    wall, start = workloads.clock(), host.now()
+    readings = [host.tick() for _ in range(5)]
+    elapsed_wall = workloads.clock() - wall
+    assert len(host.blocks) == 5
+    assert readings == sorted(readings) and readings[0] >= start
+    # The clock stood still for every block, which ran at least its own time.
+    assert host.now() - start <= elapsed_wall - sum(host.blocks)
+
+
+def test_timings_scale_by_the_median_block():
+    ref = workloads.REFERENCE_BLOCK_S
+    # One block caught a stall; the median ignores it.  The host ran blocks
+    # at twice the reference time, so every timing halves.
+    blocks = [2 * ref, 2 * ref, 50 * ref]
+    rounds = [
+        workloads.Round(setup_s=4.0, segments_s=[2.0], latencies_s=[2.0], ops=10,
+                        totals=[1] * 10, blocks_s=blocks)
+        for _ in range(3)
+    ]
+    result = workloads.RunResult(rounds, 30, 0, [], {}, 1.0)
+    assert workloads.host_scale(result) == pytest.approx(0.5)
+    metrics = workloads.end_to_end(result)
+    assert metrics["setup_s"] == pytest.approx(2.0)
+    assert metrics["throughput_ops"] == pytest.approx(10.0)
+    assert metrics["latency_p50_ms"] == pytest.approx(1000.0)
+
+
+def test_steady_holds_every_bounded_metric_to_its_bound_both_ways():
+    metrics = {m.name: m for m in spec.END_TO_END}
+    setup, throughput = metrics["setup_s"], metrics["throughput_ops"]
+    assert command.worse_share(setup, 1.0, 1.3) == pytest.approx(0.3)
+    assert command.worse_share(throughput, 100.0, 70.0) == pytest.approx(0.3)
+    # Either set may stand for the parent, so a second set that reads 30%
+    # better is as far off as one that reads 30% worse.
+    assert command.drift(setup, 1.3, 1.0) == pytest.approx(0.3)
+    assert command.drift(throughput, 70.0, 100.0) == pytest.approx(0.3)
+    assert command.verdict(setup.bound, [0.01, 0.02, 0.3]) == "NOISY"
+    assert command.verdict(setup.bound, [0.01, 0.02, 0.05]) == "steady"
+    assert command.verdict(None, [1.0]) == ""
 
 
 def test_churn_seeds_reorder_one_read_pool(tiny_graph):

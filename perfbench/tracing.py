@@ -40,8 +40,8 @@ TARGETS: List[Tuple[str, object, str, str]] = [
 class SpanRecorder:
     """In-memory span store with per-name count, total and self time."""
 
-    def __init__(self, cap: int = 50_000) -> None:
-        self.clock = time.perf_counter
+    def __init__(self, cap: int = 50_000, clock=time.perf_counter) -> None:
+        self.clock = clock
         self.origin = self.clock()
         self.cap = cap
         self.kept: List[tuple] = []

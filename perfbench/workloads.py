@@ -17,6 +17,19 @@ that slowed one round part of the way through, which the median of three
 long rounds cannot.  Latency percentiles are taken over a round's requests,
 each at its median latency over rounds.
 
+Every timing is scaled to a reference host speed.  A shared host runs the
+same code at speeds up to half apart, switching within a second and drifting
+over minutes, and a run cannot average a minute out.  So a run interleaves a
+fixed calibration block (:func:`calibration_block`) with its work: one about
+every ``HOST_INTERVAL_S`` of wall time where the work can be interrupted
+(:class:`HostClock`), and a few at both ends of every round.  Its timings
+are multiplied by ``REFERENCE_BLOCK_S`` over its median block time: what
+they would read on a host that runs one block in ``REFERENCE_BLOCK_S``.  One
+factor per run, since blocks between ``materialize`` calls sample a round
+only at its ends.  The blocks are taken out of every timing they interrupt.
+A change to the program moves the timings and not the blocks, so it shows
+in full.
+
 The first round's answers are replayed through a fresh same-seed LCA in
 ``cold`` mode, the scalar reference, on a deterministic sample; every later
 round must reproduce the first round's answers and per-query probe totals
@@ -35,6 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
 from repro import graphs
 from repro.analysis.verify import measure_stretch
 from repro.core.ids import canonical_edge
@@ -64,6 +78,13 @@ EXPECTED_GRAPHS = {
     "churn": {"n": 400, "m": 17562, "low": 0, "high": 15022, "super": 2540},
 }
 
+#: What deciding every G_dense edge gives at the default graph and LCA seeds:
+#: |H|, the probes charged in all and the largest charge.  The seeds fix
+#: them, so a run at those seeds fails when one moves.  BENCHMARK.json can
+#: only call ``spanner_frac`` lower- or higher-is-better; this check is what
+#: keeps it from moving.
+EXPECTED_DENSE = {"spanner_edges": 56272, "probes": 43456505, "probes_max": 2320}
+
 #: At least this many rounds per run, so ``setup_s`` is a median too.
 MIN_ROUNDS = 3
 #: A run stops starting rounds after this many times ``--seconds`` of wall
@@ -73,6 +94,84 @@ WALL_FACTOR = 3.0
 CHECK_SAMPLE = 300
 #: Dropped edges whose stretch is checked on ``materialize``.
 STRETCH_SAMPLE = 100
+
+#: Wall time between calibration points inside a timed phase or a service
+#: warm-up.  A point's two blocks take about a twentieth of it.
+HOST_INTERVAL_S = 0.1
+#: Calibration blocks at each end of a round, so a round whose work cannot
+#: be interrupted (one ``materialize`` call) has blocks too.
+EDGE_BLOCKS = 4
+#: Block time of the reference host that every timing is scaled to.
+REFERENCE_BLOCK_S = 0.0025
+#: Length of the calibration block's arrays and of its Python loop.
+BLOCK_SIZE = 10_000
+
+
+def calibration_block(values, index, keys) -> float:
+    """Wall time of a fixed block of the two kinds of work the library does,
+    in about equal parts: an interpreter loop of integer arithmetic and dict
+    stores, then numpy calls of the kinds its kernels make over CSR arrays (a
+    gather, a prefix sum, a masked select, a weighted bincount, a stable
+    argsort).  Interleaved with slices of each workload for four minutes,
+    the numpy half alone tracked ``materialize`` best and the two together
+    tracked ``query_batch`` and the zipf service best; a Python loop alone
+    tracked none of them as well."""
+    start = clock()
+    table = {}
+    total = 0
+    for i in range(BLOCK_SIZE):
+        total += i * i % 7
+        table[i & 255] = total
+    gathered = values[index]
+    sums = np.cumsum(keys)
+    sums[gathered < 0.5].sum()
+    np.bincount(keys, weights=gathered)
+    np.argsort(keys, kind="stable")
+    return clock() - start
+
+
+class HostClock:
+    """A wall clock that stops while it measures the host's speed.
+
+    :meth:`tick` runs a calibration block once ``interval_s`` of wall time
+    has passed since the last one; :meth:`now` and :meth:`tick` return wall
+    time with every block taken out.  ``ServiceEngine.run`` takes it as its
+    injectable clock and reads it at every admission and completion, which
+    spreads the blocks through the service's work.
+    """
+
+    def __init__(self, interval_s: float = HOST_INTERVAL_S) -> None:
+        self.interval_s = interval_s
+        self.paused = 0.0
+        self.blocks: List[float] = []
+        rng = np.random.default_rng(0)
+        self.arrays = (
+            rng.random(BLOCK_SIZE),
+            rng.integers(0, BLOCK_SIZE, BLOCK_SIZE),
+            rng.integers(0, 1000, BLOCK_SIZE),
+        )
+        self.last = clock()
+
+    def now(self) -> float:
+        return clock() - self.paused
+
+    def calibrate(self, count: int = 1) -> None:
+        """Run ``count`` recorded blocks after one unrecorded one.  The first
+        block after the program's work finds the caches full of the
+        program's data, so its time would depend on the program too."""
+        start = clock()
+        calibration_block(*self.arrays)
+        for _ in range(count):
+            self.blocks.append(calibration_block(*self.arrays))
+        self.last = clock()
+        self.paused += self.last - start
+
+    def tick(self) -> float:
+        wall = clock()
+        if wall - self.last >= self.interval_s:
+            self.calibrate()
+            wall = self.last
+        return wall - self.paused
 
 
 @dataclass(frozen=True)
@@ -108,8 +207,8 @@ class Round:
     spans: Dict[str, Tuple[int, float, float]] = field(default_factory=dict)
     coverage: float = 0.0
     traced: bool = False
-    #: Whether the round began with a full set-up (else with ``reset``).
-    fresh: bool = True
+    #: Calibration block times of the round (set-up and timed phase).
+    blocks_s: List[float] = field(default_factory=list)
 
 
 def peak_rss_mb() -> float:
@@ -161,6 +260,12 @@ class Bench:
                 f"graph descriptor {got} != expected {EXPECTED_GRAPHS[self.graph_key]}"
             )
 
+    def expect_dense(self, name: str, got: int) -> None:
+        """Fail the run when an exact G_dense outcome moved at the default seeds."""
+        default = self.seeds.graph == spec.GRAPH_SEED and self.seeds.lca == spec.LCA_SEED
+        if default and got != EXPECTED_DENSE[name]:
+            self.problems.append(f"{name} {got} != expected {EXPECTED_DENSE[name]}")
+
     def reference_mismatches(self, ref, queries, answers, totals) -> int:
         """Replay ``queries`` on a cold-mode LCA; count differing outcomes."""
         bad = 0
@@ -174,15 +279,11 @@ class Bench:
     def prepare(self) -> None:
         """Generate the inputs from the seeds (untimed, once per run)."""
 
-    def setup(self):
+    def setup(self, host: HostClock):
         raise NotImplementedError
 
-    def reset(self, state):
-        """Bring a used ``state`` back to where :meth:`setup` leaves it, more
-        cheaply, or return ``None`` when only a full set-up can (the default)."""
-        return None
-
-    def timed(self, state, out: Round) -> None:
+    def timed(self, state, out: Round, host: HostClock) -> None:
+        """Run and time one round's work, reading time from ``host``."""
         raise NotImplementedError
 
     def attach(self, state, profiler: ProbeProfiler) -> None:
@@ -205,7 +306,7 @@ class Materialize(Bench):
         self.edges = list(graph.edges())
         self.describe_graph(graph, self.edges)
 
-    def setup(self):
+    def setup(self, host):
         graph = self.build_graph()
         return graph, self.make_lca(graph)
 
@@ -215,12 +316,12 @@ class Materialize(Bench):
     def attach(self, state, profiler) -> None:
         state[1].attach_profiler(profiler)
 
-    def timed(self, state, out: Round) -> None:
+    def timed(self, state, out: Round, host) -> None:
         graph, lca = state
         before = lca.probe_counter.snapshot()
-        start = clock()
+        start = host.now()
         result = lca.materialize(mode="batched")
-        out.timed_s = clock() - start
+        out.timed_s = host.now() - start
         out.probes = lca.probe_counter.snapshot() - before
         out.latencies_s = out.segments_s = [out.timed_s]
         out.ops = len(result.probe_stats.query_totals)
@@ -233,6 +334,9 @@ class Materialize(Bench):
         if len(first.totals) != len(self.edges):
             self.problems.append("materialize decided a different edge count")
             return len(self.edges)
+        self.expect_dense("spanner_edges", len(first.answers))
+        self.expect_dense("probes", sum(first.totals))
+        self.expect_dense("probes_max", max(first.totals))
         picks = self.sample_indices(len(self.edges))
         queries = [self.edges[i] for i in picks]
         bad = self.reference_mismatches(
@@ -272,7 +376,7 @@ class QueryCold(Bench):
             self.queries[i : i + self.chunk] for i in range(0, len(self.queries), self.chunk)
         ]
 
-    def setup(self):
+    def setup(self, host):
         graph = self.build_graph()
         lca = self.make_lca(graph)
         lca.query_batch(self.warm_queries)
@@ -284,20 +388,21 @@ class QueryCold(Bench):
     def attach(self, state, profiler) -> None:
         state[1].attach_profiler(profiler)
 
-    def timed(self, state, out: Round) -> None:
+    def timed(self, state, out: Round, host) -> None:
         graph, lca = state
         stats = lca.oracle_cache.stats
         hits, misses = stats.hits, stats.misses
         before = lca.probe_counter.snapshot()
         query_batch = lca.query_batch
+        tick, now = host.tick, host.now
         results = []
         latencies = []
-        start = clock()
+        start = now()
         for chunk in self.chunks:
-            began = clock()
+            began = tick()
             results.append(query_batch(chunk))
-            latencies.append(clock() - began)
-        out.timed_s = clock() - start
+            latencies.append(now() - began)
+        out.timed_s = now() - start
         out.probes = lca.probe_counter.snapshot() - before
         out.latencies_s = out.segments_s = latencies
         out.hits = stats.hits - hits
@@ -314,6 +419,8 @@ class QueryCold(Bench):
                 f"query-cold is not all first-touch: {first.hits} memo hits "
                 f"in {first.lookups} lookups"
             )
+        # Answers do not depend on orientation, so the YES count is |H|.
+        self.expect_dense("spanner_edges", first.yes)
         picks = self.sample_indices(len(self.queries))
         return self.reference_mismatches(
             self.make_lca(graph),
@@ -335,22 +442,22 @@ class Serve(Bench):
         self.warm_stream, self.stream = self.streams(graph)
         self.writes = sum(1 for item in self.stream if isinstance(item, TraceOp))
 
-    def setup(self):
+    def setup(self, host):
         graph = self.build_graph()
         engine = ServiceEngine(graph, self.make_lca, ServiceConfig(num_shards=4))
-        engine.run(make_workload("trace", graph, edges=self.warm_stream))
+        engine.run(make_workload("trace", graph, edges=self.warm_stream), clock=host.tick)
         return graph, engine
 
     def planned_ops(self) -> int:
         return len(self.stream)
 
-    def timed(self, state, out: Round) -> None:
+    def timed(self, state, out: Round, host) -> None:
         graph, engine = state
         workload = make_workload("trace", graph, edges=self.stream)
         profiler = out.profiler
-        start = clock()
-        report = engine.run(workload, profiler=profiler)
-        out.timed_s = clock() - start
+        start = host.now()
+        report = engine.run(workload, clock=host.tick, profiler=profiler)
+        out.timed_s = host.now() - start
         out.segments_s = [out.timed_s]
         out.report = report
         out.ops = report.served + report.mutations
@@ -375,18 +482,11 @@ class Serve(Bench):
 
 class ServeZipf(Serve):
     name = "serve-zipf"
-    requests = 100_000
+    #: Set-up takes 6-7 s, nearly all of it the four shards building their
+    #: kernel tables, so a round serves enough requests to keep most of a
+    #: run's wall time on timed work.
+    requests = 150_000
     warm_requests = 20_000
-
-    def reset(self, state):
-        # Dropping every shard's memo keeps its kernel view and tables, so
-        # replaying the warm-up restores the set-up state without the
-        # table builds that dominate a full set-up.
-        graph, engine = state
-        for shard in engine.pool.shards:
-            shard.lca.set_memo_cap(None)
-        engine.run(make_workload("trace", graph, edges=self.warm_stream))
-        return state
 
     def streams(self, graph):
         warm = list(make_workload(
@@ -434,8 +534,9 @@ def churn_stream(graph, requests: int, every: int, seed: int, pool_seed: int) ->
     seed moved the latency percentiles by a fifth from seed to seed.  Per-
     query probe charges are heavy-tailed too (on G_churn their standard
     deviation exceeds their mean), which moved ``probes_per_query`` by a
-    tenth.  Writes never remove a read edge, so every read is of a current
-    edge.
+    tenth.  The price is that no workload seed, the held-out one included,
+    changes which edges are read.  Writes never remove a read edge, so every
+    read is of a current edge.
     """
     rng = random.Random(f"churn:{seed}")
     edges = [canonical_edge(u, v) for (u, v) in graph.edges()]
@@ -527,25 +628,29 @@ class RunResult:
 
 
 def one_round(
-    bench: Bench, recorder: Optional[tracing.SpanRecorder], state
+    bench: Bench, recorder: Optional[tracing.SpanRecorder], host: HostClock
 ) -> Tuple[Round, object]:
-    """One round: set-up unless given a reset ``state``, ``gc.collect()``, timed phase."""
-    out = Round(traced=recorder is not None, fresh=state is None)
+    """One round: set-up from scratch, ``gc.collect()``, timed phase, with
+    calibration blocks at both ends and inside wherever ``host`` ticks."""
+    out = Round(traced=recorder is not None)
     if recorder is not None:
         recorder.reset()
         out.profiler = ProbeProfiler()
-    if out.fresh:
-        # Collect the last round's garbage before timing the set-up, so the
-        # set-up never pays for a collection of it.
-        gc.collect()
-        start = clock()
-        state = bench.setup()
-        out.setup_s = clock() - start
+    # Collect the last round's garbage before timing the set-up, so the
+    # set-up never pays for a collection of it.
+    gc.collect()
+    first_block = len(host.blocks)
+    host.calibrate(EDGE_BLOCKS)
+    start = host.now()
+    state = bench.setup(host)
+    out.setup_s = host.now() - start
     if out.profiler is not None:
         bench.attach(state, out.profiler)
     gc.collect()
     root_before = recorder.root_time if recorder is not None else 0.0
-    bench.timed(state, out)
+    bench.timed(state, out, host)
+    host.calibrate(EDGE_BLOCKS)
+    out.blocks_s = host.blocks[first_block:]
     if recorder is not None:
         bench.attach(state, None)
         out.coverage = (recorder.root_time - root_before) / out.timed_s
@@ -567,37 +672,27 @@ def differing(first: Round, other: Round) -> int:
 def run(bench: Bench, seconds: float, traced: bool) -> RunResult:
     """Prepare inputs, then run rounds until ``seconds`` of timed phase.
 
-    The first ``MIN_ROUNDS`` rounds set up from scratch, which gives
-    ``setup_s`` its samples; later rounds start from :meth:`Bench.reset`
-    where a workload has one.  In a traced run, rounds alternate untraced
-    and traced (starting untraced), so the tracing overhead is measured in
-    the same process.
+    In a traced run, rounds alternate untraced and traced (starting
+    untraced), so the tracing overhead is measured in the same process.
     """
     bench.prepare()
-    recorder = tracing.SpanRecorder() if traced else None
+    host = HostClock()
+    # Spans read the same clock, so calibration blocks stay out of them.
+    recorder = tracing.SpanRecorder(clock=host.now) if traced else None
     rounds: List[Round] = []
     attempted = failed = 0
     timed_total = 0.0
     started = clock()
-    state = None
     while True:
         use_trace = traced and len(rounds) % 2 == 1
         saved = tracing.install(recorder) if use_trace else None
         try:
-            # Keep the last round's state only for a workload that can reset
-            # it, once setup_s has its samples; otherwise release it before
-            # the next set-up allocates.
-            if state is not None and len(rounds) >= MIN_ROUNDS:
-                state = bench.reset(state)
-            else:
-                state = None
-            out, state = one_round(bench, recorder if use_trace else None, state)
+            out, state = one_round(bench, recorder if use_trace else None, host)
             if not rounds:
                 out.failures += bench.check(state, out)
             else:
                 out.failures += differing(rounds[0], out)
         except Exception:  # a failing round counts all its operations failed
-            state = None
             traceback.print_exc()
             attempted += bench.planned_ops()
             failed += bench.planned_ops()
@@ -606,6 +701,9 @@ def run(bench: Bench, seconds: float, traced: bool) -> RunResult:
                 raise
             continue
         finally:
+            # Release the round's graph and LCA or engine before the next
+            # set-up allocates.
+            state = None
             if saved is not None:
                 tracing.uninstall(saved)
         attempted += out.ops
@@ -652,16 +750,27 @@ def round_time_s(rounds: Sequence[Round]) -> float:
     return sum(medians_by_position([r.segments_s for r in rounds]))
 
 
+def host_scale(result: RunResult) -> float:
+    """Factor that brings the run's timings to the reference host speed.
+
+    The median block, not the mean: a block is a few ms, so a stall of the
+    host that a long call averages out lands whole on the few blocks it hits.
+    """
+    blocks = [b for r in result.rounds for b in r.blocks_s]
+    return REFERENCE_BLOCK_S / statistics.median(blocks) if blocks else 1.0
+
+
 def end_to_end(result: RunResult) -> Dict[str, float]:
     rounds = result.rounds
     first = rounds[0]
+    scale = host_scale(result)
     latencies = sorted(medians_by_position([r.latencies_s for r in rounds]))
     queries = len(first.totals)
     return {
-        "setup_s": _median([r.setup_s for r in rounds if r.fresh]),
-        "throughput_ops": first.ops / round_time_s(rounds),
-        "latency_p50_ms": nearest_rank_percentile(latencies, 50) * 1e3,
-        "latency_p90_ms": nearest_rank_percentile(latencies, 90) * 1e3,
+        "setup_s": _median([r.setup_s for r in rounds]) * scale,
+        "throughput_ops": first.ops / (round_time_s(rounds) * scale),
+        "latency_p50_ms": nearest_rank_percentile(latencies, 50) * scale * 1e3,
+        "latency_p90_ms": nearest_rank_percentile(latencies, 90) * scale * 1e3,
         "peak_rss_mb": result.peak_rss_mb,
         "probes_per_query": sum(first.totals) / queries,
         "probes_max": float(max(first.totals)),
@@ -671,18 +780,18 @@ def end_to_end(result: RunResult) -> Dict[str, float]:
 
 
 def per_layer(result: RunResult) -> Dict[str, float]:
+    # A traced round's layer times include its set-up; like every timing
+    # they are scaled to the reference host speed.
     traced = [r for r in result.rounds if r.traced]
     untraced = [r for r in result.rounds if not r.traced]
     first = traced[0]
-    # Per-round layer times include the set-up, so only rounds that set up
-    # from scratch are comparable.
-    fresh = [r for r in traced if r.fresh]
+    scale = host_scale(result)
 
     def self_s(name: str) -> float:
-        return _median([r.spans.get(name, (0, 0.0, 0.0))[2] for r in fresh])
+        return _median([r.spans.get(name, (0, 0.0, 0.0))[2] for r in traced]) * scale
 
     def total_s(name: str) -> float:
-        return _median([r.spans.get(name, (0, 0.0, 0.0))[1] for r in fresh])
+        return _median([r.spans.get(name, (0, 0.0, 0.0))[1] for r in traced]) * scale
 
     def calls(name: str) -> float:
         return float(first.spans.get(name, (0, 0.0, 0.0))[0])
