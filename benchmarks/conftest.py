@@ -32,14 +32,6 @@ def dense_benchmark_graph():
 
 
 @pytest.fixture(scope="session")
-def parallel_benchmark_graph():
-    """The dense fixture scaled up (~32k edges) for the executor benchmark:
-    large enough that query compute dominates the process-pool scatter and
-    fold-back overhead, so the measured speedup reflects the cores."""
-    return graphs.gnp_graph(900, 0.08, seed=101)
-
-
-@pytest.fixture(scope="session")
 def clustered_benchmark_graph():
     """Medium-degree clustered graph: the 5-spanner's bucket/representative
     machinery is fully active and full materialization stays affordable."""

@@ -17,7 +17,7 @@ The public API is re-exported here for convenience:
 * classic LCAs (MIS, matching)          — :mod:`repro.lca_classic`
 * lower-bound constructions             — :mod:`repro.lowerbound`
 * verification / benchmarking harness   — :mod:`repro.analysis`
-* parallel execution plane (executor backends, shared-memory plans)
+* service execution (pinned shard workers, retries)
                                         — :mod:`repro.exec`
 * online query service (shards, scheduler, workloads)
                                         — :mod:`repro.service`

@@ -65,8 +65,6 @@ def evaluate_lca(
     sample_stretch_edges: Optional[int] = None,
     seed: int = 0,
     mode: str = "batched",
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
     mutations: Optional[Iterable] = None,
     kernel: Optional[str] = None,
 ) -> EvaluationReport:
@@ -87,12 +85,6 @@ def evaluate_lca(
         the batched engine, which produces identical edges and identical
         per-query probe statistics while being several times faster; pass
         "cold" to time the reference per-query path.
-    executor, workers:
-        Optional parallel execution backend ("serial", "thread" or
-        "process", see :mod:`repro.exec`) and worker count for the
-        materialization.  Edges and probe statistics are identical to the
-        in-process engines; only wall-clock time changes.  ``executor``
-        implies the batched engine, so it requires the default ``mode``.
     mutations:
         Optional sequence of graph mutations (``(op, u, v)`` triples or
         :class:`~repro.service.trace.TraceOp` records) applied to the LCA's
@@ -109,15 +101,7 @@ def evaluate_lca(
     if kernel is not None:
         lca.set_kernel(kernel)
     applied = lca.apply_mutations(mutations) if mutations is not None else 0
-    if executor is not None:
-        if mode != "batched":
-            raise ValueError(
-                "executor-based evaluation always runs the batched engine; "
-                f"drop mode={mode!r} or drop executor="
-            )
-        materialized = lca.materialize(executor=executor, workers=workers)
-    else:
-        materialized = lca.materialize(mode=mode)
+    materialized = lca.materialize(mode=mode)
     report = evaluate_materialized(
         graph,
         materialized,

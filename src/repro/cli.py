@@ -33,7 +33,7 @@ Usage examples::
     python -m repro.cli sweep --algorithm spanner3 --sizes 200,400,800
     python -m repro.cli lowerbound --n 202 --budget 14 --trials 10
     python -m repro.cli materialize --generate gnp --n 400 --density 0.1 \
-        --algorithm spanner3 --executor process --workers 4
+        --algorithm spanner3 --kernel numpy
     python -m repro.cli serve-bench --generate gnp --n 300 --density 0.08 \
         --workload zipf --requests 2000 --shards 4 --batch-size 32 \
         --executor thread
@@ -48,10 +48,10 @@ Usage examples::
     python -m repro.cli report render --out report.md
 
 ``--backend {dict,csr}`` picks the graph storage backend,
-``--query-mode {cold,cached,batched}`` the query engine, and
-``--executor {serial,thread,process}`` / ``--workers N`` the parallel
-execution backend (``serve-bench`` accepts serial/thread); all are
-performance knobs only — answers and probe accounting are identical.
+``--query-mode {cold,cached,batched}`` the query engine, and (for
+``serve-bench``) ``--executor {serial,thread}`` / ``--workers N`` the shard
+workers; all are performance knobs only — answers and probe accounting are
+identical.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from . import graphs
 from .analysis import evaluate_lca, exponent_row, format_table, run_sweep
 from .core.errors import GraphError, UnknownVertexError
 from .core.registry import available, create
-from .exec import EXECUTOR_BACKENDS, PINNED_BACKENDS
+from .exec import PINNED_BACKENDS
 from .faults import FaultPlan, FaultPlanError
 from .graphs.io import read_edge_list, write_edge_list
 from .kernels import KERNELS, KernelUnavailableError
@@ -200,23 +200,11 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _check_executor_mode(args) -> None:
-    if args.executor and args.query_mode != "batched":
-        raise SystemExit(
-            "--executor always runs the batched engine; drop --query-mode "
-            f"{args.query_mode!r} or drop --executor"
-        )
-
-
 def cmd_materialize(args) -> int:
-    _check_executor_mode(args)
     graph = _load_graph(args)
     lca = _apply_kernel(create(args.algorithm, graph, seed=args.seed), args)
     lca = _apply_memo_cap(lca, args)
-    if args.executor:
-        spanner = lca.materialize(executor=args.executor, workers=args.workers)
-    else:
-        spanner = lca.materialize(mode=args.query_mode)
+    spanner = lca.materialize(mode=args.query_mode)
     stats = spanner.probe_stats
     rows = [
         {
@@ -224,7 +212,7 @@ def cmd_materialize(args) -> int:
             "n": graph.num_vertices,
             "m": graph.num_edges,
             "|H|": spanner.num_edges,
-            "executor": args.executor or "in-process",
+            "mode": args.query_mode,
             "max probes": stats.max,
             "mean probes": round(stats.mean, 1),
         }
@@ -237,7 +225,6 @@ def cmd_materialize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _check_executor_mode(args)
     graph = _load_graph(args)
     lca = _apply_kernel(create(args.algorithm, graph, seed=args.seed), args)
     lca = _apply_memo_cap(lca, args)
@@ -245,8 +232,6 @@ def cmd_evaluate(args) -> int:
         lca,
         sample_stretch_edges=args.stretch_sample,
         mode=args.query_mode,
-        executor=args.executor,
-        workers=args.workers,
     )
     print(format_table([report.as_row()], title=f"{args.algorithm} evaluation"))
     if not report.stretch_ok:
@@ -651,25 +636,6 @@ def _add_graph_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_executor_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--executor",
-        choices=sorted(EXECUTOR_BACKENDS),
-        default=None,
-        help="parallel execution backend for materialization: 'serial' "
-        "(plan pipeline, inline), 'thread' (shared-memory threads) or "
-        "'process' (multi-core workers attached to a shared-memory CSR "
-        "export); answers and probe accounting are identical to the "
-        "in-process engine. Default: in-process (no executor)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="worker count for --executor (default: CPU count)",
-    )
-
-
 def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel",
@@ -782,7 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", help="also write the spanner as an edge-list file"
     )
     _add_query_mode_option(materialize)
-    _add_executor_options(materialize)
     _add_kernel_option(materialize)
     _add_memo_cap_option(materialize)
     materialize.set_defaults(handler=cmd_materialize)
@@ -797,7 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify stretch on a sample of edges instead of all of them",
     )
     _add_query_mode_option(evaluate)
-    _add_executor_options(evaluate)
     _add_kernel_option(evaluate)
     _add_memo_cap_option(evaluate)
     evaluate.set_defaults(handler=cmd_evaluate)

@@ -64,7 +64,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Dict, Hashable, Iterator, Optional, Set, Tuple
 
 from ..graphs.graph import Graph, Vertex
@@ -93,11 +92,6 @@ class MemoEntry:
         self.epoch = epoch
         self.touched = touched
 
-    def __reduce__(self):
-        # Compact pickling: entries travel by the tens of thousands inside
-        # parallel-execution cache snapshots.
-        return (MemoEntry, (self.value, self.epoch, self.touched))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MemoEntry)
@@ -118,15 +112,16 @@ _PORTABLE_LEAVES = (str, int, float, bool, type(None), bytes)
 
 
 def is_portable_namespace(namespace: Hashable) -> bool:
-    """Whether a memo namespace survives a process boundary.
+    """Whether a memo namespace means the same thing in every LCA instance.
 
     Portable namespaces are built only from primitives (and tuples thereof,
     plus frozen dataclasses such as :class:`~repro.core.seed.Seed` or the
-    parameter objects, which compare by value): equal on both sides of a
-    pickle round trip, so per-worker memo tables under them can be folded
-    back into the coordinator's cache.  Namespaces keyed by live objects
-    (the ``(system_object, role)`` convention for per-vertex derived state)
-    are process-local by construction and are excluded from snapshots.
+    parameter objects, which compare by value): two LCAs built from the
+    same name, seed and parameters produce equal namespaces, so memo tables
+    under them can move from one instance's cache to the other's (replica
+    checkpoints).  Namespaces keyed by live objects (the
+    ``(system_object, role)`` convention for per-vertex derived state) are
+    instance-local by construction and are excluded from snapshots.
     """
     if isinstance(namespace, bool):  # bool before int for clarity; both fine
         return True
@@ -134,8 +129,8 @@ def is_portable_namespace(namespace: Hashable) -> bool:
         return True
     if isinstance(namespace, tuple):
         return all(is_portable_namespace(item) for item in namespace)
-    # Frozen dataclasses (Seed, *Params) hash/compare by value and pickle
-    # cleanly; detect them structurally instead of importing every type.
+    # Frozen dataclasses (Seed, *Params) hash and compare by value; detect
+    # them structurally instead of importing every type.
     params = getattr(namespace, "__dataclass_params__", None)
     if params is not None and params.frozen:
         fields = getattr(namespace, "__dataclass_fields__", {})
@@ -147,14 +142,14 @@ def is_portable_namespace(namespace: Hashable) -> bool:
 
 @dataclass
 class CacheSnapshot:
-    """Portable slice of an :class:`OracleCache` (picklable, mergeable).
+    """Portable slice of an :class:`OracleCache` (mergeable).
 
     Contains the hit/miss statistics plus every memo table whose namespace
     is portable (:func:`is_portable_namespace`) — in practice the
     query-answer memo, whose values ``(answer, cold ProbeSnapshot)`` are pure
     functions of ``(graph, seed, query)``.  Because the values are pure,
-    merging snapshots from any number of workers in any order produces the
-    same cache: a fold is deterministic by construction.
+    merging snapshots from any number of sources in any order produces the
+    same cache: a merge is deterministic by construction.
     """
 
     hits: int = 0
@@ -164,23 +159,6 @@ class CacheSnapshot:
     @property
     def entries(self) -> int:
         return sum(len(table) for table in self.memos.values())
-
-
-@dataclass
-class SnapshotCursor:
-    """Progress marker for incremental snapshots (see :meth:`OracleCache.snapshot`).
-
-    Remembers how much state an earlier snapshot already exported — the
-    stats counters and the per-namespace entry counts — so the next
-    snapshot through the same cursor carries only the delta.  Cursors rely
-    on memo tables being append-only between snapshots, which holds exactly
-    where they are used: chunk workers never mutate their graph, so no
-    entry of theirs is ever lazily invalidated mid-run.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    counts: Dict[Hashable, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -391,75 +369,46 @@ class OracleCache:
         return value
 
     # ------------------------------------------------------------------ #
-    # Snapshot / merge (the parallel-execution fold-back protocol)
+    # Snapshot / merge (the replica checkpoint protocol)
     # ------------------------------------------------------------------ #
-    def snapshot(self, since: Optional[SnapshotCursor] = None) -> CacheSnapshot:
+    def snapshot(self) -> CacheSnapshot:
         """Export the portable slice of this cache (see :class:`CacheSnapshot`).
 
         Only memo tables under portable namespaces are included; per-vertex
         derived state keyed by live system objects stays local.  Tables are
         shallow-copied so the snapshot is stable under further queries.
-
-        With ``since`` (a :class:`SnapshotCursor`, updated in place) only
-        the state added after the cursor's last use is exported — chunk
-        workers use this so repeated snapshots never re-ship or double-count
-        already-exported entries and statistics.
         """
-        if since is None:
-            return CacheSnapshot(
-                hits=self.stats.hits,
-                misses=self.stats.misses,
-                memos={
-                    namespace: dict(table)
-                    for namespace, table in self._memos.items()
-                    if table and is_portable_namespace(namespace)
-                },
-            )
-        memos: Dict[Hashable, dict] = {}
-        for namespace, table in self._memos.items():
-            if not table or not is_portable_namespace(namespace):
-                continue
-            exported = since.counts.get(namespace, 0)
-            if len(table) > exported:
-                # Memo tables are append-only dicts; insertion order makes
-                # "everything after the first `exported` items" the delta.
-                memos[namespace] = dict(islice(table.items(), exported, None))
-            since.counts[namespace] = len(table)
-        snapshot = CacheSnapshot(
-            hits=self.stats.hits - since.hits,
-            misses=self.stats.misses - since.misses,
-            memos=memos,
+        return CacheSnapshot(
+            hits=self.stats.hits,
+            misses=self.stats.misses,
+            memos={
+                namespace: dict(table)
+                for namespace, table in self._memos.items()
+                if table and is_portable_namespace(namespace)
+            },
         )
-        since.hits = self.stats.hits
-        since.misses = self.stats.misses
-        return snapshot
 
     def merge(self, snapshot: CacheSnapshot) -> None:
-        """Fold a worker's portable cache slice into this cache.
+        """Fold another cache's portable slice into this cache.
 
         Memoized values under a portable namespace are pure functions of
         ``(graph, seed, key)``, so entries present on both sides are equal
-        and first-write-wins merging is deterministic regardless of worker
-        scheduling.  Hit/miss statistics accumulate (telemetry only —
-        answers and probe accounting never depend on them).
+        and first-write-wins merging is deterministic regardless of merge
+        order.  Hit/miss statistics accumulate (telemetry only — answers
+        and probe accounting never depend on them).
 
-        Snapshots must have been computed against the receiver's *current*
-        graph state (true for every executor fold-back: workers attach to an
-        export of the coordinator's graph).  Incoming entries are therefore
-        re-stamped with the receiver's current epoch — a worker's own epoch
-        counter starts at 0 regardless of the coordinator's mutation
-        history, so the stamp, not the worker counter, is what keeps the
-        folded entries comparable with locally computed ones.
+        The snapshot must come from a cache over the *same* graph object
+        (replicas of one shard share it), so incoming entries keep their own
+        epoch stamps: an entry exported before a mutation of a vertex it
+        touched stays stale here and discards itself on its next lookup,
+        exactly like a local entry would.
         """
         self.stats.hits += snapshot.hits
         self.stats.misses += snapshot.misses
-        epoch = self.graph.epoch
         for namespace, table in snapshot.memos.items():
             own = self.memo(namespace)
             for key, entry in table.items():
                 if key not in own:
-                    if entry.epoch != epoch:
-                        entry = MemoEntry(entry.value, epoch, entry.touched)
                     own[key] = entry
 
     def clear(self) -> None:
@@ -492,12 +441,6 @@ class BoundedOracleCache(OracleCache):
       bounded cache never stores them at all; they are recomputed on demand
       from the O(log n)-word k-wise seed families in :mod:`repro.rand.kwise`
       that generated them, which is probe-free and deterministic.
-
-    One protocol restriction follows from eviction: *incremental* snapshots
-    (:class:`SnapshotCursor`) rely on memo tables being append-only and are
-    refused here.  Chunk workers keep unbounded caches (the coordinator's
-    cap never ships with an :class:`~repro.core.lca.LCASpec`), so the
-    parallel fold-back path is unaffected.
     """
 
     __slots__ = ("memo_cap", "evictions", "_lru")
@@ -549,15 +492,6 @@ class BoundedOracleCache(OracleCache):
                 if not table:
                     del self._memos[namespace]
             self.evictions += 1
-
-    def snapshot(self, since: Optional[SnapshotCursor] = None) -> CacheSnapshot:
-        if since is not None:
-            raise RuntimeError(
-                "bounded caches do not support incremental snapshots: "
-                "eviction breaks the append-only cursor contract (chunk "
-                "workers keep unbounded caches)"
-            )
-        return super().snapshot()
 
     def merge(self, snapshot: CacheSnapshot) -> None:
         super().merge(snapshot)

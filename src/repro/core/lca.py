@@ -58,27 +58,6 @@ def _check_mode(mode: str) -> str:
 
 
 @dataclass
-class LCASpec:
-    """Picklable recipe for rebuilding an LCA in another process.
-
-    An LCA is a pure function of ``(graph, seed, params)``; this spec carries
-    the non-graph part — the registry ``algorithm`` name, the integer seed
-    value and the keyword arguments (parameter dataclasses are frozen and
-    picklable) — so a worker holding a graph handle can reconstruct an
-    instance that answers (and charges probes) identically.  Produced by
-    :meth:`SpannerLCA.executor_spec`; consumed by :mod:`repro.exec`.
-    """
-
-    algorithm: str
-    seed: int
-    kwargs: Dict[str, object] = field(default_factory=dict)
-    #: Kernel selection ("python"/"numpy"/"auto"; ``None`` = auto).  Not a
-    #: constructor kwarg — workers apply it via :meth:`SpannerLCA.set_kernel`
-    #: so parallel rebuilds run the same engine as the coordinator.
-    kernel: Optional[str] = None
-
-
-@dataclass
 class EdgeQueryResult:
     """Outcome of a single LCA query."""
 
@@ -334,8 +313,9 @@ class SpannerLCA(abc.ABC):
     def ensure_cached_oracle(self) -> CachedOracle:
         """The LCA's cached oracle, created on first use.
 
-        Public handle for the execution plane: chunk workers snapshot its
-        portable state and the coordinator merges those snapshots back.
+        Public handle for the service's replica sets: a checkpoint
+        snapshots its portable state and a rejoining replica merges it back
+        (:meth:`~repro.core.oracle.CachedOracle.merge_state`).
         """
         return self._oracle_for("cached")  # type: ignore[return-value]
 
@@ -343,35 +323,16 @@ class SpannerLCA(abc.ABC):
         """The memo namespace of the whole-query-answer cache.
 
         Built from values only (name, seed, parameters) — never from live
-        objects — so it is *portable*: a worker process reconstructing this
-        LCA from its :meth:`executor_spec` produces the same namespace, and
-        its memoized answers fold back into the coordinator's cache through
-        the :meth:`~repro.core.oracle.CachedOracle.merge_state` protocol.
+        objects — so it is *portable*: every LCA built from the same name,
+        seed and parameters produces the same namespace, and memoized
+        answers move between such LCAs (replicas of one shard) through the
+        :meth:`~repro.core.oracle.CachedOracle.merge_state` protocol.
         """
         return (
             "query-answer",
             self.name,
             self._seed.value,
             getattr(self, "params", None),
-        )
-
-    def executor_spec(self) -> LCASpec:
-        """The picklable rebuild recipe used by the parallel executors.
-
-        The default covers every registered construction whose identity is
-        ``(registry name, seed, params)``; subclasses with extra
-        answer-or-accounting-relevant state must override and extend
-        ``kwargs`` (see ``KSquaredSpannerLCA.executor_spec``).
-        """
-        kwargs: Dict[str, object] = {}
-        params = getattr(self, "params", None)
-        if params is not None:
-            kwargs["params"] = params
-        return LCASpec(
-            algorithm=self.name,
-            seed=self._seed.value,
-            kwargs=kwargs,
-            kernel=self._kernel_name,
         )
 
     def query(self, u: int, v: int) -> bool:
@@ -451,8 +412,6 @@ class SpannerLCA(abc.ABC):
         self,
         edges: Optional[Iterable[Edge]] = None,
         mode: Optional[str] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
         tracer=None,
         kernel: Optional[str] = None,
     ) -> MaterializedSpanner:
@@ -469,16 +428,6 @@ class SpannerLCA(abc.ABC):
         :meth:`_materialize_batched`).  Edges, per-query probe totals and
         per-kind probe counts are identical across modes.
 
-        ``executor`` selects a parallel execution backend ("serial",
-        "thread" or "process", see :mod:`repro.exec`) running ``workers``
-        workers: the edge list is split into contiguous chunks, each chunk is
-        executed against a worker-local rebuild of this LCA (process workers
-        attach to a shared-memory CSR export of the graph instead of
-        unpickling it), and edges, per-query probe totals and per-kind probe
-        counts fold back bit-identical to the serial engine — every query
-        charges its cold-cache probe schedule no matter which worker ran it.
-        ``executor=None`` (default) keeps the in-process engine above.
-
         ``tracer`` (a :class:`repro.obs.tracer.SpanTracer`, default off)
         wraps the run in a ``materialize`` span — observation only, answers
         and probe accounting are unchanged.
@@ -490,17 +439,6 @@ class SpannerLCA(abc.ABC):
         """
         if kernel is not None:
             self.set_kernel(kernel)
-        if executor is not None:
-            if mode not in (None, "batched"):
-                raise ValueError(
-                    "parallel materialization always runs the batched engine; "
-                    f"drop mode={mode!r} or drop executor="
-                )
-            from ..exec import materialize_parallel
-
-            return materialize_parallel(
-                self, edges=edges, executor=executor, workers=workers, tracer=tracer
-            )
         mode = _check_mode(self._query_mode if mode is None else mode)
         result = MaterializedSpanner(
             algorithm=self.name, stretch_bound=self.stretch_bound(), edges=set()

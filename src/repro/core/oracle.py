@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Hashable, List, Optional, Sequence
 
-from .cache import CacheSnapshot, OracleCache, SnapshotCursor
+from .cache import CacheSnapshot, OracleCache
 from .probes import ADJACENCY, DEGREE, NEIGHBOR, ProbeCounter, ProbeSnapshot
 from ..graphs.graph import Graph, Vertex
 
@@ -282,24 +282,20 @@ class CachedOracle(AdjacencyListOracle):
         return value
 
     # ------------------------------------------------------------------ #
-    # Snapshot / merge (parallel-execution fold-back)
+    # Snapshot / merge (the replica checkpoint protocol)
     # ------------------------------------------------------------------ #
-    def snapshot_state(
-        self, since: Optional[SnapshotCursor] = None
-    ) -> CacheSnapshot:
-        """Export the portable memo state (picklable; see :class:`CacheSnapshot`).
+    def snapshot_state(self) -> CacheSnapshot:
+        """Export the portable memo state (see :class:`CacheSnapshot`).
 
         Every exported entry carries its measured cold-schedule probe cost,
         so a receiver that merges the snapshot keeps charging exactly the
         cold schedule on later hits — per-query probe accounting is
-        unchanged by where a value was first computed.  ``since`` (a
-        :class:`~repro.core.cache.SnapshotCursor`) makes repeated exports
-        incremental.
+        unchanged by where a value was first computed.
         """
-        return self.cache.snapshot(since)
+        return self.cache.snapshot()
 
     def merge_state(self, snapshot: CacheSnapshot) -> None:
-        """Fold a worker's portable memo state into this oracle's cache.
+        """Fold another oracle's portable memo state into this oracle's cache.
 
         Deterministic regardless of merge order (values are pure functions
         of ``(graph, seed, key)``); never touches the probe counter.

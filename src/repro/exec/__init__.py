@@ -1,78 +1,37 @@
-"""Parallel execution plane: pluggable executor backends for query batches.
+"""Execution support for the sharded service: pinned workers and retries.
 
 The LCA model makes every ``(u, v) ∈ spanner?`` answer a pure function of
-``(graph, seed, query)`` — the textbook embarrassingly-parallel workload.
-This package turns that freedom into an execution plane the rest of the
-library routes through:
+``(graph, seed, query)``, so independent queries may run anywhere.  The
+online service uses that freedom through :mod:`repro.exec.backends`:
 
-* :mod:`repro.exec.backends` — the ``serial`` / ``thread`` / ``process``
-  :class:`ExecutorBackend` trio plus :class:`PinnedWorkers` (key-affine
-  futures for the sharded service);
-* :mod:`repro.exec.plan` — picklable :class:`ChunkPlan`s (graph handle +
-  LCA spec + edge slice) and the worker-side :func:`execute_chunk` step;
-* :mod:`repro.exec.parallel` — :func:`materialize_parallel`, the
-  plan/scatter/fold-back coordinator behind
-  ``SpannerLCA.materialize(executor=...)``.
+* :class:`PinnedWorkers` — key-affine futures (one worker per shard) on the
+  ``serial`` or ``thread`` backend;
+* :class:`RetryPolicy` / :func:`call_with_retries` — bounded retries of
+  :class:`TransientTaskError` with capped exponential backoff in clock
+  ticks.
 
-Process workers never unpickle the graph: they attach to a shared-memory CSR
-export (:meth:`repro.graphs.CSRGraph.to_shared`).  Answers, per-query probe
-totals and per-kind probe counts are bit-identical across backends and
-worker counts — the cold-schedule accounting contract makes probe charges
-independent of where (and next to which cache) a query runs.
+Answers and per-query probe totals are identical on every backend — the
+cold-schedule accounting contract makes probe charges independent of where
+(and next to which cache) a query runs.  Offline materialization
+(``SpannerLCA.materialize``) runs in-process and has no executor.
 """
 
 from .backends import (
     DEFAULT_RETRY_POLICY,
-    EXECUTOR_BACKENDS,
     PINNED_BACKENDS,
-    ExecutorBackend,
     PinnedWorkers,
-    ProcessBackend,
     RetryPolicy,
-    SerialBackend,
-    ThreadBackend,
     TransientTaskError,
     call_with_retries,
-    check_backend,
-    get_executor,
     resolve_workers,
 )
-from .plan import (
-    CHUNKS_PER_WORKER,
-    ChunkPlan,
-    ChunkResult,
-    InlineGraphRef,
-    MappedGraphRef,
-    SharedGraphRef,
-    build_chunk_plans,
-    execute_chunk,
-    execute_chunk_with_retries,
-)
-from .parallel import materialize_parallel
 
 __all__ = [
-    "EXECUTOR_BACKENDS",
     "PINNED_BACKENDS",
-    "ExecutorBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
     "PinnedWorkers",
     "TransientTaskError",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
     "call_with_retries",
-    "check_backend",
-    "get_executor",
     "resolve_workers",
-    "ChunkPlan",
-    "ChunkResult",
-    "CHUNKS_PER_WORKER",
-    "InlineGraphRef",
-    "MappedGraphRef",
-    "SharedGraphRef",
-    "build_chunk_plans",
-    "execute_chunk",
-    "execute_chunk_with_retries",
-    "materialize_parallel",
 ]

@@ -1,44 +1,29 @@
-"""Pluggable executor backends: serial, thread and process execution.
+"""Service execution support: pinned shard workers and bounded retries.
 
-Every LCA query is a pure function of ``(graph, seed, query)``, so batches of
-queries are embarrassingly parallel — the only questions are *where* the work
-runs and *how* the graph gets there.  This module answers the first question
-with three interchangeable backends behind one interface:
+Every LCA query is a pure function of ``(graph, seed, query)``, so the
+online service can answer different shards concurrently without changing a
+single answer or probe charge.  This module holds the two pieces the
+service engine (:mod:`repro.service.engine`) builds on:
 
-``serial``
-    Executes chunk plans inline, in submission order.  Zero concurrency,
-    zero overhead — the reference backend, and the one tests use to exercise
-    the plan/execute split without multiprocessing in the loop.
-``thread``
-    A ``ThreadPoolExecutor``.  The GIL serializes pure-Python query work, so
-    this backend is about API parity and latency overlap, not CPU speedup;
-    workers share the coordinator's graph object directly.
-``process``
-    A ``ProcessPoolExecutor`` — the backend that actually multiplies
-    throughput on multi-core hosts.  Workers attach to a shared-memory CSR
-    export of the graph (:class:`~repro.graphs.csr.SharedCSRHandle`) instead
-    of unpickling an O(m) adjacency structure.
+* :class:`PinnedWorkers` — key-affine futures where all work for one shard
+  runs on one dedicated worker thread, so per-shard memo state stays
+  single-threaded while distinct shards execute concurrently.  The
+  ``serial`` backend runs submissions inline; ``thread`` gives each worker
+  its own single-thread pool.
+* :class:`RetryPolicy` / :func:`call_with_retries` — bounded retries with
+  capped exponential backoff for :class:`TransientTaskError`, the failure
+  class the fault plane (:mod:`repro.faults`) injects.
 
-Answers and per-query probe totals are bit-identical across all three — the
-cold-schedule accounting contract (:mod:`repro.core.cache`) makes probe
-charges independent of cache warmth, and therefore independent of how work
-is partitioned.  The equivalence is pinned by ``tests/test_exec_backends.py``.
-
-:class:`PinnedWorkers` is the service-layer sibling: key-affine futures where
-all work for one shard runs on one dedicated worker thread, so per-shard memo
-state stays single-threaded while distinct shards execute concurrently.
+Offline materialization has no executor: ``SpannerLCA.materialize`` runs one
+in-process engine.
 """
 
 from __future__ import annotations
 
-import abc
 import os
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
-
-#: Registered executor backends, by name.
-EXECUTOR_BACKENDS = ("serial", "thread", "process")
+from typing import Callable, List, Optional
 
 
 class TransientTaskError(RuntimeError):
@@ -119,26 +104,17 @@ def call_with_retries(
             attempt += 1
 
 
-#: Backends usable for key-affine (per-shard) futures.  Process pools have
-#: no submission affinity, and shard memo state lives in-process, so the
-#: service layer runs on serial or thread workers.
+#: Backends usable for key-affine (per-shard) futures.  Shard memo state
+#: lives in-process, so the service layer runs on serial or thread workers.
 PINNED_BACKENDS = ("serial", "thread")
-
-
-def check_backend(name: str, choices: Sequence[str] = EXECUTOR_BACKENDS) -> str:
-    if name not in choices:
-        raise ValueError(
-            f"unknown executor backend {name!r}; choices: {tuple(choices)}"
-        )
-    return name
 
 
 def resolve_workers(workers: Optional[int], backend: str) -> int:
     """Worker count for a backend: explicit value, or a sensible default.
 
     Defaults to 1 for the serial backend and to the host's CPU count for
-    thread/process (minimum 2, so the parallel machinery is exercised even
-    on single-core hosts).
+    thread (minimum 2, so the concurrent path is exercised even on
+    single-core hosts).
     """
     if workers is not None:
         workers = int(workers)
@@ -148,64 +124,6 @@ def resolve_workers(workers: Optional[int], backend: str) -> int:
     if backend == "serial":
         return 1
     return max(2, os.cpu_count() or 1)
-
-
-class ExecutorBackend(abc.ABC):
-    """Maps a function over items, returning results in input order."""
-
-    name: str = "abstract"
-
-    def __init__(self, workers: int = 1) -> None:
-        self.workers = int(workers)
-
-    @abc.abstractmethod
-    def map_ordered(self, fn: Callable, items: Iterable) -> List:
-        """Apply ``fn`` to every item; results follow input order."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"{type(self).__name__}(workers={self.workers})"
-
-
-class SerialBackend(ExecutorBackend):
-    """Inline execution (the reference backend)."""
-
-    name = "serial"
-
-    def map_ordered(self, fn: Callable, items: Iterable) -> List:
-        return [fn(item) for item in items]
-
-
-class ThreadBackend(ExecutorBackend):
-    """Thread-pool execution (shared address space, GIL-serialized)."""
-
-    name = "thread"
-
-    def map_ordered(self, fn: Callable, items: Iterable) -> List:
-        with ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-exec"
-        ) as pool:
-            return list(pool.map(fn, items))
-
-
-class ProcessBackend(ExecutorBackend):
-    """Process-pool execution (true parallelism; plans must be picklable)."""
-
-    name = "process"
-
-    def map_ordered(self, fn: Callable, items: Iterable) -> List:
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(fn, items))
-
-
-def get_executor(name: str, workers: Optional[int] = None) -> ExecutorBackend:
-    """Instantiate an executor backend by name."""
-    check_backend(name)
-    count = resolve_workers(workers, name)
-    if name == "serial":
-        return SerialBackend(1)
-    if name == "thread":
-        return ThreadBackend(count)
-    return ProcessBackend(count)
 
 
 def _immediate_future(fn: Callable, args: tuple) -> Future:
@@ -234,7 +152,10 @@ class PinnedWorkers:
     def __init__(
         self, num_keys: int, backend: str = "serial", workers: Optional[int] = None
     ) -> None:
-        check_backend(backend, PINNED_BACKENDS)
+        if backend not in PINNED_BACKENDS:
+            raise ValueError(
+                f"unknown executor backend {backend!r}; choices: {PINNED_BACKENDS}"
+            )
         if num_keys < 1:
             raise ValueError("num_keys must be >= 1")
         self.backend = backend

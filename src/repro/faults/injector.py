@@ -23,8 +23,8 @@ dispatch time on the coordinator thread, never on workers — which is what
 keeps fault runs bit-reproducible under the thread backend.
 
 Determinism contract: with the same plan and the same request stream, the
-sequence of injector decisions is identical across runs, hosts, and
-executor backends.
+sequence of injector decisions is identical across runs, hosts, and the
+service's serial/thread executors.
 """
 
 from __future__ import annotations

@@ -19,28 +19,15 @@ built lazily, one row at a time, on first use — generators and BFS never pay
 for it, and materialization only pays for the rows it actually probes.
 
 Vertices are arbitrary integers (ids need not form ``0..n-1``); an id → row
-position map translates between the two.
-
-Shared-memory export
---------------------
-The flat CSR layout has a second payoff beyond cache locality: it is exactly
-the shape ``multiprocessing.shared_memory`` wants.  :meth:`CSRGraph.to_shared`
-copies the three int64 arrays (``ids``, ``indptr``, ``indices``) into one
-shared-memory segment once, and any number of worker processes *attach* to it
-through the picklable :class:`SharedCSRHandle` — a few dozen bytes on the
-wire instead of an O(m) pickle of the adjacency structure.  The attached
-:class:`SharedCSRGraph` wraps zero-copy ``memoryview``s over the segment and
-is observationally identical to the exporting graph (same orderings, same
-probe-visible behavior), which is what makes the process executor's answers
-bit-identical to the serial path.
+position map translates between the two.  The flat layout is also what the
+on-disk snapshot format dumps verbatim (:mod:`repro.scale.snapshot`), the
+one read-only transport for a built graph.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..core.errors import GraphError, UnknownVertexError
@@ -51,9 +38,6 @@ from .graph import (
     undeclared_neighbor_error,
     validate_adjacency,
 )
-
-#: Byte width of the shared int64 layout (``array`` typecode "q").
-_ITEM_SIZE = array("q").itemsize
 
 #: Default number of pending overlay entries that triggers an automatic
 #: :meth:`CSRGraph.compact`.  The overlay keeps single mutations O(Δ-free)
@@ -66,45 +50,6 @@ def _in_sorted(values, item: int) -> bool:
     """Membership test on a sorted array (the removal side-arrays)."""
     position = bisect_left(values, item)
     return position < len(values) and values[position] == item
-
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without resource-tracker registration.
-
-    Only the exporting owner may unlink a segment; an attaching process that
-    registers it with its resource tracker would destroy it for everyone on
-    exit (bpo-39959).  Python 3.13 grew ``track=False`` for exactly this;
-    on older versions the tracker's register hook is muted for the duration
-    of the attach.
-
-    A missing segment (never created, or already unlinked by its exporter —
-    e.g. a worker attaching after the pool shut down) surfaces as a
-    :class:`RuntimeError` naming the segment, not a bare ``FileNotFoundError``
-    from the depths of ``shared_memory``.
-    """
-    try:
-        try:
-            return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
-        except TypeError:
-            pass
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-
-        def _skip_shared_memory(segment_name, rtype):  # pragma: no cover - shim
-            if rtype != "shared_memory":
-                original(segment_name, rtype)
-
-        resource_tracker.register = _skip_shared_memory
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-    except FileNotFoundError:
-        raise RuntimeError(
-            f"shared CSR segment {name!r} does not exist (never exported, "
-            "or already unlinked by its exporting owner)"
-        ) from None
 
 
 class CSRGraph(Graph):
@@ -227,22 +172,6 @@ class CSRGraph(Graph):
         graph._init_mutation_state()
         graph._init_overlay()
         return graph
-
-    def to_shared(self) -> "SharedCSRExport":
-        """Export the CSR arrays to a shared-memory segment (one copy).
-
-        Returns the owning :class:`SharedCSRExport`; its ``handle`` is a
-        small picklable descriptor that worker processes pass to
-        :func:`attach_shared_graph` to map the same arrays without copying.
-        The exporter must outlive every attachment and should be closed (and
-        unlinked) when the parallel section ends — use it as a context
-        manager.
-
-        Pending mutation deltas are folded in first (:meth:`compact`), so
-        the exported flat arrays always describe the current rows.
-        """
-        self.compact()
-        return SharedCSRExport(self)
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -453,185 +382,3 @@ class CSRGraph(Graph):
 
     def _validate(self) -> None:  # pragma: no cover - validation runs in __init__
         validate_adjacency(self.as_adjacency())
-
-
-# --------------------------------------------------------------------------- #
-# Shared-memory export / attach
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class SharedCSRHandle:
-    """Picklable descriptor of a CSR graph living in shared memory.
-
-    The segment holds three consecutive int64 arrays::
-
-        [ ids : n ][ indptr : n + 1 ][ indices : nnz ]
-
-    A handle is a value object — pickling it costs a few dozen bytes no
-    matter how large the graph is.  It stays valid for as long as the
-    exporting :class:`SharedCSRExport` keeps the segment alive.
-    """
-
-    shm_name: str
-    num_vertices: int
-    num_entries: int
-
-    @property
-    def total_items(self) -> int:
-        return 2 * self.num_vertices + 1 + self.num_entries
-
-    def attach(self) -> "SharedCSRGraph":
-        """Map the segment and return a zero-copy graph view over it."""
-        return SharedCSRGraph(self)
-
-
-class SharedCSRExport:
-    """Owner of a shared-memory CSR segment (create → share → unlink).
-
-    Created by :meth:`CSRGraph.to_shared`.  Closing unlinks the segment by
-    default: attached workers keep their existing mappings (POSIX semantics)
-    but no new attachments are possible afterwards.
-    """
-
-    def __init__(self, graph: CSRGraph) -> None:
-        try:
-            payload = array("q")
-            payload.extend(graph._ids)
-            payload.extend(graph._indptr)
-            payload.extend(graph._indices)
-        except OverflowError:
-            raise GraphError(
-                "graphs with vertex ids beyond 64 bits cannot be exported "
-                "to shared memory"
-            ) from None
-        nbytes = max(len(payload) * _ITEM_SIZE, _ITEM_SIZE)
-        self._shm: Optional[shared_memory.SharedMemory] = shared_memory.SharedMemory(
-            create=True, size=nbytes
-        )
-        self._shm.buf[: len(payload) * _ITEM_SIZE] = payload.tobytes()
-        self.handle = SharedCSRHandle(
-            shm_name=self._shm.name,
-            num_vertices=len(graph._ids),
-            num_entries=len(graph._indices),
-        )
-
-    @property
-    def name(self) -> str:
-        return self.handle.shm_name
-
-    def close(self, unlink: bool = True) -> None:
-        """Release the exporter's mapping (and the segment, by default)."""
-        if self._shm is None:
-            return
-        shm, self._shm = self._shm, None
-        shm.close()
-        if unlink:
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # already unlinked elsewhere
-                pass
-
-    def __enter__(self) -> "SharedCSRExport":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class SharedCSRGraph(CSRGraph):
-    """Zero-copy CSR graph attached to a :class:`SharedCSRHandle`.
-
-    The adjacency arrays are ``memoryview``s over the shared segment — no
-    per-worker copy of ``indptr``/``indices`` is ever made; only the O(n)
-    id → position dictionary is rebuilt on attach.  Probe-visible behavior
-    (orderings, degrees, adjacency indices) is identical to the exporting
-    graph, so answers and probe accounting cannot depend on where a graph
-    is mapped.
-
-    Derived per-vertex caches (neighbor views, adjacency rows) are private
-    to each attachment, exactly as they would be on an ordinary copy.
-    """
-
-    __slots__ = ("_shm", "_view")
-
-    backend = "csr-shared"
-
-    def __init__(self, handle: SharedCSRHandle) -> None:
-        shm = _attach_segment(handle.shm_name)
-        n = handle.num_vertices
-        nnz = handle.num_entries
-        view = memoryview(shm.buf).cast("q")
-        if len(view) < handle.total_items:
-            view.release()
-            shm.close()
-            raise GraphError(
-                f"shared segment {handle.shm_name!r} is too small for the "
-                f"declared CSR shape (n={n}, nnz={nnz})"
-            )
-        self._shm = shm
-        self._view = view
-        self._ids = view[0:n]
-        self._indptr = view[n : 2 * n + 1]
-        self._indices = view[2 * n + 1 : 2 * n + 1 + nnz]
-        self._pos = {v: p for p, v in enumerate(self._ids)}
-        self._rows = {}
-        self._views = {}
-        self._num_edges = nnz // 2
-        self._init_mutation_state()
-        self._init_overlay()
-
-    @classmethod
-    def _builder_class(cls) -> type:
-        # Derived graphs (subgraphs) own their storage instead of aliasing
-        # someone else's shared segment.
-        return CSRGraph
-
-    def add_edge(self, u: Vertex, v: Vertex) -> None:
-        raise GraphError(
-            "shared CSR attachments are read-only views; mutate the "
-            "exporting graph and re-export instead"
-        )
-
-    def remove_edge(self, u: Vertex, v: Vertex) -> None:
-        raise GraphError(
-            "shared CSR attachments are read-only views; mutate the "
-            "exporting graph and re-export instead"
-        )
-
-    def detach(self) -> None:
-        """Release the memoryviews and close this attachment's mapping.
-
-        The graph is unusable afterwards.  The segment itself lives until
-        the exporting owner unlinks it.  Detaching twice (or detaching an
-        attachment whose construction failed partway) is a no-op — the
-        ``getattr`` default covers ``__init__`` raising before ``_shm`` is
-        bound, e.g. on a size-mismatched segment.
-        """
-        if getattr(self, "_shm", None) is None:
-            return
-        for name in ("_ids", "_indptr", "_indices", "_view"):
-            view = getattr(self, name, None)
-            if isinstance(view, memoryview):
-                view.release()
-        self._ids = []
-        self._pos = {}
-        self._indptr = array("q", [0])
-        self._indices = array("q")
-        shm, self._shm = self._shm, None
-        shm.close()
-
-    def __enter__(self) -> "SharedCSRGraph":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.detach()
-
-    def __reduce__(self):
-        raise TypeError(
-            "SharedCSRGraph is a process-local view; pickle its "
-            "SharedCSRHandle and attach on the other side instead"
-        )
-
-
-def attach_shared_graph(handle: SharedCSRHandle) -> SharedCSRGraph:
-    """Attach to an exported CSR graph (worker-side entry point)."""
-    return handle.attach()

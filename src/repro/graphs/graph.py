@@ -509,8 +509,8 @@ class Graph:
     def _builder_class(cls) -> type:
         """The class used to build derived graphs (subgraphs).
 
-        Views over external storage (e.g. shared-memory attachments) override
-        this to build ordinary self-owned graphs instead of new views.
+        Views over external storage (memory-mapped snapshots) override this
+        to build ordinary self-owned graphs instead of new views.
         """
         return cls
 

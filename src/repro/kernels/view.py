@@ -115,7 +115,7 @@ class CSRView:
 def build_view(np_module, graph) -> Optional[CSRView]:
     """Build a :class:`CSRView` of ``graph`` at its current epoch.
 
-    Compacted CSR graphs (including shared-memory exports) are converted
+    Compacted CSR graphs (including mapped snapshots) are converted
     array-at-once from their flat buffers; every other backend (dict
     adjacency, CSR with pending delta overlays) goes through the generic
     ``vertices()``/``neighbors()`` walk.  Returns ``None`` when vertex ids
@@ -133,10 +133,10 @@ def build_view(np_module, graph) -> Optional[CSRView]:
         )
         if flat:
             if isinstance(graph._indices, memoryview):
-                # Read-only storage (mmap snapshots, shared-memory
-                # attachments): alias the buffers instead of copying —
-                # safe because these graphs refuse mutation, so the view
-                # can never drift from the arrays it wraps.
+                # Read-only storage (mmap snapshots): alias the buffers
+                # instead of copying — safe because these graphs refuse
+                # mutation, so the view can never drift from the arrays it
+                # wraps.
                 indptr = np.frombuffer(graph._indptr, dtype=np.int64)
                 nbr_id = np.frombuffer(graph._indices, dtype=np.int64)
             else:

@@ -17,7 +17,6 @@ from .exceptions import SilentExceptRule
 from .imports import LayeringRule
 from .metrics import MetricNameRule
 from .observability import GuardedObservabilityRule
-from .plans import PicklablePlanRule
 
 #: Every registered rule class, in reporting-code order.
 ALL_RULES = [
@@ -28,7 +27,6 @@ ALL_RULES = [
     LayeringRule,
     MetricNameRule,
     GuardedObservabilityRule,
-    PicklablePlanRule,
 ]
 
 

@@ -91,7 +91,7 @@ class SpanTracer:
     """Collecting tracer: hierarchical spans in a bounded ring buffer.
 
     Intended for single-threaded (coordinator-side) use — the service
-    engine, the serial executor path and the report runner all emit spans
+    engine, ``SpannerLCA.materialize`` and the report runner all emit spans
     from one thread, which is what keeps span order deterministic.
     """
 

@@ -56,7 +56,7 @@ def _inventory_rows(results: Sequence[Dict[str, object]]) -> List[Dict[str, obje
                 "family": graph.get("family"),
                 "backend": graph.get("backend"),
                 "sizes": ", ".join(str(n) for n in graph.get("sizes", [])),
-                "engine": materialize.get("executor") or materialize.get("mode"),
+                "engine": materialize.get("mode"),
                 "workload": workload.get("kind", "-"),
                 "churn ops": (spec.get("mutations") or {}).get("ops", 0),
                 "smoke": bool(payload.get("smoke")),

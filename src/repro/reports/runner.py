@@ -19,8 +19,8 @@ Markdown report twice and compares bytes.
 
 **Faithful accounting.**  Probe totals and per-kind counts come from the
 same cold-schedule accounting contract every other harness uses (see
-:mod:`repro.core.cache`): the executor, query mode and backend axes change
-wall-clock time only, never the reported probe numbers.
+:mod:`repro.core.cache`): the query mode, backend and service executor
+axes change wall-clock time only, never the reported probe numbers.
 """
 
 from __future__ import annotations
@@ -209,13 +209,7 @@ def _run_size(spec: ScenarioSpec, n: int) -> SizeResult:
             churn_ops(graph, spec.mutations.ops, spec.mutations.seed)
         )
     before = lca.probe_counter.snapshot()
-    materialize = spec.materialize
-    if materialize.executor is not None:
-        materialized = lca.materialize(
-            executor=materialize.executor, workers=materialize.workers
-        )
-    else:
-        materialized = lca.materialize(mode=materialize.mode)
+    materialized = lca.materialize(mode=spec.materialize.mode)
     kinds = (lca.probe_counter.snapshot() - before).as_dict()
     report = evaluate_materialized(graph, materialized)
     stats = materialized.probe_stats

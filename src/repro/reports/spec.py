@@ -1,7 +1,7 @@
 """Declarative scenario specs: one TOML/JSON table per experiment.
 
 A :class:`ScenarioSpec` names one point in the system's configuration space —
-graph family × spanner family × storage backend × executor × workload ×
+graph family × spanner family × storage backend × query mode × workload ×
 mutation churn — plus the seeds that make the run reproducible.  Spec files
 are plain data (TOML via :mod:`tomllib`, or JSON), so the curated suite under
 ``scenarios/`` is reviewable, diffable and runnable with one command::
@@ -22,7 +22,7 @@ The sub-tables mirror the layers they configure:
     :data:`repro.graphs.FAMILY_BUILDERS` registry, so a spec and a
     ``repro generate`` command line mean the same graph.
 ``[scenario.materialize]``
-    mode (cold/cached/batched) or executor + workers — the offline engine.
+    mode (cold/cached/batched) and an optional memo cap — the offline engine.
 ``[scenario.mutations]``
     a deterministic pre-materialization churn burst (count + seed),
     exercising epoch-based cache invalidation.
@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import ReproError
-from ..exec import EXECUTOR_BACKENDS, PINNED_BACKENDS
+from ..exec import PINNED_BACKENDS
 from ..faults import FaultPlan
 from ..graphs.generators import GRAPH_FAMILIES, STREAM_FAMILIES
 from ..service.engine import DEGRADED_MODES
@@ -117,23 +117,13 @@ class GraphSpec:
 
 @dataclass(frozen=True)
 class MaterializeSpec:
-    """The offline-engine axis: query mode or parallel executor."""
+    """The offline-engine axis: query mode and optional memo cap."""
 
     mode: str = "batched"
-    executor: Optional[str] = None
-    workers: Optional[int] = None
     memo_cap: Optional[int] = None
 
     def __post_init__(self) -> None:
         _check_choice(self.mode, QUERY_MODES, "materialize mode")
-        if self.executor is not None:
-            _check_choice(self.executor, tuple(EXECUTOR_BACKENDS), "executor")
-            _require(
-                self.mode == "batched",
-                "an executor always runs the batched engine; drop mode or executor",
-            )
-        if self.workers is not None:
-            _require(self.workers >= 1, "workers must be >= 1")
         if self.memo_cap is not None:
             _require(
                 isinstance(self.memo_cap, int) and self.memo_cap >= 1,
@@ -144,18 +134,9 @@ class MaterializeSpec:
                 "memo_cap bounds the cached engine; the cold mode has no "
                 "memo to cap — drop one of them",
             )
-            _require(
-                self.executor is None,
-                "memo_cap applies to the coordinator's cache only; chunk "
-                "workers keep unbounded caches — drop executor or memo_cap",
-            )
 
     def as_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {"mode": self.mode}
-        if self.executor is not None:
-            payload["executor"] = self.executor
-        if self.workers is not None:
-            payload["workers"] = self.workers
         if self.memo_cap is not None:
             payload["memo_cap"] = self.memo_cap
         return payload

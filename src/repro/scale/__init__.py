@@ -9,8 +9,8 @@ list (ROADMAP: "Million-node graphs"):
   plus the ``*-stream`` family front door used by ``FAMILY_BUILDERS``.
 * :mod:`repro.scale.snapshot` — a raw-array on-disk CSR snapshot format
   with a read-only memory-mapped loader (:class:`MappedCSRGraph`) that
-  plugs in wherever :class:`~repro.graphs.SharedCSRGraph` does, including
-  the process executor.
+  plugs in wherever a :class:`~repro.graphs.CSRGraph` does — the one
+  read-only graph transport.
 
 The bounded-memory oracle mode that completes the scale story lives with
 the rest of the memoization machinery in

@@ -13,13 +13,14 @@ them in memory::
 Arrays are written in the *native* byte order of the writing host (the
 flag records which), so loading is a pure ``mmap`` — no parsing, no
 byte-swapping, no per-element work beyond the O(n) id → position map.
-:class:`MappedCSRGraph` mirrors the :class:`~repro.graphs.SharedCSRGraph`
-conventions pinned in ``tests/test_shared_csr.py``: zero-copy
-``memoryview`` rows, read-only mutation errors, idempotent detach,
-one-line errors for missing or truncated files, and a picklable
-:class:`MappedCSRHandle` instead of a picklable graph — which is how the
-process executor ships a million-node graph to workers in a few dozen
-bytes (:class:`repro.exec.plan.MappedGraphRef`).
+This is the library's one read-only graph transport.  Its conventions are
+pinned in ``tests/test_scale_mmap.py``: saving snapshots the *current* rows
+(pending CSR deltas are compacted, other backends converted), vertex ids
+beyond 64 bits fail with a one-line :class:`~repro.core.errors.GraphError`,
+:class:`MappedCSRGraph` has zero-copy ``memoryview`` rows, read-only
+mutation errors, idempotent detach and owned-storage subgraphs, missing or
+truncated files fail with one-line errors, and the picklable
+:class:`MappedCSRHandle` stands in for the unpicklable graph.
 """
 
 from __future__ import annotations
@@ -84,9 +85,9 @@ def save_csr_snapshot(graph: Graph, path: PathLike) -> "MappedCSRHandle":
 def load_csr_snapshot(path: PathLike) -> "MappedCSRGraph":
     """Map a snapshot written by :func:`save_csr_snapshot` (read-only).
 
-    A missing file raises a one-line :class:`RuntimeError` naming the path
-    (mirroring the shared-memory attach conventions); a malformed or
-    truncated file raises :class:`~repro.core.errors.GraphError`.
+    A missing file raises a one-line :class:`RuntimeError` naming the path;
+    a malformed or truncated file raises
+    :class:`~repro.core.errors.GraphError`.
     """
     path = Path(path)
     if not path.exists():
@@ -121,9 +122,8 @@ def load_csr_snapshot(path: PathLike) -> "MappedCSRGraph":
 class MappedCSRHandle:
     """Picklable descriptor of an on-disk CSR snapshot.
 
-    The mmap sibling of :class:`~repro.graphs.SharedCSRHandle`: a few
-    dozen bytes on the wire regardless of graph size, valid for as long as
-    the snapshot file exists.  Workers call :meth:`attach` to map it.
+    A few dozen bytes regardless of graph size, valid for as long as the
+    snapshot file exists.  Any process calls :meth:`attach` to map it.
     """
 
     path: str
@@ -151,7 +151,7 @@ class MappedCSRGraph(CSRGraph):
     mapped.  Mutations raise: rebuild and re-save instead.
     """
 
-    __slots__ = ("_mmap", "_view", "_handle")
+    __slots__ = ("_mmap", "_view")
 
     backend = "csr-mapped"
 
@@ -180,7 +180,6 @@ class MappedCSRGraph(CSRGraph):
         view = memoryview(mapped)[_HEADER.size : needed].cast("q")
         self._mmap = mapped
         self._view = view
-        self._handle = handle
         self._ids = view[0:n]
         self._indptr = view[n : 2 * n + 1]
         self._indices = view[2 * n + 1 : 2 * n + 1 + nnz]
@@ -190,16 +189,6 @@ class MappedCSRGraph(CSRGraph):
         self._num_edges = nnz // 2
         self._init_mutation_state()
         self._init_overlay()
-
-    @property
-    def mapped_handle(self) -> MappedCSRHandle:
-        """The picklable handle this graph was attached from.
-
-        The exec plane sniffs for this attribute
-        (:func:`repro.exec.parallel.materialize_parallel`) to ship the
-        handle to process workers instead of a shared-memory copy.
-        """
-        return self._handle
 
     @classmethod
     def _builder_class(cls) -> type:

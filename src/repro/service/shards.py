@@ -247,10 +247,6 @@ class ReplicaSet:
     entries are epoch-stamped (see :mod:`repro.core.cache`), so a
     checkpoint taken before a graph mutation is still safe to merge after
     it: stale entries discard themselves on their next lookup.
-
-    Checkpoints are **full** snapshots, not incremental ones — cursor
-    deltas assume append-only memo tables, which churn workloads violate
-    (lazy invalidation shrinks them).
     """
 
     __slots__ = ("shard_id", "replicas", "_checkpoint", "_version", "_synced")

@@ -88,13 +88,6 @@ class KSquaredSpannerLCA(CombinedLCA):
         """The nominal O(k²) stretch (a w.h.p. guarantee, reported for tables)."""
         return self.params.nominal_stretch()
 
-    def executor_spec(self):
-        """Parallel rebuild recipe: ``shared_cache`` changes per-query probe
-        accounting (not answers), so worker rebuilds must preserve it."""
-        spec = super().executor_spec()
-        spec.kwargs["shared_cache"] = self.shared_cache
-        return spec
-
 
 @register("spannerk")
 def _make_k_squared(graph: Graph, seed: SeedLike, **kwargs) -> KSquaredSpannerLCA:

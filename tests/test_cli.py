@@ -100,41 +100,6 @@ def test_materialize_command_reports_and_exports(graph_file, capsys, tmp_path):
     assert 0 < spanner.num_edges <= host.num_edges
 
 
-def test_materialize_executor_output_matches_in_process(graph_file, capsys):
-    """--executor/--workers change wall-clock only; the report is identical
-    (modulo the executor column) across backends and worker counts."""
-    def run(extra):
-        assert main(
-            ["materialize", "--graph", graph_file, "--algorithm", "spanner3",
-             "--seed", "4", *extra]
-        ) == 0
-        rows = [
-            line for line in capsys.readouterr().out.splitlines()
-            if line.startswith("spanner3")
-        ]
-        # Drop the executor column: split on '|', remove the 5th field.
-        return [
-            "|".join(field for i, field in enumerate(line.split("|")) if i != 4)
-            for line in rows
-        ]
-
-    reference = run([])
-    for extra in (
-        ["--executor", "serial"],
-        ["--executor", "thread", "--workers", "2"],
-        ["--executor", "process", "--workers", "2"],
-    ):
-        assert run(extra) == reference, extra
-
-
-def test_materialize_rejects_executor_with_non_batched_mode(graph_file):
-    with pytest.raises(SystemExit, match="batched engine"):
-        main(
-            ["materialize", "--graph", graph_file, "--query-mode", "cold",
-             "--executor", "process"]
-        )
-
-
 def test_serve_bench_thread_executor_flags(graph_file, capsys):
     code = main(
         ["serve-bench", "--graph", graph_file, "--requests", "120",
@@ -276,8 +241,8 @@ def test_serve_bench_replays_whole_trace_when_requests_unset(graph_file, capsys,
 @pytest.mark.parametrize(
     "argv",
     [
-        ["materialize", "--executor", "process", "--workers"],
-        ["evaluate", "--executor", "thread", "--workers"],
+        ["materialize", "--memo-cap"],
+        ["evaluate", "--memo-cap"],
         ["serve-bench", "--workers"],
         ["serve-bench", "--max-inflight"],
     ],

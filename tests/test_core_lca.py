@@ -10,7 +10,7 @@ from repro.core import (
     NotAnEdgeError,
     SpannerLCA,
 )
-from repro.core.lca import PAPER_RESULTS, LCADescription
+from repro.core.lca import PAPER_RESULTS, QUERY_MODES, LCADescription
 from repro.graphs import gnp_graph
 
 
@@ -81,11 +81,27 @@ def test_materialize_respects_decision_rule(graph):
 
 
 def test_materialize_subset_of_edges(graph):
-    lca = KeepAllLCA(graph, seed=1)
     subset = list(graph.edges())[:5]
-    result = lca.materialize(edges=subset)
-    assert result.num_edges == 5
-    assert result.probe_stats.queries == 5
+    reference = None
+    for mode in QUERY_MODES:
+        result = KeepAllLCA(graph, seed=1).materialize(edges=subset, mode=mode)
+        assert result.num_edges == 5
+        assert result.probe_stats.queries == 5
+        # Every engine keeps the same edges and charges the same probes.
+        probed = ModuloLCA(graph, seed=1, modulus=3).materialize(
+            edges=subset, mode=mode
+        )
+        signature = (probed.edges, probed.probe_stats.query_totals)
+        assert reference in (None, signature), mode
+        reference = signature
+        # A given subset is validated edge by edge, batched engine included.
+        with pytest.raises(NotAnEdgeError):
+            KeepAllLCA(graph, seed=1).materialize(
+                edges=[(0, graph.num_vertices + 3)], mode=mode
+            )
+        empty = KeepAllLCA(graph, seed=1).materialize(edges=[], mode=mode)
+        assert empty.num_edges == 0
+        assert empty.probe_stats.queries == 0
 
 
 def test_as_graph_builds_spanning_subgraph(graph):

@@ -1,11 +1,11 @@
-"""Cross-executor equivalence: the parallel plane changes wall-clock only.
+"""Edge-subset materialization on a real construction.
 
-The refactor's contract: for every construction, ``materialize`` through any
-executor backend ("serial", "thread", "process") and any worker count
-produces the *same spanner edges*, the *same per-query probe totals* and the
-*same per-kind probe counts* as the in-process batched engine.  The chunk
-plan/execute split, the shared-memory graph transfer and the snapshot/merge
-fold-back must all be invisible to the model-level observables.
+``materialize(edges=...)`` answers each given edge locally, so on a subset it
+must keep exactly the edges that the whole-graph run keeps there, with the
+same per-query probe totals, whichever in-process engine runs it: the
+per-query ``cold``/``cached`` engines or the streaming ``batched`` engine
+(the whole-graph run takes the kernel path instead).  A given subset is
+validated edge by edge.
 """
 
 from __future__ import annotations
@@ -13,48 +13,13 @@ from __future__ import annotations
 import pytest
 
 from repro import graphs
-from repro.core.cache import CacheSnapshot, is_portable_namespace
 from repro.core.errors import NotAnEdgeError
+from repro.core.lca import QUERY_MODES
 from repro.core.registry import create
-from repro.core.seed import Seed
-from repro.exec import (
-    EXECUTOR_BACKENDS,
-    build_chunk_plans,
-    get_executor,
-    resolve_workers,
-)
-from repro.spannerk import KSquaredParams, KSquaredSpannerLCA
 
 
 def _spanner3(graph):
     return create("spanner3", graph, seed=5, hitting_constant=1.0)
-
-
-def _spanner5(graph):
-    return create("spanner5", graph, seed=5, hitting_constant=1.0)
-
-
-def _spannerk(graph):
-    params = KSquaredParams(
-        num_vertices=graph.num_vertices,
-        stretch_parameter=2,
-        exploration_budget=6,
-        center_probability=0.3,
-        mark_probability=0.25,
-        rank_quota=20,
-        independence=12,
-    )
-    return KSquaredSpannerLCA(graph, seed=7, params=params)
-
-
-CASES = {
-    "spanner3": (_spanner3, lambda: graphs.gnp_graph(70, 0.25, seed=11)),
-    "spanner5": (
-        _spanner5,
-        lambda: graphs.dense_cluster_graph(80, 10, inter_probability=0.05, seed=5),
-    ),
-    "spannerk": (_spannerk, lambda: graphs.bounded_degree_expanderish(80, d=4, seed=3)),
-}
 
 
 def _signature(materialized):
@@ -64,238 +29,27 @@ def _signature(materialized):
     )
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_all_backends_and_worker_counts_match_the_serial_engine(name):
-    factory, graph_factory = CASES[name]
-    graph = graph_factory()
-    baseline_lca = factory(graph)
-    baseline = baseline_lca.materialize(mode="batched")
-    reference = _signature(baseline)
-    reference_counter = baseline_lca.probe_counter.snapshot()
-    for executor in EXECUTOR_BACKENDS:
-        # Worker counts 1..4 change the chunking (and, for thread/process,
-        # the actual concurrency); none of it may leak into the results.
-        for workers in (1, 2, 3, 4):
-            lca = factory(graph)
-            materialized = lca.materialize(executor=executor, workers=workers)
-            assert _signature(materialized) == reference, (executor, workers)
-            assert lca.probe_counter.snapshot() == reference_counter, (
-                executor,
-                workers,
-                "per-kind probe accounting diverged",
-            )
-
-
 def test_edge_subset_materialization_matches_and_validates():
     graph = graphs.gnp_graph(50, 0.2, seed=2)
     subset = list(graph.edges())[10:40]
-    serial = _spanner3(graph).materialize(edges=subset, mode="batched")
-    parallel = _spanner3(graph).materialize(
-        edges=subset, executor="process", workers=2
-    )
-    assert _signature(parallel) == _signature(serial)
-    with pytest.raises(NotAnEdgeError):
-        _spanner3(graph).materialize(
-            edges=[(0, graph.num_vertices + 3)], executor="serial"
-        )
-
-
-def test_parallel_materialize_rejects_conflicting_mode_and_unknown_backend():
-    graph = graphs.gnp_graph(30, 0.2, seed=1)
-    lca = _spanner3(graph)
-    with pytest.raises(ValueError, match="batched engine"):
-        lca.materialize(mode="cold", executor="serial")
-    with pytest.raises(ValueError, match="unknown executor backend"):
-        lca.materialize(executor="gpu")
-    with pytest.raises(ValueError):
-        lca.materialize(executor="serial", workers=0)
-
-
-def test_unregistered_lca_gets_a_clear_error():
-    from repro.core.lca import KeepAllLCA
-
-    graph = graphs.gnp_graph(20, 0.3, seed=1)
-    lca = KeepAllLCA(graph, seed=1)
-    with pytest.raises(ValueError, match="not a registered construction"):
-        lca.materialize(executor="serial")
+    whole = _spanner3(graph).materialize(mode="batched")
+    expected_edges = {edge for edge in subset if whole.contains(*edge)}
+    reference = None
+    for mode in QUERY_MODES:
+        materialized = _spanner3(graph).materialize(edges=subset, mode=mode)
+        assert set(materialized.edges) == expected_edges, mode
+        assert materialized.probe_stats.queries == len(subset), mode
+        assert reference in (None, _signature(materialized)), mode
+        reference = _signature(materialized)
+        with pytest.raises(NotAnEdgeError):
+            _spanner3(graph).materialize(
+                edges=[(0, graph.num_vertices + 3)], mode=mode
+            )
 
 
 def test_empty_edge_subset_yields_empty_spanner():
     graph = graphs.gnp_graph(20, 0.3, seed=1)
-    materialized = _spanner3(graph).materialize(edges=[], executor="process")
-    assert materialized.num_edges == 0
-    assert materialized.probe_stats.queries == 0
-
-
-def test_chunk_plans_cover_edges_exactly_once_in_order():
-    graph = graphs.gnp_graph(40, 0.2, seed=4)
-    lca = _spanner3(graph)
-    edges = list(graph.edges())
-    from repro.exec import InlineGraphRef
-
-    plans = build_chunk_plans(InlineGraphRef(graph), lca.executor_spec(), edges, 3)
-    reassembled = [edge for plan in plans for edge in plan.edges]
-    assert reassembled == edges
-    assert [plan.chunk_id for plan in plans] == list(range(len(plans)))
-    sizes = [len(plan.edges) for plan in plans]
-    assert max(sizes) - min(sizes) <= 1  # balanced contiguous slices
-
-
-# --------------------------------------------------------------------------- #
-# Snapshot / merge protocol
-# --------------------------------------------------------------------------- #
-def test_portable_namespace_predicate():
-    assert is_portable_namespace("query-answer")
-    assert is_portable_namespace(("query-answer", "spanner3", 5, None))
-    assert is_portable_namespace(Seed(7))
-    assert is_portable_namespace(("x", Seed(7), 1.5, True))
-    assert not is_portable_namespace((object(), "role"))
-    assert not is_portable_namespace([1, 2])  # unhashable anyway
-
-
-def test_worker_memo_state_folds_back_into_the_coordinator():
-    graph = graphs.gnp_graph(60, 0.2, seed=3)
-    lca = _spanner3(graph)
-    materialized = lca.materialize(executor="process", workers=2)
-    cache = lca.oracle_cache
-    assert cache is not None
-    # The merged query-answer memo answers repeat queries from warm state…
-    hits_before = cache.stats.hits
-    edges = list(graph.edges())[:25]
-    batch = lca.query_batch(edges)
-    assert cache.stats.hits > hits_before
-    # …while still charging the cold-schedule probe totals.
-    cold = _spanner3(graph)
-    cold_batch = cold.query_batch(edges)
-    assert batch.answers == cold_batch.answers
-    assert batch.probe_totals == cold_batch.probe_totals
-    assert all(
-        ((u, v) in materialized.edges or (v, u) in materialized.edges)
-        == answer
-        for (u, v), answer in zip(edges, batch.answers)
-    )
-
-
-def test_snapshot_merge_is_order_independent_and_accounting_preserving():
-    graph = graphs.gnp_graph(50, 0.2, seed=8)
-    edges = list(graph.edges())
-    half_a, half_b = edges[: len(edges) // 2], edges[len(edges) // 2 :]
-
-    worker_a = _spanner3(graph)
-    worker_a.query_batch(half_a)
-    snap_a = worker_a.ensure_cached_oracle().snapshot_state()
-    worker_b = _spanner3(graph)
-    worker_b.query_batch(half_b)
-    snap_b = worker_b.ensure_cached_oracle().snapshot_state()
-
-    merged_ab = _spanner3(graph).ensure_cached_oracle()
-    merged_ab.merge_state(snap_a)
-    merged_ab.merge_state(snap_b)
-    merged_ba = _spanner3(graph).ensure_cached_oracle()
-    merged_ba.merge_state(snap_b)
-    merged_ba.merge_state(snap_a)
-    assert merged_ab.snapshot_state().memos == merged_ba.snapshot_state().memos
-    assert merged_ab.snapshot_state().entries == len(edges)
-
-    # A coordinator that only *merged* state still charges cold totals.
-    coordinator = _spanner3(graph)
-    coordinator.ensure_cached_oracle().merge_state(snap_a)
-    replay = coordinator.query_batch(half_a)
-    cold = _spanner3(graph).query_batch(half_a)
-    assert replay.answers == cold.answers
-    assert replay.probe_totals == cold.probe_totals
-
-
-def test_incremental_snapshots_are_disjoint_and_sum_to_the_whole():
-    """Chunk workers export through a SnapshotCursor: consecutive snapshots
-    carry only new entries and stat deltas, so a coordinator folding every
-    chunk counts each entry and each lookup exactly once."""
-    from repro.core.cache import SnapshotCursor
-
-    graph = graphs.gnp_graph(40, 0.25, seed=9)
-    edges = list(graph.edges())
-    lca = _spanner3(graph)
-    oracle = lca.ensure_cached_oracle()
-    cursor = SnapshotCursor()
-
-    lca.query_batch(edges[:20])
-    first = oracle.snapshot_state(since=cursor)
-    lca.query_batch(edges[20:40])
-    second = oracle.snapshot_state(since=cursor)
-    empty = oracle.snapshot_state(since=cursor)  # nothing new since
-
-    namespace = lca.query_answer_namespace()
-    assert set(first.memos[namespace]) == set(edges[:20])
-    assert set(second.memos[namespace]) == set(edges[20:40])
-    assert empty.entries == 0 and empty.hits == 0 and empty.misses == 0
-    full = oracle.snapshot_state()
-    assert first.hits + second.hits == full.hits
-    assert first.misses + second.misses == full.misses
-
-    # Folding the deltas reproduces the full portable table.
-    sink = _spanner3(graph).ensure_cached_oracle()
-    sink.merge_state(first)
-    sink.merge_state(second)
-    assert sink.snapshot_state().memos[namespace] == full.memos[namespace]
-    assert sink.cache.stats.hits == full.hits
-    assert sink.cache.stats.misses == full.misses
-
-
-def test_parallel_fold_counts_each_memo_entry_and_stat_once():
-    """Serial-executor chunks share one worker LCA (same thread), so the
-    folded coordinator stats must equal one LCA streaming all edges — any
-    cumulative re-merge of earlier chunks would inflate them."""
-    graph = graphs.gnp_graph(50, 0.2, seed=12)
-    edges = list(graph.edges())
-    lca = _spanner3(graph)
-    lca.materialize(executor="serial", workers=3)  # 6 chunks, one worker LCA
-    table = lca.oracle_cache.memo(lca.query_answer_namespace())
-    assert len(table) == len(edges)
-
-    reference = _spanner3(graph)
-    reference.query_batch(edges)
-    assert lca.oracle_cache.stats.hits == reference.oracle_cache.stats.hits
-    assert lca.oracle_cache.stats.misses == reference.oracle_cache.stats.misses
-
-
-def test_serial_executor_clears_its_worker_slot():
-    from repro.exec.plan import _WORKER_TLS
-
-    graph = graphs.gnp_graph(30, 0.25, seed=2)
-    _spanner3(graph).materialize(executor="serial", workers=2)
-    assert getattr(_WORKER_TLS, "slot", None) is None
-
-
-def test_snapshot_excludes_process_local_namespaces():
-    graph = graphs.gnp_graph(40, 0.25, seed=6)
-    lca = _spanner3(graph)
-    lca.materialize(mode="batched")  # populates per-vertex object-keyed memos
-    snapshot = lca.ensure_cached_oracle().snapshot_state()
-    assert isinstance(snapshot, CacheSnapshot)
-    for namespace in snapshot.memos:
-        assert is_portable_namespace(namespace), namespace
-
-
-def test_back_to_back_runs_do_not_leak_worker_state_across_graphs():
-    """Serial/thread workers cache LCAs thread-locally; the per-run token
-    must isolate runs, even over distinct graphs with colliding specs."""
-    results = {}
-    for seed in (31, 32):
-        graph = graphs.gnp_graph(45, 0.22, seed=seed)
-        baseline = _signature(_spanner3(graph).materialize(mode="batched"))
-        for executor in ("serial", "thread"):
-            run = _signature(
-                _spanner3(graph).materialize(executor=executor, workers=2)
-            )
-            assert run == baseline, (seed, executor)
-        results[seed] = baseline
-    assert results[31] != results[32]  # the two graphs genuinely differ
-
-
-def test_resolve_workers_defaults_and_bounds():
-    assert resolve_workers(None, "serial") == 1
-    assert resolve_workers(3, "process") == 3
-    assert resolve_workers(None, "process") >= 2
-    with pytest.raises(ValueError):
-        resolve_workers(0, "thread")
-    assert get_executor("serial").name == "serial"
+    for mode in QUERY_MODES:
+        materialized = _spanner3(graph).materialize(edges=[], mode=mode)
+        assert materialized.num_edges == 0, mode
+        assert materialized.probe_stats.queries == 0, mode

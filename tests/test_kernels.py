@@ -225,20 +225,6 @@ def test_cold_queries_stay_scalar_and_identical(force_kernel_paths):
     assert run("python") == run("numpy")
 
 
-def test_executor_materialization_carries_the_kernel(force_kernel_paths):
-    """Worker rebuilds honor LCASpec.kernel; results match the scalar path."""
-
-    def run(kernel):
-        graph = graphs.gnp_graph(60, 0.2, seed=9).to_backend("csr")
-        lca = _spanner3(graph).set_kernel(kernel)
-        materialized = lca.materialize(executor="thread", workers=2)
-        return frozenset(materialized.edges), tuple(
-            materialized.probe_stats.query_totals
-        )
-
-    assert run("python") == run("numpy")
-
-
 def test_service_engine_kernel_config_is_probe_invariant(force_kernel_paths):
     from repro.service import ServiceConfig, ServiceEngine, make_workload
 

@@ -157,41 +157,6 @@ def test_obs001_ignores_cold_packages(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# PLAN001 — picklable executor plans
-# --------------------------------------------------------------------------- #
-def test_plan001_flags_lambda_and_nested_callables(tmp_path):
-    report = lint_tree(tmp_path, {
-        "src/mod.py": """
-            from repro.exec.plan import ChunkPlan
-
-            def build(edges):
-                def local_fn(edge):
-                    return edge
-                return [
-                    ChunkPlan(fn=lambda e: e),
-                    ChunkPlan(fn=local_fn),
-                ]
-        """,
-    })
-    assert codes(report) == ["PLAN001", "PLAN001"]
-
-
-def test_plan001_accepts_module_level_callables(tmp_path):
-    report = lint_tree(tmp_path, {
-        "src/mod.py": """
-            from repro.exec.plan import ChunkPlan
-
-            def probe_edge(edge):
-                return edge
-
-            def build(edges):
-                return ChunkPlan(fn=probe_edge)
-        """,
-    })
-    assert codes(report) == []
-
-
-# --------------------------------------------------------------------------- #
 # MET001 — metric-name grammar at lint time
 # --------------------------------------------------------------------------- #
 def test_met001_flags_names_outside_the_grammar(tmp_path):

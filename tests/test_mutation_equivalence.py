@@ -111,23 +111,6 @@ def test_compaction_never_changes_answers_or_probes():
     assert _signature(lca) == before
 
 
-def test_mutation_aware_parallel_materialization_matches_serial():
-    """Post-mutation parallel runs export the compacted graph and fold back
-    bit-identical results."""
-    graph = graphs.gnp_graph(40, 0.2, seed=8).to_backend("csr")
-    lca = create("spanner3", graph, seed=2)
-    lca.materialize(mode="batched")
-    rng = random.Random(5)
-    _mutate_randomly(graph, rng, steps=9)
-
-    serial = _fresh_rebuild(graph, "spanner3", seed=2).materialize(mode="batched")
-    parallel = lca.materialize(executor="process", workers=2)
-    assert parallel.edges == serial.edges
-    assert (
-        parallel.probe_stats.query_totals == serial.probe_stats.query_totals
-    )
-
-
 def test_spannerk_shared_cache_mode_survives_mutations():
     """The coarse epoch guard on the spannerk shared exploration cache:
     answers under shared_cache=True must track mutations (probe accounting

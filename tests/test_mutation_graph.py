@@ -207,38 +207,6 @@ def test_csr_auto_compacts_past_the_threshold():
     assert graph.num_edges == 80
 
 
-def test_to_shared_folds_pending_deltas_first():
-    graph = _graph("csr", [(0, 1), (1, 2)])
-    graph.add_edge(0, 2)
-    graph.remove_edge(0, 1)
-    export = graph.to_shared()
-    try:
-        assert graph.delta_count == 0  # compacted on export
-        attached = export.handle.attach()
-        try:
-            assert attached.as_adjacency() == graph.as_adjacency()
-        finally:
-            attached.detach()
-    finally:
-        export.close()
-
-
-def test_shared_csr_attachments_are_read_only():
-    graph = _graph("csr", [(0, 1), (1, 2)])
-    export = graph.to_shared()
-    try:
-        attached = export.handle.attach()
-        try:
-            with pytest.raises(GraphError, match="read-only"):
-                attached.add_edge(0, 2)
-            with pytest.raises(GraphError, match="read-only"):
-                attached.remove_edge(0, 1)
-        finally:
-            attached.detach()
-    finally:
-        export.close()
-
-
 def test_mutated_subgraphs_and_backend_conversion_see_current_rows(backend):
     graph = _graph(backend, [(0, 1), (1, 2), (2, 3)])
     graph.add_edge(0, 3)

@@ -8,7 +8,7 @@ replayed, a capped oracle must be *bit-identical* to the unbounded one in
 answers and per-kind probe accounting — across algorithms, graph backends
 and mutation epochs.  These tests pin that equivalence, plus the honesty of
 the accounting (evicted-then-recomputed work is charged, never dropped) and
-the protocol edges (no incremental snapshots, k-wise tape compression).
+k-wise tape compression.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro import graphs
-from repro.core.cache import BoundedOracleCache, OracleCache, SnapshotCursor
+from repro.core.cache import BoundedOracleCache, OracleCache
 from repro.core.registry import create
 from repro.reports.runner import churn_ops
 
@@ -171,19 +171,3 @@ def test_memo_cap_validation():
             lca.set_memo_cap(bad)
     assert lca.set_memo_cap(4).memo_cap == 4
     assert lca.set_memo_cap(None).memo_cap is None
-
-
-def test_bounded_cache_refuses_incremental_snapshots():
-    graph = _graph("csr")
-    cache = BoundedOracleCache(graph, memo_cap=2)
-    cache.snapshot()  # full snapshots are fine
-    with pytest.raises(RuntimeError, match="incremental snapshots"):
-        cache.snapshot(since=SnapshotCursor())
-
-
-def test_process_workers_stay_unbounded():
-    """The cap is coordinator-local: it never ships with an LCASpec."""
-    lca = create("spanner3", _graph("csr"), seed=2).set_memo_cap(2)
-    spec = lca.executor_spec()
-    rebuilt = create(spec.algorithm, _graph("csr"), seed=spec.seed, **spec.kwargs)
-    assert rebuilt.memo_cap is None

@@ -1,13 +1,15 @@
 """Disk-backed CSR snapshots: round trip, read-only enforcement, lifecycle.
 
 :func:`~repro.scale.snapshot.save_csr_snapshot` /
-:func:`~repro.scale.snapshot.load_csr_snapshot` are the million-node loading
-path: one flat file, mapped read-only, with the graph's CSR arrays viewed in
-place.  These tests pin the format round trip (including non-contiguous
-vertex ids), the :class:`~repro.graphs.csr.SharedCSRGraph`-style conventions
-of the mapped view (read-only errors, idempotent detach, one-line lifecycle
-errors, no pickling), and the equivalence of LCA answers and probe counts
-between a mapped snapshot and the owned CSR graph it was saved from.
+:func:`~repro.scale.snapshot.load_csr_snapshot` are the library's one
+read-only graph transport: one flat file, mapped read-only, with the graph's
+CSR arrays viewed in place.  These tests pin the format round trip
+(including non-contiguous vertex ids), what gets saved (the current rows of
+any backend; ids beyond 64 bits fail with one line), the conventions of the
+mapped view (read-only errors, idempotent detach, one-line lifecycle errors,
+no pickling, owned-storage subgraphs), and the equivalence of LCA answers
+and probe counts between a mapped snapshot and the owned CSR graph it was
+saved from.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pytest
 from repro import graphs
 from repro.core.errors import GraphError
 from repro.core.registry import create
-from repro.exec import MappedGraphRef, materialize_parallel
+from repro.graphs import CSRGraph, Graph
 from repro.scale import (
     MappedCSRGraph,
     MappedCSRHandle,
@@ -71,14 +73,41 @@ def test_save_returns_attachable_handle(snapshot_pair, tmp_path):
     assert handle.num_vertices == graph.num_vertices
     with handle.attach() as mapped:
         assert mapped.num_edges == graph.num_edges
-    # Handles are tiny and picklable: the process-executor currency.
+    # Handles are tiny and picklable, unlike the mapped graph itself.
     clone = pickle.loads(pickle.dumps(handle))
     with clone.attach() as mapped:
         assert sorted(mapped.edges()) == sorted(graph.edges())
 
 
+@pytest.mark.parametrize("backend", ["csr", "dict"])
+def test_save_snapshots_the_current_rows(tmp_path, backend):
+    """Pending CSR deltas are compacted and other backends converted first,
+    so the file always holds the rows the graph shows right now."""
+    graph = Graph.from_edges([(0, 1), (1, 2), (2, 3)]).to_backend(backend)
+    graph.add_edge(0, 2)
+    graph.remove_edge(0, 1)
+    if backend == "csr":
+        assert graph.delta_count > 0
+    save_csr_snapshot(graph, tmp_path / "current.csr")
+    if backend == "csr":
+        assert graph.delta_count == 0  # compacted on save
+    with load_csr_snapshot(tmp_path / "current.csr") as mapped:
+        assert mapped.as_adjacency() == graph.as_adjacency()
+        for v in graph.vertices():
+            assert mapped.neighbors(v) == graph.neighbors(v)
+
+
+@pytest.mark.parametrize("backend", ["csr", "dict"])
+def test_ids_beyond_64_bits_fail_with_one_line_error(tmp_path, backend):
+    huge = 2 ** 70
+    graph = Graph.from_edges([(huge, huge + 1)]).to_backend(backend)
+    with pytest.raises(GraphError, match="64 bits") as excinfo:
+        save_csr_snapshot(graph, tmp_path / "huge.csr")
+    assert "\n" not in str(excinfo.value)
+
+
 # --------------------------------------------------------------------------- #
-# Read-only enforcement and lifecycle (SharedCSRGraph conventions)
+# Read-only enforcement and lifecycle
 # --------------------------------------------------------------------------- #
 def test_mapped_graph_is_read_only(snapshot_pair):
     _, path = snapshot_pair
@@ -123,6 +152,21 @@ def test_corrupt_magic_is_named_error(snapshot_pair, tmp_path):
         load_csr_snapshot(bad)
 
 
+def test_derived_subgraphs_own_their_storage(snapshot_pair):
+    _, path = snapshot_pair
+    with load_csr_snapshot(path) as mapped:
+        some = list(mapped.vertices())[:12]
+        induced = mapped.induced_subgraph(some)
+        spanning = mapped.subgraph_with_edges(list(mapped.edges())[:5])
+        expected = sorted(spanning.edges())
+    # Derived graphs are ordinary CSR graphs and outlive the mapping.
+    for derived in (induced, spanning):
+        assert type(derived) is CSRGraph
+    assert induced.num_vertices == 12
+    assert spanning.num_edges == 5
+    assert sorted(spanning.edges()) == expected
+
+
 def test_mapped_graph_refuses_pickling(snapshot_pair):
     _, path = snapshot_pair
     with load_csr_snapshot(path) as mapped:
@@ -146,19 +190,6 @@ def test_lca_equivalence_mapped_vs_owned(snapshot_pair):
             mapped_lca.probe_counter.snapshot().as_dict()
             == owned_lca.probe_counter.snapshot().as_dict()
         )
-
-
-def test_process_executor_uses_mapped_handle(snapshot_pair):
-    """Process workers re-map the snapshot file instead of a shm export."""
-    graph, path = snapshot_pair
-    with load_csr_snapshot(path) as mapped:
-        assert isinstance(MappedGraphRef(mapped.mapped_handle).resolve(), MappedCSRGraph)
-        serial = create("spanner3", graph, seed=4).materialize(mode="batched")
-        parallel = materialize_parallel(
-            create("spanner3", mapped, seed=4), executor="process", workers=2
-        )
-        assert parallel.edges == serial.edges
-        assert parallel.probe_stats.query_totals == serial.probe_stats.query_totals
 
 
 def test_build_view_aliases_mapped_buffers(snapshot_pair):

@@ -277,15 +277,12 @@ def test_spec_rejects_stream_family_with_dict_backend(tmp_path):
     [
         ("memo_cap = 0", "memo_cap"),
         ('memo_cap = 8\nmode = "cold"', "cold mode has no memo"),
-        ('memo_cap = 8\nexecutor = "thread"\nworkers = 2', "unbounded caches"),
     ],
 )
 def test_spec_rejects_nonsensical_cap_combinations(tmp_path, extra, message):
     path = tmp_path / "bad.toml"
     toml = _scenario_toml(extra)
     if 'mode = "cold"' in extra:
-        toml = toml.replace('mode = "batched"\n', "")
-    if "executor" in extra:
         toml = toml.replace('mode = "batched"\n', "")
     path.write_text(toml)
     with pytest.raises(SpecError, match=message):

@@ -18,7 +18,9 @@ from __future__ import annotations
 import pytest
 
 from repro import graphs
+from repro.core.cache import CacheSnapshot, is_portable_namespace
 from repro.core.registry import create
+from repro.core.seed import Seed
 from repro.faults import FaultEvent, FaultPlan
 from repro.reports import TickClock
 from repro.service import ServiceConfig, ServiceEngine, TraceOp, make_workload
@@ -323,3 +325,100 @@ def test_single_inflight_slot_with_pending_writes_drains_cleanly():
     )
     assert report.mutations == writes
     assert_ledger(report)
+
+
+# --------------------------------------------------------------------------- #
+# Replica checkpoint protocol (ReplicaSet.checkpoint / ReplicaSet.sync)
+# --------------------------------------------------------------------------- #
+def test_portable_namespace_predicate():
+    assert is_portable_namespace("query-answer")
+    assert is_portable_namespace(("query-answer", "spanner3", 5, None))
+    assert is_portable_namespace(Seed(7))
+    assert is_portable_namespace(("x", Seed(7), 1.5, True))
+    assert not is_portable_namespace((object(), "role"))
+    assert not is_portable_namespace([1, 2])  # unhashable anyway
+
+
+def test_snapshot_merge_is_order_independent_and_accounting_preserving():
+    graph = graphs.gnp_graph(50, 0.2, seed=8)
+    edges = list(graph.edges())
+    half_a, half_b = edges[: len(edges) // 2], edges[len(edges) // 2 :]
+
+    worker_a = _factory(graph)
+    worker_a.query_batch(half_a)
+    snap_a = worker_a.ensure_cached_oracle().snapshot_state()
+    worker_b = _factory(graph)
+    worker_b.query_batch(half_b)
+    snap_b = worker_b.ensure_cached_oracle().snapshot_state()
+
+    merged_ab = _factory(graph).ensure_cached_oracle()
+    merged_ab.merge_state(snap_a)
+    merged_ab.merge_state(snap_b)
+    merged_ba = _factory(graph).ensure_cached_oracle()
+    merged_ba.merge_state(snap_b)
+    merged_ba.merge_state(snap_a)
+    assert merged_ab.snapshot_state().memos == merged_ba.snapshot_state().memos
+    assert merged_ab.snapshot_state().entries == len(edges)
+
+    # A replica that only *merged* state still charges cold totals.
+    coordinator = _factory(graph)
+    coordinator.ensure_cached_oracle().merge_state(snap_a)
+    replay = coordinator.query_batch(half_a)
+    cold = _factory(graph).query_batch(half_a)
+    assert replay.answers == cold.answers
+    assert replay.probe_totals == cold.probe_totals
+
+
+def test_snapshot_excludes_process_local_namespaces():
+    graph = graphs.gnp_graph(40, 0.25, seed=6)
+    lca = _factory(graph)
+    lca.materialize(mode="batched")  # populates per-vertex object-keyed memos
+    snapshot = lca.ensure_cached_oracle().snapshot_state()
+    assert isinstance(snapshot, CacheSnapshot)
+    for namespace in snapshot.memos:
+        assert is_portable_namespace(namespace), namespace
+
+
+def test_checkpoint_taken_before_a_write_stays_stale_after_merge():
+    """A replica syncing a pre-write checkpoint must not serve the entries
+    the write invalidated: merged entries keep their own epoch stamps."""
+    graph = graphs.gnp_graph(60, 0.2, seed=4)
+    primary = _factory(graph)
+    primary.query_batch(list(graph.edges()))
+    checkpoint = primary.ensure_cached_oracle().snapshot_state()
+    for (u, v) in list(graph.edges())[::7][:6]:
+        graph.remove_edge(u, v)
+    replica = _factory(graph)
+    replica.ensure_cached_oracle().merge_state(checkpoint)
+    live = list(graph.edges())
+    synced = replica.query_batch(live)
+    fresh = _factory(graph).query_batch(live)
+    assert synced.answers == fresh.answers
+    assert synced.probe_totals == fresh.probe_totals
+
+
+def test_failover_under_churn_matches_the_fault_free_run():
+    """Writes between a checkpoint and a failover: every non-degraded answer
+    and probe total still equals the fault-free run's."""
+    churn = dict(workload_kind="churn", write_ratio=0.1, requests=800)
+    _, clean, _ = run_engine(ServiceConfig(num_shards=2, batch_size=8), **churn)
+    for fault_seed in (1, 5):
+        plan = FaultPlan.generate(
+            fault_seed, num_shards=2, replication=2, horizon=100, crashes=6
+        )
+        _, faulty, report = run_engine(
+            ServiceConfig(
+                num_shards=2, batch_size=8, replication=2, fault_plan=plan,
+                checkpoint_interval=2,
+            ),
+            **churn,
+        )
+        assert report.faults["failovers"] > 0
+        served = {r.seq: r for r in faulty.records if not r.degraded}
+        mismatched = [
+            r.seq for r in clean.records
+            if r.seq in served
+            and (served[r.seq].in_spanner, served[r.seq].probe_total)
+            != (r.in_spanner, r.probe_total)
+        ]
+        assert mismatched == [], fault_seed

@@ -15,6 +15,7 @@ import pytest
 
 from repro import graphs
 from repro.core.registry import create
+from repro.exec import resolve_workers
 from repro.service import ServiceConfig, ServiceEngine, make_workload
 
 
@@ -210,3 +211,11 @@ def test_config_validation_covers_the_new_knobs():
         ServiceConfig(max_inflight=0)
     with pytest.raises(ValueError):
         ServiceConfig(workers=0)
+
+
+def test_resolve_workers_defaults_and_bounds():
+    assert resolve_workers(None, "serial") == 1
+    assert resolve_workers(3, "thread") == 3
+    assert resolve_workers(None, "thread") >= 2
+    with pytest.raises(ValueError):
+        resolve_workers(0, "thread")
