@@ -85,7 +85,7 @@ def _run(graph, replication, fault_plan, record=False):
 
 
 def test_availability_under_crash_storm(dense_benchmark_graph):
-    graph = dense_benchmark_graph.to_backend("csr")
+    graph = dense_benchmark_graph
     storm = FaultPlan.generate(**STORM)
 
     fault_free_engine, fault_free = _run(graph, 2, None, record=True)

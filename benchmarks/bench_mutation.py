@@ -53,7 +53,7 @@ BURST_WRITES = 8
 
 
 def _make_graph():
-    return graphs.gnp_graph(GRAPH_N, GRAPH_P, seed=GRAPH_SEED).to_backend("csr")
+    return graphs.gnp_graph(GRAPH_N, GRAPH_P, seed=GRAPH_SEED)
 
 
 def _mutation_plan(rounds: int, writes_per_round: int, seed: int = 7):

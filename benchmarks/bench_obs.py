@@ -83,7 +83,7 @@ def _best_rps(graph, make_tracer, make_profiler):
 
 
 def test_tracing_overhead_and_determinism(dense_benchmark_graph):
-    graph = dense_benchmark_graph.to_backend("csr")
+    graph = dense_benchmark_graph
 
     modes = {
         "plain": (lambda: None, lambda: None),

@@ -1,7 +1,7 @@
 """Query-engine benchmark: cold vs. cached vs. batched vs. numpy kernels.
 
-The fast oracle backend (CSR storage + cross-query memoization + the batched
-materialization engine) promises identical answers and identical per-query
+The fast query engines (cross-query memoization + the batched
+materialization engine) promise identical answers and identical per-query
 probe accounting at a fraction of the wall-clock cost, and the vectorized
 kernel layer (:mod:`repro.kernels`) promises the same again on top of the
 batched engine.  This benchmark times all engines on the four fixture
@@ -42,8 +42,8 @@ RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_query_engine.json"
 MIN_BATCHED_SPEEDUP = float(os.environ.get("BENCH_MIN_BATCHED_SPEEDUP", "5.0"))
 
 #: Acceptance floor for the vectorized-kernel speedup over the batched
-#: pure-Python engine (dense fixture, spanner3, CSR backend).  Measured
-#: ratios on the dense fixture are ~6-7x.
+#: pure-Python engine (dense fixture, spanner3).  Measured ratios on the
+#: dense fixture are ~6-7x.
 MIN_KERNEL_SPEEDUP = float(os.environ.get("BENCH_MIN_KERNEL_SPEEDUP", "5.0"))
 
 MODES = ("cold", "cached", "batched")
@@ -52,7 +52,7 @@ MODES = ("cold", "cached", "batched")
 HAVE_NUMPY_KERNEL = resolve_kernel("auto") is not None
 
 
-def _time_modes(name, graph, backend, make_lca):
+def _time_modes(name, graph, make_lca):
     """Materialize with every engine; return (row dict, per-mode results).
 
     The three scalar engines run with the probe kernels pinned to "python"
@@ -61,11 +61,10 @@ def _time_modes(name, graph, backend, make_lca):
     under ``kernel="numpy"`` when available and is held to the same
     edges-and-probes equivalence key.
     """
-    host = graph.to_backend(backend)
     timings = {}
     reference = None
     for mode in MODES:
-        lca = make_lca(host).set_kernel("python")
+        lca = make_lca(graph).set_kernel("python")
         start = time.perf_counter()
         materialized = lca.materialize(mode=mode)
         elapsed = time.perf_counter() - start
@@ -76,7 +75,7 @@ def _time_modes(name, graph, backend, make_lca):
         if reference is None:
             reference = key
         else:
-            assert key == reference, (name, backend, mode, "equivalence broken")
+            assert key == reference, (name, mode, "equivalence broken")
         timings[mode] = {
             "seconds": elapsed,
             "spanner_edges": materialized.num_edges,
@@ -84,7 +83,7 @@ def _time_modes(name, graph, backend, make_lca):
             "probe_max": materialized.probe_stats.max,
         }
     if HAVE_NUMPY_KERNEL:
-        lca = make_lca(host).set_kernel("numpy")
+        lca = make_lca(graph).set_kernel("numpy")
         start = time.perf_counter()
         materialized = lca.materialize(mode="batched")
         elapsed = time.perf_counter() - start
@@ -92,7 +91,7 @@ def _time_modes(name, graph, backend, make_lca):
             frozenset(materialized.edges),
             tuple(materialized.probe_stats.query_totals),
         )
-        assert key == reference, (name, backend, "numpy-kernel", "equivalence broken")
+        assert key == reference, (name, "numpy-kernel", "equivalence broken")
         timings["kernel"] = {
             "seconds": elapsed,
             "spanner_edges": materialized.num_edges,
@@ -101,9 +100,8 @@ def _time_modes(name, graph, backend, make_lca):
         }
     row = {
         "workload": name,
-        "backend": backend,
-        "n": host.num_vertices,
-        "m": host.num_edges,
+        "n": graph.num_vertices,
+        "m": graph.num_edges,
         "cold_s": round(timings["cold"]["seconds"], 4),
         "cached_s": round(timings["cached"]["seconds"], 4),
         "batched_s": round(timings["batched"]["seconds"], 4),
@@ -158,13 +156,9 @@ def test_query_engine_speedups(
     rows = []
     records = []
     for name, graph, make_lca in workloads:
-        # The dense headline workload runs on both backends; the rest on CSR
-        # (backend choice is probe-invisible, so one timing row suffices).
-        backends = ("dict", "csr") if graph is dense_benchmark_graph else ("csr",)
-        for backend in backends:
-            row, timings = _time_modes(name, graph, backend, make_lca)
-            rows.append(row)
-            records.append({**row, "modes": timings})
+        row, timings = _time_modes(name, graph, make_lca)
+        rows.append(row)
+        records.append({**row, "modes": timings})
 
     print_section(
         "Query engines: cold vs. cached vs. batched vs. numpy kernels "
@@ -181,11 +175,7 @@ def test_query_engine_speedups(
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
-    headline = [
-        r
-        for r in rows
-        if r["workload"].startswith("spanner3 / dense") and r["backend"] == "csr"
-    ]
+    headline = [r for r in rows if r["workload"].startswith("spanner3 / dense")]
     assert headline, "dense headline workload missing"
     assert headline[0]["speedup_batched"] >= MIN_BATCHED_SPEEDUP, (
         "batched materialization must be at least "

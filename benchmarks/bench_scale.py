@@ -7,10 +7,10 @@ at a fixed expected degree and measures, per size:
   ``build_stream_family("gnp-stream", ...)``, which goes straight into flat
   CSR arrays with no Python edge list;
 * **legacy build** (only at n ≤ 10^5, where it is affordable) — the same
-  graph through ``gnp_graph().to_backend("csr")``, asserted bit-identical
-  to the streamed arrays, and the headline **peak-memory ratio**
-  legacy/stream, with an acceptance floor (``BENCH_MIN_STREAM_RSS_RATIO``,
-  relaxed to 1 on CI smoke runs);
+  graph through ``gnp_graph()``, asserted bit-identical to the streamed
+  arrays, and the headline **peak-memory ratio** legacy/stream, with an
+  acceptance floor (``BENCH_MIN_STREAM_RSS_RATIO``, relaxed to 1 on CI
+  smoke runs);
 * **snapshot save / mmap load** — the load's tracemalloc peak is O(n)
   (the id → position map), never O(m): the adjacency pages stay on disk
   until the kernel faults them in;
@@ -121,7 +121,7 @@ def test_scale_streaming_mmap_bounded_memo(tmp_path):
         ratio = None
         if n <= LEGACY_MAX_N:
             legacy_s, legacy_peak, legacy = _traced(
-                lambda: graphs.gnp_graph(n, p, seed=SEED).to_backend("csr")
+                lambda: graphs.gnp_graph(n, p, seed=SEED)
             )
             legacy.compact()
             assert list(legacy._indptr) == list(streamed._indptr)

@@ -60,7 +60,7 @@ def _run(graph, kind, config, record=False, num_requests=None):
 
 
 def test_service_workloads_and_coalescing(dense_benchmark_graph):
-    graph = dense_benchmark_graph.to_backend("csr")
+    graph = dense_benchmark_graph
 
     # ---- per-workload service rows (sharded, coalesced) ------------------
     rows = []

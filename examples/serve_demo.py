@@ -33,7 +33,7 @@ def main(argv: list[str]) -> int:
     seed = 7
 
     print(f"Building G(n={n}, p={density}) ...")
-    graph = graphs.gnp_graph(n, density, seed=seed).to_backend("csr")
+    graph = graphs.gnp_graph(n, density, seed=seed)
     print(f"  {graph}")
 
     def factory(g):

@@ -74,7 +74,7 @@ from .service import (
     make_workload,
     serve_workload,
 )
-from .graphs import CSRGraph, Graph
+from .graphs import Graph
 from .spanner3 import ThreeSpannerLCA, ThreeSpannerParams
 from .spanner5 import FiveSpannerLCA, FiveSpannerParams
 from .spannerk import KSquaredParams, KSquaredSpannerLCA
@@ -93,7 +93,6 @@ __all__ = [
     "rand",
     "reports",
     "Graph",
-    "CSRGraph",
     "Seed",
     "SpannerLCA",
     "CombinedLCA",

@@ -27,7 +27,7 @@ Usage examples::
     python -m repro.cli list
     python -m repro.cli generate --family gnp --n 400 --density 0.1 --out g.txt
     python -m repro.cli evaluate --graph g.txt --algorithm spanner3 --seed 7
-    python -m repro.cli evaluate --graph g.txt --backend csr --query-mode batched
+    python -m repro.cli evaluate --graph g.txt --query-mode batched
     python -m repro.cli query --graph g.txt --algorithm spanner5 --edge 3,17 --edge 5,8
     python -m repro.cli query --graph g.txt --query-mode cold --edge 3,17
     python -m repro.cli sweep --algorithm spanner3 --sizes 200,400,800
@@ -47,10 +47,9 @@ Usage examples::
     python -m repro.cli report run scenarios/smoke.toml --smoke
     python -m repro.cli report render --out report.md
 
-``--backend {dict,csr}`` picks the graph storage backend,
-``--query-mode {cold,cached,batched}`` the query engine, and (for
+``--query-mode {cold,cached,batched}`` picks the query engine and (for
 ``serve-bench``) ``--executor {serial,thread}`` / ``--workers N`` the shard
-workers; all are performance knobs only — answers and probe accounting are
+workers; both are performance knobs only — answers and probe accounting are
 identical.
 """
 
@@ -91,10 +90,6 @@ def _load_graph(args) -> graphs.Graph:
     if getattr(args, "mmap", None):
         if getattr(args, "graph", None) or getattr(args, "generate", None):
             raise SystemExit("--mmap loads a CSR snapshot; drop --graph/--generate")
-        if getattr(args, "backend", None):
-            raise SystemExit(
-                "--mmap maps a read-only CSR snapshot in place; drop --backend"
-            )
         from .scale import load_csr_snapshot
 
         try:
@@ -107,26 +102,24 @@ def _load_graph(args) -> graphs.Graph:
                 "--stream selects a chunk-emitting generator family; it does "
                 "not apply to --graph files (see read_edge_list_stream)"
             )
-        graph = read_edge_list(args.graph)
-    else:
-        family = getattr(args, "generate", None) or "gnp"
-        if getattr(args, "stream", False) and not family.endswith("-stream"):
-            candidate = f"{family}-stream"
-            if candidate not in GENERATORS:
-                raise SystemExit(
-                    f"--stream: family {family!r} has no streaming variant; "
-                    f"streaming families: {sorted(graphs.STREAM_FAMILIES)}"
-                )
-            family = candidate
-        if family not in GENERATORS:
+        try:
+            return read_edge_list(args.graph)
+        except (OSError, GraphError) as exc:
+            raise SystemExit(f"--graph: {exc}")
+    family = getattr(args, "generate", None) or "gnp"
+    if getattr(args, "stream", False) and not family.endswith("-stream"):
+        candidate = f"{family}-stream"
+        if candidate not in GENERATORS:
             raise SystemExit(
-                f"unknown graph family {family!r}; choices: {sorted(GENERATORS)}"
+                f"--stream: family {family!r} has no streaming variant; "
+                f"streaming families: {sorted(graphs.STREAM_FAMILIES)}"
             )
-        graph = graphs.build_family(family, args.n, density=args.density, seed=args.seed)
-    backend = getattr(args, "backend", None)
-    if backend:
-        graph = graph.to_backend(backend)
-    return graph
+        family = candidate
+    if family not in GENERATORS:
+        raise SystemExit(
+            f"unknown graph family {family!r}; choices: {sorted(GENERATORS)}"
+        )
+    return graphs.build_family(family, args.n, density=args.density, seed=args.seed)
 
 
 def _positive_int(text: str) -> int:
@@ -625,14 +618,6 @@ def _add_graph_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="memory-map a read-only CSR snapshot written by "
         "'generate --snapshot-out' instead of reading or generating a graph",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=sorted(graphs.BACKENDS),
-        default=None,
-        help="graph storage backend: 'dict' (adjacency dicts) or 'csr' "
-        "(flat compressed-sparse-row arrays); probe behavior is identical. "
-        "Default: the process-wide default (REPRO_GRAPH_BACKEND, else dict)",
     )
 
 

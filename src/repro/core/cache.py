@@ -188,7 +188,7 @@ class OracleCache:
     the module docstring for the contract).
 
     Raw reads (neighbor rows, degrees, adjacency rows) delegate to the lazy
-    structures the graph backends already maintain — cached neighbor views
+    structures the graph already maintains — cached neighbor views
     and per-vertex ``adjacency_row`` dicts — so the adjacency data exists in
     exactly one place per graph; this object only owns the memo tables for
     *derived* per-LCA state.
@@ -211,8 +211,8 @@ class OracleCache:
     # Raw reads (probe-free; served by the graph's own lazy caches)
     # ------------------------------------------------------------------ #
     def degree(self, v: Vertex) -> int:
-        # Both backends answer degree in O(1) without materializing the
-        # neighbor view (len of the adjacency list / indptr difference).
+        # The graph answers degree in O(1) (an indptr difference) without
+        # materializing the neighbor view.
         if self._trackers:
             self._trackers[-1].add(int(v))
         return self.graph.degree(v)

@@ -429,7 +429,7 @@ def gnp_edge_chunks(
     Consumes the seeded rng in exactly the same schedule as
     :func:`gnp_graph` (they share :func:`_gnp_edge_iter`), so streaming
     this into the incremental CSR builder with ``shuffle_seed=seed``
-    reproduces ``gnp_graph(n, p, seed).to_backend("csr")`` bit for bit.
+    reproduces ``gnp_graph(n, p, seed)`` bit for bit.
     """
     if n < 1:
         raise ParameterError("n must be positive")
@@ -597,8 +597,8 @@ FAMILY_BUILDERS: Dict[str, object] = {
     "clustered-stream": _stream_family_builder("clustered-stream"),
 }
 
-#: Families built by the chunked streaming path (always CSR-backed; scenario
-#: specs reject them with other backends — see ``repro.reports.spec``).
+#: Families built by the chunked streaming path, straight into flat CSR
+#: arrays without a Python edge list.
 STREAM_FAMILIES = tuple(
     sorted(name for name in FAMILY_BUILDERS if name.endswith("-stream"))
 )

@@ -1,38 +1,43 @@
-"""Static adjacency-list graphs with fixed neighbor orderings.
+"""Static adjacency-list graphs with fixed neighbor orderings, in CSR storage.
 
 The LCA model (Section 1.4 of the paper) assumes the input graph is presented
 through an adjacency-list oracle in which *each neighbor set has a fixed, but
-arbitrary, ordering*.  :class:`Graph` stores exactly this representation: for
-every vertex a list of neighbors in a fixed order, together with a lazily
-built index structure giving O(1) ``Adjacency`` probes (the probe returns the
-position of ``v`` inside ``Γ(u)``).
+arbitrary, ordering*.  :class:`Graph` stores exactly this representation in
+compressed-sparse-row (CSR) form — every neighbor list in one flat ``array``
+of vertex ids behind an offset-pointer array (``indptr``):
 
-Two storage backends implement the same interface:
+* ``indptr[p] .. indptr[p+1]`` delimit the neighbor row of the vertex at
+  position ``p`` (positions follow insertion order),
+* ``indices[indptr[p] + i]`` is the ``i``-th neighbor, in the fixed order
+  ``Neighbor`` probes expose.
 
-* :class:`Graph` — the original dict-of-lists backend (this module), and
-* :class:`~repro.graphs.csr.CSRGraph` — a compressed-sparse-row backend
-  storing all neighbor lists in one flat array behind offset pointers.
+The model reads the graph only through ``Degree``, ``Neighbor`` and
+``Adjacency`` probes, so the storage layout can change neither an answer nor
+a probe charge.  The ``Adjacency``-probe index (a per-vertex
+``{neighbor: position}`` dict) is built lazily, one row at a time, on first
+use — generators and BFS never pay for it, and materialization only pays
+for the rows it actually probes.
 
-``Graph.from_edges(..., backend="csr")`` (or the module-level default set via
-:func:`set_default_backend` / the ``REPRO_GRAPH_BACKEND`` environment
-variable) selects the backend; :meth:`Graph.to_backend` converts between them
-while preserving neighbor orderings exactly, so probe-level behavior is
-backend independent.
-
-Both backends support live edge mutations (:meth:`Graph.add_edge` /
+Graphs support live edge mutations (:meth:`Graph.add_edge` /
 :meth:`Graph.remove_edge`): added neighbors are appended to the end of both
 rows, removals preserve the relative order of the survivors, and every
 mutation bumps a per-vertex *epoch* that the derived-state caches
-(:mod:`repro.core.cache`) use for lazy invalidation.
+(:mod:`repro.core.cache`) use for lazy invalidation.  Mutations land in a
+per-vertex delta overlay that :meth:`Graph.compact` folds back into the flat
+arrays.
 
-Vertices are arbitrary integers; they need not form ``0..n-1``.
+Vertices are arbitrary integers (ids need not form ``0..n-1``); an id → row
+position map translates between the two.  The flat layout is also what the
+on-disk snapshot format dumps verbatim (:mod:`repro.scale.snapshot`), the
+one read-only transport for a built graph.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from array import array
+from bisect import bisect_left, insort
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import GraphError, UnknownVertexError
 from ..core.ids import canonical_edge
@@ -40,72 +45,11 @@ from ..core.ids import canonical_edge
 Vertex = int
 Edge = Tuple[int, int]
 
-#: Known storage backends, by name (values resolved lazily to avoid cycles).
-BACKENDS = ("dict", "csr")
-
-
-def _backend_from_environment() -> str:
-    name = os.environ.get("REPRO_GRAPH_BACKEND", "dict")
-    if name not in BACKENDS:
-        import warnings
-
-        warnings.warn(
-            f"REPRO_GRAPH_BACKEND={name!r} is not a known graph backend "
-            f"(choices: {BACKENDS}); falling back to 'dict'",
-            stacklevel=2,
-        )
-        return "dict"
-    return name
-
-
-_default_backend = _backend_from_environment()
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default storage backend ("dict" or "csr")."""
-    global _default_backend
-    if name not in BACKENDS:
-        raise GraphError(f"unknown graph backend {name!r}; choices: {BACKENDS}")
-    _default_backend = name
-
-
-def default_backend() -> str:
-    """The current default storage backend name."""
-    return _default_backend
-
-
-def backend_class(name: Optional[str] = None):
-    """Resolve a backend name to its graph class."""
-    if name is None:
-        name = _default_backend
-    if name == "dict":
-        return Graph
-    if name == "csr":
-        from .csr import CSRGraph
-
-        return CSRGraph
-    raise GraphError(f"unknown graph backend {name!r}; choices: {BACKENDS}")
-
-
-def undeclared_neighbor_error(
-    adjacency: Mapping[Vertex, Sequence[Vertex]], known: Mapping[Vertex, object]
-) -> Optional[GraphError]:
-    """The error for a neighbor that has no adjacency list of its own.
-
-    Scans ``adjacency`` for the first neighbor outside ``known`` — a mapping
-    keyed by normalized (int) vertex ids, giving O(1) membership — and
-    returns the error to raise (``None`` when the mapping is closed).  Shared
-    by both storage backends so the check and its message have one source of
-    truth.
-    """
-    for v, neighbors in adjacency.items():
-        for w in neighbors:
-            if int(w) not in known:
-                return GraphError(
-                    f"vertex {int(w)} appears as a neighbor of {int(v)} but "
-                    "has no adjacency list of its own"
-                )
-    return None
+#: Default number of pending overlay entries that triggers an automatic
+#: :meth:`Graph.compact`.  The overlay keeps single mutations O(Δ-free)
+#: cheap; once deltas pile up, one O(m) re-materialization restores flat
+#: array scans for every row.
+DEFAULT_COMPACT_THRESHOLD = 512
 
 
 def validate_adjacency(adjacency: Mapping[Vertex, Sequence[Vertex]]) -> None:
@@ -121,6 +65,36 @@ def validate_adjacency(adjacency: Mapping[Vertex, Sequence[Vertex]]) -> None:
                 raise GraphError(
                     f"adjacency is not symmetric: {w} missing neighbor {v}"
                 )
+
+
+def _in_sorted(values, item: int) -> bool:
+    """Membership test on a sorted array (the removal side-arrays)."""
+    position = bisect_left(values, item)
+    return position < len(values) and values[position] == item
+
+
+def _flatten(ids: Sequence[Vertex], row_of: Callable[[Vertex], Sequence[Vertex]]):
+    """``(indptr, indices)`` holding ``row_of(v)`` for each ``v`` in order."""
+    try:
+        indices = array("q")
+        indptr = array("q", [0])
+        offset = 0
+        for v in ids:
+            row = row_of(v)
+            indices.extend(row)
+            offset += len(row)
+            indptr.append(offset)
+    except OverflowError:
+        # Vertex ids beyond 64 bits: fall back to a plain flat list.
+        indices = []  # type: ignore[assignment]
+        indptr = array("q", [0])
+        offset = 0
+        for v in ids:
+            row = row_of(v)
+            indices.extend(row)
+            offset += len(row)
+            indptr.append(offset)
+    return indptr, indices
 
 
 class Graph:
@@ -140,38 +114,59 @@ class Graph:
     """
 
     __slots__ = (
-        "_adj",
-        "_index",
+        "_ids",
+        "_pos",
+        "_indptr",
+        "_indices",
+        "_rows",
         "_views",
         "_num_edges",
         "_graph_epoch",
         "_vertex_epochs",
         "_mutation_log",
+        "_delta_add",
+        "_delta_removed",
+        "_delta_entries",
+        "_survivors",
+        "compact_threshold",
     )
-
-    #: Name of the storage backend implemented by this class.
-    backend = "dict"
 
     def __init__(
         self,
         adjacency: Mapping[Vertex, Sequence[Vertex]],
         validate: bool = True,
     ) -> None:
-        self._adj: Dict[Vertex, List[Vertex]] = {
-            int(v): [int(w) for w in neighbors] for v, neighbors in adjacency.items()
-        }
-        # Make sure every endpoint appears as a key even if isolated on one side.
-        error = undeclared_neighbor_error(self._adj, self._adj)
-        if error is not None:
-            raise error
+        ids: List[Vertex] = []
+        pos: Dict[Vertex, int] = {}
+        for v in adjacency:
+            v = int(v)
+            if v not in pos:
+                pos[v] = len(ids)
+                ids.append(v)
+        indptr, indices = _flatten(ids, lambda v: [int(w) for w in adjacency[v]])
+        # Every neighbor must have an adjacency list of its own.
+        for v, neighbors in adjacency.items():
+            for w in neighbors:
+                if int(w) not in pos:
+                    raise GraphError(
+                        f"vertex {int(w)} appears as a neighbor of {int(v)} but "
+                        "has no adjacency list of its own"
+                    )
         if validate:
-            self._validate()
-        # The Adjacency-probe index is O(m) dicts; generators and BFS never
-        # need it, so it is built lazily on the first adjacency_index call.
-        self._index: Optional[Dict[Vertex, Dict[Vertex, int]]] = None
+            validate_adjacency({v: list(adjacency[v]) for v in adjacency})
+        self._adopt(ids, pos, indptr, indices)
+
+    def _adopt(self, ids, pos: Dict[Vertex, int], indptr, indices) -> None:
+        """Take over finished storage arrays and start with no mutations."""
+        self._ids = ids
+        self._pos = pos
+        self._indptr = indptr
+        self._indices = indices
+        # Lazy per-vertex {neighbor: position} rows for Adjacency probes.
+        self._rows: Dict[int, Dict[Vertex, int]] = {}
         # Cached immutable neighbor views handed out by neighbors().
         self._views: Dict[Vertex, Tuple[Vertex, ...]] = {}
-        self._num_edges = sum(len(neighbors) for neighbors in self._adj.values()) // 2
+        self._num_edges = len(indices) // 2
         self._init_mutation_state()
 
     # ------------------------------------------------------------------ #
@@ -210,7 +205,6 @@ class Graph:
         edges: Iterable[Tuple[Vertex, Vertex]],
         vertices: Optional[Iterable[Vertex]] = None,
         shuffle_seed: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> "Graph":
         """Build a graph from an iterable of undirected edges.
 
@@ -218,18 +212,53 @@ class Graph:
         "arbitrary but fixed" exactly as the model requires.  Passing
         ``shuffle_seed`` randomly permutes every neighbor list (deterministic
         in the seed), which is useful for testing that algorithms do not rely
-        on any particular ordering.  ``backend`` selects the storage class
-        ("dict" or "csr"); when omitted, a subclass builds itself and the
-        base class builds the process-wide default backend.
+        on any particular ordering.
         """
         adjacency = cls._adjacency_from_edges(edges, vertices, shuffle_seed)
-        if backend is not None:
-            target = backend_class(backend)
-        elif cls is Graph:
-            target = backend_class(None)
+        return cls(adjacency, validate=False)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        indptr: "array",
+        indices: "array",
+        ids: Optional[Sequence[int]] = None,
+    ) -> "Graph":
+        """Adopt pre-built flat CSR arrays without an adjacency-dict pass.
+
+        This is the entry point for the streaming builders
+        (:mod:`repro.scale.stream`): they assemble ``indptr``/``indices``
+        incrementally from edge chunks and hand the finished arrays over,
+        so a million-node graph never exists as a Python edge list or an
+        adjacency mapping.  The arrays are adopted, not copied — callers
+        must not mutate them afterwards.
+
+        ``ids`` defaults to ``0..n-1`` (position == id).  Row ``p`` of
+        ``indices`` must hold the neighbors of ``ids[p]`` in their final,
+        probe-visible order; symmetry and simplicity are the builder's
+        contract (the streaming builder validates per edge as it fills).
+        """
+        n = len(indptr) - 1
+        if n < 0 or indptr[0] != 0:
+            raise GraphError("indptr must start at 0 and have n + 1 entries")
+        if len(indices) != indptr[n]:
+            raise GraphError(
+                f"indices length {len(indices)} does not match "
+                f"indptr[-1] = {indptr[n]}"
+            )
+        if ids is None:
+            id_list: List[int] = list(range(n))
+            pos = {v: v for v in id_list}
         else:
-            target = cls
-        return target(adjacency, validate=False)
+            id_list = [int(v) for v in ids]
+            pos = {v: p for p, v in enumerate(id_list)}
+            if len(pos) != n:
+                raise GraphError(
+                    f"ids must be {n} distinct vertex ids, got {len(id_list)}"
+                )
+        graph = cls.__new__(cls)
+        graph._adopt(id_list, pos, indptr, indices)
+        return graph
 
     @classmethod
     def from_networkx(cls, nx_graph, shuffle_seed: Optional[int] = None) -> "Graph":
@@ -256,25 +285,13 @@ class Graph:
         """The adjacency mapping with neighbor orderings preserved."""
         return {v: list(self.neighbors(v)) for v in self.vertices()}
 
-    def to_backend(self, name: str) -> "Graph":
-        """Convert to another storage backend, preserving neighbor orderings.
-
-        Returns ``self`` when the graph already uses the requested backend;
-        probe-visible behavior (orderings, indices, degrees) is identical
-        across backends.
-        """
-        target = backend_class(name)
-        if type(self) is target:
-            return self
-        return target(self.as_adjacency(), validate=False)
-
     # ------------------------------------------------------------------ #
     # Basic accessors
     # ------------------------------------------------------------------ #
     @property
     def num_vertices(self) -> int:
         """Number of vertices ``n``."""
-        return len(self._adj)
+        return len(self._ids)
 
     @property
     def num_edges(self) -> int:
@@ -283,21 +300,42 @@ class Graph:
 
     def vertices(self) -> List[Vertex]:
         """List of vertices (in insertion order)."""
-        return list(self._adj.keys())
+        return list(self._ids)
 
     def has_vertex(self, v: Vertex) -> bool:
-        return int(v) in self._adj
+        return int(v) in self._pos
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over undirected edges, each reported once canonically."""
-        for u, neighbors in self._adj.items():
-            for v in neighbors:
+        if self._delta_entries:
+            # _neighbors_of, not neighbors(): the cached-view accessor would
+            # permanently materialize a tuple per vertex just to iterate.
+            for u in self._ids:
+                for v in self._neighbors_of(u):
+                    if u < v:
+                        yield (u, v)
+            return
+        indptr, indices = self._indptr, self._indices
+        for p, u in enumerate(self._ids):
+            for k in range(indptr[p], indptr[p + 1]):
+                v = indices[k]
                 if u < v:
                     yield (u, v)
 
     def degree(self, v: Vertex) -> int:
         """Degree of ``v``."""
-        return len(self._neighbors_of(v))
+        p = self._position(v)
+        base = self._indptr[p + 1] - self._indptr[p]
+        if not self._delta_entries:
+            return base
+        v = int(v)
+        removed = self._delta_removed.get(v)
+        added = self._delta_add.get(v)
+        if removed:
+            base -= len(removed)
+        if added:
+            base += len(added)
+        return base
 
     def neighbors(self, v: Vertex) -> Tuple[Vertex, ...]:
         """The fixed, ordered neighbor list Γ(v) as a cached immutable view.
@@ -315,28 +353,36 @@ class Graph:
 
     def neighbor_at(self, v: Vertex, index: int) -> Optional[Vertex]:
         """The ``index``-th neighbor of ``v`` (0-based), or ``None``."""
-        neighbors = self._neighbors_of(v)
-        if 0 <= index < len(neighbors):
-            return neighbors[index]
+        v = int(v)
+        if self._delta_entries and (
+            v in self._delta_add or v in self._delta_removed
+        ):
+            row = self.neighbors(v)
+            if 0 <= index < len(row):
+                return row[index]
+            return None
+        p = self._position(v)
+        start = self._indptr[p]
+        if 0 <= index < self._indptr[p + 1] - start:
+            return self._indices[start + index]
         return None
 
     def adjacency_index(self, u: Vertex, v: Vertex) -> Optional[int]:
         """Position of ``v`` inside Γ(u) (0-based), or ``None`` if not adjacent."""
         return self.adjacency_row(u).get(int(v))
 
-    def adjacency_row(self, v: Vertex) -> Mapping[Vertex, int]:
+    def adjacency_row(self, v: Vertex) -> Dict[Vertex, int]:
         """The ``{neighbor: position}`` row of ``v`` (lazily built).
 
         The returned mapping is shared internal state — callers must treat
         it as read-only.  It backs both ``Adjacency`` probes and the cached
         oracle, so the index exists in exactly one place per graph.
         """
-        index = self._index
-        if index is None:
-            index = self._build_index()
-        row = index.get(int(v))
+        v = int(v)
+        row = self._rows.get(v)
         if row is None:
-            raise UnknownVertexError(v)
+            row = {w: i for i, w in enumerate(self._neighbors_of(v))}
+            self._rows[v] = row
         return row
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
@@ -344,15 +390,21 @@ class Graph:
 
     def max_degree(self) -> int:
         """Maximum degree Δ (0 for the empty graph)."""
-        if not self._adj:
+        if self._delta_entries:
+            return max((self.degree(v) for v in self._ids), default=0)
+        indptr = self._indptr
+        if len(indptr) < 2:
             return 0
-        return max(len(neighbors) for neighbors in self._adj.values())
+        return max(indptr[p + 1] - indptr[p] for p in range(len(indptr) - 1))
 
     def min_degree(self) -> int:
         """Minimum degree (0 for the empty graph)."""
-        if not self._adj:
+        if self._delta_entries:
+            return min((self.degree(v) for v in self._ids), default=0)
+        indptr = self._indptr
+        if len(indptr) < 2:
             return 0
-        return min(len(neighbors) for neighbors in self._adj.values())
+        return min(indptr[p + 1] - indptr[p] for p in range(len(indptr) - 1))
 
     def average_degree(self) -> float:
         """Average degree 2m / n."""
@@ -387,6 +439,17 @@ class Graph:
         # query's whole dependency set and a handful of set-membership
         # probes (two ints per mutation of memory).
         self._mutation_log: List[Edge] = []
+        # Per-vertex overlay consulted by every neighbor view while deltas
+        # are pending: appended neighbors (in mutation order) and removed
+        # neighbor ids (sorted side-arrays probed with bisect).
+        self._delta_add: Dict[int, List[int]] = {}
+        self._delta_removed: Dict[int, array] = {}
+        self._delta_entries = 0
+        # Per-vertex survivor rows (base minus removals plus appends),
+        # computed once per epoch instead of per probe; a mutation of the
+        # vertex drops its entry, compaction drops the whole cache.
+        self._survivors: Dict[int, tuple] = {}
+        self.compact_threshold = DEFAULT_COMPACT_THRESHOLD
 
     @property
     def epoch(self) -> int:
@@ -426,7 +489,12 @@ class Graph:
                 raise UnknownVertexError(x)
         if self.has_edge(u, v):
             raise GraphError(f"({u}, {v}) is already an edge of this graph")
-        self._apply_add(u, v)
+        # A re-added edge whose base occurrence is masked by the removal
+        # side-array stays masked: the appended id lands at the end of the
+        # row, after the survivors.
+        for a, b in ((u, v), (v, u)):
+            self._delta_add.setdefault(a, []).append(b)
+            self._delta_entries += 1
         self._num_edges += 1
         self._note_mutation(u, v)
 
@@ -443,7 +511,20 @@ class Graph:
                 raise UnknownVertexError(x)
         if not self.has_edge(u, v):
             raise GraphError(f"({u}, {v}) is not an edge of this graph")
-        self._apply_remove(u, v)
+        for a, b in ((u, v), (v, u)):
+            added = self._delta_add.get(a)
+            if added is not None and b in added:
+                added.remove(b)
+                self._delta_entries -= 1
+                if not added:
+                    del self._delta_add[a]
+                continue
+            removed = self._delta_removed.get(a)
+            if removed is None:
+                removed = array("q")
+                self._delta_removed[a] = removed
+            insort(removed, b)
+            self._delta_entries += 1
         self._num_edges -= 1
         self._note_mutation(u, v)
 
@@ -458,49 +539,40 @@ class Graph:
                 f"unknown mutation op {op!r}; choices: ('add', 'remove')"
             )
 
-    def compact(self) -> "Graph":
-        """Fold pending mutation deltas into primary storage (returns self).
-
-        A no-op for the dict backend, whose adjacency lists mutate in place;
-        the CSR backend re-materializes its flat arrays (see
-        :meth:`~repro.graphs.csr.CSRGraph.compact`).  Observable state —
-        rows, orderings, epochs — never changes.
-        """
-        return self
-
     @property
     def delta_count(self) -> int:
-        """Pending overlay entries awaiting :meth:`compact` (0 for dict)."""
-        return 0
+        """Pending overlay entries awaiting :meth:`compact`."""
+        return self._delta_entries
+
+    def compact(self) -> "Graph":
+        """Re-materialize the flat CSR arrays with all deltas folded in.
+
+        Observable state is untouched: rows, orderings, degrees, epochs and
+        cached views all stay exactly as they were — only the storage moves
+        from base-plus-overlay back to flat arrays.  Returns ``self``.
+        """
+        if not self._delta_entries:
+            return self
+        self._indptr, self._indices = _flatten(self._ids, self._neighbors_of)
+        self._delta_add = {}
+        self._delta_removed = {}
+        self._delta_entries = 0
+        self._survivors = {}
+        return self
 
     def _note_mutation(self, u: Vertex, v: Vertex) -> None:
-        """Bump epochs and drop raw per-vertex caches for both endpoints."""
+        """Bump epochs, drop both endpoints' derived rows, maybe compact."""
         self._graph_epoch += 1
         stamp = self._graph_epoch
         self._vertex_epochs[u] = stamp
         self._vertex_epochs[v] = stamp
         self._mutation_log.append((u, v))
-        self._views.pop(u, None)
-        self._views.pop(v, None)
-        self._invalidate_rows(u, v)
-        self._maybe_compact()
-
-    def _maybe_compact(self) -> None:
-        """Hook for backends with a delta overlay (dict storage has none)."""
-
-    def _apply_add(self, u: Vertex, v: Vertex) -> None:
-        self._adj[u].append(v)
-        self._adj[v].append(u)
-
-    def _apply_remove(self, u: Vertex, v: Vertex) -> None:
-        self._adj[u].remove(v)
-        self._adj[v].remove(u)
-
-    def _invalidate_rows(self, u: Vertex, v: Vertex) -> None:
-        index = self._index
-        if index is not None:
-            for x in (u, v):
-                index[x] = {w: i for i, w in enumerate(self._adj[x])}
+        for x in (u, v):
+            self._views.pop(x, None)
+            self._rows.pop(x, None)
+            self._survivors.pop(x, None)
+        if self._delta_entries > self.compact_threshold:
+            self.compact()
 
     # ------------------------------------------------------------------ #
     # Derived graphs
@@ -516,9 +588,7 @@ class Graph:
 
     def subgraph_with_edges(self, edges: Iterable[Edge]) -> "Graph":
         """Return the spanning subgraph containing all vertices of this graph
-        and only the given edges (each of which must exist in this graph).
-
-        The subgraph uses the same storage backend as its host."""
+        and only the given edges (each of which must exist in this graph)."""
         adjacency: Dict[Vertex, List[Vertex]] = {v: [] for v in self.vertices()}
         seen = set()
         for (u, v) in edges:
@@ -534,9 +604,7 @@ class Graph:
         return self._builder_class()(adjacency, validate=False)
 
     def induced_subgraph(self, vertices: Iterable[Vertex]) -> "Graph":
-        """Return the subgraph induced by the given vertex set.
-
-        The subgraph uses the same storage backend as its host."""
+        """Return the subgraph induced by the given vertex set."""
         keep = {int(v) for v in vertices}
         adjacency = {
             v: [w for w in self.neighbors(v) if w in keep]
@@ -548,18 +616,31 @@ class Graph:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _neighbors_of(self, v: Vertex) -> List[Vertex]:
+    def _position(self, v: Vertex) -> int:
         try:
-            return self._adj[int(v)]
+            return self._pos[int(v)]
         except KeyError:
             raise UnknownVertexError(v) from None
 
-    def _build_index(self) -> Dict[Vertex, Dict[Vertex, int]]:
-        self._index = {
-            v: {w: i for i, w in enumerate(neighbors)}
-            for v, neighbors in self._adj.items()
-        }
-        return self._index
-
-    def _validate(self) -> None:
-        validate_adjacency(self._adj)
+    def _neighbors_of(self, v: Vertex) -> Sequence[Vertex]:
+        # Raw row slice; neighbors() turns it into the cached immutable view.
+        p = self._position(v)
+        base = self._indices[self._indptr[p] : self._indptr[p + 1]]
+        if not self._delta_entries:
+            return base
+        v = int(v)
+        removed = self._delta_removed.get(v)
+        added = self._delta_add.get(v)
+        if removed is None and added is None:
+            return base
+        survivors = self._survivors.get(v)
+        if survivors is None:
+            if removed:
+                row = [w for w in base if not _in_sorted(removed, w)]
+            else:
+                row = list(base)
+            if added:
+                row.extend(added)
+            survivors = tuple(row)
+            self._survivors[v] = survivors
+        return survivors

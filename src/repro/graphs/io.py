@@ -40,6 +40,13 @@ def write_edge_list(graph: Graph, path: PathLike, header: bool = True) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _vertex_id(field: str, raw_line: str) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise GraphError(f"malformed edge line: {raw_line!r}") from None
+
+
 def read_edge_list(path: PathLike) -> Graph:
     """Read a graph written by :func:`write_edge_list` (or any edge list)."""
     path = Path(path)
@@ -53,11 +60,11 @@ def read_edge_list(path: PathLike) -> Graph:
         if parts[0] == "v":
             if len(parts) != 2:
                 raise GraphError(f"malformed isolated-vertex line: {raw_line!r}")
-            isolated.append(int(parts[1]))
+            isolated.append(_vertex_id(parts[1], raw_line))
             continue
         if len(parts) < 2:
             raise GraphError(f"malformed edge line: {raw_line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append((_vertex_id(parts[0], raw_line), _vertex_id(parts[1], raw_line)))
     vertices = set(isolated)
     for (u, v) in edges:
         vertices.add(u)

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..graphs.csr import CSRGraph
-
 
 class CSRView:
     """Immutable numpy adjacency image of one graph epoch.
@@ -115,23 +113,18 @@ class CSRView:
 def build_view(np_module, graph) -> Optional[CSRView]:
     """Build a :class:`CSRView` of ``graph`` at its current epoch.
 
-    Compacted CSR graphs (including mapped snapshots) are converted
-    array-at-once from their flat buffers; every other backend (dict
-    adjacency, CSR with pending delta overlays) goes through the generic
-    ``vertices()``/``neighbors()`` walk.  Returns ``None`` when vertex ids
-    do not fit int64 — callers then fall back to the scalar path.
+    Compacted graphs (including mapped snapshots) are converted
+    array-at-once from their flat buffers; graphs with pending delta
+    overlays go through the generic ``vertices()``/``neighbors()`` walk.
+    Returns ``None`` when vertex ids do not fit int64 — callers then fall
+    back to the scalar path.
     """
     np = np_module
     ids_list = list(graph.vertices())
     n = len(ids_list)
     try:
         ids = np.array(ids_list, dtype=np.int64)
-        flat = (
-            isinstance(graph, CSRGraph)
-            and graph.delta_count == 0
-            and not isinstance(graph._indices, list)
-        )
-        if flat:
+        if graph.delta_count == 0 and not isinstance(graph._indices, list):
             if isinstance(graph._indices, memoryview):
                 # Read-only storage (mmap snapshots): alias the buffers
                 # instead of copying — safe because these graphs refuse

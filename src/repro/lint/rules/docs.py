@@ -28,7 +28,6 @@ from .base import Rule
 #: Dotted names of the top public entry points (module:attribute).
 ENTRY_POINTS = [
     "repro.graphs.graph:Graph",
-    "repro.graphs.csr:CSRGraph",
     "repro.graphs.generators:build_family",
     "repro.core.lca:SpannerLCA",
     "repro.core.lca:SpannerLCA.materialize",
@@ -53,7 +52,7 @@ ENTRY_POINTS = [
     "repro.reports.render:render_report",
     "repro.cli:build_parser",
     "repro.lint:run_lint",
-    "repro.graphs.csr:CSRGraph.from_arrays",
+    "repro.graphs.graph:Graph.from_arrays",
     "repro.graphs.generators:EdgeChunkStream",
     "repro.graphs.io:read_edge_list_stream",
     "repro.scale.stream:build_csr_from_chunks",

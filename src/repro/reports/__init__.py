@@ -2,8 +2,8 @@
 
 Every other plane of the repository answers "can the system do X?"; this one
 answers "show me".  A scenario spec (:mod:`repro.reports.spec`) declares one
-point in the configuration space — graph family × spanner family × storage
-backend × query mode × workload × mutation churn — the runner
+point in the configuration space — graph family × spanner family × query
+mode × workload × mutation churn — the runner
 (:mod:`repro.reports.runner`) executes it deterministically through the
 existing harness/service machinery, the store (:mod:`repro.reports.store`)
 versions the resulting JSON next to an environment fingerprint, and the

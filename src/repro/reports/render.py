@@ -54,7 +54,6 @@ def _inventory_rows(results: Sequence[Dict[str, object]]) -> List[Dict[str, obje
                 "scenario": payload.get("name"),
                 "algorithm": spec.get("algorithm"),
                 "family": graph.get("family"),
-                "backend": graph.get("backend"),
                 "sizes": ", ".join(str(n) for n in graph.get("sizes", [])),
                 "engine": materialize.get("mode"),
                 "workload": workload.get("kind", "-"),
@@ -69,7 +68,6 @@ def _probe_rows(results: Sequence[Dict[str, object]]) -> List[Dict[str, object]]
     rows = []
     for payload in results:
         spec = payload.get("spec", {})
-        backend = spec.get("graph", {}).get("backend")
         for size in payload.get("sizes", []):
             probes = size.get("probes", {})
             kinds = size.get("probe_kinds", {})
@@ -77,7 +75,6 @@ def _probe_rows(results: Sequence[Dict[str, object]]) -> List[Dict[str, object]]
                 {
                     "scenario": payload.get("name"),
                     "algorithm": spec.get("algorithm"),
-                    "backend": backend,
                     "n": size.get("n"),
                     "m": size.get("m"),
                     "max": probes.get("max"),

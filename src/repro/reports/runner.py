@@ -19,8 +19,8 @@ Markdown report twice and compares bytes.
 
 **Faithful accounting.**  Probe totals and per-kind counts come from the
 same cold-schedule accounting contract every other harness uses (see
-:mod:`repro.core.cache`): the query mode, backend and service executor
-axes change wall-clock time only, never the reported probe numbers.
+:mod:`repro.core.cache`): the query mode and service executor axes change
+wall-clock time only, never the reported probe numbers.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def churn_ops(graph: Graph, count: int, seed: int) -> List[Tuple[str, int, int]]
 
     Ops are generated against a mirror of the edge set, so every remove hits
     an existing edge and every add creates a new one — the sequence is valid
-    when applied in order, whatever the graph backend.
+    when applied in order.
     """
     rng = random.Random(seed)
     vertices = sorted(graph.vertices())
@@ -189,10 +189,9 @@ def churn_ops(graph: Graph, count: int, seed: int) -> List[Tuple[str, int, int]]
 # Running
 # --------------------------------------------------------------------------- #
 def _build_graph(spec: ScenarioSpec, n: int) -> Graph:
-    graph = build_family(
+    return build_family(
         spec.graph.family, n, density=spec.graph.density, seed=spec.graph.seed
     )
-    return graph.to_backend(spec.graph.backend)
 
 
 def _run_size(spec: ScenarioSpec, n: int) -> SizeResult:

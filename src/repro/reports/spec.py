@@ -1,9 +1,9 @@
 """Declarative scenario specs: one TOML/JSON table per experiment.
 
 A :class:`ScenarioSpec` names one point in the system's configuration space —
-graph family × spanner family × storage backend × query mode × workload ×
-mutation churn — plus the seeds that make the run reproducible.  Spec files
-are plain data (TOML via :mod:`tomllib`, or JSON), so the curated suite under
+graph family × spanner family × query mode × workload × mutation churn —
+plus the seeds that make the run reproducible.  Spec files are plain data
+(TOML via :mod:`tomllib`, or JSON), so the curated suite under
 ``scenarios/`` is reviewable, diffable and runnable with one command::
 
     repro report run scenarios/smoke.toml
@@ -18,7 +18,7 @@ fails before any graph is built.
 The sub-tables mirror the layers they configure:
 
 ``[scenario.graph]``
-    family / sizes / density / backend / seed — resolved through the shared
+    family / sizes / density / seed — resolved through the shared
     :data:`repro.graphs.FAMILY_BUILDERS` registry, so a spec and a
     ``repro generate`` command line mean the same graph.
 ``[scenario.materialize]``
@@ -50,16 +50,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..core.errors import ReproError
 from ..exec import PINNED_BACKENDS
 from ..faults import FaultPlan
-from ..graphs.generators import GRAPH_FAMILIES, STREAM_FAMILIES
+from ..graphs.generators import GRAPH_FAMILIES
 from ..service.engine import DEGRADED_MODES
 from ..service.shards import ROUTING_POLICIES
 from ..service.workload import WORKLOAD_KINDS
 
 #: Query-engine modes accepted by ``[scenario.materialize] mode``.
 QUERY_MODES = ("cold", "cached", "batched")
-
-#: Graph storage backends accepted by ``[scenario.graph] backend``.
-GRAPH_BACKENDS = ("dict", "csr")
 
 
 class SpecError(ReproError):
@@ -87,23 +84,15 @@ class GraphSpec:
     sizes: Tuple[int, ...] = (200,)
     density: float = 0.1
     seed: int = 1
-    backend: str = "dict"
 
     def __post_init__(self) -> None:
         _check_choice(self.family, GRAPH_FAMILIES, "graph family")
-        _check_choice(self.backend, GRAPH_BACKENDS, "graph backend")
         _require(len(self.sizes) >= 1, "graph sizes must be non-empty")
         _require(
             all(isinstance(n, int) and n >= 2 for n in self.sizes),
             f"graph sizes must be integers >= 2, got {list(self.sizes)}",
         )
         _require(self.density > 0, "graph density must be positive")
-        if self.family in STREAM_FAMILIES:
-            _require(
-                self.backend == "csr",
-                f"streaming family {self.family!r} builds straight into CSR "
-                "arrays; backend must be \"csr\"",
-            )
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -111,7 +100,6 @@ class GraphSpec:
             "sizes": list(self.sizes),
             "density": self.density,
             "seed": self.seed,
-            "backend": self.backend,
         }
 
 
@@ -519,7 +507,10 @@ def _load_toml(path: Path) -> Dict[str, object]:
     except ImportError:  # Python 3.10 (python_requires floor)
         return _parse_toml_subset(path)
     with path.open("rb") as handle:
-        return tomllib.load(handle)
+        try:
+            return tomllib.load(handle)
+        except tomllib.TOMLDecodeError as exc:
+            raise SpecError(f"{path}: invalid TOML: {exc}") from None
 
 
 def _parse_toml_subset(path: Path) -> Dict[str, object]:
@@ -623,7 +614,10 @@ def load_scenario_file(path: Union[str, Path]) -> List[ScenarioSpec]:
     if not path.exists():
         raise SpecError(f"spec file {path} does not exist")
     if path.suffix.lower() == ".json":
-        data = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"{path}: invalid JSON: {exc}") from None
     elif path.suffix.lower() == ".toml":
         data = _load_toml(path)
     else:

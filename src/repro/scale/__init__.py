@@ -9,7 +9,7 @@ list (ROADMAP: "Million-node graphs"):
   plus the ``*-stream`` family front door used by ``FAMILY_BUILDERS``.
 * :mod:`repro.scale.snapshot` — a raw-array on-disk CSR snapshot format
   with a read-only memory-mapped loader (:class:`MappedCSRGraph`) that
-  plugs in wherever a :class:`~repro.graphs.CSRGraph` does — the one
+  plugs in wherever a :class:`~repro.graphs.Graph` does — the one
   read-only graph transport.
 
 The bounded-memory oracle mode that completes the scale story lives with

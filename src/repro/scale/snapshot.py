@@ -1,7 +1,7 @@
 """Disk-backed CSR snapshots with a read-only memory-mapped loader.
 
 The snapshot format is deliberately raw — a fixed header followed by the
-three flat int64 arrays exactly as :class:`~repro.graphs.CSRGraph` holds
+three flat int64 arrays exactly as :class:`~repro.graphs.Graph` holds
 them in memory::
 
     [ header : 32 bytes ][ ids : n ][ indptr : n + 1 ][ indices : nnz ]
@@ -15,8 +15,8 @@ flag records which), so loading is a pure ``mmap`` — no parsing, no
 byte-swapping, no per-element work beyond the O(n) id → position map.
 This is the library's one read-only graph transport.  Its conventions are
 pinned in ``tests/test_scale_mmap.py``: saving snapshots the *current* rows
-(pending CSR deltas are compacted, other backends converted), vertex ids
-beyond 64 bits fail with a one-line :class:`~repro.core.errors.GraphError`,
+(pending mutation deltas are compacted first), vertex ids beyond 64 bits
+fail with a one-line :class:`~repro.core.errors.GraphError`,
 :class:`MappedCSRGraph` has zero-copy ``memoryview`` rows, read-only
 mutation errors, idempotent detach and owned-storage subgraphs, missing or
 truncated files fail with one-line errors, and the picklable
@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Union
 
 from ..core.errors import GraphError
-from ..graphs.csr import CSRGraph
 from ..graphs.graph import Graph, Vertex
 
 PathLike = Union[str, Path]
@@ -52,24 +51,22 @@ def _endian_flag() -> int:
 def save_csr_snapshot(graph: Graph, path: PathLike) -> "MappedCSRHandle":
     """Write a graph's CSR arrays to ``path`` and return the load handle.
 
-    Any backend is accepted; non-CSR graphs are converted first and CSR
-    graphs with pending mutation deltas are compacted, so the snapshot
-    always describes the current rows.  The write is a straight dump of
-    the flat arrays — O(n + m) bytes, no per-edge Python objects.
+    Pending mutation deltas are compacted first, so the snapshot always
+    describes the current rows.  The write is a straight dump of the flat
+    arrays — O(n + m) bytes, no per-edge Python objects.
     """
-    csr = graph.to_backend("csr")
-    csr.compact()
-    if not isinstance(csr._indices, array):
+    graph.compact()
+    if isinstance(graph._indices, list):
         # The plain-list fallback only engages for ids beyond 64 bits,
         # which the fixed-width format cannot hold.
         raise GraphError(
             "graphs with vertex ids beyond 64 bits cannot be snapshotted"
         )
     path = Path(path)
-    n = len(csr._ids)
-    nnz = len(csr._indices)
+    n = len(graph._ids)
+    nnz = len(graph._indices)
     try:
-        ids = array("q", csr._ids)
+        ids = array("q", graph._ids)
     except OverflowError:
         raise GraphError(
             "graphs with vertex ids beyond 64 bits cannot be snapshotted"
@@ -77,8 +74,8 @@ def save_csr_snapshot(graph: Graph, path: PathLike) -> "MappedCSRHandle":
     with path.open("wb") as handle:
         handle.write(_HEADER.pack(_MAGIC, _VERSION, _endian_flag(), n, nnz))
         handle.write(ids.tobytes())
-        handle.write(array("q", csr._indptr).tobytes())
-        handle.write(csr._indices.tobytes())
+        handle.write(array("q", graph._indptr).tobytes())
+        handle.write(graph._indices.tobytes())
     return MappedCSRHandle(path=str(path), num_vertices=n, num_entries=nnz)
 
 
@@ -139,7 +136,7 @@ class MappedCSRHandle:
         return MappedCSRGraph(self)
 
 
-class MappedCSRGraph(CSRGraph):
+class MappedCSRGraph(Graph):
     """Read-only CSR graph memory-mapped from a snapshot file.
 
     The adjacency arrays are ``memoryview``s over the page cache — loading
@@ -152,8 +149,6 @@ class MappedCSRGraph(CSRGraph):
     """
 
     __slots__ = ("_mmap", "_view")
-
-    backend = "csr-mapped"
 
     def __init__(self, handle: MappedCSRHandle) -> None:
         path = Path(handle.path)
@@ -180,21 +175,19 @@ class MappedCSRGraph(CSRGraph):
         view = memoryview(mapped)[_HEADER.size : needed].cast("q")
         self._mmap = mapped
         self._view = view
-        self._ids = view[0:n]
-        self._indptr = view[n : 2 * n + 1]
-        self._indices = view[2 * n + 1 : 2 * n + 1 + nnz]
-        self._pos = {v: p for p, v in enumerate(self._ids)}
-        self._rows = {}
-        self._views = {}
-        self._num_edges = nnz // 2
-        self._init_mutation_state()
-        self._init_overlay()
+        ids = view[0:n]
+        self._adopt(
+            ids,
+            {v: p for p, v in enumerate(ids)},
+            view[n : 2 * n + 1],
+            view[2 * n + 1 : 2 * n + 1 + nnz],
+        )
 
     @classmethod
     def _builder_class(cls) -> type:
         # Derived graphs (subgraphs) own their storage instead of aliasing
         # someone else's mapping.
-        return CSRGraph
+        return Graph
 
     def add_edge(self, u: Vertex, v: Vertex) -> None:
         raise GraphError(

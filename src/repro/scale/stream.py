@@ -1,6 +1,6 @@
 """Incremental CSR construction from edge-chunk streams.
 
-The in-memory path (``Graph.from_edges`` → adjacency dict → ``CSRGraph``)
+The in-memory path (``Graph.from_edges`` → adjacency dict → flat arrays)
 costs several Python objects per edge — tuples, list cells, dict slots —
 which is what caps the benchmarks at n ≈ 900.  The builder here consumes a
 re-iterable :class:`~repro.graphs.EdgeChunkStream` in two passes over flat
@@ -28,7 +28,7 @@ from array import array
 from typing import Optional
 
 from ..core.errors import GraphError, ParameterError
-from ..graphs.csr import CSRGraph
+from ..graphs.graph import Graph
 from ..graphs.generators import (
     DEFAULT_CHUNK_EDGES,
     EdgeChunkStream,
@@ -77,7 +77,7 @@ def build_stream_family(
     density: float = 0.1,
     seed: Optional[int] = None,
     chunk_edges: int = DEFAULT_CHUNK_EDGES,
-) -> CSRGraph:
+) -> Graph:
     """Build a ``*-stream`` family instance straight into CSR arrays.
 
     This is what :data:`repro.graphs.FAMILY_BUILDERS` routes the streaming
@@ -92,7 +92,7 @@ def build_csr_from_chunks(
     chunks: EdgeChunkStream,
     shuffle_seed: Optional[int] = None,
     num_vertices: Optional[int] = None,
-) -> CSRGraph:
+) -> Graph:
     """Two-pass incremental CSR build over a re-iterable chunk stream.
 
     ``chunks`` yields flat ``array('q')`` buffers of ``[u, v, u, v, ...]``
@@ -174,4 +174,4 @@ def build_csr_from_chunks(
             rng.shuffle(row)
             indices[start:stop] = array("q", row)
 
-    return CSRGraph.from_arrays(indptr, indices)
+    return Graph.from_arrays(indptr, indices)

@@ -1,10 +1,9 @@
-"""Backend / query-engine equivalence: the correctness anchor of the fast path.
+"""Query-engine equivalence: the correctness anchor of the fast path.
 
-The CSR storage backend and the cached/batched query engines promise
-*observational equivalence* with the original dict backend and the cold
-per-query path: identical spanner edge sets and identical per-query probe
-accounting (totals and per-kind counts).  These tests pin that promise down
-for all three paper constructions.
+The cached and batched query engines promise *observational equivalence*
+with the cold per-query path: identical spanner edge sets and identical
+per-query probe accounting (totals and per-kind counts).  These tests pin
+that promise down for all three paper constructions.
 """
 
 from __future__ import annotations
@@ -59,15 +58,13 @@ def _materialize(factory, graph, mode):
 def test_identical_edges_and_probes_across_backends_and_modes(name):
     """Same seeds ⇒ same spanner and same per-query probe totals everywhere."""
     factory, make_graph = CASES[name]
-    dict_graph = make_graph()
-    csr_graph = dict_graph.to_backend("csr")
-    ref_edges, ref_totals = _materialize(factory, dict_graph, "cold")
+    graph = make_graph()
+    ref_edges, ref_totals = _materialize(factory, graph, "cold")
     assert ref_edges, "degenerate fixture: empty spanner"
-    for graph in (dict_graph, csr_graph):
-        for mode in QUERY_MODES:
-            edges, totals = _materialize(factory, graph, mode)
-            assert edges == ref_edges, (graph.backend, mode)
-            assert totals == ref_totals, (graph.backend, mode)
+    for mode in QUERY_MODES:
+        edges, totals = _materialize(factory, graph, mode)
+        assert edges == ref_edges, mode
+        assert totals == ref_totals, mode
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -139,13 +136,3 @@ def test_memoized_replays_measured_cost():
     assert replayed == cost_after_miss  # hit replays exactly the miss cost
     assert oracle.cache.stats.hits == 1 and oracle.cache.stats.misses == 1
 
-
-def test_csr_round_trip_preserves_orderings():
-    graph = graphs.planted_hub_graph(90, num_hubs=3, hub_degree=40, seed=9)
-    csr = graph.to_backend("csr")
-    assert csr.to_backend("csr") is csr
-    back = csr.to_backend("dict")
-    assert back.as_adjacency() == graph.as_adjacency()
-    assert graph.max_degree() == csr.max_degree()
-    assert graph.min_degree() == csr.min_degree()
-    assert sorted(graph.edges()) == sorted(csr.edges())

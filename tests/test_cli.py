@@ -143,18 +143,22 @@ def test_unknown_family_rejected(tmp_path):
         cmd_generate(args)
 
 
-def test_query_mode_and_backend_flags(graph_file, capsys):
-    """--backend / --query-mode select the fast path without changing output."""
+def test_query_mode_and_graph_source_flags(graph_file, capsys, tmp_path):
+    """--query-mode and --graph/--mmap change the path, never the output."""
+    from repro.scale import save_csr_snapshot
+
+    snapshot = tmp_path / "graph.csr"
+    save_csr_snapshot(read_edge_list(graph_file), snapshot)
     outputs = {}
-    for backend in ("dict", "csr"):
+    for source in (["--graph", graph_file], ["--mmap", str(snapshot)]):
         for mode in ("cold", "cached", "batched"):
             code = main(
-                ["evaluate", "--graph", graph_file, "--algorithm", "spanner3",
-                 "--seed", "4", "--backend", backend, "--query-mode", mode]
+                ["evaluate", *source, "--algorithm", "spanner3",
+                 "--seed", "4", "--query-mode", mode]
             )
             assert code == 0
-            outputs[(backend, mode)] = capsys.readouterr().out
-    reference = outputs[("dict", "cold")]
+            outputs[(source[0], mode)] = capsys.readouterr().out
+    reference = outputs[("--graph", "cold")]
     assert "spanner3" in reference
     for key, out in outputs.items():
         assert out == reference, key
@@ -167,16 +171,30 @@ def test_query_command_accepts_query_mode(graph_file, capsys):
                  "--query-mode", "cold"])
     cold_out = capsys.readouterr().out
     cached = main(["query", "--graph", graph_file, "--edge", f"{u},{v}",
-                   "--query-mode", "cached", "--backend", "csr"])
+                   "--query-mode", "cached"])
     cached_out = capsys.readouterr().out
     assert cold == cached == 0
-    # The title line names the backend class; the query rows must agree.
-    assert cold_out.splitlines()[1:] == cached_out.splitlines()[1:]
+    assert cold_out == cached_out
 
 
-def test_backend_flag_rejects_unknown_value(graph_file):
-    with pytest.raises(SystemExit):
-        main(["evaluate", "--graph", graph_file, "--backend", "quantum"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "No such file"),
+        ("0 1\nx y\n", "malformed edge line: 'x y'"),
+        ("0 1\n1 1\n", "self loop"),
+    ],
+    ids=["missing", "non-integer", "self-loop"],
+)
+def test_bad_graph_file_fails_with_one_line(tmp_path, content, message):
+    path = tmp_path / "bad.txt"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["evaluate", "--graph", str(path)])
+    text = str(excinfo.value)
+    assert text.startswith("--graph: ") and message in text
+    assert "\n" not in text
 
 
 def test_serve_bench_command_runs_a_workload(graph_file, capsys, tmp_path):
@@ -404,6 +422,16 @@ def test_report_run_smoke_flag_marks_results(tmp_path, capsys):
 def test_report_commands_fail_cleanly(tmp_path):
     with pytest.raises(SystemExit, match="report run:"):
         main(["report", "run", str(tmp_path / "missing.toml")])
+    bad_toml = tmp_path / "bad.toml"
+    bad_toml.write_text('name = "x"\n[graph\nfamily = "gnp"\n')
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"name": "x", "graph": {"family": ')
+    for path, kind in ((bad_toml, "invalid TOML"), (bad_json, "invalid JSON")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "run", str(path)])
+        text = str(excinfo.value)
+        assert text.startswith("report run:") and kind in text
+        assert "\n" not in text
     with pytest.raises(SystemExit, match="no results"):
         main(["report", "render", "--results", str(tmp_path / "empty")])
 

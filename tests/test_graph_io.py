@@ -52,6 +52,9 @@ def test_read_edge_list_rejects_malformed(tmp_path):
     path.write_text("v 1 2\n")
     with pytest.raises(GraphError):
         read_edge_list(path)
+    path.write_text("0 1\nx y\n")
+    with pytest.raises(GraphError, match="malformed edge line: 'x y'"):
+        read_edge_list(path)
 
 
 def test_adjacency_json_round_trip_preserves_order(tmp_path):

@@ -5,8 +5,8 @@ engines: identical spanner edge sets, identical per-query probe totals and
 identical per-kind probe counts, with numpy strictly a wall-clock
 optimization.  These tests pin the selection/fallback machinery (including
 the one-line error when ``kernel="numpy"`` is requested without numpy) and
-the equivalence promise for all three paper constructions across both graph
-backends and across mutation epochs.
+the equivalence promise for all three paper constructions, also across
+mutation epochs.
 """
 
 from __future__ import annotations
@@ -165,14 +165,15 @@ def test_cli_kernel_error_is_one_line_systemexit(monkeypatch, tmp_path):
 # --------------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", ["dict", "csr"])
+# One storage row: CSR is the only graph storage; the row keeps the test ids.
+@pytest.mark.parametrize("storage", ["csr"])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_identical_edges_and_probes_across_kernels(name, backend, force_kernel_paths):
+def test_identical_edges_and_probes_across_kernels(name, storage, force_kernel_paths):
     """Same seeds ⇒ same spanner, probe totals and per-kind counts."""
     factory, make_graph = CASES[name]
 
     def run(kernel):
-        graph = make_graph().to_backend(backend)
+        graph = make_graph()
         lca = factory(graph).set_kernel(kernel)
         assert lca.kernel_name == kernel
         return _fingerprint(lca, lca.materialize(mode="batched"))
@@ -186,7 +187,7 @@ def test_kernel_equivalence_survives_mutation_epochs(name, force_kernel_paths):
     factory, make_graph = CASES[name]
 
     def run(kernel):
-        graph = make_graph().to_backend("csr")
+        graph = make_graph()
         lca = factory(graph).set_kernel(kernel)
         edges = sorted(graph.edges())
         fingerprints = [_fingerprint(lca, lca.materialize(mode="batched"))]
@@ -203,9 +204,9 @@ def test_kernel_equivalence_survives_mutation_epochs(name, force_kernel_paths):
 
 
 def test_evaluate_lca_kernel_parameter_is_probe_invariant(force_kernel_paths):
-    graph = graphs.gnp_graph(60, 0.2, seed=9).to_backend("csr")
+    graph = graphs.gnp_graph(60, 0.2, seed=9)
     scalar = evaluate_lca(_spanner3(graph), kernel="python")
-    graph2 = graphs.gnp_graph(60, 0.2, seed=9).to_backend("csr")
+    graph2 = graphs.gnp_graph(60, 0.2, seed=9)
     vectorized = evaluate_lca(_spanner3(graph2), kernel="numpy")
     assert scalar.num_spanner_edges == vectorized.num_spanner_edges
     assert scalar.probe_max == vectorized.probe_max
@@ -216,7 +217,7 @@ def test_cold_queries_stay_scalar_and_identical(force_kernel_paths):
     """The cold engine is the reference path; kernels must not touch it."""
 
     def run(kernel):
-        graph = graphs.gnp_graph(50, 0.2, seed=3).to_backend("csr")
+        graph = graphs.gnp_graph(50, 0.2, seed=3)
         lca = _spanner3(graph).set_kernel(kernel)
         lca.set_query_mode("cold")
         outcomes = [lca.query_with_stats(u, v) for (u, v) in sorted(graph.edges())[:40]]
@@ -229,7 +230,7 @@ def test_service_engine_kernel_config_is_probe_invariant(force_kernel_paths):
     from repro.service import ServiceConfig, ServiceEngine, make_workload
 
     def run(kernel):
-        graph = graphs.gnp_graph(60, 0.2, seed=9).to_backend("csr")
+        graph = graphs.gnp_graph(60, 0.2, seed=9)
         config = ServiceConfig(num_shards=2, batch_size=8, kernel=kernel)
         workload = make_workload("uniform", graph, num_requests=200, seed=1)
         report = ServiceEngine(graph, _spanner3, config).run(workload)

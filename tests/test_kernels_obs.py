@@ -44,7 +44,7 @@ def _profile(make_lca, kernel):
 
 def test_spanner3_neighbor_scan_attribution_matches_scalar():
     def make_lca():
-        graph = graphs.gnp_graph(70, 0.25, seed=11).to_backend("csr")
+        graph = graphs.gnp_graph(70, 0.25, seed=11)
         return create("spanner3", graph, seed=5, hitting_constant=1.0)
 
     scalar_phases, scalar_calls = _profile(make_lca, "python")
@@ -56,7 +56,7 @@ def test_spanner3_neighbor_scan_attribution_matches_scalar():
 
 def test_spannerk_bfs_and_voronoi_attribution_matches_scalar():
     def make_lca():
-        graph = graphs.bounded_degree_expanderish(80, d=4, seed=3).to_backend("csr")
+        graph = graphs.bounded_degree_expanderish(80, d=4, seed=3)
         params = KSquaredParams(
             num_vertices=graph.num_vertices,
             stretch_parameter=2,
@@ -79,7 +79,7 @@ def test_spanner5_attribution_matches_scalar():
     def make_lca():
         graph = graphs.dense_cluster_graph(
             80, 10, inter_probability=0.05, seed=5
-        ).to_backend("csr")
+        )
         return create("spanner5", graph, seed=5, hitting_constant=1.0)
 
     scalar_phases, scalar_calls = _profile(make_lca, "python")

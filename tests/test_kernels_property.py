@@ -63,7 +63,7 @@ relaxed = settings(
 
 
 def _run(algorithm, vertices, edges, mutations, seed, kernel):
-    graph = Graph.from_edges(edges, vertices=vertices).to_backend("csr")
+    graph = Graph.from_edges(edges, vertices=vertices)
     lca = create(algorithm, graph, seed=seed).set_kernel(kernel)
     fingerprints = []
     for batch in ([], mutations):

@@ -42,7 +42,7 @@ def run_engine(graph, tracer=None, profiler=None):
 
 
 def test_tracing_and_profiling_do_not_change_the_run():
-    graph = gnp_graph(70, 0.15, seed=11).to_backend("csr")
+    graph = gnp_graph(70, 0.15, seed=11)
     plain_engine, plain = run_engine(graph)
     tracer, profiler = SpanTracer(), ProbeProfiler()
     traced_engine, traced = run_engine(graph, tracer=tracer, profiler=profiler)
@@ -64,7 +64,7 @@ def test_tracing_and_profiling_do_not_change_the_run():
 
 
 def test_engine_traces_are_deterministic():
-    graph = gnp_graph(70, 0.15, seed=11).to_backend("csr")
+    graph = gnp_graph(70, 0.15, seed=11)
     exports = []
     for _ in range(2):
         tracer = SpanTracer()

@@ -90,7 +90,7 @@ def test_snapshot_is_sorted_and_json_serializable():
 
 
 def test_collect_run_metrics_covers_all_planes():
-    graph = gnp_graph(60, 0.15, seed=11).to_backend("csr")
+    graph = gnp_graph(60, 0.15, seed=11)
     plan = FaultPlan.generate(
         seed=9, num_shards=2, replication=2, horizon=12, crashes=2, duration=2
     )
@@ -120,7 +120,7 @@ def test_collect_run_metrics_covers_all_planes():
 
 
 def test_collect_run_metrics_without_profiler():
-    graph = gnp_graph(50, 0.15, seed=11).to_backend("csr")
+    graph = gnp_graph(50, 0.15, seed=11)
     report = serve(graph)
     metrics = collect_run_metrics(report).snapshot()["metrics"]
     assert "cache.invalidations.epoch" not in metrics

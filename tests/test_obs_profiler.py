@@ -121,7 +121,7 @@ def test_spannerk_queries_populate_bfs_and_voronoi():
 
 
 def test_spanner3_service_path_populates_scan_and_outcomes():
-    graph = gnp_graph(60, 0.5, seed=11).to_backend("csr")
+    graph = gnp_graph(60, 0.5, seed=11)
     lca = create("spanner3", graph, seed=5, hitting_constant=1.0)
     profiler = ProbeProfiler()
     lca.attach_profiler(profiler)
@@ -139,7 +139,7 @@ def test_spanner3_service_path_populates_scan_and_outcomes():
 
 
 def test_attached_profiler_never_changes_answers_or_probes():
-    graph = gnp_graph(60, 0.3, seed=11).to_backend("csr")
+    graph = gnp_graph(60, 0.3, seed=11)
     plain = create("spanner3", graph, seed=5, hitting_constant=1.0)
     observed = create("spanner3", graph, seed=5, hitting_constant=1.0)
     observed.attach_profiler(ProbeProfiler())

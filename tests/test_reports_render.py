@@ -20,7 +20,7 @@ from repro.reports import (
 SCENARIOS_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def _tiny_spec(name="render-test", backend="dict", algorithm="spanner3"):
+def _tiny_spec(name="render-test", algorithm="spanner3"):
     return ScenarioSpec.from_dict(
         {
             "name": name,
@@ -31,7 +31,6 @@ def _tiny_spec(name="render-test", backend="dict", algorithm="spanner3"):
                 "sizes": [40],
                 "density": 0.2,
                 "seed": 3,
-                "backend": backend,
             },
             "workload": {"kind": "uniform", "requests": 40, "seed": 1},
             "service": {"shards": 2, "batch_size": 8},
@@ -78,8 +77,8 @@ def test_markdown_table_escapes_pipes_everywhere():
 
 def test_render_contains_all_sections_and_rows():
     payloads = [
-        run_scenario(_tiny_spec(name="rt-dict", backend="dict")).as_dict(),
-        run_scenario(_tiny_spec(name="rt-csr", backend="csr")).as_dict(),
+        run_scenario(_tiny_spec(name="rt-spanner3")).as_dict(),
+        run_scenario(_tiny_spec(name="rt-spannerk", algorithm="spannerk")).as_dict(),
     ]
     markdown = render_report(payloads)
     for heading in (
@@ -91,7 +90,7 @@ def test_render_contains_all_sections_and_rows():
         "## Service latency percentiles (virtual time)",
     ):
         assert heading in markdown
-    assert "rt-dict" in markdown and "rt-csr" in markdown
+    assert "rt-spanner3" in markdown and "rt-spannerk" in markdown
     assert "p99 ms" in markdown
 
 
@@ -104,10 +103,8 @@ def test_render_is_sorted_and_independent_of_input_order():
 def test_full_cycle_is_byte_identical_across_runs(tmp_path):
     """The acceptance criterion, as a test: run → store → render, twice."""
     specs = [
-        _tiny_spec(name="cycle-s3-dict", backend="dict"),
-        _tiny_spec(name="cycle-s3-csr", backend="csr"),
-        _tiny_spec(name="cycle-sk-dict", backend="dict", algorithm="spannerk"),
-        _tiny_spec(name="cycle-sk-csr", backend="csr", algorithm="spannerk"),
+        _tiny_spec(name="cycle-s3"),
+        _tiny_spec(name="cycle-sk", algorithm="spannerk"),
     ]
     renders = []
     for round_dir in ("one", "two"):
@@ -130,7 +127,7 @@ def test_render_without_service_phase_has_empty_latency_table():
 
 def test_smoke_suite_renders_acceptance_tables(tmp_path):
     """scenarios/smoke.toml under --smoke renders probes-vs-n and latency
-    tables covering spanner3 and spannerk on both backends."""
+    tables covering spanner3 and spannerk."""
     store = ResultStore(tmp_path)
     for spec in load_scenario_file(SCENARIOS_DIR / "smoke.toml"):
         store.save(run_scenario(spec, smoke=True))
@@ -139,11 +136,6 @@ def test_smoke_suite_renders_acceptance_tables(tmp_path):
     latency_section = markdown.split(
         "## Service latency percentiles (virtual time)"
     )[1]
-    for name in (
-        "smoke-spanner3-dict",
-        "smoke-spanner3-csr",
-        "smoke-spannerk-dict",
-        "smoke-spannerk-csr",
-    ):
+    for name in ("smoke-spanner3", "smoke-spannerk"):
         assert name in probe_section
         assert name in latency_section

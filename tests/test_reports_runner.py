@@ -59,19 +59,6 @@ def test_offline_rows_match_direct_harness_run():
     assert result.service is None
 
 
-def test_backend_axis_never_changes_probe_numbers():
-    rows = {}
-    for backend in ("dict", "csr"):
-        spec = _spec(
-            name=f"backend-{backend}",
-            graph={"family": "gnp", "sizes": [50], "density": 0.15, "seed": 3,
-                   "backend": backend},
-        )
-        (row,) = run_scenario(spec).sizes
-        rows[backend] = (row.spanner_edges, row.probes, row.probe_kinds)
-    assert rows["dict"] == rows["csr"]
-
-
 def test_mutation_burst_is_applied_and_recorded():
     spec = _spec(mutations={"ops": 8, "seed": 5})
     (row,) = run_scenario(spec).sizes

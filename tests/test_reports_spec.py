@@ -24,7 +24,6 @@ def test_minimal_spec_fills_defaults():
     assert spec.name == "tiny"
     assert spec.algorithm == "spanner3"
     assert spec.graph.sizes == (40,)
-    assert spec.graph.backend == "dict"
     assert spec.materialize.mode == "batched"
     assert spec.workload is None
     assert spec.mutations.ops == 0
@@ -36,7 +35,7 @@ def test_spec_round_trips_through_as_dict():
         "algorithm": "spannerk",
         "seed": 5,
         "algorithm_options": {"stretch_parameter": 3},
-        "graph": {"family": "bounded", "sizes": [60, 80], "backend": "csr"},
+        "graph": {"family": "bounded", "sizes": [60, 80]},
         "mutations": {"ops": 4, "seed": 2},
         "workload": {"kind": "zipf", "requests": 50, "seed": 1, "skew": 1.3},
         "service": {"shards": 2, "batch_size": 8},
@@ -54,7 +53,7 @@ def test_spec_round_trips_through_as_dict():
         ({"algorithm_options": {}, "unknown_key": 1}, "unknown"),
         ({"graph": {"family": "nope"}}, "family"),
         ({"graph": {"family": "gnp", "sizes": []}}, "sizes"),
-        ({"graph": {"backend": "sparse"}}, "backend"),
+        ({"graph": {"backend": "csr"}}, "graph keys ['backend']"),
         ({"materialize": {"mode": "warp"}}, "mode"),
         ({"materialize": {"executor": "serial"}}, "unknown materialize keys"),
         ({"workload": {"kind": "trace"}}, "trace"),
@@ -137,22 +136,14 @@ def test_curated_scenarios_directory_parses():
     assert len(specs) >= 6
     algorithms = {spec.algorithm for spec in specs}
     assert {"spanner3", "spanner5", "spannerk"} <= algorithms
-    backends = {spec.graph.backend for spec in specs}
-    assert backends == {"dict", "csr"}
     kinds = {spec.workload.kind for spec in specs if spec.workload is not None}
     assert "churn" in kinds
 
 
 def test_smoke_suite_covers_acceptance_matrix():
-    """smoke.toml: spanner3 and spannerk on both backends, each with serving."""
+    """smoke.toml: spanner3 and spannerk, each with serving."""
     specs = load_scenario_file(SCENARIOS_DIR / "smoke.toml")
-    seen = {(spec.algorithm, spec.graph.backend) for spec in specs}
-    assert {
-        ("spanner3", "dict"),
-        ("spanner3", "csr"),
-        ("spannerk", "dict"),
-        ("spannerk", "csr"),
-    } <= seen
+    assert {spec.algorithm for spec in specs} == {"spanner3", "spannerk"}
     assert all(spec.workload is not None for spec in specs)
 
 

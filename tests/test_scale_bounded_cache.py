@@ -5,8 +5,8 @@ forgets memo entries under an LRU cap and recomputes them on demand.  Since
 every memoized value is a pure function of ``(graph, seed, key)`` and every
 recompute re-charges the exact cold probe schedule a hit would have
 replayed, a capped oracle must be *bit-identical* to the unbounded one in
-answers and per-kind probe accounting — across algorithms, graph backends
-and mutation epochs.  These tests pin that equivalence, plus the honesty of
+answers and per-kind probe accounting — across algorithms and mutation
+epochs.  These tests pin that equivalence, plus the honesty of
 the accounting (evicted-then-recomputed work is charged, never dropped) and
 k-wise tape compression.
 """
@@ -22,11 +22,9 @@ from repro.reports.runner import churn_ops
 
 CAPS = [1, 2, 8]
 ALGORITHMS = ["spanner3", "spanner5", "spannerk"]
-BACKENDS = ["dict", "csr"]
 
-
-def _graph(backend, seed=5):
-    return graphs.gnp_graph(40, 0.18, seed=seed).to_backend(backend)
+def _graph(seed=5):
+    return graphs.gnp_graph(40, 0.18, seed=seed)
 
 
 def _trace(lca, edges):
@@ -39,14 +37,15 @@ def _trace(lca, edges):
 
 
 # --------------------------------------------------------------------------- #
-# Equivalence: capped ≡ unbounded, across algorithms × backends × epochs
+# Equivalence: capped ≡ unbounded, across algorithms × epochs
 # --------------------------------------------------------------------------- #
+# One storage row: CSR is the only graph storage; the row keeps the test ids.
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("storage", ["csr"])
 @pytest.mark.parametrize("cap", CAPS)
-def test_bounded_oracle_bit_identical_across_epochs(algorithm, backend, cap):
-    reference = create(algorithm, _graph(backend), seed=7)
-    bounded = create(algorithm, _graph(backend), seed=7).set_memo_cap(cap)
+def test_bounded_oracle_bit_identical_across_epochs(algorithm, storage, cap):
+    reference = create(algorithm, _graph(), seed=7)
+    bounded = create(algorithm, _graph(), seed=7).set_memo_cap(cap)
     reference.set_query_mode("cached")
     bounded.set_query_mode("cached")
 
@@ -62,8 +61,8 @@ def test_bounded_oracle_bit_identical_across_epochs(algorithm, backend, cap):
 
 @pytest.mark.parametrize("cap", CAPS)
 def test_bounded_oracle_materialize_matches_unbounded(cap):
-    reference = create("spanner3", _graph("csr"), seed=3)
-    bounded = create("spanner3", _graph("csr"), seed=3).set_memo_cap(cap)
+    reference = create("spanner3", _graph(), seed=3)
+    bounded = create("spanner3", _graph(), seed=3).set_memo_cap(cap)
     mat_r = reference.materialize(mode="batched")
     mat_b = bounded.materialize(mode="batched")
     assert mat_b.edges == mat_r.edges
@@ -84,7 +83,7 @@ def scalar_bounded_lca():
     The vectorized kernels keep their own array tables and bypass the
     OracleCache memo entirely; only the scalar path exercises store/evict.
     """
-    lca = create("spanner3", _graph("csr"), seed=11).set_kernel("python")
+    lca = create("spanner3", _graph(), seed=11).set_kernel("python")
     lca.set_memo_cap(1)
     lca.set_query_mode("cached")
     return lca
@@ -126,7 +125,7 @@ def test_evicted_work_is_recharged_not_dropped(scalar_bounded_lca):
 
 
 def test_unbounded_cache_untouched_by_default():
-    lca = create("spanner3", _graph("csr"), seed=11)
+    lca = create("spanner3", _graph(), seed=11)
     assert lca.memo_cap is None
     cache = lca.ensure_cached_oracle().cache
     assert isinstance(cache, OracleCache)
@@ -137,7 +136,7 @@ def test_unbounded_cache_untouched_by_default():
 # k-wise tape compression: probe-free entries are never resident
 # --------------------------------------------------------------------------- #
 def test_probe_free_entries_not_stored_but_recomputed_identically():
-    graph = _graph("csr")
+    graph = _graph()
     bounded = BoundedOracleCache(graph, memo_cap=4)
     unbounded = OracleCache(graph)
     calls = {"bounded": 0, "unbounded": 0}
@@ -161,7 +160,7 @@ def test_probe_free_entries_not_stored_but_recomputed_identically():
 
 
 def test_memo_cap_validation():
-    graph = _graph("csr")
+    graph = _graph()
     for bad in (0, -3, True, 2.5, "8"):
         with pytest.raises(ValueError):
             BoundedOracleCache(graph, memo_cap=bad)

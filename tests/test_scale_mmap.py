@@ -4,12 +4,12 @@
 :func:`~repro.scale.snapshot.load_csr_snapshot` are the library's one
 read-only graph transport: one flat file, mapped read-only, with the graph's
 CSR arrays viewed in place.  These tests pin the format round trip
-(including non-contiguous vertex ids), what gets saved (the current rows of
-any backend; ids beyond 64 bits fail with one line), the conventions of the
-mapped view (read-only errors, idempotent detach, one-line lifecycle errors,
-no pickling, owned-storage subgraphs), and the equivalence of LCA answers
-and probe counts between a mapped snapshot and the owned CSR graph it was
-saved from.
+(including non-contiguous vertex ids), what gets saved (the current rows,
+pending deltas included; ids beyond 64 bits fail with one line), the
+conventions of the mapped view (read-only errors, idempotent detach,
+one-line lifecycle errors, no pickling, owned-storage subgraphs), and the
+equivalence of LCA answers and probe counts between a mapped snapshot and
+the owned graph it was saved from.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 from repro import graphs
 from repro.core.errors import GraphError
 from repro.core.registry import create
-from repro.graphs import CSRGraph, Graph
+from repro.graphs import Graph
 from repro.scale import (
     MappedCSRGraph,
     MappedCSRHandle,
@@ -33,7 +33,7 @@ from repro.scale import (
 @pytest.fixture
 def snapshot_pair(tmp_path):
     """(owned CSR graph, path of its saved snapshot)."""
-    graph = graphs.gnp_graph(50, 0.15, seed=8).to_backend("csr")
+    graph = graphs.gnp_graph(50, 0.15, seed=8)
     path = tmp_path / "g.csr"
     save_csr_snapshot(graph, path)
     return graph, path
@@ -46,7 +46,6 @@ def test_round_trip_structure(snapshot_pair):
     graph, path = snapshot_pair
     with load_csr_snapshot(path) as mapped:
         assert isinstance(mapped, MappedCSRGraph)
-        assert mapped.backend == "csr-mapped"
         assert mapped.num_vertices == graph.num_vertices
         assert mapped.num_edges == graph.num_edges
         for v in graph.vertices():
@@ -58,7 +57,7 @@ def test_round_trip_structure(snapshot_pair):
 def test_round_trip_non_contiguous_ids(tmp_path):
     base = graphs.Graph.from_edges(
         [(10, 20), (20, 31), (10, 31), (31, 47)], vertices=[10, 20, 31, 47]
-    ).to_backend("csr")
+    )
     path = tmp_path / "ids.csr"
     save_csr_snapshot(base, path)
     with load_csr_snapshot(path) as mapped:
@@ -79,28 +78,36 @@ def test_save_returns_attachable_handle(snapshot_pair, tmp_path):
         assert sorted(mapped.edges()) == sorted(graph.edges())
 
 
-@pytest.mark.parametrize("backend", ["csr", "dict"])
-def test_save_snapshots_the_current_rows(tmp_path, backend):
-    """Pending CSR deltas are compacted and other backends converted first,
-    so the file always holds the rows the graph shows right now."""
-    graph = Graph.from_edges([(0, 1), (1, 2), (2, 3)]).to_backend(backend)
+def test_mapped_graph_can_be_saved_again(snapshot_pair, tmp_path):
+    graph, path = snapshot_pair
+    with load_csr_snapshot(path) as mapped:
+        save_csr_snapshot(mapped, tmp_path / "copy.csr")
+    with load_csr_snapshot(tmp_path / "copy.csr") as copy:
+        assert copy.as_adjacency() == graph.as_adjacency()
+
+
+# One storage row: CSR is the only graph storage; the row keeps the test ids.
+@pytest.mark.parametrize("storage", ["csr"])
+def test_save_snapshots_the_current_rows(tmp_path, storage):
+    """Pending deltas are compacted first, so the file always holds the
+    rows the graph shows right now."""
+    graph = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
     graph.add_edge(0, 2)
     graph.remove_edge(0, 1)
-    if backend == "csr":
-        assert graph.delta_count > 0
+    assert graph.delta_count > 0
     save_csr_snapshot(graph, tmp_path / "current.csr")
-    if backend == "csr":
-        assert graph.delta_count == 0  # compacted on save
+    assert graph.delta_count == 0  # compacted on save
     with load_csr_snapshot(tmp_path / "current.csr") as mapped:
         assert mapped.as_adjacency() == graph.as_adjacency()
         for v in graph.vertices():
             assert mapped.neighbors(v) == graph.neighbors(v)
 
 
-@pytest.mark.parametrize("backend", ["csr", "dict"])
-def test_ids_beyond_64_bits_fail_with_one_line_error(tmp_path, backend):
+# One storage row: CSR is the only graph storage; the row keeps the test ids.
+@pytest.mark.parametrize("storage", ["csr"])
+def test_ids_beyond_64_bits_fail_with_one_line_error(tmp_path, storage):
     huge = 2 ** 70
-    graph = Graph.from_edges([(huge, huge + 1)]).to_backend(backend)
+    graph = Graph.from_edges([(huge, huge + 1)])
     with pytest.raises(GraphError, match="64 bits") as excinfo:
         save_csr_snapshot(graph, tmp_path / "huge.csr")
     assert "\n" not in str(excinfo.value)
@@ -161,7 +168,7 @@ def test_derived_subgraphs_own_their_storage(snapshot_pair):
         expected = sorted(spanning.edges())
     # Derived graphs are ordinary CSR graphs and outlive the mapping.
     for derived in (induced, spanning):
-        assert type(derived) is CSRGraph
+        assert type(derived) is Graph
     assert induced.num_vertices == 12
     assert spanning.num_edges == 5
     assert sorted(spanning.edges()) == expected

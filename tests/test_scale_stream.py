@@ -54,13 +54,8 @@ def _chunk_edges(chunks: EdgeChunkStream):
 
 
 def _csr_arrays(graph):
-    csr = graph.to_backend("csr")
-    csr.compact()
-    return (
-        list(csr._ids),
-        list(csr._indptr),
-        list(csr._indices),
-    )
+    graph.compact()
+    return (list(graph._ids), list(graph._indptr), list(graph._indices))
 
 
 # --------------------------------------------------------------------------- #
@@ -79,7 +74,7 @@ def test_stream_build_matches_from_edges(n, seed, chunk_edges, family_index):
     streamed = build_csr_from_chunks(chunks, shuffle_seed=seed)
     reference = Graph.from_edges(
         list(_chunk_edges(chunks)), vertices=range(n), shuffle_seed=seed
-    ).to_backend("csr")
+    )
     assert _csr_arrays(streamed) == _csr_arrays(reference)
     for v in streamed.vertices():
         assert list(streamed.neighbors(v)) == list(reference.neighbors(v))
@@ -93,7 +88,7 @@ def test_stream_build_matches_from_edges(n, seed, chunk_edges, family_index):
 )
 def test_gnp_stream_bit_identical_to_legacy_gnp(n, p, seed):
     """The legacy family and its streamed variant share one rng schedule."""
-    legacy = graphs.gnp_graph(n, p, seed=seed).to_backend("csr")
+    legacy = graphs.gnp_graph(n, p, seed=seed)
     streamed = build_stream_family("gnp-stream", n, density=p, seed=seed)
     assert _csr_arrays(streamed) == _csr_arrays(legacy)
 
@@ -115,7 +110,7 @@ def test_stream_build_probe_counts_match_from_edges(family, density):
     streamed = build_csr_from_chunks(chunks, shuffle_seed=seed)
     reference = Graph.from_edges(
         list(_chunk_edges(chunks)), vertices=range(n), shuffle_seed=seed
-    ).to_backend("csr")
+    )
     lca_s = create("spanner3", streamed, seed=7)
     lca_r = create("spanner3", reference, seed=7)
     mat_s = lca_s.materialize(mode="batched")
@@ -215,7 +210,7 @@ def test_read_edge_list_stream_round_trip(tmp_path):
     write_edge_list(graph, path)
     chunks = read_edge_list_stream(path, chunk_edges=7)
     rebuilt = build_csr_from_chunks(chunks)
-    reference = read_edge_list(path).to_backend("csr")
+    reference = read_edge_list(path)
     assert _csr_arrays(rebuilt) == _csr_arrays(reference)
     # Re-iterable: a second build sees the same file contents.
     assert _csr_arrays(build_csr_from_chunks(chunks)) == _csr_arrays(rebuilt)
@@ -249,7 +244,6 @@ family = "gnp-stream"
 sizes = [40]
 density = 0.1
 seed = 3
-backend = "csr"
 
 [scenario.materialize]
 mode = "batched"
@@ -266,10 +260,13 @@ def test_spec_accepts_stream_family_with_csr_backend(tmp_path):
 
 
 def test_spec_rejects_stream_family_with_dict_backend(tmp_path):
+    """There is one graph storage; a leftover backend key is a one-line error."""
     path = tmp_path / "bad.toml"
-    path.write_text(_scenario_toml().replace('backend = "csr"', 'backend = "dict"'))
-    with pytest.raises(SpecError, match="streaming family"):
+    toml = _scenario_toml().replace("seed = 3\n", 'seed = 3\nbackend = "dict"\n')
+    path.write_text(toml)
+    with pytest.raises(SpecError, match=r"unknown graph keys \['backend'\]") as excinfo:
         load_scenario_file(path)
+    assert "\n" not in str(excinfo.value)
 
 
 @pytest.mark.parametrize(

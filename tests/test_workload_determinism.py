@@ -2,8 +2,8 @@
 
 The serving benchmarks and equivalence tests all lean on one assumption:
 a ``(kind, graph, seed, size)`` tuple names *one* request stream.  These
-tests pin that across repeated construction, across graph storage backends
-(the stream may not depend on dict iteration quirks), and — for the
+tests pin that across repeated construction, across owned and
+memory-mapped storage of the same graph, and — for the
 adaptive kind — across repeated runs with the same feedback.  Trace IO
 must round-trip bit-exactly, including orientation and annotation keys.
 """
@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro import graphs
+from repro.scale import load_csr_snapshot, save_csr_snapshot
 from repro.service import TraceWorkload, make_workload, read_trace, write_trace
 from repro.service.trace import iter_trace
 
@@ -39,11 +40,13 @@ def test_identical_streams_for_a_fixed_seed_across_runs(graph, kind):
 
 
 @pytest.mark.parametrize("kind", GENERATIVE_KINDS)
-def test_streams_do_not_depend_on_the_graph_storage_backend(graph, kind):
-    csr = graph.to_backend("csr")
-    dict_stream = list(make_workload(kind, graph, num_requests=150, seed=21))
-    csr_stream = list(make_workload(kind, csr, num_requests=150, seed=21))
-    assert dict_stream == csr_stream
+def test_streams_do_not_depend_on_the_graph_storage_backend(graph, kind, tmp_path):
+    """An owned graph and its memory-mapped snapshot give the same stream."""
+    save_csr_snapshot(graph, tmp_path / "g.csr")
+    with load_csr_snapshot(tmp_path / "g.csr") as mapped:
+        mapped_stream = list(make_workload(kind, mapped, num_requests=150, seed=21))
+    owned_stream = list(make_workload(kind, graph, num_requests=150, seed=21))
+    assert owned_stream == mapped_stream
 
 
 def test_adaptive_stream_is_deterministic_under_identical_feedback(graph):
