@@ -17,8 +17,6 @@ The public API is re-exported here for convenience:
 * classic LCAs (MIS, matching)          — :mod:`repro.lca_classic`
 * lower-bound constructions             — :mod:`repro.lowerbound`
 * verification / benchmarking harness   — :mod:`repro.analysis`
-* service execution (pinned shard workers, retries)
-                                        — :mod:`repro.exec`
 * online query service (shards, scheduler, workloads)
                                         — :mod:`repro.service`
 * experiment & reporting plane (scenario specs, Markdown reports)
@@ -37,7 +35,6 @@ from . import (
     analysis,
     baselines,
     core,
-    exec,
     graphs,
     lca_classic,
     lowerbound,
@@ -86,7 +83,6 @@ __all__ = [
     "analysis",
     "baselines",
     "core",
-    "exec",
     "graphs",
     "lca_classic",
     "lowerbound",

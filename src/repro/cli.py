@@ -35,8 +35,7 @@ Usage examples::
     python -m repro.cli materialize --generate gnp --n 400 --density 0.1 \
         --algorithm spanner3 --kernel numpy
     python -m repro.cli serve-bench --generate gnp --n 300 --density 0.08 \
-        --workload zipf --requests 2000 --shards 4 --batch-size 32 \
-        --executor thread
+        --workload zipf --requests 2000 --shards 4 --batch-size 32
     python -m repro.cli serve-bench --generate gnp --n 300 --density 0.08 \
         --workload churn --requests 2000 --shards 4 --replication 2 \
         --crashes 4 --flaky 2 --fault-seed 9
@@ -47,10 +46,13 @@ Usage examples::
     python -m repro.cli report run scenarios/smoke.toml --smoke
     python -m repro.cli report render --out report.md
 
-``--query-mode {cold,cached,batched}`` picks the query engine and (for
-``serve-bench``) ``--executor {serial,thread}`` / ``--workers N`` the shard
-workers; both are performance knobs only — answers and probe accounting are
-identical.
+``--query-mode {cold,cached,batched}`` picks the query engine and
+``--kernel`` the probe kernels; both are performance knobs only — answers
+and probe accounting are identical.
+
+Bad input fails with one line: a library error (:class:`ReproError`) or an
+unreadable file (:class:`OSError`) escaping a command exits as
+``<command>: <message>``.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import graphs
 from .analysis import evaluate_lca, exponent_row, format_table, run_sweep
-from .core.errors import GraphError, UnknownVertexError
+from .core.errors import GraphError, ReproError
 from .core.registry import available, create
-from .exec import PINNED_BACKENDS
 from .faults import FaultPlan, FaultPlanError
 from .graphs.io import read_edge_list, write_edge_list
 from .kernels import KERNELS, KernelUnavailableError
@@ -123,10 +124,10 @@ def _load_graph(args) -> graphs.Graph:
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type for counts that must be >= 1 (--workers, --max-inflight).
+    """Argparse type for counts that must be >= 1 (--memo-cap, --replication).
 
-    Rejecting 0/negative values here turns what used to be a deep traceback
-    from the executor layer into a one-line argparse usage error.
+    Rejecting 0/negative values here gives a one-line argparse usage error
+    before any graph is built.
     """
     try:
         value = int(text)
@@ -233,13 +234,22 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _int_list(text: str) -> List[int]:
+    """Argparse type for comma-separated integers (``--sizes 200,400``)."""
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers"
+        )
+
+
 def cmd_sweep(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
     sweep = run_sweep(
         args.algorithm,
         lca_factory=lambda g, s: create(args.algorithm, g, seed=s),
         graph_factory=lambda n, s: graphs.gnp_graph(n, args.density, seed=s),
-        sizes=sizes,
+        sizes=args.sizes,
         seed=args.seed,
         materialize=False,
         probe_queries=args.queries,
@@ -305,24 +315,24 @@ def cmd_serve_bench(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"serve-bench: {exc}")
     fault_plan = _build_fault_plan(args)
-    config = ServiceConfig(
-        num_shards=args.shards,
-        routing=args.routing,
-        batch_size=args.batch_size,
-        max_queue_depth=args.queue_depth,
-        arrival_burst=args.arrival_burst,
-        coalesce=not args.no_coalesce,
-        record=False,
-        executor=args.executor,
-        workers=args.workers,
-        max_inflight=args.max_inflight,
-        replication=args.replication,
-        fault_plan=fault_plan,
-        max_retries=args.max_retries,
-        timeout_ticks=args.timeout_ticks,
-        degraded_mode=args.degraded_mode,
-        kernel=args.kernel,
-    )
+    try:
+        config = ServiceConfig(
+            num_shards=args.shards,
+            routing=args.routing,
+            batch_size=args.batch_size,
+            max_queue_depth=args.queue_depth,
+            arrival_burst=args.arrival_burst,
+            coalesce=not args.no_coalesce,
+            record=False,
+            replication=args.replication,
+            fault_plan=fault_plan,
+            max_retries=args.max_retries,
+            timeout_ticks=args.timeout_ticks,
+            degraded_mode=args.degraded_mode,
+            kernel=args.kernel,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"serve-bench: {exc}")
     try:
         engine = ServiceEngine(
             graph, lambda g: create(args.algorithm, g, seed=args.seed), config
@@ -338,10 +348,7 @@ def cmd_serve_bench(args) -> int:
         from .obs import ProbeProfiler
 
         profiler = ProbeProfiler()
-    try:
-        report = engine.run(workload, tracer=tracer, profiler=profiler)
-    except FaultPlanError as exc:
-        raise SystemExit(f"serve-bench: {exc}")
+    report = engine.run(workload, tracer=tracer, profiler=profiler)
     print(format_table([report.as_row()], title="Service run"))
     shard_rows = [
         {
@@ -364,31 +371,28 @@ def cmd_serve_bench(args) -> int:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report.as_dict(), handle, indent=2)
         print(f"wrote report to {args.json}")
-    try:
-        if args.trace_out:
-            from .obs import write_trace_jsonl
+    if args.trace_out:
+        from .obs import write_trace_jsonl
 
-            count = write_trace_jsonl(args.trace_out, tracer)
-            print(f"wrote {count} spans to {args.trace_out}")
-        if args.trace_chrome:
-            from .obs import write_chrome_trace
+        count = write_trace_jsonl(args.trace_out, tracer)
+        print(f"wrote {count} spans to {args.trace_out}")
+    if args.trace_chrome:
+        from .obs import write_chrome_trace
 
-            count = write_chrome_trace(args.trace_chrome, tracer)
-            print(f"wrote Chrome trace ({count} events) to {args.trace_chrome}")
-        if args.metrics_out:
-            import json
+        count = write_chrome_trace(args.trace_chrome, tracer)
+        print(f"wrote Chrome trace ({count} events) to {args.trace_chrome}")
+    if args.metrics_out:
+        import json
 
-            from .obs import collect_run_metrics
+        from .obs import collect_run_metrics
 
-            snapshot = collect_run_metrics(report, profiler).snapshot()
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                json.dump(snapshot, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(
-                f"wrote {len(snapshot['metrics'])} metrics to {args.metrics_out}"
-            )
-    except OSError as exc:
-        raise SystemExit(f"serve-bench: {exc}")
+        snapshot = collect_run_metrics(report, profiler).snapshot()
+        with open(args.metrics_out, "w", encoding="utf-8") as handle:
+            json.dump(snapshot, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(
+            f"wrote {len(snapshot['metrics'])} metrics to {args.metrics_out}"
+        )
     return 0
 
 
@@ -414,10 +418,7 @@ def cmd_trace(args) -> int:
     else:
         print("trace summary: 0 spans")
     if args.chrome:
-        try:
-            count = write_chrome_trace(args.chrome, records)
-        except OSError as exc:
-            raise SystemExit(f"trace: {exc}")
+        count = write_chrome_trace(args.chrome, records)
         print(f"wrote Chrome trace ({count} events) to {args.chrome}")
     return 0
 
@@ -428,9 +429,13 @@ def cmd_mutate(args) -> int:
     if args.ops:
         from .service import read_trace_ops
 
+        try:
+            records = read_trace_ops(args.ops)
+        except ValueError as exc:
+            raise SystemExit(f"mutate: --ops: {exc}")
         ops.extend(
             (record.op, record.u, record.v)
-            for record in read_trace_ops(args.ops)
+            for record in records
             if record.is_mutation
         )
     for value in args.add or []:
@@ -442,11 +447,8 @@ def cmd_mutate(args) -> int:
     if not ops:
         raise SystemExit("mutate needs at least one --add, --remove or --ops")
     before_edges = graph.num_edges
-    try:
-        for (op, u, v) in ops:
-            graph.apply_mutation(op, u, v)
-    except (GraphError, UnknownVertexError) as exc:
-        raise SystemExit(f"mutate: {exc}")
+    for (op, u, v) in ops:
+        graph.apply_mutation(op, u, v)
     graph.compact()
     rows = [
         {
@@ -753,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="size/probe scaling sweep")
     sweep.add_argument("--algorithm", default="spanner3")
-    sweep.add_argument("--sizes", default="200,400,800")
+    sweep.add_argument("--sizes", type=_int_list, default=[200, 400, 800])
     sweep.add_argument("--density", type=float, default=0.12)
     sweep.add_argument("--queries", type=int, default=80)
     sweep.add_argument("--seed", type=int, default=1)
@@ -810,20 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-coalesce", action="store_true",
         help="serve request-by-request instead of coalescing batches per shard",
-    )
-    serve.add_argument(
-        "--executor", choices=sorted(PINNED_BACKENDS), default="serial",
-        help="shard-worker backend: 'serial' (inline, reference) or "
-        "'thread' (one dedicated worker per shard; shards execute "
-        "concurrently). Answers and probe totals are identical",
-    )
-    serve.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="worker-thread cap for --executor thread (default: one per shard)",
-    )
-    serve.add_argument(
-        "--max-inflight", type=_positive_int, default=1,
-        help="dispatched-but-uncompleted batch limit (pipelining depth)",
     )
     serve.add_argument(
         "--replication", type=_positive_int, default=1,
@@ -1006,7 +994,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (ReproError, OSError) as exc:
+        raise SystemExit(f"{args.command}: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests calling main()

@@ -12,19 +12,17 @@ during dispatch:
 * :meth:`take_delay` — slow-batch injection: extra ticks this submission
   must burn (the engine compares the delay against its timeout budget);
 * :meth:`take_flake` — transient-error injection: whether this submission
-  should raise :class:`TransientFaultError` instead of serving.
+  fails transiently instead of serving (the engine then retries it).
 
 Consumption is **submission-scoped**: every submission — including each
 retry — draws one unit from the victim replica's slow/flaky budget, so a
 ``flaky`` event with ``count=3`` against an engine allowing 2 retries
 exhausts the retry budget (three failed attempts), while ``count=1`` costs
 exactly one backoff.  All state transitions happen at cycle boundaries or
-dispatch time on the coordinator thread, never on workers — which is what
-keeps fault runs bit-reproducible under the thread backend.
+dispatch time.
 
 Determinism contract: with the same plan and the same request stream, the
-sequence of injector decisions is identical across runs, hosts, and the
-service's serial/thread executors.
+sequence of injector decisions is identical across runs and hosts.
 """
 
 from __future__ import annotations
@@ -32,24 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..exec.backends import TransientTaskError
 from .plan import FaultPlan, FaultPlanError
-
-
-class TransientFaultError(TransientTaskError):
-    """An injected transient failure (flaky oracle, worker hiccup).
-
-    Subclasses :class:`~repro.exec.backends.TransientTaskError`, so every
-    retryable execution path treats injected faults exactly like organic
-    transient failures.
-    """
-
-
-def raise_transient_fault(shard: int, replica: int) -> "NoReturn":  # noqa: F821
-    """A submittable task body that fails transiently (picklable)."""
-    raise TransientFaultError(
-        f"injected transient fault on shard {shard} replica {replica}"
-    )
 
 
 @dataclass

@@ -26,11 +26,11 @@ Event kinds (:data:`FAULT_KINDS`):
     extra ticks.  Delays at or past the engine's timeout budget count as
     timeouts and are retried like failures.
 ``flaky``
-    The next ``count`` batch submissions to a replica raise a transient
-    oracle error (:class:`~repro.faults.injector.TransientFaultError`)
-    before doing any work.  Retries are submissions too, so ``count=1``
-    costs one backoff while a count past the engine's retry budget turns
-    into a permanent batch failure.
+    The next ``count`` batch submissions to a replica fail with a
+    transient oracle error before doing any work (decided at submission,
+    see :meth:`~repro.faults.injector.FaultInjector.take_flake`).  Retries
+    are submissions too, so ``count=1`` costs one backoff while a count
+    past the engine's retry budget turns into a permanent batch failure.
 
 Durations are finite by construction (validated ``>= 1``), which is what
 lets the engine *prove* termination: any write blocked on a dead shard is
@@ -200,7 +200,8 @@ class FaultPlan:
         faults, each at a uniform cycle in ``[0, horizon)`` against a
         uniform victim.  The RNG stream is namespaced (``"faults:<seed>"``)
         and consumed in a fixed kind order, so adding one knob never
-        reshuffles the draws of another.
+        reshuffles the draws of another.  Negative counts raise
+        :class:`FaultPlanError`.
         """
         if num_shards < 1:
             raise FaultPlanError("num_shards must be >= 1")
@@ -208,6 +209,14 @@ class FaultPlan:
             raise FaultPlanError("replication must be >= 1")
         if horizon < 1:
             raise FaultPlanError("horizon must be >= 1")
+        for name, value in (
+            ("crashes", crashes),
+            ("shard_losses", shard_losses),
+            ("slow", slow),
+            ("flaky", flaky),
+        ):
+            if value < 0:
+                raise FaultPlanError(f"{name} must be >= 0, got {value}")
         rng = random.Random(f"faults:{seed}")
         events: List[FaultEvent] = []
         for _ in range(crashes):

@@ -17,9 +17,8 @@ Format::
     reason = "benchmarks exist to measure wall-clock time"
 
 ``path`` is an :mod:`fnmatch` glob over repository-relative POSIX paths.
-Parsed with :mod:`tomllib` on 3.11+; on 3.10 a subset parser covering
-exactly this shape (scalar keys + ``[[allow]]`` tables) keeps the linter
-stdlib-only, mirroring the fallback in :mod:`repro.reports.spec`.
+Parsed by :func:`repro.reports.spec.load_toml` (:mod:`tomllib` on 3.11+, a
+stdlib-only subset parser on 3.10).
 """
 
 from __future__ import annotations
@@ -27,7 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import List, Union
+
+from ..reports.spec import load_toml
 
 #: Baseline document version accepted by :func:`load_baseline`.
 BASELINE_SCHEMA = 1
@@ -66,7 +67,7 @@ def load_baseline(path: Union[str, Path]) -> Baseline:
     """Read and validate one baseline document."""
     path = Path(path)
     try:
-        data = _load_toml(path)
+        data = load_toml(path, BaselineError)
     except OSError as exc:
         raise BaselineError(f"cannot read baseline {path}: {exc}") from None
     schema = data.get("schema")
@@ -93,64 +94,3 @@ def load_baseline(path: Union[str, Path]) -> Baseline:
             BaselineEntry(code=raw["code"], path=raw["path"], reason=raw["reason"])
         )
     return Baseline(entries=entries)
-
-
-# --------------------------------------------------------------------------- #
-# TOML loading: stdlib tomllib, else the 3.10 subset parser below.
-# --------------------------------------------------------------------------- #
-def _load_toml(path: Path) -> Dict[str, object]:
-    try:
-        import tomllib
-    except ModuleNotFoundError:  # Python 3.10
-        return _parse_toml_subset(path.read_text(encoding="utf-8"), str(path))
-    with open(path, "rb") as handle:
-        try:
-            return tomllib.load(handle)
-        except tomllib.TOMLDecodeError as exc:
-            raise BaselineError(f"{path}: invalid TOML: {exc}") from None
-
-
-def _parse_toml_subset(text: str, where: str) -> Dict[str, object]:
-    """Parse the baseline subset of TOML: scalars and ``[[allow]]`` tables."""
-    document: Dict[str, object] = {}
-    current = document
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("[[") and line.endswith("]]"):
-            name = line[2:-2].strip()
-            tables = document.setdefault(name, [])
-            if not isinstance(tables, list):
-                raise BaselineError(f"{where}:{lineno}: {name!r} is not an array")
-            current = {}
-            tables.append(current)
-            continue
-        if line.startswith("["):
-            raise BaselineError(
-                f"{where}:{lineno}: only [[name]] tables are supported"
-            )
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise BaselineError(f"{where}:{lineno}: expected 'key = value'")
-        current[key.strip()] = _scalar(value.strip(), f"{where}:{lineno}")
-    return document
-
-
-def _strip_comment(line: str) -> str:
-    in_string = False
-    for position, char in enumerate(line):
-        if char == '"':
-            in_string = not in_string
-        elif char == "#" and not in_string:
-            return line[:position]
-    return line
-
-
-def _scalar(text: str, where: str) -> object:
-    if len(text) >= 2 and text.startswith('"') and text.endswith('"'):
-        return text[1:-1]
-    try:
-        return int(text)
-    except ValueError:
-        raise BaselineError(f"{where}: unsupported value {text!r}") from None

@@ -39,7 +39,6 @@ ENTRY_POINTS = [
     "repro.faults.plan:FaultPlan",
     "repro.faults.plan:FaultPlan.generate",
     "repro.faults.injector:FaultInjector",
-    "repro.exec.backends:call_with_retries",
     "repro.obs.tracer:SpanTracer",
     "repro.obs.metrics:MetricsRegistry",
     "repro.obs.metrics:collect_run_metrics",

@@ -1,9 +1,9 @@
 """EXC001: no silent exception swallowing in the resilience layers.
 
-``service/``, ``faults/`` and ``exec/`` are exactly the places that *handle*
+``service/`` and ``faults/`` are exactly the places that *handle*
 failure — replica failover, retries, degraded modes — and their contracts
 depend on every failure being either resolved or surfaced: the engine keeps
-an exact shed ledger, the retry helper re-raises exhausted transients, the
+an exact shed ledger and degrades exhausted retries explicitly, the
 injector's storms are accounted fault-by-fault.  A bare ``except:`` (which
 also eats ``KeyboardInterrupt``) or an ``except Exception: pass`` silently
 converts an accounted failure into a lie in the availability numbers.
@@ -24,7 +24,7 @@ from ..findings import Finding
 from .base import Rule, dotted_name
 
 #: Packages whose error handling must stay honest.
-GUARDED_PACKAGES = ("src/repro/service", "src/repro/faults", "src/repro/exec")
+GUARDED_PACKAGES = ("src/repro/service", "src/repro/faults")
 
 _BROAD_TYPES = frozenset({"Exception", "BaseException"})
 
@@ -38,12 +38,12 @@ def _is_noop(statement: ast.stmt) -> bool:
 
 
 class SilentExceptRule(Rule):
-    """EXC001: no bare/blanket-and-silent except in service/, faults/, exec/."""
+    """EXC001: no bare/blanket-and-silent except in service/ and faults/."""
 
     code = "EXC001"
     name = "no-silent-except"
     contract = (
-        "service/, faults/ and exec/ never use bare except: or a "
+        "service/ and faults/ never use bare except: or a "
         "broad except whose body silently swallows the error"
     )
 

@@ -5,7 +5,7 @@ tracing and metrics are *pure observation*: attaching a tracer changes no
 answer, probe count or latency stamp, and the disabled path costs one
 attribute check per site.  That second half is a source-level discipline —
 every ``tracer.span/instant/begin/end`` (and registry ``counter/gauge/
-observe``) call in the hot packages (``core/``, ``kernels/``, ``exec/``,
+observe``) call in the hot packages (``core/``, ``kernels/``,
 ``service/``) must sit behind an ``if tracer.enabled``-style guard or be
 made on a receiver that defaults to :data:`repro.obs.tracer.NULL_TRACER`.
 
@@ -38,7 +38,6 @@ from .base import Rule, ancestors, dotted_name
 HOT_PACKAGES = (
     "src/repro/core",
     "src/repro/kernels",
-    "src/repro/exec",
     "src/repro/service",
 )
 
@@ -157,7 +156,7 @@ class GuardedObservabilityRule(Rule):
     code = "OBS001"
     name = "guarded-observability"
     contract = (
-        "tracer/metrics calls in core/, kernels/, exec/, service/ sit "
+        "tracer/metrics calls in core/, kernels/, service/ sit "
         "behind an enabled-guard or use the NULL_TRACER pattern"
     )
 

@@ -5,7 +5,7 @@ Every plane used to report its numbers in its own shape — the service in a
 :class:`~repro.core.probes.ProbeStatistics`, the fault plane in
 :class:`~repro.faults.FaultStats`.  The registry gives them one home: flat
 dotted names (``plane.subsystem.metric``, e.g. ``service.requests.served``,
-``cache.lookups.hits``, ``probes.kind.neighbor``, ``executor.inflight.max``,
+``cache.lookups.hits``, ``probes.kind.neighbor``, ``executor.queue.max_depth``,
 ``faults.crashes``) over three instrument types:
 
 * **counter** — a monotone event count (``service.requests.served``);
@@ -168,7 +168,6 @@ def collect_run_metrics(report, profiler=None) -> MetricsRegistry:
     # executor.* — scheduler shape of the run.
     registry.gauge("executor.shards", report.num_shards)
     registry.gauge("executor.replication", report.replication)
-    registry.gauge("executor.inflight.max", report.max_inflight)
     registry.gauge("executor.queue.max_depth", report.max_queue_depth_seen)
     registry.counter("executor.retries", report.faults.get("retries", 0))
     registry.counter("executor.timeouts", report.faults.get("timeouts", 0))

@@ -45,10 +45,9 @@ CACHE_OUTCOMES = (COLD, MEMO_HIT, EPOCH_INVALIDATED)
 class ProbeProfiler:
     """Accumulates per-phase and per-cache-outcome probe attribution.
 
-    One profiler per LCA (an LCA is never queried concurrently: each shard
-    runs on one pinned worker, see :class:`repro.exec.PinnedWorkers`);
-    per-shard/replica profilers are merged into a pool-level view with
-    :meth:`merge` in shard order at report time.
+    One profiler per LCA (the service engine serves one shard call at a
+    time); per-shard/replica profilers are merged into a pool-level view
+    with :meth:`merge` in shard order at report time.
     """
 
     enabled = True

@@ -18,9 +18,9 @@ Design constraints, in priority order:
    counted in :attr:`SpanTracer.dropped` so exports can say so honestly.
 
 Spans form a hierarchy: a context-manager :meth:`SpanTracer.span` nests via
-an internal stack (coordinator-thread use), while :meth:`SpanTracer.begin`
-/ :meth:`SpanTracer.end` accept an explicit parent for work that overlaps
-(pipelined in-flight batches complete out of submission order).
+an internal stack, while :meth:`SpanTracer.begin` / :meth:`SpanTracer.end`
+accept an explicit parent for work that does not nest (a service batch stays
+open across the write and fault events that follow its dispatch).
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class SpanTracer:
         """Open a span that may outlive LIFO nesting (explicit parent).
 
         ``parent=None`` attaches to the innermost open context-manager span,
-        so pipelined work still hangs off the run's root span.
+        so a service batch still hangs off the run's root span.
         """
         parent_id = parent.span_id if parent is not None else self._current_parent()
         return self._new_span(name, cat, parent_id, args)

@@ -19,8 +19,8 @@ Markdown report twice and compares bytes.
 
 **Faithful accounting.**  Probe totals and per-kind counts come from the
 same cold-schedule accounting contract every other harness uses (see
-:mod:`repro.core.cache`): the query mode and service executor axes change
-wall-clock time only, never the reported probe numbers.
+:mod:`repro.core.cache`): the query mode and the service's sharding and
+batching change wall-clock time only, never the reported probe numbers.
 """
 
 from __future__ import annotations
@@ -267,8 +267,6 @@ def _run_service(spec: ScenarioSpec, tracer=None) -> Dict[str, object]:
         arrival_burst=service.arrival_burst,
         coalesce=service.coalesce,
         record=False,
-        executor=service.executor,
-        max_inflight=service.max_inflight,
         replication=service.replication,
         fault_plan=fault_plan,
         max_retries=service.max_retries,

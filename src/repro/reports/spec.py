@@ -45,10 +45,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from ..core.errors import ReproError
-from ..exec import PINNED_BACKENDS
 from ..faults import FaultPlan
 from ..graphs.generators import GRAPH_FAMILIES
 from ..service.engine import DEGRADED_MODES
@@ -197,8 +196,6 @@ class ServiceSpec:
     max_queue_depth: int = 1024
     arrival_burst: Optional[int] = None
     coalesce: bool = True
-    executor: str = "serial"
-    max_inflight: int = 1
     replication: int = 1
     max_retries: int = 2
     timeout_ticks: int = 64
@@ -212,8 +209,6 @@ class ServiceSpec:
         _require(self.max_queue_depth >= 1, "max_queue_depth must be >= 1")
         if self.arrival_burst is not None:
             _require(self.arrival_burst >= 1, "arrival_burst must be >= 1")
-        _check_choice(self.executor, tuple(PINNED_BACKENDS), "service executor")
-        _require(self.max_inflight >= 1, "max_inflight must be >= 1")
         _require(self.replication >= 1, "replication must be >= 1")
         _require(self.max_retries >= 0, "max_retries must be >= 0")
         _require(self.timeout_ticks >= 1, "timeout_ticks must be >= 1")
@@ -227,8 +222,6 @@ class ServiceSpec:
             "batch_size": self.batch_size,
             "max_queue_depth": self.max_queue_depth,
             "coalesce": self.coalesce,
-            "executor": self.executor,
-            "max_inflight": self.max_inflight,
         }
         if self.arrival_burst is not None:
             payload["arrival_burst"] = self.arrival_burst
@@ -494,23 +487,28 @@ def _sub(spec_cls, data: Optional[Dict[str, object]], what: str):
 # --------------------------------------------------------------------------- #
 # File loading
 # --------------------------------------------------------------------------- #
-def _load_toml(path: Path) -> Dict[str, object]:
-    """Parse a TOML spec file: :mod:`tomllib` on 3.11+, a subset parser on 3.10.
+def load_toml(path: Path, error: Type[Exception] = SpecError) -> Dict[str, object]:
+    """Parse a TOML file: :mod:`tomllib` on 3.11+, a subset parser on 3.10.
 
-    The fallback covers exactly what scenario specs use — ``[table]`` /
+    The one TOML reader for scenario specs and the lint baseline.  The
+    fallback covers exactly what those files use — ``[table]`` /
     ``[[array-of-tables]]`` headers, ``key = value`` with strings, ints,
     floats, booleans and flat arrays, and ``#`` comments — and produces the
-    same structure tomllib would for those files.
+    same structure tomllib would for them.  Malformed input raises the
+    caller's ``error`` type, located by path (and line, for the fallback).
     """
     try:
         import tomllib
     except ImportError:  # Python 3.10 (python_requires floor)
-        return _parse_toml_subset(path)
+        try:
+            return _parse_toml_subset(path)
+        except SpecError as exc:
+            raise error(str(exc)) from None
     with path.open("rb") as handle:
         try:
             return tomllib.load(handle)
         except tomllib.TOMLDecodeError as exc:
-            raise SpecError(f"{path}: invalid TOML: {exc}") from None
+            raise error(f"{path}: invalid TOML: {exc}") from None
 
 
 def _parse_toml_subset(path: Path) -> Dict[str, object]:
@@ -619,7 +617,7 @@ def load_scenario_file(path: Union[str, Path]) -> List[ScenarioSpec]:
         except json.JSONDecodeError as exc:
             raise SpecError(f"{path}: invalid JSON: {exc}") from None
     elif path.suffix.lower() == ".toml":
-        data = _load_toml(path)
+        data = load_toml(path)
     else:
         raise SpecError(f"spec file {path} must be .toml or .json")
     if not isinstance(data, dict):

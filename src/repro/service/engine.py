@@ -1,4 +1,4 @@
-"""Request scheduler: bounded queue, admission control, concurrent shards.
+"""Request scheduler: bounded queue, admission control, sharded serving.
 
 The engine turns a :class:`~repro.service.workload.Workload` (an open-loop
 arrival stream) into served answers through a
@@ -9,42 +9,26 @@ arrival stream) into served answers through a
    edges of ``G`` and requests arriving while the queue is at
    ``max_queue_depth`` are rejected (counted, never served).  Admitted
    requests are stamped with their arrival time.
-2. **Dispatch** — pop up to ``batch_size`` requests (FIFO) and submit the
-   batch to the shard workers as futures.  With ``coalesce=True`` the
-   router partitions the batch by owning shard and each shard group becomes
-   one future on that shard's pinned worker — with the ``thread`` executor
-   the groups execute *concurrently*, one worker per shard, while each
-   shard's memo state stays single-threaded.  With ``coalesce=False`` every
-   request is its own future on its owner's worker (the unbatched
-   baseline).  Up to ``max_inflight`` dispatched batches may be in flight
-   before the engine waits on the oldest.
-3. **Complete** — resolve the oldest batch's futures, stamp completion,
-   record per-request latency (completion − arrival, so queueing delay is
-   included), feed answers back to the workload (the adaptive kind steers
-   on them), and accumulate telemetry.  Batches complete in dispatch order,
-   so the request log is deterministic for a given stream regardless of the
-   executor.
+2. **Dispatch** — pop up to ``batch_size`` requests (FIFO) and serve them
+   on their shards, inline.  With ``coalesce=True`` the router partitions
+   the batch by owning shard and each shard group is one streaming
+   ``serve_batch`` call on that shard; with ``coalesce=False`` every
+   request is its own ``serve_one`` call (the unbatched baseline).
+3. **Complete** — stamp completion, record per-request latency
+   (completion − arrival, so queueing delay is included), feed answers back
+   to the workload (the adaptive kind steers on them), and accumulate
+   telemetry.  A batch completes at the end of the cycle that dispatched
+   it, or earlier when a write reaches the queue head behind it, so at
+   most one batch is open at a time.
 
 Setting ``arrival_burst > batch_size`` models an overloaded ingress: the
 queue fills, admission control starts shedding, and the latency percentiles
-show the queueing delay — the knobs a load-shedding study needs.  The
-admission *rule* (reject non-edges; reject at ``max_queue_depth``) never
-changes, and the *executor* is invisible to it: for a fixed
-``max_inflight`` the queue passes through exactly the same states whether
-shards run inline or on worker threads.  ``max_inflight`` itself, however,
-is a scheduling knob like ``batch_size``: a deeper pipeline pops more
-batches per cycle, so under overload the queue sits lower and fewer
-arrivals are shed — deterministically, but not identically to depth 1.
+show the queueing delay — the knobs a load-shedding study needs.
 
 Everything is deterministic given (graph, seed, workload): answers are pure
-functions of ``(graph, seed, query)``, so scheduling, sharding, batching and
-the executor can only change *wall-clock* numbers, never answers or
-per-request probe totals.  (One scheduling-visible caveat: with
-``max_inflight > 1`` the *adaptive* workload sees answer feedback one batch
-later than it would serially, which steers its stream differently — still
-deterministically.  Open-loop kinds are unaffected.)
-``tests/test_service_equivalence.py`` and ``tests/test_service_parallel.py``
-pin exactly that.
+functions of ``(graph, seed, query)``, so scheduling, sharding and batching
+can only change *wall-clock* numbers, never answers or per-request probe
+totals.  ``tests/test_service_equivalence.py`` pins exactly that.
 
 Every timestamp the engine records flows through the injected ``clock``
 (arrival stamps, completion stamps, run duration) — no code path reads
@@ -64,10 +48,9 @@ three rules that keep the run deterministic and the shared graph safe:
    of an edge a queued write will create is admitted, one a queued write
    will delete is rejected — validity is judged against the state the read
    will execute under, not the current graph.
-2. **Barrier semantics** — when a write reaches the queue head, every
-   in-flight read batch is completed first, then the owning shard's worker
-   applies the mutation synchronously; reads queued behind it dispatch
-   afterwards.  No shard worker ever reads the graph while it changes.
+2. **Barrier semantics** — when a write reaches the queue head, the read
+   batch dispatched ahead of it completes first, then the owning shard
+   applies the mutation; reads queued behind it dispatch afterwards.
 3. **Lazy cross-shard invalidation** — the mutation bumps vertex epochs on
    the shared graph; sibling shards discard stale memo entries on their
    next lookup (see :mod:`repro.core.cache`), so a write costs O(1) plus
@@ -82,19 +65,17 @@ With a :class:`~repro.faults.FaultPlan` configured, a
 and fault runs stay bit-reproducible.  The engine reacts:
 
 * **Failover** — each shard is a :class:`~repro.service.shards.ReplicaSet`
-  of ``replication`` same-seed LCA instances, one pinned worker per
-  replica.  Reads route to a sticky *primary* (lowest live replica index);
-  when a crash takes the primary down, the lowest live replica is promoted
-  and inherits the crashed primary's warm memo state by merging the set's
-  latest checkpoint (taken every ``checkpoint_interval`` batches on the
-  primary's own worker).  Answers and per-request probe totals are
-  unchanged by failover — LCA purity plus cold-schedule accounting make
-  every replica serve bit-identically.
-* **Retries with backoff** — submissions hit by injected transient errors
-  (or organic :class:`~repro.exec.TransientTaskError`) and timed-out slow
-  batches are resubmitted to the *current* primary, up to
-  ``max_retries`` times, burning capped-exponential backoff ticks through
-  the injected clock between attempts.  Sub-timeout slow batches just burn
+  of ``replication`` same-seed LCA instances.  Reads route to a sticky
+  *primary* (lowest live replica index); when a crash takes the primary
+  down, the lowest live replica is promoted and inherits the crashed
+  primary's warm memo state by merging the set's latest checkpoint (taken
+  from the primary every ``checkpoint_interval`` batches).  Answers and
+  per-request probe totals are unchanged by failover — LCA purity plus
+  cold-schedule accounting make every replica serve bit-identically.
+* **Retries with backoff** — submissions hit by injected flaky faults and
+  timed-out slow batches are resubmitted to the *current* primary, up to
+  ``max_retries`` times, burning :func:`backoff_ticks` readings of the
+  injected clock between attempts.  Sub-timeout slow batches just burn
   their delay ticks before the completion stamp.
 * **Graceful degradation** — a read whose shard has no live replica (and a
   read whose retries are exhausted) is handled per ``degraded_mode``:
@@ -124,7 +105,6 @@ from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 from ..core.ids import canonical_edge
 from ..core.lca import SpannerLCA
 from ..core.probes import ProbeStatistics
-from ..exec import PINNED_BACKENDS, PinnedWorkers, RetryPolicy, TransientTaskError
 from ..faults import FaultInjector, FaultPlan, FaultStats
 from ..graphs.graph import Graph
 from ..obs.profiler import ProbeProfiler
@@ -140,6 +120,14 @@ DEGRADED_MODES = ("answer", "shed")
 
 #: Shed-reason codes reported under ``extras["shed_reasons"]``.
 SHED_REASONS = ("invalid", "overload", "degraded")
+
+
+def backoff_ticks(attempt: int) -> int:
+    """Clock ticks burned before retry number ``attempt`` (0-based).
+
+    Capped exponential backoff: 1, 2, 4, then 8 ticks for every later retry.
+    """
+    return 1 << min(attempt, 3)
 
 
 @dataclass
@@ -160,29 +148,15 @@ class ServiceConfig:
     #: Keep a per-request :class:`RequestRecord` log on the engine
     #: (equivalence tests replay it; disable for pure throughput runs).
     record: bool = True
-    #: Shard-worker backend: "serial" executes submissions inline (the
-    #: reference path), "thread" gives every shard a dedicated worker thread
-    #: so shard groups of a batch execute concurrently.
-    executor: str = "serial"
-    #: Worker-thread cap for the "thread" executor (default: one per shard
-    #: replica).  Fewer workers than replicas pin several replicas to one
-    #: thread — each replica still executes single-threaded.
-    workers: Optional[int] = None
-    #: Dispatched-but-uncompleted batch limit (pipelining depth).  1 keeps
-    #: the classic dispatch→complete lockstep; higher values overlap batch
-    #: N+1's dispatch with batch N's execution on threaded workers.
-    max_inflight: int = 1
     #: Replicas per shard (1 = no redundancy).  Each replica is an
-    #: independent same-seed LCA on its own pinned worker.
+    #: independent same-seed LCA instance.
     replication: int = 1
     #: Deterministic fault schedule to inject (None = fault-free run; the
     #: fault machinery is entirely bypassed).
     fault_plan: Optional[FaultPlan] = None
-    #: Retry budget for transiently failed / timed-out submissions.
+    #: Retry budget for transiently failed / timed-out submissions; retries
+    #: are spaced by :func:`backoff_ticks`.
     max_retries: int = 2
-    #: Capped-exponential backoff between retries, in clock ticks.
-    backoff_base: int = 1
-    backoff_cap: int = 8
     #: Slow-batch budget: an injected delay of this many ticks or more is a
     #: timeout (the submission is abandoned and retried).
     timeout_ticks: int = 64
@@ -209,19 +183,10 @@ class ServiceConfig:
             raise ValueError("max_queue_depth must be >= 1")
         if self.arrival_burst is not None and self.arrival_burst < 1:
             raise ValueError("arrival_burst must be >= 1")
-        if self.executor not in PINNED_BACKENDS:
-            raise ValueError(
-                f"unknown service executor {self.executor!r}; "
-                f"choices: {PINNED_BACKENDS} (shard memo state lives "
-                "in-process, so the service runs on serial or thread workers; "
-                "the process backend applies to offline materialization)"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
         if self.replication < 1:
             raise ValueError("replication must be >= 1")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
         if self.degraded_mode not in DEGRADED_MODES:
             raise ValueError(
                 f"unknown degraded_mode {self.degraded_mode!r}; "
@@ -235,20 +200,10 @@ class ServiceConfig:
             from ..kernels import check_kernel
 
             check_kernel(self.kernel)
-        # RetryPolicy validates max_retries / backoff_base / backoff_cap.
-        self.retry_policy
 
     @property
     def effective_burst(self) -> int:
         return self.batch_size if self.arrival_burst is None else self.arrival_burst
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            max_retries=self.max_retries,
-            backoff_base=self.backoff_base,
-            backoff_cap=self.backoff_cap,
-        )
 
 
 class RequestRecord(NamedTuple):
@@ -276,32 +231,20 @@ class _Pending(NamedTuple):
 class _Part(NamedTuple):
     """One shard-group submission of a dispatched batch.
 
-    ``kind`` is "ok" (a real future), or an injected outcome decided at
+    ``kind`` is "ok" (served: ``outcomes`` holds one ``(answer,
+    probe_total)`` per position), or an injected outcome decided at
     submission time: "flaky" (transient error), "timeout" (slow past the
     timeout budget), "down" (no live replica).  ``group``/``single`` carry
     what a retry needs to resubmit.
     """
 
-    future: object
+    outcomes: Optional[List[Tuple[bool, int]]]
     positions: List[int]
     group: List[Edge]
     shard_id: int
     kind: str
     delay: int
     single: bool
-
-
-class _InflightBatch(NamedTuple):
-    """A dispatched batch: its requests plus one part per shard group.
-
-    ``span`` is the open ``service.batch`` tracer span (None untraced);
-    batches may complete out of submission order under pipelining, which is
-    why the span is carried here instead of living on the tracer's stack.
-    """
-
-    requests: List[_Pending]
-    parts: List[_Part]
-    span: object = None
 
 
 #: Sentinel outcome for requests that could not be served (degraded path).
@@ -362,12 +305,11 @@ class ServiceEngine:
 
         ``tracer`` (a :class:`repro.obs.tracer.SpanTracer`) records the run
         as a deterministic span hierarchy: one ``service.run`` root, one
-        ``service.batch`` span per dispatched batch (opened at submission,
-        closed at completion — pipelined batches overlap), and instants for
-        sheds, writes, failovers, retries, timeouts and checkpoints.  The
-        tracer keeps its own tick clock and is only touched from the
-        coordinator thread, so traces are byte-identical across runs,
-        executors and worker counts — and never advance the injected clock.
+        ``service.batch`` span per dispatched batch (opened at dispatch,
+        closed at completion), and instants for sheds, writes, failovers,
+        retries, timeouts and checkpoints.  The tracer keeps its own tick
+        clock, so traces are byte-identical across runs — and never advance
+        the injected clock.
 
         ``profiler`` (a :class:`repro.obs.profiler.ProbeProfiler`) receives
         the run's probe attribution: a fresh profiler rides on every shard
@@ -414,11 +356,10 @@ class ServiceEngine:
         batch_size = config.batch_size
         depth_limit = config.max_queue_depth
         coalesce = config.coalesce
-        max_inflight = config.max_inflight
         num_shards = config.num_shards
         replication = config.replication
         timeout_ticks = config.timeout_ticks
-        retry_policy = config.retry_policy
+        max_retries = config.max_retries
         degraded_shed = config.degraded_mode == "shed"
         tracing = tracer is not None and tracer.enabled
 
@@ -435,7 +376,6 @@ class ServiceEngine:
         primary = [0] * num_shards
 
         queue: Deque[_Pending] = deque()
-        inflight: Deque[_InflightBatch] = deque()
         records: List[RequestRecord] = []
         self.records = records
         latency = LatencyStats()
@@ -467,9 +407,6 @@ class ServiceEngine:
                 return queued[-1] == "add"
             return has_edge(u, v)
 
-        def worker_key(shard_id: int, replica_idx: int) -> int:
-            return shard_id * replication + replica_idx
-
         def serving_replica(shard_id: int) -> Optional[int]:
             """Current live primary of a shard, or None when fully down."""
             if not faults_on:
@@ -480,330 +417,283 @@ class ServiceEngine:
             live = injector.live_replicas(shard_id)
             return live[0] if live else None
 
-        started = clock()
-        with PinnedWorkers(
-            num_shards * replication, config.executor, config.workers
-        ) as workers:
-
-            def submit_part(
-                shard_id: int,
-                group: List[Edge],
-                positions: List[int],
-                single: bool,
-            ) -> _Part:
-                """Submit one shard group, applying injected faults."""
-                idx = serving_replica(shard_id)
-                if idx is None:
-                    if tracing:
-                        tracer.instant(
-                            "service.part_down", "fault",
-                            shard=shard_id, size=len(group),
-                        )
-                    return _Part(None, positions, group, shard_id, "down", 0, single)
-                delay = 0
-                if faults_on:
-                    if injector.take_flake(shard_id, idx):
-                        if tracing:
-                            tracer.instant(
-                                "service.part_flaky", "fault",
-                                shard=shard_id, replica=idx,
-                            )
-                        return _Part(
-                            None, positions, group, shard_id, "flaky", 0, single
-                        )
-                    delay = injector.take_delay(shard_id, idx)
-                    if delay >= timeout_ticks:
-                        if tracing:
-                            tracer.instant(
-                                "service.part_timeout", "fault",
-                                shard=shard_id, replica=idx, delay=delay,
-                            )
-                        return _Part(
-                            None, positions, group, shard_id, "timeout", delay, single
-                        )
-                shard = replica_sets[shard_id].replicas[idx]
-                if single:
-                    (u, v) = group[0]
-                    future = workers.submit(
-                        worker_key(shard_id, idx), shard.serve_one, u, v
-                    )
-                else:
-                    future = workers.submit(
-                        worker_key(shard_id, idx), shard.serve_batch, group, False
-                    )
-                return _Part(future, positions, group, shard_id, "ok", delay, single)
-
-            def resolve_part(part: _Part) -> Optional[List[Tuple[bool, int]]]:
-                """Resolve one part, retrying injected/transient failures.
-
-                Returns outcomes aligned with ``part.positions``, or None
-                when the shard is fully down or the retry budget is spent
-                (the degraded path).  Backoff, timeout and slow-batch costs
-                are charged as clock readings here, on the coordinator, so
-                fault runs stay deterministic under any executor.
-                """
-                attempt = 0
-                while True:
-                    if part.kind == "down":
-                        return None
-                    if part.kind == "ok":
-                        try:
-                            result = part.future.result()
-                        except TransientTaskError:
-                            pass  # organic transient failure: retry below
-                        else:
-                            for _ in range(part.delay):
-                                clock()
-                            if part.single:
-                                return [result]
-                            return list(zip(result.answers, result.probe_totals))
-                    elif part.kind == "timeout":
-                        # The engine waited out the full budget before
-                        # abandoning the submission.
-                        for _ in range(timeout_ticks):
-                            clock()
-                        fstats.timeouts += 1
-                    if attempt >= retry_policy.max_retries:
-                        return None
-                    for _ in range(retry_policy.backoff_ticks(attempt)):
-                        clock()
-                    fstats.retries += 1
-                    if tracing:
-                        tracer.instant(
-                            "service.retry", "fault",
-                            shard=part.shard_id, kind=part.kind, attempt=attempt,
-                        )
-                    attempt += 1
-                    # Resubmit to the *current* primary — it may differ
-                    # from the original target after a failover.
-                    part = submit_part(
-                        part.shard_id, part.group, part.positions, part.single
-                    )
-
-            def complete_oldest() -> None:
-                nonlocal served, in_spanner, admitted, rejected
-                batch, parts, span = inflight.popleft()
-                batch_served = batch_probes = 0
-                outcomes: List[object] = [None] * len(batch)
-                stamps: List[float] = [0.0] * len(batch)
-                if coalesce:
-                    # A coalesced batch completes as a unit: one stamp
-                    # once every shard group has resolved.
-                    for part in parts:
-                        result = resolve_part(part)
-                        if result is None:
-                            for position in part.positions:
-                                outcomes[position] = _DEGRADED
-                        else:
-                            for position, outcome in zip(part.positions, result):
-                                outcomes[position] = outcome
-                    done = clock()
-                    stamps = [done] * len(batch)
-                else:
-                    # The unbatched baseline stamps each request as its
-                    # own future resolves (in batch order), preserving
-                    # the classic per-request completion times.
-                    for part in parts:
-                        result = resolve_part(part)
-                        outcomes[part.positions[0]] = (
-                            _DEGRADED if result is None else result[0]
-                        )
-                        stamps[part.positions[0]] = clock()
-                for req, outcome, done in zip(batch, outcomes, stamps):
-                    degraded = outcome is _DEGRADED
-                    if degraded:
-                        if degraded_shed:
-                            # Re-classify: the read was admitted but cannot
-                            # be served; it leaves the ledger as a shed with
-                            # its own reason code, keeping
-                            # offered == admitted + rejected + mutations and
-                            # served == admitted intact even in fault runs.
-                            admitted -= 1
-                            rejected += 1
-                            shed_reasons["degraded"] += 1
-                            fstats.degraded_sheds += 1
-                            continue
-                        fstats.degraded_answers += 1
-                        answer, probes = False, 0
-                    else:
-                        answer, probes = outcome
-                    served += 1
-                    batch_served += 1
-                    batch_probes += probes
-                    if answer:
-                        in_spanner += 1
-                    elapsed = done - req.arrival_s
-                    latency.add(elapsed)
-                    probe_stats.add(probes)
-                    workload.observe((req.u, req.v), answer)
-                    if config.record:
-                        records.append(
-                            RequestRecord(
-                                req.seq, req.u, req.v, answer, probes, elapsed,
-                                degraded,
-                            )
-                        )
-                if span is not None:
-                    tracer.end(span, served=batch_served, probes=batch_probes)
-
-            def try_apply_write(write: _Pending) -> bool:
-                # Writes are scheduling barriers: every dispatched read batch
-                # resolves first (so no shard worker reads the graph while it
-                # changes), then the owning shard's worker applies the
-                # mutation synchronously.  A write whose shard is fully down
-                # blocks (returns False) — the recovery barrier; it is never
-                # dropped or degraded.
-                nonlocal mutations_applied
-                shard_id = router.shard_of_edge(write.u, write.v)
-                idx = serving_replica(shard_id)
-                if idx is None:
-                    return False
-                while inflight:
-                    complete_oldest()
-                shard = replica_sets[shard_id].replicas[idx]
-                workers.submit(
-                    worker_key(shard_id, idx),
-                    shard.apply_mutation,
-                    write.op,
-                    write.u,
-                    write.v,
-                ).result()
-                key = canonical_edge(write.u, write.v)
-                queued = pending_writes.get(key)
-                if queued:
-                    queued.popleft()
-                    if not queued:
-                        del pending_writes[key]
-                mutations_applied += 1
+        def submit_part(
+            shard_id: int,
+            group: List[Edge],
+            positions: List[int],
+            single: bool,
+        ) -> _Part:
+            """Serve one shard group on its live primary, applying injected faults."""
+            idx = serving_replica(shard_id)
+            if idx is None:
                 if tracing:
                     tracer.instant(
-                        "service.write", "service",
-                        op=write.op, shard=shard_id, cycle=cycle,
+                        "service.part_down", "fault",
+                        shard=shard_id, size=len(group),
                     )
-                return True
-
-            cycle = -1
-            while not exhausted or queue or inflight:
-                cycle += 1
-                if faults_on:
-                    # ---- fault boundary: expire/activate events, rejoin
-                    # recovered replicas from the checkpoint, fail over
-                    # shards whose primary went down, refresh checkpoints.
-                    for shard_id, replica_idx in injector.begin_cycle(cycle):
-                        workers.submit(
-                            worker_key(shard_id, replica_idx),
-                            replica_sets[shard_id].sync,
-                            replica_idx,
-                        ).result()
-                    for shard_id in range(num_shards):
-                        if injector.is_up(shard_id, primary[shard_id]):
-                            continue
-                        live = injector.live_replicas(shard_id)
-                        if live:
-                            primary[shard_id] = live[0]
-                            fstats.failovers += 1
-                            if tracing:
-                                tracer.instant(
-                                    "service.failover", "fault",
-                                    shard=shard_id, replica=live[0], cycle=cycle,
-                                )
-                            workers.submit(
-                                worker_key(shard_id, live[0]),
-                                replica_sets[shard_id].sync,
-                                live[0],
-                            ).result()
-                    if (
-                        replication > 1
-                        and batches - checkpointed_at >= config.checkpoint_interval
-                    ):
-                        for shard_id in range(num_shards):
-                            idx = primary[shard_id]
-                            if injector.is_up(shard_id, idx):
-                                workers.submit(
-                                    worker_key(shard_id, idx),
-                                    replica_sets[shard_id].checkpoint,
-                                    idx,
-                                ).result()
-                                fstats.checkpoints += 1
-                                if tracing:
-                                    tracer.instant(
-                                        "service.checkpoint", "service",
-                                        shard=shard_id, replica=idx, cycle=cycle,
-                                    )
-                        checkpointed_at = batches
-
-                # ---- ingest: up to `burst` arrivals through admission control
-                arrivals = 0
-                while arrivals < burst and not exhausted:
-                    request = workload.next_request()
-                    if request is None:
-                        exhausted = True
-                        break
-                    arrivals += 1
-                    offered += 1
-                    if isinstance(request, TraceOp) and request.is_mutation:
-                        # Writes are never shed: the rest of the stream (the
-                        # workload's internal edge mirror, later reads, later
-                        # writes) is only valid if every write applies
-                        # exactly once, in order.
-                        seq += 1
-                        queue.append(
-                            _Pending(seq, request.u, request.v, clock(), request.op)
+                return _Part(None, positions, group, shard_id, "down", 0, single)
+            delay = 0
+            if faults_on:
+                if injector.take_flake(shard_id, idx):
+                    if tracing:
+                        tracer.instant(
+                            "service.part_flaky", "fault",
+                            shard=shard_id, replica=idx,
                         )
-                        key = canonical_edge(request.u, request.v)
-                        pending_writes.setdefault(key, deque()).append(request.op)
-                        continue
-                    u, v = (
-                        request.edge if isinstance(request, TraceOp) else request
+                    return _Part(None, positions, group, shard_id, "flaky", 0, single)
+                delay = injector.take_delay(shard_id, idx)
+                if delay >= timeout_ticks:
+                    if tracing:
+                        tracer.instant(
+                            "service.part_timeout", "fault",
+                            shard=shard_id, replica=idx, delay=delay,
+                        )
+                    return _Part(
+                        None, positions, group, shard_id, "timeout", delay, single
                     )
-                    if not edge_admissible(u, v):
-                        invalid += 1
+            shard = replica_sets[shard_id].replicas[idx]
+            if single:
+                outcomes = [shard.serve_one(*group[0])]
+            else:
+                result = shard.serve_batch(group, False)
+                outcomes = list(zip(result.answers, result.probe_totals))
+            return _Part(outcomes, positions, group, shard_id, "ok", delay, single)
+
+        def resolve_part(part: _Part) -> Optional[List[Tuple[bool, int]]]:
+            """Outcomes aligned with ``part.positions``, retrying injected failures.
+
+            Returns None when the shard is fully down or the retry budget is
+            spent (the degraded path).  Backoff, timeout and slow-batch costs
+            are charged as clock readings here, at completion.
+            """
+            attempt = 0
+            while True:
+                if part.kind == "down":
+                    return None
+                if part.kind == "ok":
+                    for _ in range(part.delay):
+                        clock()
+                    return part.outcomes
+                if part.kind == "timeout":
+                    # The engine waited out the full budget before
+                    # abandoning the submission.
+                    for _ in range(timeout_ticks):
+                        clock()
+                    fstats.timeouts += 1
+                if attempt >= max_retries:
+                    return None
+                for _ in range(backoff_ticks(attempt)):
+                    clock()
+                fstats.retries += 1
+                if tracing:
+                    tracer.instant(
+                        "service.retry", "fault",
+                        shard=part.shard_id, kind=part.kind, attempt=attempt,
+                    )
+                attempt += 1
+                # Resubmit to the *current* primary — it may differ from
+                # the original target after a failover.
+                part = submit_part(
+                    part.shard_id, part.group, part.positions, part.single
+                )
+
+        def complete(batch: List[_Pending], parts: List[_Part], span) -> None:
+            nonlocal served, in_spanner, admitted, rejected
+            batch_served = batch_probes = 0
+            outcomes: List[object] = [None] * len(batch)
+            stamps: List[float] = [0.0] * len(batch)
+            if coalesce:
+                # A coalesced batch completes as a unit: one stamp once
+                # every shard group has resolved.
+                for part in parts:
+                    result = resolve_part(part)
+                    if result is None:
+                        for position in part.positions:
+                            outcomes[position] = _DEGRADED
+                    else:
+                        for position, outcome in zip(part.positions, result):
+                            outcomes[position] = outcome
+                done = clock()
+                stamps = [done] * len(batch)
+            else:
+                # The unbatched baseline stamps each request as its part
+                # resolves (in batch order), preserving the classic
+                # per-request completion times.
+                for part in parts:
+                    result = resolve_part(part)
+                    outcomes[part.positions[0]] = (
+                        _DEGRADED if result is None else result[0]
+                    )
+                    stamps[part.positions[0]] = clock()
+            for req, outcome, done in zip(batch, outcomes, stamps):
+                degraded = outcome is _DEGRADED
+                if degraded:
+                    if degraded_shed:
+                        # Re-classify: the read was admitted but cannot be
+                        # served; it leaves the ledger as a shed with its
+                        # own reason code, keeping
+                        # offered == admitted + rejected + mutations and
+                        # served == admitted intact even in fault runs.
+                        admitted -= 1
                         rejected += 1
-                        shed_reasons["invalid"] += 1
+                        shed_reasons["degraded"] += 1
+                        fstats.degraded_sheds += 1
+                        continue
+                    fstats.degraded_answers += 1
+                    answer, probes = False, 0
+                else:
+                    answer, probes = outcome
+                served += 1
+                batch_served += 1
+                batch_probes += probes
+                if answer:
+                    in_spanner += 1
+                elapsed = done - req.arrival_s
+                latency.add(elapsed)
+                probe_stats.add(probes)
+                workload.observe((req.u, req.v), answer)
+                if config.record:
+                    records.append(
+                        RequestRecord(
+                            req.seq, req.u, req.v, answer, probes, elapsed,
+                            degraded,
+                        )
+                    )
+            if span is not None:
+                tracer.end(span, served=batch_served, probes=batch_probes)
+
+        def apply_write(write: _Pending, shard_id: int, idx: int) -> None:
+            nonlocal mutations_applied
+            replica_sets[shard_id].replicas[idx].apply_mutation(
+                write.op, write.u, write.v
+            )
+            key = canonical_edge(write.u, write.v)
+            queued = pending_writes.get(key)
+            if queued:
+                queued.popleft()
+                if not queued:
+                    del pending_writes[key]
+            mutations_applied += 1
+            if tracing:
+                tracer.instant(
+                    "service.write", "service",
+                    op=write.op, shard=shard_id, cycle=cycle,
+                )
+
+        started = clock()
+        cycle = -1
+        while not exhausted or queue:
+            cycle += 1
+            if faults_on:
+                # ---- fault boundary: expire/activate events, rejoin
+                # recovered replicas from the checkpoint, fail over shards
+                # whose primary went down, refresh checkpoints.
+                for shard_id, replica_idx in injector.begin_cycle(cycle):
+                    replica_sets[shard_id].sync(replica_idx)
+                for shard_id in range(num_shards):
+                    if injector.is_up(shard_id, primary[shard_id]):
+                        continue
+                    live = injector.live_replicas(shard_id)
+                    if live:
+                        primary[shard_id] = live[0]
+                        fstats.failovers += 1
                         if tracing:
                             tracer.instant(
-                                "service.shed", "service",
-                                reason="invalid", cycle=cycle,
+                                "service.failover", "fault",
+                                shard=shard_id, replica=live[0], cycle=cycle,
                             )
-                        continue
-                    if faults_on and degraded_shed:
-                        # Shed-mode degradation starts at the front door: a
-                        # read for a fully-down shard is turned away with
-                        # its own reason code instead of queueing.
-                        shard_id = router.shard_of_edge(u, v)
-                        if serving_replica(shard_id) is None:
-                            rejected += 1
-                            shed_reasons["degraded"] += 1
-                            fstats.degraded_sheds += 1
+                        replica_sets[shard_id].sync(live[0])
+                if (
+                    replication > 1
+                    and batches - checkpointed_at >= config.checkpoint_interval
+                ):
+                    for shard_id in range(num_shards):
+                        idx = primary[shard_id]
+                        if injector.is_up(shard_id, idx):
+                            replica_sets[shard_id].checkpoint(idx)
+                            fstats.checkpoints += 1
                             if tracing:
                                 tracer.instant(
-                                    "service.shed", "service",
-                                    reason="degraded", cycle=cycle,
+                                    "service.checkpoint", "service",
+                                    shard=shard_id, replica=idx, cycle=cycle,
                                 )
-                            continue
-                    if len(queue) >= depth_limit:
+                    checkpointed_at = batches
+
+            # ---- ingest: up to `burst` arrivals through admission control
+            arrivals = 0
+            while arrivals < burst and not exhausted:
+                request = workload.next_request()
+                if request is None:
+                    exhausted = True
+                    break
+                arrivals += 1
+                offered += 1
+                if isinstance(request, TraceOp) and request.is_mutation:
+                    # Writes are never shed: the rest of the stream (the
+                    # workload's internal edge mirror, later reads, later
+                    # writes) is only valid if every write applies exactly
+                    # once, in order.
+                    seq += 1
+                    queue.append(
+                        _Pending(seq, request.u, request.v, clock(), request.op)
+                    )
+                    key = canonical_edge(request.u, request.v)
+                    pending_writes.setdefault(key, deque()).append(request.op)
+                    continue
+                u, v = request.edge if isinstance(request, TraceOp) else request
+                if not edge_admissible(u, v):
+                    invalid += 1
+                    rejected += 1
+                    shed_reasons["invalid"] += 1
+                    if tracing:
+                        tracer.instant(
+                            "service.shed", "service",
+                            reason="invalid", cycle=cycle,
+                        )
+                    continue
+                if faults_on and degraded_shed:
+                    # Shed-mode degradation starts at the front door: a
+                    # read for a fully-down shard is turned away with its
+                    # own reason code instead of queueing.
+                    shard_id = router.shard_of_edge(u, v)
+                    if serving_replica(shard_id) is None:
                         rejected += 1
-                        shed_reasons["overload"] += 1
+                        shed_reasons["degraded"] += 1
+                        fstats.degraded_sheds += 1
                         if tracing:
                             tracer.instant(
                                 "service.shed", "service",
-                                reason="overload", cycle=cycle,
+                                reason="degraded", cycle=cycle,
                             )
                         continue
-                    seq += 1
-                    queue.append(_Pending(seq, u, v, clock()))
-                    admitted += 1
-                if len(queue) > max_depth_seen:
-                    max_depth_seen = len(queue)
+                if len(queue) >= depth_limit:
+                    rejected += 1
+                    shed_reasons["overload"] += 1
+                    if tracing:
+                        tracer.instant(
+                            "service.shed", "service",
+                            reason="overload", cycle=cycle,
+                        )
+                    continue
+                seq += 1
+                queue.append(_Pending(seq, u, v, clock()))
+                admitted += 1
+            if len(queue) > max_depth_seen:
+                max_depth_seen = len(queue)
 
-                # ---- dispatch: FIFO batches up to the in-flight bound, with
-                # writes serialized ahead of the reads that follow them
-                write_blocked = False
-                while queue:
-                    if queue[0].op != "query":
-                        if try_apply_write(queue[0]):
-                            queue.popleft()
-                            continue
+            # ---- dispatch: one FIFO read batch at a time, with writes
+            # serialized ahead of the reads that follow them
+            write_blocked = False
+            open_batch = None
+            while queue:
+                head = queue[0]
+                if head.op != "query":
+                    shard_id = router.shard_of_edge(head.u, head.v)
+                    idx = serving_replica(shard_id)
+                    if idx is None:
+                        # The recovery barrier: a write whose shard is fully
+                        # down blocks the queue; it is never dropped or
+                        # degraded.
                         write_blocked = True
                         fstats.blocked_write_cycles += 1
                         if tracing:
@@ -811,60 +701,61 @@ class ServiceEngine:
                                 "service.write_blocked", "fault", cycle=cycle
                             )
                         break
-                    if len(inflight) >= max_inflight:
-                        break
-                    batch: List[_Pending] = []
-                    while (
-                        queue
-                        and len(batch) < batch_size
-                        and queue[0].op == "query"
-                    ):
-                        batch.append(queue.popleft())
-                    batches += 1
-                    if coalesce:
-                        parts = [
-                            submit_part(shard_id, group, positions, single=False)
-                            for shard_id, group, positions in pool.partition(
-                                [(req.u, req.v) for req in batch]
-                            )
-                        ]
-                    else:
-                        parts = [
-                            submit_part(
-                                router.shard_of_edge(req.u, req.v),
-                                [(req.u, req.v)],
-                                [position],
-                                single=True,
-                            )
-                            for position, req in enumerate(batch)
-                        ]
-                    span = None
-                    if tracing:
-                        span = tracer.begin(
-                            "service.batch",
-                            "service",
-                            cycle=cycle,
-                            batch=batches,
-                            size=len(batch),
-                            parts=len(parts),
+                    # Writes are scheduling barriers: the open read batch
+                    # completes before the graph changes.
+                    if open_batch is not None:
+                        complete(*open_batch)
+                        open_batch = None
+                    apply_write(queue.popleft(), shard_id, idx)
+                    continue
+                if open_batch is not None:
+                    break
+                batch: List[_Pending] = []
+                while queue and len(batch) < batch_size and queue[0].op == "query":
+                    batch.append(queue.popleft())
+                batches += 1
+                if coalesce:
+                    parts = [
+                        submit_part(shard_id, group, positions, single=False)
+                        for shard_id, group, positions in pool.partition(
+                            [(req.u, req.v) for req in batch]
                         )
-                    inflight.append(_InflightBatch(batch, parts, span))
+                    ]
+                else:
+                    parts = [
+                        submit_part(
+                            router.shard_of_edge(req.u, req.v),
+                            [(req.u, req.v)],
+                            [position],
+                            single=True,
+                        )
+                        for position, req in enumerate(batch)
+                    ]
+                span = None
+                if tracing:
+                    span = tracer.begin(
+                        "service.batch",
+                        "service",
+                        cycle=cycle,
+                        batch=batches,
+                        size=len(batch),
+                        parts=len(parts),
+                    )
+                open_batch = (batch, parts, span)
 
-                # ---- complete: resolve the oldest batch, in dispatch order
-                if inflight and (
-                    len(inflight) >= max_inflight or (exhausted and not queue)
-                ):
-                    complete_oldest()
+            # ---- complete: the batch still open at the end of the cycle
+            if open_batch is not None:
+                complete(*open_batch)
 
-                # ---- recovery fast-forward: a blocked write with nothing
-                # else to do — jump to the injector's next fault transition
-                # instead of spinning one cycle at a time.  Finite fault
-                # durations guarantee a transition exists, so the barrier
-                # always releases and the loop always terminates.
-                if write_blocked and exhausted and not inflight:
-                    target = injector.next_transition_after(cycle)
-                    if target is not None and target > cycle + 1:
-                        cycle = target - 1
+            # ---- recovery fast-forward: a blocked write with nothing else
+            # to do — jump to the injector's next fault transition instead
+            # of spinning one cycle at a time.  Finite fault durations
+            # guarantee a transition exists, so the barrier always releases
+            # and the loop always terminates.
+            if write_blocked and exhausted:
+                target = injector.next_transition_after(cycle)
+                if target is not None and target > cycle + 1:
+                    cycle = target - 1
         duration = clock() - started
 
         report = ServiceReport(
@@ -885,8 +776,6 @@ class ServiceEngine:
             latency=latency,
             probe_stats=probe_stats,
             shard_reports=pool.reports(since=shard_baseline),
-            executor=config.executor,
-            max_inflight=max_inflight,
             mutations=mutations_applied,
             replication=replication,
         )

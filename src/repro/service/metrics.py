@@ -134,8 +134,6 @@ class ServiceReport:
     latency: LatencyStats
     probe_stats: ProbeStatistics
     shard_reports: List[ShardReport] = field(default_factory=list)
-    executor: str = "serial"        # shard-worker backend of the run
-    max_inflight: int = 1           # batch pipelining depth of the run
     mutations: int = 0              # graph writes applied during the run
     replication: int = 1            # replicas per shard
     #: Fault-plane counters (:meth:`repro.faults.FaultStats.as_dict`) —
@@ -209,8 +207,6 @@ class ServiceReport:
             "routing": self.routing,
             "batch_size": self.batch_size,
             "coalesced": self.coalesced,
-            "executor": self.executor,
-            "max_inflight": self.max_inflight,
             "offered": self.offered,
             "admitted": self.admitted,
             "rejected": self.rejected,

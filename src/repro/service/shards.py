@@ -17,13 +17,9 @@ ever materialized on the one shard that owns the vertex, so memory scales
 down per shard and shards never contend on shared mutable state — the layout
 a real multi-process deployment would use.
 
-That no-shared-state layout is also what lets shards *execute* concurrently:
-the request engine pins every shard to one dedicated worker
-(:class:`repro.exec.PinnedWorkers`), so a shard's memo state is only ever
-touched from a single thread while distinct shards overlap.  Answers and
-per-request probe totals are identical either way — the engine's equivalence
-tests pin serial and threaded serving against the same single-oracle
-baseline.
+Answers and per-request probe totals are identical to a single oracle's,
+whatever the shard count or routing policy — the engine's equivalence tests
+pin sharded serving against the same single-oracle baseline.
 
 Routing policies
 ----------------
@@ -183,8 +179,8 @@ class OracleShard:
         """Apply one graph mutation on behalf of the pool; returns the epoch.
 
         The graph object is shared by every shard, so the write executes
-        once — on the owning shard's worker, while no read batch is in
-        flight (the engine's write barrier).  Sibling shards need no
+        once — on the owning shard, while no read batch is open (the
+        engine's write barrier).  Sibling shards need no
         notification: their memo entries check the shared graph's vertex
         epochs on their next lookup and discard themselves lazily.
         """
@@ -271,9 +267,7 @@ class ReplicaSet:
     def checkpoint(self, replica_idx: int) -> int:
         """Export ``replica_idx``'s memo state as the set's checkpoint.
 
-        Returns the checkpoint version.  Runs on the replica's pinned
-        worker (the engine submits it there), so the export never races
-        that replica's in-flight batches.
+        Returns the checkpoint version.
         """
         oracle = self.replicas[replica_idx].lca.ensure_cached_oracle()
         self._version += 1
@@ -417,8 +411,8 @@ class ShardedOraclePool:
         first-seen shard order (deterministic for a given batch); the
         positions let per-shard results scatter straight back into batch
         order.  This is the routing half of :meth:`serve_grouped`, exposed
-        separately so the request engine can submit each group to its
-        shard's worker as an independent future.
+        separately so the request engine can serve (and fault-inject) each
+        group on its shard's live replica.
         """
         shard_of = self.router.shard_of_edge
         groups: Dict[int, List[Edge]] = {}

@@ -44,8 +44,8 @@ MUTATION_OPS = ("add", "remove")
 class TraceOp:
     """One replayable request: a query or a graph mutation.
 
-    ``op`` is one of :data:`TRACE_OPS`.  Frozen (hashable, picklable) so
-    records can key memo tables and travel through executor futures.
+    ``op`` is one of :data:`TRACE_OPS`.  Frozen (hashable) so records can
+    key memo tables.
     """
 
     op: str

@@ -100,16 +100,6 @@ def test_materialize_command_reports_and_exports(graph_file, capsys, tmp_path):
     assert 0 < spanner.num_edges <= host.num_edges
 
 
-def test_serve_bench_thread_executor_flags(graph_file, capsys):
-    code = main(
-        ["serve-bench", "--graph", graph_file, "--requests", "120",
-         "--shards", "3", "--executor", "thread", "--workers", "2",
-         "--max-inflight", "2", "--seed", "4"]
-    )
-    assert code == 0
-    assert "Service run" in capsys.readouterr().out
-
-
 def test_sweep_command(capsys):
     code = main(
         ["sweep", "--algorithm", "spanner3", "--sizes", "40,80", "--queries", "15"]
@@ -261,8 +251,8 @@ def test_serve_bench_replays_whole_trace_when_requests_unset(graph_file, capsys,
     [
         ["materialize", "--memo-cap"],
         ["evaluate", "--memo-cap"],
-        ["serve-bench", "--workers"],
-        ["serve-bench", "--max-inflight"],
+        ["serve-bench", "--replication"],
+        ["serve-bench", "--timeout-ticks"],
     ],
 )
 def test_bad_worker_counts_fail_with_a_clean_argparse_error(
@@ -277,10 +267,51 @@ def test_bad_worker_counts_fail_with_a_clean_argparse_error(
 
 def test_good_worker_counts_still_parse(graph_file):
     args = build_parser().parse_args(
-        ["serve-bench", "--graph", graph_file, "--workers", "3",
-         "--max-inflight", "2"]
+        ["serve-bench", "--graph", graph_file, "--replication", "3",
+         "--timeout-ticks", "2"]
     )
-    assert args.workers == 3 and args.max_inflight == 2
+    assert args.replication == 3 and args.timeout_ticks == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve-bench", "--shards", "0"],
+        ["serve-bench", "--batch-size", "0"],
+        ["serve-bench", "--queue-depth", "0"],
+        ["serve-bench", "--arrival-burst", "0"],
+        ["serve-bench", "--max-retries", "-1"],
+        ["serve-bench", "--crashes", "-1"],
+        ["serve-bench", "--shard-losses", "-1"],
+        ["serve-bench", "--slow", "-1"],
+        ["serve-bench", "--flaky", "-1"],
+        ["sweep", "--sizes", "0"],
+        ["sweep", "--sizes", "abc"],
+        ["lowerbound", "--n", "1"],
+        ["query", "--density", "2"],
+        ["query", "--edge", "0,0"],
+        ["mutate", "--ops", "{missing}"],
+        ["mutate", "--ops", "{malformed}"],
+    ],
+)
+def test_bad_input_fails_with_one_line(tmp_path, capsys, argv):
+    malformed = tmp_path / "malformed.jsonl"
+    malformed.write_text("not json\n", encoding="utf-8")
+    paths = {"missing": tmp_path / "missing.jsonl", "malformed": malformed}
+    argv = [arg.format(**paths) for arg in argv]
+    if argv[0] in ("serve-bench", "query", "mutate"):
+        argv += ["--n", "40"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if excinfo.value.code == 2:  # argparse usage error: the last line says why
+        message = err.strip().splitlines()[-1]
+        assert message.startswith(f"repro-lca {argv[0]}: error: ")
+    else:
+        message = str(excinfo.value.code)
+        assert message.startswith(f"{argv[0]}: ")
+    assert "\n" not in message
 
 
 # --------------------------------------------------------------------------- #

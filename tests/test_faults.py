@@ -1,22 +1,16 @@
-"""Fault plane unit tests: plans, the injector, and the retry machinery.
+"""Fault plane unit tests: plans, the injector, and the retry backoff.
 
 The service-level behaviors (failover equivalence, write barriers, chaos
 determinism) live in ``test_service_faults.py``; these tests pin the
 building blocks in isolation — seeded plan generation, event validation
 and round-trips, injector state transitions at cycle boundaries, and the
-capped-exponential retry helper shared with the exec plane.
+engine's capped-exponential retry backoff.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exec import (
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-    TransientTaskError,
-    call_with_retries,
-)
 from repro.faults import (
     DOWN_KINDS,
     FAULT_KINDS,
@@ -24,8 +18,9 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     FaultPlanError,
-    TransientFaultError,
 )
+from repro.service import ServiceConfig
+from repro.service.engine import backoff_ticks
 
 
 # --------------------------------------------------------------------------- #
@@ -194,54 +189,10 @@ def test_injector_rejects_plans_beyond_the_pool():
         FaultInjector(plan, num_shards=2)
 
 
-def test_injected_fault_error_is_a_transient_task_error():
-    assert issubclass(TransientFaultError, TransientTaskError)
-
-
 # --------------------------------------------------------------------------- #
-# Retry policy / helper (exec plane)
+# Retry backoff (service engine)
 # --------------------------------------------------------------------------- #
 def test_backoff_is_capped_exponential():
-    policy = RetryPolicy(max_retries=6, backoff_base=1, backoff_cap=8)
-    assert [policy.backoff_ticks(a) for a in range(6)] == [1, 2, 4, 8, 8, 8]
-    with pytest.raises(ValueError):
-        RetryPolicy(max_retries=-1)
-    with pytest.raises(ValueError):
-        RetryPolicy(backoff_base=-1)
-    with pytest.raises(ValueError):
-        RetryPolicy(backoff_base=2, backoff_cap=1)
-
-
-def test_call_with_retries_recovers_from_transient_failures():
-    attempts = []
-    reads = []
-
-    def flaky_twice():
-        attempts.append(True)
-        if len(attempts) < 3:
-            raise TransientTaskError("hiccup")
-        return "done"
-
-    result = call_with_retries(
-        flaky_twice, policy=DEFAULT_RETRY_POLICY, clock=lambda: reads.append(True)
-    )
-    assert result == "done"
-    assert len(attempts) == 3
-    # Backoff before each retry: 1 tick, then 2 ticks.
-    assert len(reads) == 3
-
-
-def test_call_with_retries_gives_up_after_the_budget():
-    def always_failing():
-        raise TransientTaskError("permanent, actually")
-
-    with pytest.raises(TransientTaskError):
-        call_with_retries(always_failing, policy=RetryPolicy(max_retries=2))
-
-
-def test_call_with_retries_does_not_swallow_real_errors():
-    def broken():
-        raise ValueError("not transient")
-
-    with pytest.raises(ValueError):
-        call_with_retries(broken)
+    assert [backoff_ticks(a) for a in range(6)] == [1, 2, 4, 8, 8, 8]
+    with pytest.raises(ValueError, match="max_retries"):
+        ServiceConfig(max_retries=-1)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,6 +64,7 @@ def test_spec_round_trips_through_as_dict():
         ({"workload": {"kind": "churn", "write_ratio": 1.5}}, "write_ratio"),
         ({"service": {"routing": "teleport"}}, "routing"),
         ({"mutations": {"ops": -1}}, "ops"),
+        ({"service": {"executor": "serial"}}, "unknown service keys"),
     ],
 )
 def test_invalid_specs_raise_spec_errors(mutation, message):
@@ -148,11 +151,13 @@ def test_smoke_suite_covers_acceptance_matrix():
 
 
 def test_toml_subset_parser_matches_tomllib_on_shipped_specs():
-    """The 3.10 fallback parser must agree with tomllib on every curated spec."""
+    """The 3.10 fallback parser must agree with tomllib on every curated spec
+    and on the lint baseline (the two TOML files the package reads)."""
     tomllib = pytest.importorskip("tomllib")
     from repro.reports.spec import _parse_toml_subset
 
-    for path in sorted(SCENARIOS_DIR.glob("*.toml")):
+    shipped = sorted(SCENARIOS_DIR.glob("*.toml"))
+    for path in shipped + [SCENARIOS_DIR.parent / "lint-baseline.toml"]:
         with path.open("rb") as handle:
             expected = tomllib.load(handle)
         assert _parse_toml_subset(path) == expected, path.name
@@ -176,6 +181,18 @@ def test_subset_parser_rejects_table_array_clash(tmp_path):
     path.write_text('[scenario]\nname = "a"\n\n[[scenario]]\nname = "b"\n')
     with pytest.raises(SpecError, match="clashes"):
         _parse_toml_subset(path)
+
+
+def test_toml_fallback_raises_the_callers_error_at_path_and_line(
+    tmp_path, monkeypatch
+):
+    from repro.lint import BaselineError, load_baseline
+
+    monkeypatch.setitem(sys.modules, "tomllib", None)  # the 3.10 code path
+    path = tmp_path / "lint-baseline.toml"
+    path.write_text("schema = 1\n[[allow]]\ncode = DET001\n", encoding="utf-8")
+    with pytest.raises(BaselineError, match=re.escape(f"{path}:3:")):
+        load_baseline(path)
 
 
 def test_subset_parser_handles_commas_inside_quoted_strings(tmp_path):

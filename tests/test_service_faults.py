@@ -24,6 +24,7 @@ from repro.core.seed import Seed
 from repro.faults import FaultEvent, FaultPlan
 from repro.reports import TickClock
 from repro.service import ServiceConfig, ServiceEngine, TraceOp, make_workload
+from repro.service.engine import backoff_ticks
 
 
 def fresh_graph():
@@ -285,6 +286,20 @@ def test_retry_counters_reflect_injected_flakes_and_slowness():
     assert_ledger(report)
 
 
+def test_retries_burn_backoff_ticks_on_the_injected_clock():
+    # Two flakes on the only shard: its batch is retried twice, after 1 and
+    # then 2 backoff ticks; nothing else reads the clock differently.
+    plan = FaultPlan(events=(FaultEvent(at=1, kind="flaky", shard=0, count=2),))
+    _, baseline, base = run_engine(ServiceConfig(num_shards=1, batch_size=8))
+    _, engine, report = run_engine(
+        ServiceConfig(num_shards=1, batch_size=8, fault_plan=plan)
+    )
+    assert report.faults["retries"] == 2
+    ticks = round((report.duration_s - base.duration_s) * 1000)  # 1 tick = 1 ms
+    assert ticks == backoff_ticks(0) + backoff_ticks(1) == 3
+    assert answer_log(baseline) == answer_log(engine)
+
+
 def test_exhausted_retries_degrade_instead_of_crashing():
     # Three flakes against a 2-retry budget: the batch fails permanently.
     plan = FaultPlan(events=(FaultEvent(at=1, kind="flaky", shard=0, count=30),))
@@ -318,7 +333,7 @@ def test_zero_capacity_queue_is_rejected_at_config_time():
 def test_single_inflight_slot_with_pending_writes_drains_cleanly():
     writes = count_writes(write_ratio=0.3, requests=200)
     _, _, report = run_engine(
-        ServiceConfig(num_shards=2, batch_size=4, max_inflight=1),
+        ServiceConfig(num_shards=2, batch_size=4),
         workload_kind="churn",
         write_ratio=0.3,
         requests=200,
