@@ -129,6 +129,7 @@ class Graph:
         "_delta_entries",
         "_survivors",
         "compact_threshold",
+        "__weakref__",
     )
 
     def __init__(

@@ -1,18 +1,26 @@
-"""The numpy kernel engine: epoch-cached views plus per-algorithm kernels.
+"""The numpy kernel engine: one table store per graph plus per-algorithm kernels.
 
 A :class:`NumpyKernel` is created per LCA (by
 :func:`repro.kernels.resolve_kernel`) and attached to that LCA's cached
 oracle as ``oracle.kernel``.  Call sites in the scalar code branch on the
 attribute: when a kernel is present *and* can build a view of the current
 graph epoch, the vectorized path answers with the exact scalar probe
-schedule; otherwise the scalar loop runs unchanged.  The engine holds one
-epoch-stamped :class:`~repro.kernels.view.CSRView` slot plus scan-table
-caches keyed by center system, so repeated queries against an unchanged
-graph reuse every precomputed table.
+schedule; otherwise the scalar loop runs unchanged.
+
+The state the kernels read lives in one :class:`TableStore` per graph, held
+in a weak-keyed map so it dies with the graph: the epoch's
+:class:`~repro.kernels.view.CSRView` plus the spanner3 prefix and scan
+tables.  An answer is a pure function of (graph, seed, query), so every LCA
+on the graph — every shard and replica — reads the same store, and tables are
+keyed by the center system's value key rather than its identity.  When a
+write moves the epoch, the store rebuilds the view and patches its tables row
+by row (:func:`repro.kernels.spanner3.patch_tables`) instead of rebuilding
+them.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from . import bfs as _bfs
@@ -20,9 +28,72 @@ from . import spanner3 as _spanner3
 from . import spanner5 as _spanner5
 from .view import build_view
 
+#: graph -> its :class:`TableStore`; an entry dies with its graph.
+_STORES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+class TableStore:
+    """One graph's view and spanner3 tables at the latest epoch a kernel read.
+
+    ``prefix`` maps a center system's value key to ``(system, PrefixTables)``
+    and ``scan`` maps ``(key, block)`` to :class:`~repro.kernels.spanner3.ScanTables`.
+    """
+
+    __slots__ = ("np", "epoch", "view", "prefix", "scan")
+
+    def __init__(self, np_module, graph) -> None:
+        self.np = np_module
+        self.epoch = graph.epoch
+        self.view = build_view(np_module, graph)
+        self.prefix = {}
+        self.scan = {}
+
+    def prefix_tables(self, system) -> "_spanner3.PrefixTables":
+        """Election bitmap + prefix-center rows for ``system``."""
+        entry = self.prefix.get(system.key)
+        if entry is None:
+            entry = (system, _spanner3.build_prefix_tables(self.np, self.view, system))
+            self.prefix[system.key] = entry
+        return entry[1]
+
+    def scan_tables(self, system, block: Optional[int]) -> "_spanner3.ScanTables":
+        """Closed-form scan outcomes for ``system`` (per block variant)."""
+        key = (system.key, block)
+        tables = self.scan.get(key)
+        if tables is None:
+            prefix = self.prefix_tables(system)
+            tables = _spanner3.build_scan_tables(self.np, self.view, prefix, block)
+            self.scan[key] = tables
+        return tables
+
+    def advance(self, graph) -> None:
+        """Move to ``graph``'s current epoch, patching every table."""
+        np = self.np
+        old_view = self.view
+        ends = {x for edge in graph.mutations_since(self.epoch) for x in edge}
+        self.epoch = graph.epoch
+        self.view = view = build_view(np, graph)
+        if view is None:
+            return
+        touched = np.array(sorted(view.pos[x] for x in ends), dtype=np.int64)
+        prefix, scan = {}, {}
+        for key, (system, tables) in self.prefix.items():
+            scans = {block: old for (k, block), old in self.scan.items() if k == key}
+            fresh, patched = _spanner3.patch_tables(
+                np, old_view, view, system, tables, scans, touched
+            )
+            prefix[key] = (system, fresh)
+            scan.update(((key, block), new) for block, new in patched.items())
+        self.prefix, self.scan = prefix, scan
+
 
 class NumpyKernel:
-    """Vectorized probe kernels bound to one LCA (one view slot + tables)."""
+    """Vectorized probe kernels bound to one LCA.
+
+    The kernel owns no tables: it keeps a one-slot ``(graph, epoch, store)``
+    pointer to the graph's shared :class:`TableStore`, so the per-scan lookup
+    is an identity and epoch check.
+    """
 
     name = "numpy"
 
@@ -33,47 +104,29 @@ class NumpyKernel:
 
     def __init__(self, np_module) -> None:
         self.np = np_module
-        self._view_slot = None
-        self._prefix_tables = {}
-        self._scan_tables = {}
+        self._slot = None
 
-    # ------------------------------------------------------------------ #
-    # Views
-    # ------------------------------------------------------------------ #
-    def view(self, graph):
-        """The CSRView of ``graph`` at its current epoch (``None`` if unbuildable)."""
-        slot = self._view_slot
+    def store(self, graph) -> TableStore:
+        """The table store of ``graph``, advanced to its current epoch."""
+        slot = self._slot
         epoch = graph.epoch
         if slot is not None and slot[0] is graph and slot[1] == epoch:
             return slot[2]
-        built = build_view(self.np, graph)
-        self._view_slot = (graph, epoch, built)
-        return built
+        store = _STORES.get(graph)
+        if store is None:
+            store = _STORES[graph] = TableStore(self.np, graph)
+        elif store.epoch != epoch:
+            store.advance(graph)
+        self._slot = (graph, epoch, store)
+        return store
+
+    def view(self, graph):
+        """The CSRView of ``graph`` at its current epoch (``None`` if unbuildable)."""
+        return self.store(graph).view
 
     # ------------------------------------------------------------------ #
     # spanner3 scan kernels
     # ------------------------------------------------------------------ #
-    def prefix_tables(self, view, system) -> "_spanner3.PrefixTables":
-        """Election bitmap + prefix-center rows for ``system`` over ``view``."""
-        key = id(system)
-        entry = self._prefix_tables.get(key)
-        if entry is not None and entry[0] is system and entry[1] is view:
-            return entry[2]
-        tables = _spanner3.build_prefix_tables(self.np, view, system)
-        self._prefix_tables[key] = (system, view, tables)
-        return tables
-
-    def scan_tables(self, view, system, block: Optional[int]) -> "_spanner3.ScanTables":
-        """Closed-form scan outcomes for ``system`` (per block variant)."""
-        key = (id(system), block)
-        entry = self._scan_tables.get(key)
-        if entry is not None and entry[0] is system and entry[1] is view:
-            return entry[2]
-        prefix = self.prefix_tables(view, system)
-        tables = _spanner3.build_scan_tables(self.np, view, prefix, block)
-        self._scan_tables[key] = (system, view, tables)
-        return tables
-
     def scan_profile(self, oracle, system, w, x, index, block):
         """One ``_new_cluster_scan_fast`` answer from the precomputed tables."""
         return _spanner3.scan_profile(self, oracle, system, w, x, index, block)

@@ -8,6 +8,8 @@ entry ``e = (w → x)`` it derives whether the scan at ``(w, x)`` keeps the
 edge, how many row steps it performs, and how many adjacency probes it
 charges — so both the per-query scan and the whole-graph batched
 materializer become O(1) table lookups with the exact scalar probe schedule.
+After a write, :func:`patch_tables` carries the tables to the new epoch by
+rebuilding only the rows the write can have changed.
 
 Derivation (matching ``_new_cluster_scan_fast``): for every element ``s`` of
 the prefix-center set S(x), its *first cover* ``fc`` is the smallest row
@@ -46,13 +48,19 @@ class ScanTables:
         self.adj = adj
 
 
-def build_prefix_tables(np, view, system) -> PrefixTables:
-    """Evaluate the (pure, probe-free) center election over a whole view."""
-    elected = np.fromiter(
-        (bool(system.sampler.is_center(vertex)) for vertex in view.ids.tolist()),
-        dtype=bool,
-        count=view.n,
-    )
+def build_prefix_tables(np, view, system, elected=None) -> PrefixTables:
+    """Evaluate the (pure, probe-free) center election over a whole view.
+
+    ``elected`` reuses the election bitmap of an earlier epoch of the same
+    graph: it depends on the vertex id alone, and the vertex set never
+    changes.
+    """
+    if elected is None:
+        elected = np.fromiter(
+            (bool(system.sampler.is_center(vertex)) for vertex in view.ids.tolist()),
+            dtype=bool,
+            count=view.n,
+        )
     prefix = system.prefix
     if view.nnz:
         mask = (view.entry_j < prefix) & elected[view.nbr_pos]
@@ -67,16 +75,30 @@ def build_prefix_tables(np, view, system) -> PrefixTables:
     return PrefixTables(elected, pc_indptr, pc_val)
 
 
-def build_scan_tables(np, view, tables: PrefixTables, block: Optional[int]) -> ScanTables:
-    """Materialize kept/steps/adjacency for every entry's scan at once."""
-    nnz = view.nnz
+def build_scan_tables(
+    np, view, tables: PrefixTables, block: Optional[int], entries=None
+) -> ScanTables:
+    """Materialize kept/steps/adjacency for every entry's scan at once.
+
+    ``entries`` (sorted entry indices covering whole rows, see
+    :func:`row_entries`) restricts the build to those rows; the returned
+    arrays are then aligned with ``entries``.  A row subset is exact because
+    every grouping below is keyed by source row.
+    """
+    if entries is None:
+        nbr_pos, entry_src, entry_j = view.nbr_pos, view.entry_src, view.entry_j
+    else:
+        nbr_pos = view.nbr_pos[entries]
+        entry_src = view.entry_src[entries]
+        entry_j = view.entry_j[entries]
+    nnz = len(nbr_pos)
     kept = np.zeros(nnz, dtype=bool)
     steps = np.zeros(nnz, dtype=np.int64)
     adj = np.zeros(nnz, dtype=np.int64)
     if not nnz:
         return ScanTables(kept, steps, adj)
     # One "element" per (entry e, center s ∈ S(x_e)) pair, laid out entry-major.
-    sizes = tables.pc_indptr[view.nbr_pos + 1] - tables.pc_indptr[view.nbr_pos]
+    sizes = tables.pc_indptr[nbr_pos + 1] - tables.pc_indptr[nbr_pos]
     offsets = np.zeros(nnz + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     total = int(offsets[-1])
@@ -84,9 +106,9 @@ def build_scan_tables(np, view, tables: PrefixTables, block: Optional[int]) -> S
         return ScanTables(kept, steps, adj)
     eid = np.repeat(np.arange(nnz, dtype=np.int64), sizes)
     inner = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], sizes)
-    cpos = tables.pc_val[tables.pc_indptr[view.nbr_pos[eid]] + inner]
-    src = view.entry_src[eid]
-    j_el = view.entry_j[eid]
+    cpos = tables.pc_val[tables.pc_indptr[nbr_pos[eid]] + inner]
+    src = entry_src[eid]
+    j_el = entry_j[eid]
     # Group elements sharing (src, [block,] s): the group's minimum j is the
     # first cover.  lexsort is stable, elements were built in entry (hence j)
     # order, so the head of each group carries the minimum j.
@@ -120,7 +142,7 @@ def build_scan_tables(np, view, tables: PrefixTables, block: Optional[int]) -> S
     uncovered = fc == j_el
     any_unc = np.logical_or.reduceat(uncovered, off_ne)
     max_fc = np.maximum.reduceat(fc, off_ne)
-    scan_end_ne = np.where(any_unc, view.entry_j[nonempty], max_fc + 1)
+    scan_end_ne = np.where(any_unc, entry_j[nonempty], max_fc + 1)
     scan_end = np.zeros(nnz, dtype=np.int64)
     scan_end[nonempty] = scan_end_ne
     contrib = np.minimum(fc + 1, scan_end[eid]) - start_el
@@ -128,11 +150,61 @@ def build_scan_tables(np, view, tables: PrefixTables, block: Optional[int]) -> S
     start_ne = (
         np.zeros(len(off_ne), dtype=np.int64)
         if block is None
-        else (view.entry_j[nonempty] // block) * block
+        else (entry_j[nonempty] // block) * block
     )
     steps[nonempty] = scan_end_ne - start_ne
     kept[nonempty] = any_unc
     return ScanTables(kept, steps, adj)
+
+
+def row_entries(np, view, rows):
+    """Entry indices of the rows at positions ``rows`` (sorted), row by row."""
+    lengths = view.deg[rows]
+    starts = view.indptr[rows] - (np.cumsum(lengths) - lengths)
+    return np.repeat(starts, lengths) + np.arange(int(lengths.sum()), dtype=np.int64)
+
+
+def patch_tables(np, old_view, view, system, prefix: PrefixTables, scans, touched):
+    """Carry one center system's tables from ``old_view`` to ``view``.
+
+    ``touched`` holds the sorted positions of every row a write changed in
+    between, and ``scans`` maps each block variant to its scan tables.  The
+    prefix rows are rebuilt from ``view`` on the old election bitmap.  A scan
+    entry ``w → x`` reads S(x) and the S of w's earlier neighbors, and S(y)
+    depends on y's row alone, so only touched rows and the rows listing a
+    touched vertex whose S changed are rebuilt; every other row is copied,
+    shifted by the change in ``indptr``.  Returns the new prefix tables and
+    the new ``{block: ScanTables}``.
+    """
+    fresh = build_prefix_tables(np, view, system, elected=prefix.elected)
+    dirty = np.zeros(view.n, dtype=bool)
+    dirty[touched] = True
+    moved = [
+        x for x in touched.tolist()
+        if not np.array_equal(
+            prefix.pc_val[prefix.pc_indptr[x] : prefix.pc_indptr[x + 1]],
+            fresh.pc_val[fresh.pc_indptr[x] : fresh.pc_indptr[x + 1]],
+        )
+    ]
+    if moved:
+        listed = row_entries(np, view, np.array(moved, dtype=np.int64))
+        dirty[view.nbr_pos[listed]] = True
+    entries = row_entries(np, view, np.flatnonzero(dirty))
+    clean = np.flatnonzero(~dirty[view.entry_src])
+    shift = old_view.indptr[:-1] - view.indptr[:-1]
+    copied = clean + shift[view.entry_src[clean]]
+    patched = {}
+    for block, old in scans.items():
+        built = build_scan_tables(np, view, fresh, block, entries=entries)
+        arrays = []
+        for name in ScanTables.__slots__:
+            source = getattr(old, name)
+            merged = np.empty(view.nnz, dtype=source.dtype)
+            merged[clean] = source[copied]
+            merged[entries] = getattr(built, name)
+            arrays.append(merged)
+        patched[block] = ScanTables(*arrays)
+    return fresh, patched
 
 
 def scan_profile(kernel, oracle, system, w, x, index, block):
@@ -143,14 +215,15 @@ def scan_profile(kernel, oracle, system, w, x, index, block):
     registers the scalar path's read set with the memo tracker.  Returns the
     kept verdict, or ``None`` when the view is unavailable (scalar fallback).
     """
-    view = kernel.view(oracle.graph)
+    store = kernel.store(oracle.graph)
+    view = store.view
     if view is None:
         return None
     pw = view.pos.get(w)
     px = view.pos.get(x)
     if pw is None or px is None:
         return None
-    tables = kernel.scan_tables(view, system, block)
+    tables = store.scan_tables(system, block)
     entry = int(view.indptr[pw]) + int(index)
     kept = bool(tables.kept[entry])
     steps = int(tables.steps[entry])
@@ -211,7 +284,8 @@ def materialize_batched(lca, oracle, kernel, result) -> bool:
         and center_edges.systems[1] is su_sys
     ):
         return False
-    view = kernel.view(oracle.graph)
+    store = kernel.store(oracle.graph)
+    view = store.view
     if view is None:
         return False
     np = kernel.np
@@ -226,10 +300,10 @@ def materialize_batched(lca, oracle, kernel, result) -> bool:
         e_fwd = np.zeros(0, dtype=i8)
     if not len(e_fwd):
         return True
-    hi_pt = kernel.prefix_tables(view, hi_sys)
-    su_pt = kernel.prefix_tables(view, su_sys)
-    hi_scan = kernel.scan_tables(view, hi_sys, None)
-    su_scan = kernel.scan_tables(view, su_sys, block)
+    hi_pt = store.prefix_tables(hi_sys)
+    su_pt = store.prefix_tables(su_sys)
+    hi_scan = store.scan_tables(hi_sys, None)
+    su_scan = store.scan_tables(su_sys, block)
 
     e_rev = view.rev_entry[e_fwd]
     up = view.entry_src[e_fwd]

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..core.errors import UnknownVertexError
+
 
 class CSRView:
     """Immutable numpy adjacency image of one graph epoch.
@@ -117,7 +119,8 @@ def build_view(np_module, graph) -> Optional[CSRView]:
     array-at-once from their flat buffers; graphs with pending delta
     overlays go through the generic ``vertices()``/``neighbors()`` walk.
     Returns ``None`` when vertex ids do not fit int64 — callers then fall
-    back to the scalar path.
+    back to the scalar path.  A neighbor id that names no vertex (a
+    corrupted snapshot) raises :class:`~repro.core.errors.UnknownVertexError`.
     """
     np = np_module
     ids_list = list(graph.vertices())
@@ -151,7 +154,11 @@ def build_view(np_module, graph) -> Optional[CSRView]:
     nnz = int(indptr[-1]) if n else 0
     if nnz:
         order = np.argsort(ids, kind="stable")
-        nbr_pos = order[np.searchsorted(ids[order], nbr_id)]
+        found = np.searchsorted(ids[order], nbr_id)
+        nbr_pos = order[np.minimum(found, n - 1)]
+        bad = np.flatnonzero(ids[nbr_pos] != nbr_id)
+        if len(bad):
+            raise UnknownVertexError(int(nbr_id[bad[0]]))
         entry_src = np.repeat(np.arange(n, dtype=np.int64), deg)
         entry_j = np.arange(nnz, dtype=np.int64) - indptr[entry_src]
     else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List
 
 from ..core.oracle import AdjacencyListOracle
-from ..core.seed import SeedLike
+from ..core.seed import Seed, SeedLike
 from ..rand.sampler import CenterSampler
 
 
@@ -45,6 +45,12 @@ class PrefixCenterSystem:
     ) -> None:
         self.prefix = max(1, int(prefix))
         self.sampler = CenterSampler(seed, probability, independence)
+        #: Value identity: systems with equal keys elect the same centers and
+        #: the same prefix sets on every graph, so kernel tables built for one
+        #: serve all of them.
+        self.key = (
+            Seed.of(seed).value, int(independence), self.sampler.probability, self.prefix
+        )
 
     # ------------------------------------------------------------------ #
     # Probe-free operations

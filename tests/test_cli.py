@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.cli import GENERATORS, build_parser, main
@@ -292,12 +294,23 @@ def test_good_worker_counts_still_parse(graph_file):
         ["query", "--edge", "0,0"],
         ["mutate", "--ops", "{missing}"],
         ["mutate", "--ops", "{malformed}"],
+        ["evaluate", "--mmap", "{corrupt}"],
     ],
 )
 def test_bad_input_fails_with_one_line(tmp_path, capsys, argv):
+    from repro.scale import save_csr_snapshot
+
     malformed = tmp_path / "malformed.jsonl"
     malformed.write_text("not json\n", encoding="utf-8")
-    paths = {"missing": tmp_path / "missing.jsonl", "malformed": malformed}
+    # A snapshot whose last neighbor id names no vertex.
+    corrupt = tmp_path / "corrupt.csr"
+    save_csr_snapshot(gnp_graph(30, 0.3, seed=2), corrupt)
+    data = bytearray(corrupt.read_bytes())
+    data[-8:] = (10**6).to_bytes(8, sys.byteorder, signed=True)
+    corrupt.write_bytes(bytes(data))
+    paths = {
+        "missing": tmp_path / "missing.jsonl", "malformed": malformed, "corrupt": corrupt
+    }
     argv = [arg.format(**paths) for arg in argv]
     if argv[0] in ("serve-bench", "query", "mutate"):
         argv += ["--n", "40"]

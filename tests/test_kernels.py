@@ -239,6 +239,38 @@ def test_service_engine_kernel_config_is_probe_invariant(force_kernel_paths):
     assert run("python") == run("numpy")
 
 
+def test_shards_and_replicas_share_one_table_store(monkeypatch):
+    """Same-seed shard replicas read one store per graph, patched per write,
+    so a 4 × 2 pool builds exactly the scan tables one shard builds."""
+    pytest.importorskip("numpy")
+    from repro.kernels import spanner3 as kernel_spanner3
+    from repro.service import ServiceConfig, ServiceEngine, make_workload
+
+    build_scan_tables = kernel_spanner3.build_scan_tables
+
+    def run(num_shards, replication):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build_scan_tables(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_spanner3, "build_scan_tables", counted)
+        graph = graphs.gnp_graph(70, 0.25, seed=11)
+        config = ServiceConfig(
+            num_shards=num_shards, replication=replication, batch_size=16, kernel="numpy"
+        )
+        workload = make_workload(
+            "churn", graph, num_requests=300, seed=4, write_ratio=0.1
+        )
+        report = ServiceEngine(graph, _spanner3, config).run(workload)
+        return len(calls), report.mutations
+
+    builds, writes = run(1, 1)
+    assert writes > 0 and builds > 0
+    assert run(4, 2) == (builds, writes)
+
+
 def test_service_config_rejects_unknown_kernel():
     from repro.service import ServiceConfig
 

@@ -5,7 +5,9 @@ known graph shapes; this module hammers the same contract on *arbitrary*
 small graphs and seeds, including a randomly chosen mutation epoch: for every
 generated instance, the numpy kernels must produce the same spanner edges,
 the same per-query probe totals and the same per-kind probe counts as the
-scalar reference path, before and after mutations.
+scalar reference path, before and after mutations.  The graph's shared
+kernel table store, patched row by row after each round of writes, must
+equal a fresh build on every entry.
 """
 
 from __future__ import annotations
@@ -93,3 +95,77 @@ def test_kernels_match_scalar_on_random_graphs_and_epochs(
     scalar = _run(algorithm, vertices, edges, mutations, seed, "python")
     vectorized = _run(algorithm, vertices, edges, mutations, seed, "numpy")
     assert scalar == vectorized
+
+
+@st.composite
+def graph_and_write_rounds(draw, max_vertices=20):
+    """A small random graph plus rounds of 1–3 writes each.
+
+    A write names a vertex pair: it removes the edge when present and adds it
+    otherwise, so any pair sequence replays validly.
+    """
+    n = draw(st.integers(min_value=4, max_value=max_vertices))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(
+        st.lists(st.sampled_from(possible), min_size=2, max_size=4 * n, unique=True)
+    )
+    rounds = draw(
+        st.lists(
+            st.lists(st.sampled_from(possible), min_size=1, max_size=3),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return list(range(n)), edges, rounds
+
+
+def _assert_store_matches_fresh_build(np, graph, kernel):
+    """Every table in the graph's store equals a build on a fresh view."""
+    from repro.kernels import spanner3 as kernel_spanner3
+    from repro.kernels.view import build_view
+
+    store = kernel.store(graph)
+    view = build_view(np, graph)
+    assert store.epoch == graph.epoch
+    assert np.array_equal(store.view.nbr_id, view.nbr_id)
+    assert np.array_equal(store.view.indptr, view.indptr)
+    fresh = {}
+    for key, (system, tables) in store.prefix.items():
+        fresh[key] = kernel_spanner3.build_prefix_tables(np, view, system)
+        for name in kernel_spanner3.PrefixTables.__slots__:
+            assert np.array_equal(getattr(tables, name), getattr(fresh[key], name)), name
+    for (key, block), tables in store.scan.items():
+        rebuilt = kernel_spanner3.build_scan_tables(np, view, fresh[key], block)
+        for name in kernel_spanner3.ScanTables.__slots__:
+            assert np.array_equal(getattr(tables, name), getattr(rebuilt, name)), name
+
+
+@relaxed
+@given(
+    instance=graph_and_write_rounds(),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_patched_tables_equal_fresh_builds_after_every_write_round(instance, seed):
+    import numpy as np
+
+    vertices, edges, rounds = instance
+    lcas = {}
+    for kernel in ("python", "numpy"):
+        graph = Graph.from_edges(edges, vertices=vertices)
+        lcas[kernel] = create("spanner3", graph, seed=seed).set_kernel(kernel)
+    lca = lcas["numpy"]
+    kernel = lca.ensure_cached_oracle().kernel
+    store = kernel.store(lca.graph)
+    # Build all four tables up front, so every round patches each of them.
+    store.scan_tables(lca.high_centers, None)
+    store.scan_tables(lca.super_centers, lca.components[3].threshold)
+    for writes in rounds:
+        for pair in writes:
+            for each in lcas.values():
+                op = "remove" if each.graph.has_edge(*pair) else "add"
+                each.apply_mutations([(op, *pair)])
+        reads = sorted(lca.graph.edges())
+        results = {name: each.query_batch(reads) for name, each in lcas.items()}
+        assert results["numpy"].answers == results["python"].answers
+        assert results["numpy"].probe_totals == results["python"].probe_totals
+        _assert_store_matches_fresh_build(np, lca.graph, kernel)
