@@ -629,10 +629,11 @@ def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
         choices=list(KERNELS),
         default=None,
         help="probe-kernel implementation: 'python' (scalar loops), 'numpy' "
-        "(vectorized array kernels over CSR; requires numpy) or 'auto' "
-        "(numpy when available). Answers and probe accounting are identical "
-        "under every kernel; only wall-clock time changes. "
-        "Default: auto (also settable via REPRO_KERNEL)",
+        "(vectorizes spanner3's neighbor-prefix scans over CSR, which "
+        "spanner5 reuses; the other constructions run scalar code; requires "
+        "numpy) or 'auto' (numpy when available). Answers and probe "
+        "accounting are identical under every kernel; only wall-clock time "
+        "changes. Default: auto (also settable via REPRO_KERNEL)",
     )
 
 

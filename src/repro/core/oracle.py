@@ -48,9 +48,10 @@ class AdjacencyListOracle:
         #: it with ``getattr(oracle, "profiler", None)``; ``None`` (the
         #: default) keeps every hot path at one attribute check.
         self.profiler = None
-        #: Optional :class:`repro.kernels.engine.NumpyKernel`.  Call sites
-        #: branch with ``getattr(oracle, "kernel", None)``; the cold oracle
-        #: keeps ``None`` so the reference per-query path stays scalar.
+        #: Optional :class:`repro.kernels.engine.NumpyKernel`.  The spanner3
+        #: scan call sites branch with ``getattr(oracle, "kernel", None)``;
+        #: the cold oracle keeps ``None`` so the reference per-query path
+        #: stays scalar.
         self.kernel = None
 
     # ------------------------------------------------------------------ #

@@ -1,12 +1,14 @@
 """Optional vectorized probe kernels over the CSR adjacency arrays.
 
 The scalar query engines walk adjacency one vertex at a time in pure Python.
-This package reimplements the hot probe loops — frontier-at-once BFS levels,
-batched Voronoi cell assignment, and the spanner3/spanner5 neighbor-prefix
-scans — as numpy array operations directly over flat ``indptr``/``indices``
-arrays, while charging the probe ledger *exactly* like the scalar code:
-spanner edges, per-query probe totals, and per-kind probe counts are
-bit-identical (pinned by the kernel-equivalence tests).
+This package reimplements one hot probe loop — spanner3's neighbor-prefix
+scans (H_high and H_super, which spanner5 reuses through its spanner3
+components) — as numpy array operations directly over flat
+``indptr``/``indices`` arrays, while charging the probe ledger *exactly* like
+the scalar code: spanner edges, per-query probe totals, and per-kind probe
+counts are bit-identical (pinned by the kernel-equivalence tests).  Every
+other loop, spannerk's explorations and spanner5's bucket scans included,
+runs its scalar code under every selection.
 
 Selection is by name:
 

@@ -1,11 +1,12 @@
-"""The numpy kernel engine: one table store per graph plus per-algorithm kernels.
+"""The numpy kernel engine: one table store per graph plus the spanner3 kernels.
 
 A :class:`NumpyKernel` is created per LCA (by
 :func:`repro.kernels.resolve_kernel`) and attached to that LCA's cached
-oracle as ``oracle.kernel``.  Call sites in the scalar code branch on the
+oracle as ``oracle.kernel``.  The spanner3 scan call sites branch on the
 attribute: when a kernel is present *and* can build a view of the current
 graph epoch, the vectorized path answers with the exact scalar probe
-schedule; otherwise the scalar loop runs unchanged.
+schedule; otherwise the scalar loop runs unchanged.  No other construction
+reads the attribute.
 
 The state the kernels read lives in one :class:`TableStore` per graph, held
 in a weak-keyed map so it dies with the graph: the epoch's
@@ -23,9 +24,7 @@ from __future__ import annotations
 import weakref
 from typing import Optional
 
-from . import bfs as _bfs
 from . import spanner3 as _spanner3
-from . import spanner5 as _spanner5
 from .view import build_view
 
 #: graph -> its :class:`TableStore`; an entry dies with its graph.
@@ -97,11 +96,6 @@ class NumpyKernel:
 
     name = "numpy"
 
-    #: Minimum ``sources × limit`` workload before :meth:`explore_many`
-    #: beats the scalar deque loop; hot call sites check it up front to
-    #: skip the call entirely for tiny explorations.
-    min_explore_work = _bfs._MIN_BATCH_WORK
-
     def __init__(self, np_module) -> None:
         self.np = np_module
         self._slot = None
@@ -120,10 +114,6 @@ class NumpyKernel:
         self._slot = (graph, epoch, store)
         return store
 
-    def view(self, graph):
-        """The CSRView of ``graph`` at its current epoch (``None`` if unbuildable)."""
-        return self.store(graph).view
-
     # ------------------------------------------------------------------ #
     # spanner3 scan kernels
     # ------------------------------------------------------------------ #
@@ -134,23 +124,3 @@ class NumpyKernel:
     def materialize_spanner3(self, lca, oracle, result) -> bool:
         """Whole-graph batched spanner3 materialization (True when handled)."""
         return _spanner3.materialize_batched(lca, oracle, self, result)
-
-    # ------------------------------------------------------------------ #
-    # spannerk exploration kernel
-    # ------------------------------------------------------------------ #
-    def explore_many(self, oracle, sources, radius, limit, is_center):
-        """Batched frontier-at-once D^k_L explorations (None = fallback)."""
-        return _bfs.explore_many(self, oracle, sources, radius, limit, is_center)
-
-    # ------------------------------------------------------------------ #
-    # spanner5 bucket kernels
-    # ------------------------------------------------------------------ #
-    def cluster_row(self, oracle, center, prefix):
-        """The cluster-members memo value for ``center`` (None = fallback)."""
-        return _spanner5.cluster_row(self, oracle, center, prefix)
-
-    def minimum_bucket_edge(self, oracle, bucket_a, bucket_b, med, degree):
-        """Bucket pair scan; 1-tuple with the winning edge id (None = fallback)."""
-        return _spanner5.minimum_bucket_edge(
-            self, oracle, bucket_a, bucket_b, med, degree
-        )

@@ -1,10 +1,11 @@
-"""Epoch-stamped numpy images of a graph's adjacency (the kernel substrate).
+"""Numpy images of one graph epoch's adjacency (the kernel substrate).
 
 A :class:`CSRView` freezes one mutation epoch of a graph into flat int64
 arrays — exactly the CSR layout, plus the derived per-entry tables the
-kernels index into (entry source, in-row offset, reverse-entry permutation).
-Views are read-only copies: mutating the graph never corrupts a view, and
-the epoch stamp lets the kernel engine drop a stale view on the next call.
+spanner3 scan kernels index into (entry source, in-row offset,
+reverse-entry permutation).  Views are read-only copies: mutating the graph
+never corrupts a view, and the table store that holds the view records its
+epoch, so a stale view is replaced on the next kernel call.
 
 Building a view performs **zero probes**: it reads the adjacency structure
 directly, the same way :meth:`repro.graphs.graph.Graph.edges` does.  All
@@ -41,8 +42,6 @@ class CSRView:
         "entry_src",
         "entry_j",
         "_rev_entry",
-        "_rev_pos",
-        "_adj_keys",
     )
 
     def __init__(self, np_module, ids, pos, deg, indptr, nbr_id, nbr_pos,
@@ -59,8 +58,6 @@ class CSRView:
         self.entry_src = entry_src
         self.entry_j = entry_j
         self._rev_entry = None
-        self._rev_pos = None
-        self._adj_keys = None
 
     @property
     def rev_entry(self):
@@ -79,37 +76,6 @@ class CSRView:
             rev[by_src] = by_nbr
             self._rev_entry = rev
         return self._rev_entry
-
-    @property
-    def adj_keys(self):
-        """Sorted ``src_pos * n + nbr_pos`` arc keys (lazy edge-existence set).
-
-        A batched membership test for arbitrary vertex-position pairs is one
-        ``searchsorted`` against this array (positions are < n, so the packed
-        key fits int64 for any graph this library can hold).
-        """
-        if self._adj_keys is None:
-            np = self.np
-            keys = self.entry_src * self.n + self.nbr_pos
-            self._adj_keys = np.sort(keys)
-        return self._adj_keys
-
-    def arcs_exist(self, src_pos, nbr_pos):
-        """Vectorized edge-existence test on position pairs (bool array)."""
-        np = self.np
-        keys = src_pos * self.n + nbr_pos
-        idx = np.searchsorted(self.adj_keys, keys)
-        idx = np.minimum(idx, max(self.nnz - 1, 0))
-        if not self.nnz:
-            return np.zeros(len(keys), dtype=bool)
-        return self.adj_keys[idx] == keys
-
-    @property
-    def rev_pos(self):
-        """In-row offset of each entry's reverse arc (= adjacency index)."""
-        if self._rev_pos is None:
-            self._rev_pos = self.rev_entry - self.indptr[self.nbr_pos]
-        return self._rev_pos
 
 
 def build_view(np_module, graph) -> Optional[CSRView]:

@@ -12,26 +12,31 @@ them in memory::
 
 Arrays are written in the *native* byte order of the writing host (the
 flag records which), so loading is a pure ``mmap`` — no parsing, no
-byte-swapping, no per-element work beyond the O(n) id → position map.
+byte-swapping, and O(n) per-element work: one pass that checks ``indptr``
+(starts at 0, never decreases, ends at nnz) and the id → position map.
+Neighbor ids in ``indices`` are not checked at load, which would cost
+O(nnz); a query or kernel view that reads one naming no vertex fails then.
 This is the library's one read-only graph transport.  Its conventions are
 pinned in ``tests/test_scale_mmap.py``: saving snapshots the *current* rows
 (pending mutation deltas are compacted first), vertex ids beyond 64 bits
 fail with a one-line :class:`~repro.core.errors.GraphError`,
 :class:`MappedCSRGraph` has zero-copy ``memoryview`` rows, read-only
-mutation errors, idempotent detach and owned-storage subgraphs, missing or
-truncated files fail with one-line errors, and the picklable
-:class:`MappedCSRHandle` stands in for the unpicklable graph.
+mutation errors, idempotent detach and owned-storage subgraphs, missing,
+truncated or malformed-``indptr`` files fail with one-line errors, and the
+picklable :class:`MappedCSRHandle` stands in for the unpicklable graph.
 """
 
 from __future__ import annotations
 
 import mmap
+import operator
 import struct
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import compress, count
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from ..core.errors import GraphError
 from ..graphs.graph import Graph, Vertex
@@ -83,8 +88,8 @@ def load_csr_snapshot(path: PathLike) -> "MappedCSRGraph":
     """Map a snapshot written by :func:`save_csr_snapshot` (read-only).
 
     A missing file raises a one-line :class:`RuntimeError` naming the path;
-    a malformed or truncated file raises
-    :class:`~repro.core.errors.GraphError`.
+    a malformed or truncated file, or one whose ``indptr`` is not a valid
+    row-offset array, raises :class:`~repro.core.errors.GraphError`.
     """
     path = Path(path)
     if not path.exists():
@@ -113,6 +118,26 @@ def load_csr_snapshot(path: PathLike) -> "MappedCSRGraph":
             "mapped on this one"
         )
     return MappedCSRHandle(path=str(path), num_vertices=n, num_entries=nnz).attach()
+
+
+def _indptr_problem(indptr, nnz: int) -> Optional[str]:
+    """Why ``indptr`` is not a valid row-offset array over ``nnz`` entries.
+
+    Valid offsets start at 0, never decrease and end at ``nnz``, so every row
+    slice lies inside ``indices``.  One pass of C-level iterators, O(n);
+    returns ``None`` when the offsets are valid.
+    """
+    if indptr[0] != 0:
+        return f"indptr[0] is {indptr[0]}, not 0"
+    drop = next(compress(count(), map(operator.gt, indptr, indptr[1:])), None)
+    if drop is not None:
+        return (
+            f"indptr decreases from {indptr[drop]} to {indptr[drop + 1]} "
+            f"at row {drop}"
+        )
+    if indptr[-1] != nnz:
+        return f"indptr ends at {indptr[-1]}, not at nnz={nnz}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -173,13 +198,22 @@ class MappedCSRGraph(Graph):
                 f"declared CSR shape (n={n}, nnz={nnz})"
             )
         view = memoryview(mapped)[_HEADER.size : needed].cast("q")
+        indptr = view[n : 2 * n + 1]
+        problem = _indptr_problem(indptr, nnz)
+        if problem is not None:
+            indptr.release()
+            view.release()
+            mapped.close()
+            raise GraphError(
+                f"CSR snapshot {handle.path!r} has a malformed indptr: {problem}"
+            )
         self._mmap = mapped
         self._view = view
         ids = view[0:n]
         self._adopt(
             ids,
             {v: p for p, v in enumerate(ids)},
-            view[n : 2 * n + 1],
+            indptr,
             view[2 * n + 1 : 2 * n + 1 + nnz],
         )
 

@@ -133,11 +133,6 @@ class DegreeBoundedCenterSystem:
         if oracle.supports_memo:
 
             def compute():
-                kern = getattr(oracle, "kernel", None)
-                if kern is not None:
-                    value = kern.cluster_row(oracle, center, self.prefix)
-                    if value is not None:
-                        return value
                 cache = oracle.cache
                 row = cache.neighbors(center)
                 members = [center]
@@ -251,14 +246,14 @@ class BucketComponent(SpannerLCA):
             bucket_u = bucket_containing(cluster(s), med, u)
             for t in centers_v:
                 bucket_v = bucket_containing(cluster(t), med, v)
-                best = self._minimum_bucket_edge(
+                best = self._min_id_bucket_edge(
                     oracle, bucket_u, bucket_v, degree
                 )
                 if best is not None and best == target_id:
                     return True
         return False
 
-    def _minimum_bucket_edge(
+    def _min_id_bucket_edge(
         self,
         oracle: AdjacencyListOracle,
         bucket_a: List[int],
@@ -271,11 +266,6 @@ class BucketComponent(SpannerLCA):
         precondition ``E(V[Δ_med, n), V[Δ_med, n))`` of the construction).
         """
         med = self.params.med_threshold
-        kern = getattr(oracle, "kernel", None)
-        if kern is not None:
-            value = kern.minimum_bucket_edge(oracle, bucket_a, bucket_b, med, degree)
-            if value is not None:
-                return value[0]
         best: Optional[Tuple[int, int]] = None
         for a in bucket_a:
             if degree(a) < med:

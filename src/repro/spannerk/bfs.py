@@ -88,11 +88,6 @@ def explore(
     Probe cost: at most ``limit − 1`` vertices are expanded, each with one
     ``Degree`` probe and ``deg`` ``Neighbor`` probes, i.e. O(Δ·L) in total.
     """
-    kern = getattr(oracle, "kernel", None)
-    if kern is not None and limit >= kern.min_explore_work:
-        batch = kern.explore_many(oracle, [source], radius, limit, is_center)
-        if batch is not None:
-            return batch[0]
     # Attribution only: when a profiler rides on the oracle, the whole
     # exploration's probe delta is charged to the "bfs" phase.
     profiler = getattr(oracle, "profiler", None)

@@ -135,43 +135,6 @@ class LocalView:
             )
         return self._cache[key]
 
-    def explore_batch(self, vertices) -> None:
-        """Warm the exploration cache for many sources in one kernel batch.
-
-        No-op without an attached kernel; with one, every not-yet-cached
-        source is explored frontier-at-once in caller order.  Each source is
-        charged its exact scalar probe schedule (in its own "bfs" frame), so
-        later :meth:`exploration` calls hit the cache probe-free — identical
-        totals to exploring the sources one by one.
-        """
-        kern = getattr(self.oracle, "kernel", None)
-        if kern is None:
-            return
-        vertices = list(vertices)
-        if len(vertices) * self.params.exploration_budget < kern.min_explore_work:
-            return
-        pending = []
-        seen = set()
-        for w in vertices:
-            if w in seen:
-                continue
-            seen.add(w)
-            if ("explore", w) not in self._cache:
-                pending.append(w)
-        if not pending:
-            return
-        batch = kern.explore_many(
-            self.oracle,
-            pending,
-            self.params.stretch_parameter,
-            self.params.exploration_budget,
-            self.randomness.is_center,
-        )
-        if batch is None:
-            return
-        for w, result in zip(pending, batch):
-            self._cache[("explore", w)] = result
-
     def is_dense(self, vertex: int) -> bool:
         """Dense = some center was discovered within the D^k_L exploration."""
         return self.exploration(vertex).first_center is not None
@@ -224,9 +187,7 @@ class LocalView:
         own_center = self.center(vertex)
         children: List[int] = []
         if own_center is not None:
-            neighbors = self.oracle.all_neighbors(vertex)
-            self.explore_batch(neighbors)
-            for w in neighbors:
+            for w in self.oracle.all_neighbors(vertex):
                 if not self.is_dense(w):
                     continue
                 if self.center(w) != own_center:
@@ -373,9 +334,7 @@ class LocalView:
             return self._cache[key]
         edges: List[Tuple[int, int, Optional[int]]] = []
         for member in sorted(cluster.members):
-            row = self.oracle.all_neighbors(member)
-            self.explore_batch(w for w in row if w not in cluster.members)
-            for w in row:
+            for w in self.oracle.all_neighbors(member):
                 if w in cluster.members:
                     continue
                 cell = self.center(w) if self.is_dense(w) else None

@@ -327,6 +327,28 @@ def test_bad_input_fails_with_one_line(tmp_path, capsys, argv):
     assert "\n" not in message
 
 
+@pytest.mark.parametrize("kernel", ["python", "numpy"])
+def test_malformed_indptr_snapshot_fails_with_one_line(tmp_path, capsys, kernel):
+    if kernel == "numpy":
+        pytest.importorskip("numpy")
+    from repro.scale import save_csr_snapshot
+    from repro.scale.snapshot import _HEADER
+
+    graph = gnp_graph(200, 0.1, seed=3)
+    path = tmp_path / "bad.csr"
+    save_csr_snapshot(graph, path)
+    data = bytearray(path.read_bytes())
+    at = _HEADER.size + 8 * (graph.num_vertices + 5)  # indptr[5], after the ids
+    data[at : at + 8] = (10**9).to_bytes(8, sys.byteorder, signed=True)
+    path.write_bytes(bytes(data))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["evaluate", "--mmap", str(path), "--kernel", kernel])
+    message = str(excinfo.value.code)
+    assert message.startswith("--mmap: ") and "malformed indptr" in message
+    assert "\n" not in message
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------- #
 # Mutation plane: the mutate subcommand and the churn workload
 # --------------------------------------------------------------------------- #

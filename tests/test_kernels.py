@@ -6,7 +6,10 @@ identical per-kind probe counts, with numpy strictly a wall-clock
 optimization.  These tests pin the selection/fallback machinery (including
 the one-line error when ``kernel="numpy"`` is requested without numpy) and
 the equivalence promise for all three paper constructions, also across
-mutation epochs.
+mutation epochs.  The numpy kernels vectorize spanner3's neighbor-prefix
+scans, which spanner5 reaches through its spanner3 components; each numpy
+row checks that it reached the scan tables, and the spannerk rows check
+that spannerk, which runs scalar code under every kernel, never did.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from repro.analysis import evaluate_lca
 from repro.cli import main as cli_main
 from repro.core.registry import create
 from repro.kernels import ENV_KERNEL, KernelUnavailableError, resolve_kernel
+from repro.kernels.engine import _STORES
 from repro.spannerk import KSquaredParams, KSquaredSpannerLCA
 
 
@@ -53,23 +57,16 @@ CASES = {
 }
 
 
-@pytest.fixture
-def force_kernel_paths(monkeypatch):
-    """Drop the minimum-workload thresholds so tiny test graphs hit numpy.
-
-    The kernels fall back to the scalar path (probe-exactly) below a
-    sources×limit / grid-size floor; fixtures here are far below it, so the
-    equivalence tests would silently compare scalar against scalar without
-    this.
-    """
-    pytest.importorskip("numpy")
-    from repro.kernels import bfs as kernel_bfs
-    from repro.kernels import spanner5 as kernel_spanner5
-    from repro.kernels.engine import NumpyKernel
-
-    monkeypatch.setattr(kernel_bfs, "_MIN_BATCH_WORK", 0)
-    monkeypatch.setattr(kernel_spanner5, "_MIN_GRID", 0)
-    monkeypatch.setattr(NumpyKernel, "min_explore_work", 0)
+def _assert_numpy_run_reached_the_kernel(name, graph):
+    """spanner3 and spanner5 answer their scans from the graph's spanner3
+    scan tables; spannerk never touches the kernel layer, so its graph has no
+    table store.  Without this an equivalence row could compare scalar with
+    scalar and pass."""
+    store = _STORES.get(graph)
+    if name == "spannerk":
+        assert store is None
+    else:
+        assert store is not None and len(store.scan) >= 1
 
 
 def _fingerprint(lca, materialized):
@@ -168,22 +165,27 @@ def test_cli_kernel_error_is_one_line_systemexit(monkeypatch, tmp_path):
 # One storage row: CSR is the only graph storage; the row keeps the test ids.
 @pytest.mark.parametrize("storage", ["csr"])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_identical_edges_and_probes_across_kernels(name, storage, force_kernel_paths):
+def test_identical_edges_and_probes_across_kernels(name, storage):
     """Same seeds ⇒ same spanner, probe totals and per-kind counts."""
+    pytest.importorskip("numpy")
     factory, make_graph = CASES[name]
 
     def run(kernel):
         graph = make_graph()
         lca = factory(graph).set_kernel(kernel)
         assert lca.kernel_name == kernel
-        return _fingerprint(lca, lca.materialize(mode="batched"))
+        fingerprint = _fingerprint(lca, lca.materialize(mode="batched"))
+        if kernel == "numpy":
+            _assert_numpy_run_reached_the_kernel(name, graph)
+        return fingerprint
 
     assert run("python") == run("numpy")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_kernel_equivalence_survives_mutation_epochs(name, force_kernel_paths):
+def test_kernel_equivalence_survives_mutation_epochs(name):
     """Post-mutation epochs re-run through the kernels bit-identically."""
+    pytest.importorskip("numpy")
     factory, make_graph = CASES[name]
 
     def run(kernel):
@@ -198,12 +200,15 @@ def test_kernel_equivalence_survives_mutation_epochs(name, force_kernel_paths):
         fingerprints.append(_fingerprint(lca, lca.materialize(mode="batched")))
         graph.add_edge(*victims[0])
         fingerprints.append(_fingerprint(lca, lca.materialize(mode="batched")))
+        if kernel == "numpy":
+            _assert_numpy_run_reached_the_kernel(name, graph)
         return fingerprints
 
     assert run("python") == run("numpy")
 
 
-def test_evaluate_lca_kernel_parameter_is_probe_invariant(force_kernel_paths):
+def test_evaluate_lca_kernel_parameter_is_probe_invariant():
+    pytest.importorskip("numpy")
     graph = graphs.gnp_graph(60, 0.2, seed=9)
     scalar = evaluate_lca(_spanner3(graph), kernel="python")
     graph2 = graphs.gnp_graph(60, 0.2, seed=9)
@@ -213,8 +218,9 @@ def test_evaluate_lca_kernel_parameter_is_probe_invariant(force_kernel_paths):
     assert scalar.probe_mean == vectorized.probe_mean
 
 
-def test_cold_queries_stay_scalar_and_identical(force_kernel_paths):
+def test_cold_queries_stay_scalar_and_identical():
     """The cold engine is the reference path; kernels must not touch it."""
+    pytest.importorskip("numpy")
 
     def run(kernel):
         graph = graphs.gnp_graph(50, 0.2, seed=3)
@@ -226,7 +232,8 @@ def test_cold_queries_stay_scalar_and_identical(force_kernel_paths):
     assert run("python") == run("numpy")
 
 
-def test_service_engine_kernel_config_is_probe_invariant(force_kernel_paths):
+def test_service_engine_kernel_config_is_probe_invariant():
+    pytest.importorskip("numpy")
     from repro.service import ServiceConfig, ServiceEngine, make_workload
 
     def run(kernel):

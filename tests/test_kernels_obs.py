@@ -1,13 +1,15 @@
 """Profiler phase attribution under the vectorized kernels.
 
 The :class:`~repro.obs.profiler.ProbeProfiler` attributes probes to
-algorithmic phases (``bfs``, ``voronoi``, ``neighbor-scan``).  The batched
-numpy kernels replay those phase boundaries in bulk — one frame covering many
-scalar-equivalent calls, with the call count carried explicitly — so the
-attribution a profiler reports must be *identical* to the scalar path: same
-per-phase probe totals, same per-kind splits, same call counts.  That parity
-is what keeps flame-style probe attribution trustworthy regardless of which
-kernel produced the numbers.
+algorithmic phases (``bfs``, ``voronoi``, ``neighbor-scan``).  The numpy
+spanner3 scan kernels replay the ``neighbor-scan`` phase boundaries in bulk —
+one frame covering many scalar-equivalent calls, with the call count carried
+explicitly — so the attribution a profiler reports must be *identical* to the
+scalar path: same per-phase probe totals, same per-kind splits, same call
+counts.  spanner5 reaches those kernels through its spanner3 components;
+spannerk runs its scalar ``bfs``/``voronoi`` code under every kernel, and its
+row pins that attribution.  That parity is what keeps flame-style probe
+attribution trustworthy regardless of which kernel produced the numbers.
 """
 
 from __future__ import annotations
@@ -20,17 +22,6 @@ from repro import graphs
 from repro.core.registry import create
 from repro.obs import ProbeProfiler
 from repro.spannerk import KSquaredParams, KSquaredSpannerLCA
-
-
-@pytest.fixture(autouse=True)
-def force_kernel_paths(monkeypatch):
-    from repro.kernels import bfs as kernel_bfs
-    from repro.kernels import spanner5 as kernel_spanner5
-    from repro.kernels.engine import NumpyKernel
-
-    monkeypatch.setattr(kernel_bfs, "_MIN_BATCH_WORK", 0)
-    monkeypatch.setattr(kernel_spanner5, "_MIN_GRID", 0)
-    monkeypatch.setattr(NumpyKernel, "min_explore_work", 0)
 
 
 def _profile(make_lca, kernel):

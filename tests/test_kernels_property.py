@@ -22,18 +22,6 @@ from repro.core.registry import create
 from repro.graphs import Graph
 
 
-@pytest.fixture(autouse=True)
-def force_kernel_paths(monkeypatch):
-    """Drop the minimum-workload floors so hypothesis-sized graphs vectorize."""
-    from repro.kernels import bfs as kernel_bfs
-    from repro.kernels import spanner5 as kernel_spanner5
-    from repro.kernels.engine import NumpyKernel
-
-    monkeypatch.setattr(kernel_bfs, "_MIN_BATCH_WORK", 0)
-    monkeypatch.setattr(kernel_spanner5, "_MIN_GRID", 0)
-    monkeypatch.setattr(NumpyKernel, "min_explore_work", 0)
-
-
 @st.composite
 def graph_and_mutations(draw, max_vertices=20):
     """A small random graph plus a random batch of remove/add mutations."""
@@ -59,7 +47,6 @@ relaxed = settings(
     suppress_health_check=[
         HealthCheck.too_slow,
         HealthCheck.data_too_large,
-        HealthCheck.function_scoped_fixture,
     ],
 )
 

@@ -15,6 +15,7 @@ the owned graph it was saved from.
 from __future__ import annotations
 
 import pickle
+import sys
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.scale import (
     load_csr_snapshot,
     save_csr_snapshot,
 )
+from repro.scale.snapshot import _HEADER
 
 
 @pytest.fixture
@@ -147,6 +149,25 @@ def test_truncated_snapshot_is_named_error(snapshot_pair):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(GraphError, match="too small for the declared CSR shape"):
         load_csr_snapshot(path)
+
+
+@pytest.mark.parametrize("case", ["first", "decrease", "last"])
+def test_malformed_indptr_is_named_error(snapshot_pair, case):
+    graph, path = snapshot_pair
+    n, nnz = graph.num_vertices, 2 * graph.num_edges
+    row, value, reason = {
+        "first": (0, 1, r"indptr\[0\] is 1, not 0"),
+        "decrease": (5, 10**9, "indptr decreases from 1000000000 to "),
+        "last": (n, nnz + 1, f"indptr ends at {nnz + 1}, not at nnz={nnz}"),
+    }[case]
+    data = bytearray(path.read_bytes())
+    at = _HEADER.size + 8 * (n + row)  # the n ids come first, then indptr
+    data[at : at + 8] = value.to_bytes(8, sys.byteorder, signed=True)
+    path.write_bytes(bytes(data))
+    with pytest.raises(GraphError, match=reason) as excinfo:
+        load_csr_snapshot(path)
+    message = str(excinfo.value)
+    assert str(path) in message and "\n" not in message
 
 
 def test_corrupt_magic_is_named_error(snapshot_pair, tmp_path):
