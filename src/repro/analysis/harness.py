@@ -66,7 +66,6 @@ def evaluate_lca(
     seed: int = 0,
     mode: str = "batched",
     mutations: Optional[Iterable] = None,
-    kernel: Optional[str] = None,
 ) -> EvaluationReport:
     """Materialize an LCA over every edge of its graph and verify the result.
 
@@ -92,14 +91,8 @@ def evaluate_lca(
         gets verified.  Epoch-based cache invalidation guarantees the
         result is bit-identical to evaluating a fresh LCA on the mutated
         edge set; the applied count lands in ``report.extras``.
-    kernel:
-        Optional probe-kernel selection ("auto", "python" or "numpy", see
-        :mod:`repro.kernels`) forwarded to the LCA.  Edges and probe
-        statistics are kernel-invariant; only wall-clock time changes.
     """
     graph = lca.graph
-    if kernel is not None:
-        lca.set_kernel(kernel)
     applied = lca.apply_mutations(mutations) if mutations is not None else 0
     materialized = lca.materialize(mode=mode)
     report = evaluate_materialized(

@@ -47,8 +47,15 @@ Usage examples::
     python -m repro.cli report render --out report.md
 
 ``--query-mode {cold,cached,batched}`` picks the query engine and
-``--kernel`` the probe kernels; both are performance knobs only — answers
-and probe accounting are identical.
+``--kernel`` the probe kernels (set on each LCA through ``set_kernel``);
+both are performance knobs only — answers and probe accounting are
+identical.
+
+``serve-bench`` describes its run with the scenario spec objects of
+:mod:`repro.reports.spec` (``WorkloadSpec``, ``ServiceSpec``,
+``FaultSpec``), and ``query``, ``materialize`` and ``evaluate`` check
+``--query-mode`` and ``--memo-cap`` with ``MaterializeSpec``, so a flag
+fails by the same rule as the spec key it mirrors.
 
 Bad input fails with one line: a library error (:class:`ReproError`) or an
 unreadable file (:class:`OSError`) escaping a command exits as
@@ -64,16 +71,17 @@ from typing import List, Optional, Sequence, Tuple
 from . import graphs
 from .analysis import evaluate_lca, exponent_row, format_table, run_sweep
 from .core.errors import GraphError, ReproError
+from .core.lca import QUERY_MODES
 from .core.registry import available, create
 from .faults import FaultPlan, FaultPlanError
 from .graphs.io import read_edge_list, write_edge_list
 from .kernels import KERNELS, KernelUnavailableError
 from .lowerbound import run_distinguishing_experiment
+from .reports.spec import FaultSpec, MaterializeSpec, ServiceSpec, WorkloadSpec
 from .service import (
     DEGRADED_MODES,
     ROUTING_POLICIES,
     WORKLOAD_KINDS,
-    ServiceConfig,
     ServiceEngine,
     make_workload,
 )
@@ -98,24 +106,11 @@ def _load_graph(args) -> graphs.Graph:
         except (RuntimeError, GraphError) as exc:
             raise SystemExit(f"--mmap: {exc}")
     if getattr(args, "graph", None):
-        if getattr(args, "stream", False):
-            raise SystemExit(
-                "--stream selects a chunk-emitting generator family; it does "
-                "not apply to --graph files (see read_edge_list_stream)"
-            )
         try:
             return read_edge_list(args.graph)
         except (OSError, GraphError) as exc:
             raise SystemExit(f"--graph: {exc}")
     family = getattr(args, "generate", None) or "gnp"
-    if getattr(args, "stream", False) and not family.endswith("-stream"):
-        candidate = f"{family}-stream"
-        if candidate not in GENERATORS:
-            raise SystemExit(
-                f"--stream: family {family!r} has no streaming variant; "
-                f"streaming families: {sorted(graphs.STREAM_FAMILIES)}"
-            )
-        family = candidate
     if family not in GENERATORS:
         raise SystemExit(
             f"unknown graph family {family!r}; choices: {sorted(GENERATORS)}"
@@ -124,7 +119,8 @@ def _load_graph(args) -> graphs.Graph:
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type for counts that must be >= 1 (--memo-cap, --replication).
+    """Argparse type for counts that must be >= 1 (--memo-cap, --replication,
+    --fault-horizon, --timeout-ticks, --queries, --stretch-sample, --count).
 
     Rejecting 0/negative values here gives a one-line argparse usage error
     before any graph is built.
@@ -172,10 +168,22 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_query(args) -> int:
+def _build_lca(args):
+    """The graph and LCA of a ``query``, ``materialize`` or ``evaluate`` run.
+
+    :class:`MaterializeSpec` checks ``--query-mode`` and ``--memo-cap``, as
+    it checks a spec's ``[materialize]`` table, before the graph is built.
+    """
+    spec = MaterializeSpec(mode=args.query_mode, memo_cap=args.memo_cap)
     graph = _load_graph(args)
     lca = _apply_kernel(create(args.algorithm, graph, seed=args.seed), args)
-    lca = _apply_memo_cap(lca, args)
+    if spec.memo_cap is not None:
+        lca.set_memo_cap(spec.memo_cap)
+    return graph, lca
+
+
+def cmd_query(args) -> int:
+    graph, lca = _build_lca(args)
     # "batched" is a materialization engine; individual queries fall back to
     # the cached engine (same answers, same per-query probe accounting).
     lca.set_query_mode("cold" if args.query_mode == "cold" else "cached")
@@ -195,9 +203,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_materialize(args) -> int:
-    graph = _load_graph(args)
-    lca = _apply_kernel(create(args.algorithm, graph, seed=args.seed), args)
-    lca = _apply_memo_cap(lca, args)
+    graph, lca = _build_lca(args)
     spanner = lca.materialize(mode=args.query_mode)
     stats = spanner.probe_stats
     rows = [
@@ -219,9 +225,7 @@ def cmd_materialize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    graph = _load_graph(args)
-    lca = _apply_kernel(create(args.algorithm, graph, seed=args.seed), args)
-    lca = _apply_memo_cap(lca, args)
+    _, lca = _build_lca(args)
     report = evaluate_lca(
         lca,
         sample_stretch_edges=args.stretch_sample,
@@ -270,75 +274,68 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _build_fault_plan(args) -> Optional[FaultPlan]:
-    """Resolve serve-bench fault flags into a plan (file wins over knobs)."""
+def _fault_plan(args) -> Optional[FaultPlan]:
+    """The serve-bench fault plan: a --fault-plan file wins over the
+    generator flags, which describe a :class:`FaultSpec` storm."""
     if args.fault_plan:
         try:
             return FaultPlan.from_file(args.fault_plan)
         except (FaultPlanError, OSError, ValueError) as exc:
             raise SystemExit(f"serve-bench: --fault-plan: {exc}")
-    if args.crashes or args.shard_losses or args.slow or args.flaky:
-        return FaultPlan.generate(
-            args.fault_seed,
-            num_shards=args.shards,
-            replication=args.replication,
-            horizon=args.fault_horizon,
-            crashes=args.crashes,
-            shard_losses=args.shard_losses,
-            slow=args.slow,
-            flaky=args.flaky,
-        )
-    return None
+    storm = FaultSpec(
+        seed=args.fault_seed,
+        horizon=args.fault_horizon,
+        crashes=args.crashes,
+        shard_losses=args.shard_losses,
+        slow=args.slow,
+        flaky=args.flaky,
+    )
+    return storm.to_plan(args.shards, args.replication)
 
 
 def cmd_serve_bench(args) -> int:
-    graph = _load_graph(args)
-    workload_options = {}
+    # Every value is passed explicitly, so the spec defaults never apply.
+    service = ServiceSpec(
+        shards=args.shards,
+        routing=args.routing,
+        batch_size=args.batch_size,
+        max_queue_depth=args.queue_depth,
+        arrival_burst=args.arrival_burst,
+        coalesce=not args.no_coalesce,
+        replication=args.replication,
+        max_retries=args.max_retries,
+        timeout_ticks=args.timeout_ticks,
+        degraded_mode=args.degraded_mode,
+    )
+    fault_plan = _fault_plan(args)
     if args.workload == "trace":
         if not args.trace:
             raise SystemExit("--trace FILE is required for the trace workload")
-        workload_options["path"] = args.trace
-    if args.workload == "zipf":
-        workload_options["skew"] = args.skew
-    if args.workload == "churn":
-        workload_options["write_ratio"] = args.write_ratio
-    try:
-        workload = make_workload(
-            args.workload,
-            graph,
-            num_requests=args.requests,
+    else:
+        workload_spec = WorkloadSpec(
+            kind=args.workload,
+            requests=1000 if args.requests is None else args.requests,
             seed=args.workload_seed,
-            **workload_options,
+            skew=args.skew if args.workload == "zipf" else None,
+            write_ratio=args.write_ratio if args.workload == "churn" else None,
         )
+    graph = _load_graph(args)
+    try:
+        if args.workload == "trace":
+            workload = make_workload(
+                "trace", graph, num_requests=args.requests, path=args.trace
+            )
+        else:
+            workload = workload_spec.build(graph)
     except OSError as exc:
         raise SystemExit(f"serve-bench: cannot read trace: {exc}")
     except ValueError as exc:
         raise SystemExit(f"serve-bench: {exc}")
-    fault_plan = _build_fault_plan(args)
-    try:
-        config = ServiceConfig(
-            num_shards=args.shards,
-            routing=args.routing,
-            batch_size=args.batch_size,
-            max_queue_depth=args.queue_depth,
-            arrival_burst=args.arrival_burst,
-            coalesce=not args.no_coalesce,
-            record=False,
-            replication=args.replication,
-            fault_plan=fault_plan,
-            max_retries=args.max_retries,
-            timeout_ticks=args.timeout_ticks,
-            degraded_mode=args.degraded_mode,
-            kernel=args.kernel,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"serve-bench: {exc}")
-    try:
-        engine = ServiceEngine(
-            graph, lambda g: create(args.algorithm, g, seed=args.seed), config
-        )
-    except KernelUnavailableError as exc:
-        raise SystemExit(f"serve-bench: {exc}")
+    engine = ServiceEngine(
+        graph,
+        lambda g: _apply_kernel(create(args.algorithm, g, seed=args.seed), args),
+        service.config(fault_plan),
+    )
     tracer = profiler = None
     if args.trace_out or args.trace_chrome:
         from .obs import SpanTracer
@@ -608,13 +605,6 @@ def _add_graph_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=1, help="random seed")
     parser.add_argument(
-        "--stream",
-        action="store_true",
-        help="build the generated family through the chunked streaming path "
-        "(maps --generate gnp to gnp-stream etc.); the graph goes straight "
-        "into flat CSR arrays without a Python edge list",
-    )
-    parser.add_argument(
         "--mmap",
         metavar="PATH",
         default=None,
@@ -662,23 +652,10 @@ def _add_memo_cap_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _apply_memo_cap(lca, args):
-    """Apply ``--memo-cap`` to an LCA (one-line error on --query-mode cold)."""
-    cap = getattr(args, "memo_cap", None)
-    if cap is None:
-        return lca
-    if getattr(args, "query_mode", None) == "cold":
-        raise SystemExit(
-            "--memo-cap bounds the cached engine; the cold mode has no memo "
-            "to cap — drop one of them"
-        )
-    return lca.set_memo_cap(cap)
-
-
 def _add_query_mode_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--query-mode",
-        choices=["cold", "cached", "batched"],
+        choices=list(QUERY_MODES),
         default="batched",
         help="query engine: 'cold' re-derives all state per query, 'cached' "
         "memoizes per-vertex state across queries, 'batched' additionally "
@@ -719,7 +696,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--edge", action="append", help="edge to query as 'u,v' (repeatable)"
     )
     query.add_argument(
-        "--count", type=int, default=10, help="query the first COUNT edges when --edge is absent"
+        "--count",
+        type=_positive_int,
+        default=10,
+        help="query the first COUNT edges when --edge is absent",
     )
     _add_query_mode_option(query)
     _add_kernel_option(query)
@@ -745,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--algorithm", default="spanner3")
     evaluate.add_argument(
         "--stretch-sample",
-        type=int,
+        type=_positive_int,
         default=None,
         help="verify stretch on a sample of edges instead of all of them",
     )
@@ -758,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--algorithm", default="spanner3")
     sweep.add_argument("--sizes", type=_int_list, default=[200, 400, 800])
     sweep.add_argument("--density", type=float, default=0.12)
-    sweep.add_argument("--queries", type=int, default=80)
+    sweep.add_argument("--queries", type=_positive_int, default=80)
     sweep.add_argument("--seed", type=int, default=1)
     sweep.add_argument("--target-size-exponent", type=float, default=1.5)
     sweep.add_argument("--target-probe-exponent", type=float, default=0.75)

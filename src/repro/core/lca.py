@@ -413,7 +413,6 @@ class SpannerLCA(abc.ABC):
         edges: Optional[Iterable[Edge]] = None,
         mode: Optional[str] = None,
         tracer=None,
-        kernel: Optional[str] = None,
     ) -> MaterializedSpanner:
         """Query every edge (or the given subset) and collect the spanner.
 
@@ -431,14 +430,7 @@ class SpannerLCA(abc.ABC):
         ``tracer`` (a :class:`repro.obs.tracer.SpanTracer`, default off)
         wraps the run in a ``materialize`` span — observation only, answers
         and probe accounting are unchanged.
-
-        ``kernel`` selects the probe-kernel implementation for this and all
-        later queries (shorthand for :meth:`set_kernel`): "python", "numpy"
-        or "auto".  Edges and probe accounting are identical under every
-        kernel.
         """
-        if kernel is not None:
-            self.set_kernel(kernel)
         mode = _check_mode(self._query_mode if mode is None else mode)
         result = MaterializedSpanner(
             algorithm=self.name, stretch_bound=self.stretch_bound(), edges=set()

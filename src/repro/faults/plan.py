@@ -200,8 +200,9 @@ class FaultPlan:
         faults, each at a uniform cycle in ``[0, horizon)`` against a
         uniform victim.  The RNG stream is namespaced (``"faults:<seed>"``)
         and consumed in a fixed kind order, so adding one knob never
-        reshuffles the draws of another.  Negative counts raise
-        :class:`FaultPlanError`.
+        reshuffles the draws of another.  Negative counts, and a
+        ``duration``, ``delay`` or ``count`` below 1, raise
+        :class:`FaultPlanError`, even when no event of that kind is drawn.
         """
         if num_shards < 1:
             raise FaultPlanError("num_shards must be >= 1")
@@ -209,14 +210,17 @@ class FaultPlan:
             raise FaultPlanError("replication must be >= 1")
         if horizon < 1:
             raise FaultPlanError("horizon must be >= 1")
-        for name, value in (
-            ("crashes", crashes),
-            ("shard_losses", shard_losses),
-            ("slow", slow),
-            ("flaky", flaky),
+        for name, value, floor in (
+            ("crashes", crashes, 0),
+            ("shard_losses", shard_losses, 0),
+            ("slow", slow, 0),
+            ("flaky", flaky, 0),
+            ("duration", duration, 1),
+            ("delay", delay, 1),
+            ("count", count, 1),
         ):
-            if value < 0:
-                raise FaultPlanError(f"{name} must be >= 0, got {value}")
+            if value < floor:
+                raise FaultPlanError(f"{name} must be >= {floor}, got {value}")
         rng = random.Random(f"faults:{seed}")
         events: List[FaultEvent] = []
         for _ in range(crashes):

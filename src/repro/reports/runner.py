@@ -35,7 +35,7 @@ from ..core.registry import create
 from ..graphs.generators import build_family
 from ..graphs.graph import Graph
 from ..obs import ProbeProfiler, SpanTracer, collect_run_metrics, summarize_spans
-from ..service import ServiceConfig, ServiceEngine, make_workload
+from ..service import ServiceEngine
 from .spec import ScenarioSpec
 
 Edge = Tuple[int, int]
@@ -248,36 +248,15 @@ def _run_service(spec: ScenarioSpec, tracer=None) -> Dict[str, object]:
     assert spec.workload is not None
     n = max(spec.graph.sizes)
     graph = _build_graph(spec, n)
-    workload = make_workload(
-        spec.workload.kind,
-        graph,
-        num_requests=spec.workload.requests,
-        seed=spec.workload.seed,
-        **spec.workload.options(),
-    )
+    workload = spec.workload.build(graph)
     service = spec.service
     fault_plan = None
-    if spec.faults is not None and spec.faults.total_events:
+    if spec.faults is not None:
         fault_plan = spec.faults.to_plan(service.shards, service.replication)
-    config = ServiceConfig(
-        num_shards=service.shards,
-        routing=service.routing,
-        batch_size=service.batch_size,
-        max_queue_depth=service.max_queue_depth,
-        arrival_burst=service.arrival_burst,
-        coalesce=service.coalesce,
-        record=False,
-        replication=service.replication,
-        fault_plan=fault_plan,
-        max_retries=service.max_retries,
-        timeout_ticks=service.timeout_ticks,
-        degraded_mode=service.degraded_mode,
-        checkpoint_interval=service.checkpoint_interval,
-    )
     engine = ServiceEngine(
         graph,
         lambda g: create(spec.algorithm, g, seed=spec.seed, **spec.algorithm_options),
-        config,
+        service.config(fault_plan),
     )
     obs = spec.observability
     profiler = ProbeProfiler() if obs is not None and obs.profile else None

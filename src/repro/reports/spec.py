@@ -13,7 +13,11 @@ A file holds either a single scenario (top-level keys) or a list of them
 (``[[scenario]]`` tables in TOML, a ``{"scenario": [...]}`` array in JSON).
 Validation happens eagerly at load time with precise error messages
 (:class:`SpecError` carries the file and scenario name), so a typo in a spec
-fails before any graph is built.
+fails before any graph is built.  A table that configures a library object
+validates by building that object (on a one-edge graph where it needs one)
+and reports the library's error, so a spec and the library accept exactly
+the same values.  ``repro serve-bench`` describes its run with the same
+objects.
 
 The sub-tables mirror the layers they configure:
 
@@ -48,14 +52,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from ..core.errors import ReproError
+from ..core.lca import QUERY_MODES
+from ..core.registry import create
 from ..faults import FaultPlan
 from ..graphs.generators import GRAPH_FAMILIES
-from ..service.engine import DEGRADED_MODES
-from ..service.shards import ROUTING_POLICIES
-from ..service.workload import WORKLOAD_KINDS
-
-#: Query-engine modes accepted by ``[scenario.materialize] mode``.
-QUERY_MODES = ("cold", "cached", "batched")
+from ..graphs.graph import Graph
+from ..service.engine import ServiceConfig
+from ..service.workload import Workload, make_workload
 
 
 class SpecError(ReproError):
@@ -65,6 +68,15 @@ class SpecError(ReproError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SpecError(message)
+
+
+def _check_by_building(build, what: str) -> None:
+    """Validate a table by building the library object it configures; the
+    library's error for a bad value becomes a :class:`SpecError`."""
+    try:
+        build()
+    except (ReproError, ValueError, TypeError) as exc:
+        raise SpecError(f"{what}: {exc}") from None
 
 
 def _check_choice(value: str, choices: Sequence[str], what: str) -> str:
@@ -156,19 +168,27 @@ class WorkloadSpec:
     write_ratio: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _check_choice(self.kind, tuple(WORKLOAD_KINDS), "workload kind")
         _require(self.kind != "trace", "trace workloads need a recording; use the CLI")
-        _require(self.requests >= 1, "workload requests must be >= 1")
         if self.skew is not None:
             _require(self.kind == "zipf", "skew only applies to the zipf workload")
         if self.write_ratio is not None:
             _require(
                 self.kind == "churn", "write_ratio only applies to the churn workload"
             )
-            _require(0.0 <= self.write_ratio <= 1.0, "write_ratio must be in [0, 1]")
+        _check_by_building(lambda: self.build(Graph.from_edges([(0, 1)])), "workload")
+
+    def build(self, graph: Graph) -> Workload:
+        """The request stream this table describes, over ``graph``."""
+        return make_workload(
+            self.kind,
+            graph,
+            num_requests=self.requests,
+            seed=self.seed,
+            **self.options(),
+        )
 
     def options(self) -> Dict[str, object]:
-        """Keyword options for :func:`repro.service.make_workload`."""
+        """The kind-specific keyword options of :meth:`build`."""
         options: Dict[str, object] = {}
         if self.skew is not None:
             options["skew"] = self.skew
@@ -188,7 +208,12 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class ServiceSpec:
-    """Engine knobs for the service phase (a ``ServiceConfig`` subset)."""
+    """Engine knobs for the service phase (a ``ServiceConfig`` subset).
+
+    The file schema: ``shards`` is ``ServiceConfig.num_shards``; the
+    per-request log and the fault plan have no key (:meth:`config` turns
+    the log off and takes the plan).
+    """
 
     shards: int = 2
     routing: str = "hash"
@@ -203,17 +228,25 @@ class ServiceSpec:
     checkpoint_interval: int = 8
 
     def __post_init__(self) -> None:
-        _require(self.shards >= 1, "service shards must be >= 1")
-        _check_choice(self.routing, tuple(ROUTING_POLICIES), "routing policy")
-        _require(self.batch_size >= 1, "batch_size must be >= 1")
-        _require(self.max_queue_depth >= 1, "max_queue_depth must be >= 1")
-        if self.arrival_burst is not None:
-            _require(self.arrival_burst >= 1, "arrival_burst must be >= 1")
-        _require(self.replication >= 1, "replication must be >= 1")
-        _require(self.max_retries >= 0, "max_retries must be >= 0")
-        _require(self.timeout_ticks >= 1, "timeout_ticks must be >= 1")
-        _check_choice(self.degraded_mode, tuple(DEGRADED_MODES), "degraded_mode")
-        _require(self.checkpoint_interval >= 1, "checkpoint_interval must be >= 1")
+        _check_by_building(self.config, "service")
+
+    def config(self, fault_plan: Optional[FaultPlan] = None) -> ServiceConfig:
+        """The engine configuration this table describes."""
+        return ServiceConfig(
+            num_shards=self.shards,
+            routing=self.routing,
+            batch_size=self.batch_size,
+            max_queue_depth=self.max_queue_depth,
+            arrival_burst=self.arrival_burst,
+            coalesce=self.coalesce,
+            record=False,
+            replication=self.replication,
+            fault_plan=fault_plan,
+            max_retries=self.max_retries,
+            timeout_ticks=self.timeout_ticks,
+            degraded_mode=self.degraded_mode,
+            checkpoint_interval=self.checkpoint_interval,
+        )
 
     def as_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
@@ -246,6 +279,7 @@ class FaultSpec:
     spec stores the storm's *shape* (event counts, cycle horizon, outage
     duration, slow-batch delay) and its seed, so the schedule is a pure
     function of the spec plus the service topology (shards × replication).
+    ``generate`` checks the shape at load, on a one-shard topology.
     """
 
     seed: int = 0
@@ -259,22 +293,19 @@ class FaultSpec:
     count: int = 1
 
     def __post_init__(self) -> None:
-        _require(self.horizon >= 1, "faults horizon must be >= 1")
-        _require(self.crashes >= 0, "faults crashes must be >= 0")
-        _require(self.shard_losses >= 0, "faults shard_losses must be >= 0")
-        _require(self.slow >= 0, "faults slow must be >= 0")
-        _require(self.flaky >= 0, "faults flaky must be >= 0")
-        _require(self.duration >= 1, "faults duration must be >= 1")
-        _require(self.delay >= 1, "faults delay must be >= 1")
-        _require(self.count >= 1, "faults count must be >= 1")
+        _check_by_building(lambda: self.to_plan(1, 1), "faults")
 
     @property
     def total_events(self) -> int:
         return self.crashes + self.shard_losses + self.slow + self.flaky
 
-    def to_plan(self, num_shards: int, replication: int) -> FaultPlan:
-        """Expand into a deterministic plan for the given topology."""
-        return FaultPlan.generate(
+    def to_plan(self, num_shards: int, replication: int) -> Optional[FaultPlan]:
+        """Expand into a deterministic plan for the given topology.
+
+        A storm with no events is no plan (``None``), so a fault-free run
+        bypasses the fault plane entirely.
+        """
+        plan = FaultPlan.generate(
             seed=self.seed,
             num_shards=num_shards,
             replication=replication,
@@ -287,6 +318,7 @@ class FaultSpec:
             delay=self.delay,
             count=self.count,
         )
+        return plan if self.total_events else None
 
     def as_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {"seed": self.seed, "horizon": self.horizon}
@@ -362,6 +394,11 @@ class ScenarioSpec:
             all(c.isalnum() or c in "-_." for c in self.name),
             f"scenario name {self.name!r} may only contain [a-zA-Z0-9-_.] "
             "(it becomes a results filename)",
+        )
+        graph = Graph.from_edges([(0, 1)])
+        _check_by_building(
+            lambda: create(self.algorithm, graph, self.seed, **self.algorithm_options),
+            "algorithm",
         )
         if self.faults is not None and self.faults.total_events:
             _require(

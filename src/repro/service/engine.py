@@ -165,10 +165,6 @@ class ServiceConfig:
     degraded_mode: str = "answer"
     #: Batches between primary checkpoints (replica warm-state sync).
     checkpoint_interval: int = 8
-    #: Probe-kernel selection applied to every shard-replica LCA ("auto",
-    #: "python" or "numpy"; None keeps the factory's own choice).  Answers
-    #: and probe accounting are kernel-invariant.
-    kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -196,10 +192,6 @@ class ServiceConfig:
             raise ValueError("timeout_ticks must be >= 1")
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
-        if self.kernel is not None:
-            from ..kernels import check_kernel
-
-            check_kernel(self.kernel)
 
     @property
     def effective_burst(self) -> int:
@@ -273,13 +265,6 @@ class ServiceEngine:
     ) -> None:
         self.graph = graph
         self.config = config if config is not None else ServiceConfig()
-        if self.config.kernel is not None:
-            inner_factory = lca_factory
-            kernel = self.config.kernel
-
-            def lca_factory(g):
-                return inner_factory(g).set_kernel(kernel)
-
         self.pool = ShardedOraclePool(
             graph,
             lca_factory,

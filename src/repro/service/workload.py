@@ -374,6 +374,8 @@ def make_workload(
         raise ValueError(
             f"unknown workload kind {kind!r}; choices: {sorted(WORKLOADS)}"
         )
+    if num_requests is not None and num_requests < 1:
+        raise ValueError(f"requests must be >= 1, got {num_requests}")
     if key != "trace" and num_requests is None:
         num_requests = 1000
     return WORKLOADS[key](graph, num_requests=num_requests, seed=seed, **options)

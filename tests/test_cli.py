@@ -287,8 +287,14 @@ def test_good_worker_counts_still_parse(graph_file):
         ["serve-bench", "--shard-losses", "-1"],
         ["serve-bench", "--slow", "-1"],
         ["serve-bench", "--flaky", "-1"],
+        ["serve-bench", "--requests", "0"],
         ["sweep", "--sizes", "0"],
         ["sweep", "--sizes", "abc"],
+        ["sweep", "--sizes", "50", "--queries", "0"],
+        ["sweep", "--queries", "-2"],
+        ["evaluate", "--stretch-sample", "-3"],
+        ["evaluate", "--query-mode", "cold", "--memo-cap", "5"],
+        ["query", "--count", "-1"],
         ["lowerbound", "--n", "1"],
         ["query", "--density", "2"],
         ["query", "--edge", "0,0"],

@@ -74,6 +74,14 @@ def test_generate_is_deterministic_per_seed():
     assert FaultPlan.generate(7, **knobs) != FaultPlan.generate(8, **knobs)
 
 
+@pytest.mark.parametrize("knob", ["duration", "delay", "count"])
+def test_generate_checks_the_event_shape_even_with_no_events(knob):
+    # A storm with no events still rejects a shape no event could take,
+    # so a scenario spec fails at load, not when a later edit adds events.
+    with pytest.raises(FaultPlanError, match=knob):
+        FaultPlan.generate(0, num_shards=1, **{knob: 0})
+
+
 def test_generate_draws_kinds_independently():
     # The RNG stream is consumed in a fixed kind order, so turning a later
     # knob on never reshuffles an earlier kind's draws.

@@ -210,9 +210,9 @@ def test_kernel_equivalence_survives_mutation_epochs(name):
 def test_evaluate_lca_kernel_parameter_is_probe_invariant():
     pytest.importorskip("numpy")
     graph = graphs.gnp_graph(60, 0.2, seed=9)
-    scalar = evaluate_lca(_spanner3(graph), kernel="python")
+    scalar = evaluate_lca(_spanner3(graph).set_kernel("python"))
     graph2 = graphs.gnp_graph(60, 0.2, seed=9)
-    vectorized = evaluate_lca(_spanner3(graph2), kernel="numpy")
+    vectorized = evaluate_lca(_spanner3(graph2).set_kernel("numpy"))
     assert scalar.num_spanner_edges == vectorized.num_spanner_edges
     assert scalar.probe_max == vectorized.probe_max
     assert scalar.probe_mean == vectorized.probe_mean
@@ -238,9 +238,12 @@ def test_service_engine_kernel_config_is_probe_invariant():
 
     def run(kernel):
         graph = graphs.gnp_graph(60, 0.2, seed=9)
-        config = ServiceConfig(num_shards=2, batch_size=8, kernel=kernel)
+        config = ServiceConfig(num_shards=2, batch_size=8)
         workload = make_workload("uniform", graph, num_requests=200, seed=1)
-        report = ServiceEngine(graph, _spanner3, config).run(workload)
+        engine = ServiceEngine(
+            graph, lambda g: _spanner3(g).set_kernel(kernel), config
+        )
+        report = engine.run(workload)
         return report.served, report.in_spanner, report.probe_stats.total
 
     assert run("python") == run("numpy")
@@ -265,21 +268,17 @@ def test_shards_and_replicas_share_one_table_store(monkeypatch):
         monkeypatch.setattr(kernel_spanner3, "build_scan_tables", counted)
         graph = graphs.gnp_graph(70, 0.25, seed=11)
         config = ServiceConfig(
-            num_shards=num_shards, replication=replication, batch_size=16, kernel="numpy"
+            num_shards=num_shards, replication=replication, batch_size=16
         )
         workload = make_workload(
             "churn", graph, num_requests=300, seed=4, write_ratio=0.1
         )
-        report = ServiceEngine(graph, _spanner3, config).run(workload)
+        engine = ServiceEngine(
+            graph, lambda g: _spanner3(g).set_kernel("numpy"), config
+        )
+        report = engine.run(workload)
         return len(calls), report.mutations
 
     builds, writes = run(1, 1)
     assert writes > 0 and builds > 0
     assert run(4, 2) == (builds, writes)
-
-
-def test_service_config_rejects_unknown_kernel():
-    from repro.service import ServiceConfig
-
-    with pytest.raises(ValueError, match="unknown kernel"):
-        ServiceConfig(kernel="cython")

@@ -65,6 +65,9 @@ def test_spec_round_trips_through_as_dict():
         ({"service": {"routing": "teleport"}}, "routing"),
         ({"mutations": {"ops": -1}}, "ops"),
         ({"service": {"executor": "serial"}}, "unknown service keys"),
+        ({"workload": {"kind": "zipf", "skew": 0}}, "skew"),
+        ({"algorithm": "spanner9"}, "spanner9"),
+        ({"faults": {"crashes": 1, "duration": 0}}, "duration"),
     ],
 )
 def test_invalid_specs_raise_spec_errors(mutation, message):
