@@ -3,7 +3,7 @@
 Targets: Õ(n^{1+1/k}) edges and probe complexity polynomial in Δ and n^{2/3}.
 The sweep runs on bounded-degree graphs (the construction's habitat: it is
 sublinear for Δ = O(n^{1/12-ε})), estimating spanner size from the query
-YES-rate and measuring per-query probes without any caching.  A second
+YES-rate and charging every query its cold probe schedule.  A second
 experiment varies k at fixed n and checks that larger k yields (weakly)
 sparser spanners — the size/stretch trade-off the theorem describes.
 """
@@ -25,10 +25,7 @@ DEGREE = 6
 def _factory(k):
     def build(graph, seed):
         return KSquaredSpannerLCA(
-            graph,
-            seed=seed,
-            params=tuned_k2_params(graph.num_vertices, k=k),
-            shared_cache=False,
+            graph, seed=seed, params=tuned_k2_params(graph.num_vertices, k=k)
         )
 
     return build
@@ -71,8 +68,8 @@ def test_k_tradeoff_at_fixed_size(benchmark):
     estimates = {}
     for k in (1, 2, 3):
         lca = KSquaredSpannerLCA(
-            graph, seed=9, params=tuned_k2_params(graph.num_vertices, k=k), shared_cache=True
-        )
+            graph, seed=9, params=tuned_k2_params(graph.num_vertices, k=k)
+        ).set_query_mode("cached")
         kept = sum(1 for (u, v) in sample if lca.query(u, v))
         estimate = kept / len(sample) * graph.num_edges
         estimates[k] = estimate
@@ -88,7 +85,7 @@ def test_k_tradeoff_at_fixed_size(benchmark):
     assert estimates[3] <= estimates[1] + 0.05 * graph.num_edges
 
     lca = KSquaredSpannerLCA(
-        graph, seed=9, params=tuned_k2_params(graph.num_vertices, k=2), shared_cache=True
-    )
+        graph, seed=9, params=tuned_k2_params(graph.num_vertices, k=2)
+    ).set_query_mode("cached")
     u, v = sample[0]
     benchmark(lambda: lca.query(u, v))

@@ -63,9 +63,7 @@ def test_table1_summary(
 
     # O(k²) LCA runs on its natural bounded-degree habitat.
     bounded = bounded_benchmark_graph
-    k2 = KSquaredSpannerLCA(
-        bounded, seed=5, params=tuned_k2_params(bounded.num_vertices, k=2), shared_cache=True
-    )
+    k2 = KSquaredSpannerLCA(bounded, seed=5, params=tuned_k2_params(bounded.num_vertices, k=2))
     k2_report = evaluate_lca(k2, stretch_limit=k2.stretch_bound() + 1)
     rows.append(
         {

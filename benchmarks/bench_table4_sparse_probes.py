@@ -27,7 +27,7 @@ from conftest import print_section, tuned_k2_params
 def test_table4_sparse_subroutine_probes(benchmark, bounded_benchmark_graph):
     graph = bounded_benchmark_graph
     params = tuned_k2_params(graph.num_vertices, k=2)
-    lca = KSquaredSpannerLCA(graph, seed=21, params=params, shared_cache=False)
+    lca = KSquaredSpannerLCA(graph, seed=21, params=params)
     randomness: KSquaredRandomness = lca.randomness
 
     delta = graph.max_degree()
@@ -53,7 +53,7 @@ def test_table4_sparse_subroutine_probes(benchmark, bounded_benchmark_graph):
     # Row 3: gathering the k-ball around a (preferably sparse) edge.
     gather_max = 0
     sparse_edges = []
-    probe_view = LocalView(AdjacencyListOracle(graph), params, randomness, cache={})
+    probe_view = LocalView(AdjacencyListOracle(graph), params, randomness)
     for (u, v) in graph.edges():
         if probe_view.is_sparse(u) or probe_view.is_sparse(v):
             sparse_edges.append((u, v))

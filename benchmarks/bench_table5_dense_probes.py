@@ -33,14 +33,14 @@ def _fresh_view(graph, params, randomness):
 def test_table5_dense_subroutine_probes(benchmark, bounded_benchmark_graph):
     graph = bounded_benchmark_graph
     params = tuned_k2_params(graph.num_vertices, k=2)
-    lca = KSquaredSpannerLCA(graph, seed=29, params=params, shared_cache=False)
+    lca = KSquaredSpannerLCA(graph, seed=29, params=params)
     randomness = lca.randomness
 
     delta = graph.max_degree()
     budget = params.exploration_budget
 
     # Collect some dense vertices and dense-dense edges to measure on.
-    scan_view = LocalView(AdjacencyListOracle(graph), params, randomness, cache={})
+    scan_view = LocalView(AdjacencyListOracle(graph), params, randomness)
     dense_vertices = [v for v in graph.vertices() if scan_view.is_dense(v)][:40]
     dense_edges = []
     for (u, v) in graph.edges():

@@ -57,7 +57,7 @@ def main(argv: list[str]) -> int:
         rank_quota=max(4, 2 * int(n ** 0.5)),
         independence=12,
     )
-    k2_lca = KSquaredSpannerLCA(graph, seed=seed, params=k2_params, shared_cache=True)
+    k2_lca = KSquaredSpannerLCA(graph, seed=seed, params=k2_params)
     report_k2 = evaluate_lca(k2_lca)
     rows.append(
         {

@@ -148,21 +148,25 @@ def probe_complexity_sample(
 
     Used when materializing every edge would be too slow but a faithful
     per-query probe measurement is still wanted (e.g. Table 4/5 rows).
+    ``"yes"`` counts the sampled edges the LCA keeps.
     """
     edges = list(lca.graph.edges())
     if not edges:
-        return {"queries": 0, "max": 0, "mean": 0.0}
+        return {"queries": 0, "max": 0, "mean": 0.0, "yes": 0}
     rng = random.Random(seed)
     count = min(num_queries, len(edges))
     sample = rng.sample(edges, count)
     totals: List[int] = []
+    yes = 0
     for (u, v) in sample:
         outcome = lca.query_with_stats(u, v)
         totals.append(outcome.probe_total)
+        yes += outcome.in_spanner
     return {
         "queries": len(totals),
         "max": max(totals),
         "mean": sum(totals) / len(totals),
+        "yes": yes,
     }
 
 

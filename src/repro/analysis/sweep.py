@@ -115,7 +115,7 @@ def run_sweep(
             )
         else:
             stats = probe_complexity_sample(lca, probe_queries, seed=seed + index)
-            yes_rate = _yes_rate(lca, probe_queries, seed=seed + index)
+            yes_rate = stats["yes"] / stats["queries"] if stats["queries"] else 0.0
             point = SweepPoint(
                 num_vertices=graph.num_vertices,
                 num_edges=graph.num_edges,
@@ -126,20 +126,6 @@ def run_sweep(
             )
         result.points.append(point)
     return result
-
-
-def _yes_rate(lca: SpannerLCA, num_queries: int, seed: int = 0) -> float:
-    """Fraction of sampled edge queries answered YES (spanner size estimate)."""
-    import random
-
-    edges = list(lca.graph.edges())
-    if not edges:
-        return 0.0
-    rng = random.Random(seed)
-    count = min(num_queries, len(edges))
-    sample = rng.sample(edges, count)
-    yes = sum(1 for (u, v) in sample if lca.query(u, v))
-    return yes / count
 
 
 def exponent_row(

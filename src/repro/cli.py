@@ -70,7 +70,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import graphs
 from .analysis import evaluate_lca, exponent_row, format_table, run_sweep
-from .core.errors import GraphError, ReproError
+from .core.errors import GraphError, ParameterError, ReproError
 from .core.lca import QUERY_MODES
 from .core.registry import available, create
 from .faults import FaultPlan, FaultPlanError
@@ -138,9 +138,11 @@ def _parse_edges(values: Sequence[str]) -> List[Tuple[int, int]]:
     edges = []
     for value in values:
         parts = value.replace(",", " ").split()
-        if len(parts) != 2:
-            raise SystemExit(f"cannot parse edge {value!r}; expected 'u,v'")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = (int(part) for part in parts)
+        except ValueError:
+            raise ParameterError(f"cannot parse edge {value!r}; expected 'u,v'")
+        edges.append((u, v))
     return edges
 
 

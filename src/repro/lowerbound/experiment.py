@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from ..core.errors import ProbeBudgetExceededError
+from ..core.errors import ParameterError, ProbeBudgetExceededError
 from ..core.oracle import AdjacencyListOracle
 from ..core.probes import ProbeCounter
 from .instances import (
@@ -100,7 +100,12 @@ def run_distinguishing_experiment(
 
     Each trial samples a fresh instance, alternating between the two
     families, and lets the distinguisher probe it with the given budget.
+    A budget of 0 allows no probe, so the distinguisher can only guess.
     """
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    if probe_budget < 0:
+        raise ParameterError(f"probe budget must be >= 0, got {probe_budget}")
     distinguisher = distinguisher or bfs_distinguisher
     designated = designated or default_designated_edge(degree)
     correct = 0

@@ -41,18 +41,16 @@ class VoronoiTreeComponent(SpannerLCA):
         seed: SeedLike,
         params: KSquaredParams,
         randomness: KSquaredRandomness,
-        shared_cache: Optional[dict] = None,
     ) -> None:
         super().__init__(graph, seed)
         self.params = params
         self.randomness = randomness
-        self._shared_cache = shared_cache
 
     def stretch_bound(self) -> Optional[int]:
         return 1
 
     def _decide(self, oracle: AdjacencyListOracle, u: int, v: int) -> bool:
-        view = LocalView(oracle, self.params, self.randomness, cache=self._shared_cache)
+        view = LocalView(oracle, self.params, self.randomness)
         return view.is_tree_edge(u, v)
 
 
@@ -67,12 +65,10 @@ class DenseConnectorComponent(SpannerLCA):
         seed: SeedLike,
         params: KSquaredParams,
         randomness: KSquaredRandomness,
-        shared_cache: Optional[dict] = None,
     ) -> None:
         super().__init__(graph, seed)
         self.params = params
         self.randomness = randomness
-        self._shared_cache = shared_cache
 
     def stretch_bound(self) -> Optional[int]:
         return None  # O(k²) with high probability; not a deterministic bound.
@@ -81,7 +77,7 @@ class DenseConnectorComponent(SpannerLCA):
     # Decision rule
     # ------------------------------------------------------------------ #
     def _decide(self, oracle: AdjacencyListOracle, u: int, v: int) -> bool:
-        view = LocalView(oracle, self.params, self.randomness, cache=self._shared_cache)
+        view = LocalView(oracle, self.params, self.randomness)
         if not (view.is_dense(u) and view.is_dense(v)):
             return False
         center_u = view.center(u)

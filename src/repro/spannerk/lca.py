@@ -38,12 +38,11 @@ class KSquaredSpannerLCA(CombinedLCA):
     params:
         Optional explicit :class:`KSquaredParams` (tests use this to control
         L and the sampling probabilities at small n).
-    shared_cache:
-        When ``True`` the deterministic intermediate computations
-        (explorations, clusters, ...) are cached across queries.  Answers are
-        identical; only per-query probe accounting changes.  Used by the
-        verification harness to materialize full spanners quickly — leave it
-        off when measuring probe complexity.
+
+    The cached and batched engines keep every D^k_L exploration in the
+    oracle's memo layer, shared by the three components, and charge each
+    query the exploration's cold probe cost; per-query probe totals equal
+    the cold schedule's in every query mode.
     """
 
     name = "spannerk"
@@ -55,7 +54,6 @@ class KSquaredSpannerLCA(CombinedLCA):
         stretch_parameter: int = 2,
         params: Optional[KSquaredParams] = None,
         hitting_constant: float = 2.0,
-        shared_cache: bool = False,
     ) -> None:
         seed = Seed.of(seed)
         if params is None:
@@ -65,18 +63,16 @@ class KSquaredSpannerLCA(CombinedLCA):
                 hitting_constant=hitting_constant,
             )
         self.params = params
-        self.shared_cache = bool(shared_cache)
         self.randomness = KSquaredRandomness(seed.derive("spannerk"), params)
-        cache = {} if shared_cache else None
 
         self.sparse_component = SparseSpannerComponent(
-            graph, seed, params=params, randomness=self.randomness, shared_cache=cache
+            graph, seed, params=params, randomness=self.randomness
         )
         self.tree_component = VoronoiTreeComponent(
-            graph, seed, params=params, randomness=self.randomness, shared_cache=cache
+            graph, seed, params=params, randomness=self.randomness
         )
         self.connector_component = DenseConnectorComponent(
-            graph, seed, params=params, randomness=self.randomness, shared_cache=cache
+            graph, seed, params=params, randomness=self.randomness
         )
         super().__init__(
             graph,

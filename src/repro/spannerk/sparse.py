@@ -35,12 +35,10 @@ class SparseSpannerComponent(SpannerLCA):
         seed: SeedLike,
         params: KSquaredParams,
         randomness: KSquaredRandomness,
-        shared_cache: Optional[dict] = None,
     ) -> None:
         super().__init__(graph, seed)
         self.params = params
         self.randomness = randomness
-        self._shared_cache = shared_cache
         self._sampler = ClusterSampler(
             self._derive_seed("spannerk/baswana-sen"),
             stretch_parameter=max(1, params.stretch_parameter),
@@ -93,12 +91,7 @@ class SparseSpannerComponent(SpannerLCA):
     # Decision rule
     # ------------------------------------------------------------------ #
     def _decide(self, oracle: AdjacencyListOracle, u: int, v: int) -> bool:
-        view = LocalView(
-            oracle,
-            self.params,
-            self.randomness,
-            cache=self._shared_cache,
-        )
+        view = LocalView(oracle, self.params, self.randomness)
         u_sparse = view.is_sparse(u)
         v_sparse = view.is_sparse(v)
         if not (u_sparse or v_sparse):

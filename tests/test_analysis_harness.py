@@ -105,6 +105,32 @@ def test_run_sweep_sampled_mode():
     assert all(p.spanner_edges <= p.num_edges for p in sweep.points)
 
 
+def test_sampled_sweep_answers_each_sampled_edge_once():
+    """The sampled sweep takes its YES-rate from the probe sample's answers,
+    so each size's LCA answers min(probe_queries, m) queries, not twice that."""
+    built = []
+
+    def factory(graph, seed):
+        built.append(ThreeSpannerLCA(graph, seed=seed))
+        return built[-1]
+
+    sweep = run_sweep(
+        "spanner3-sampled",
+        lca_factory=factory,
+        graph_factory=lambda n, s: gnp_graph(n, 0.3, seed=s),
+        sizes=[8, 60],
+        seed=2,
+        materialize=False,
+        probe_queries=10,
+    )
+    small, large = built
+    assert small.graph.num_edges < 10 < large.graph.num_edges
+    for lca in built:
+        assert lca.probe_stats.queries == min(10, lca.graph.num_edges)
+    # The small graph's sample is every edge, so its size estimate is exact.
+    assert sweep.points[0].spanner_edges == small.materialize().num_edges
+
+
 def test_format_table_alignment_and_values():
     rows = [
         {"algorithm": "a", "n": 10, "ok": True, "x": None},

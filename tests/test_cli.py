@@ -298,6 +298,11 @@ def test_good_worker_counts_still_parse(graph_file):
         ["lowerbound", "--n", "1"],
         ["query", "--density", "2"],
         ["query", "--edge", "0,0"],
+        ["query", "--edge", "a,b"],
+        ["query", "--edge", "1,2,3"],
+        ["mutate", "--add", "x,1"],
+        ["lowerbound", "--trials", "0"],
+        ["lowerbound", "--budget", "-1"],
         ["mutate", "--ops", "{missing}"],
         ["mutate", "--ops", "{malformed}"],
         ["evaluate", "--mmap", "{corrupt}"],

@@ -2,8 +2,9 @@
 
 The examples double as executable documentation; these tests keep them
 working as the library evolves.  Each example is invoked as a subprocess the
-way a user would run it, with arguments small enough for the whole module to
-finish in a couple of seconds.
+way a user would run it, with the arguments of its ``examples/README.md``
+section (small enough for the whole module to finish in a couple of
+seconds), and every line that section shows must appear in what it prints.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from pathlib import Path
 import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+
+#: Examples whose README output has wall-clock columns: only their exit
+#: status and a non-empty report are checked.
+WALL_CLOCK_OUTPUT = {"serve_demo.py"}
 
 CASES = [
     ("quickstart.py", ["120", "0.2", "3"]),
@@ -39,6 +44,21 @@ def test_example_runs_cleanly(script, args):
     )
     assert completed.returncode == 0, completed.stdout + completed.stderr
     assert completed.stdout.strip(), "examples must print a report"
+    expected = _readme_block(script, args)
+    if script not in WALL_CLOCK_OUTPUT:
+        printed = {line.rstrip() for line in completed.stdout.splitlines()}
+        missing = [line for line in expected if line not in printed]
+        assert not missing, f"README lines {script} no longer prints: {missing}"
+
+
+def _readme_block(script, args):
+    """The non-blank lines of the README's expected output for one run."""
+    readme = (EXAMPLES_DIR / "README.md").read_text(encoding="utf-8")
+    heading = f"### `{' '.join([script, *args])}`\n"
+    _, found, section = readme.partition(heading)
+    assert found, f"examples/README.md has no {heading.strip()!r} section"
+    fenced = section.split("```", 2)[1].split("\n", 1)[1]
+    return [line.rstrip() for line in fenced.splitlines() if line.strip()]
 
 
 def test_examples_directory_has_quickstart_plus_scenarios():

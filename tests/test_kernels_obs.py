@@ -8,8 +8,10 @@ explicitly — so the attribution a profiler reports must be *identical* to the
 scalar path: same per-phase probe totals, same per-kind splits, same call
 counts.  spanner5 reaches those kernels through its spanner3 components;
 spannerk runs its scalar ``bfs``/``voronoi`` code under every kernel, and its
-row pins that attribution.  That parity is what keeps flame-style probe
-attribution trustworthy regardless of which kernel produced the numbers.
+row pins that attribution, also against the cold engine, whose explorations
+the batched engine replays from its memo.  That parity is what keeps
+flame-style probe attribution trustworthy regardless of which kernel or
+engine produced the numbers.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from repro.obs import ProbeProfiler
 from repro.spannerk import KSquaredParams, KSquaredSpannerLCA
 
 
-def _profile(make_lca, kernel):
+def _profile(make_lca, kernel, mode="batched"):
     lca = make_lca().set_kernel(kernel)
     profiler = ProbeProfiler()
     lca.attach_profiler(profiler)
-    lca.materialize(mode="batched")
+    lca.materialize(mode=mode)
     payload = profiler.as_dict()
     return payload["phases"], dict(profiler.phase_calls)
 
@@ -61,8 +63,9 @@ def test_spannerk_bfs_and_voronoi_attribution_matches_scalar():
 
     scalar_phases, scalar_calls = _profile(make_lca, "python")
     numpy_phases, numpy_calls = _profile(make_lca, "numpy")
-    assert scalar_phases == numpy_phases
-    assert scalar_calls == numpy_calls
+    cold_phases, cold_calls = _profile(make_lca, "python", mode="cold")
+    assert scalar_phases == numpy_phases == cold_phases
+    assert scalar_calls == numpy_calls == cold_calls
     assert scalar_phases.get("bfs", {}).get("total", 0) > 0
 
 

@@ -113,21 +113,18 @@ def test_compaction_never_changes_answers_or_probes():
     assert _signature(lca) == before
 
 
-def test_spannerk_shared_cache_mode_survives_mutations():
-    """The coarse epoch guard on the spannerk shared exploration cache:
-    answers under shared_cache=True must track mutations (probe accounting
-    under shared_cache differs from cold by design, so only answers pin)."""
+def test_spannerk_exploration_memo_survives_mutations():
+    """spannerk's memoized D^k_L explorations are recomputed once a row they
+    read mutates: a live LCA's batched answers and per-query probe totals
+    after random mutations match a from-scratch rebuild."""
     graph = graphs.bounded_degree_expanderish(60, d=4, seed=6)
-    lca = create("spannerk", graph, seed=4, shared_cache=True)
+    lca = create("spannerk", graph, seed=4)
     lca.materialize(mode="batched")
     rng = random.Random(17)
     _mutate_randomly(graph, rng, steps=6)
     live = lca.materialize(mode="batched")
     fresh = create(
-        "spannerk",
-        Graph(graph.as_adjacency(), validate=True),
-        seed=4,
-        shared_cache=True,
+        "spannerk", Graph(graph.as_adjacency(), validate=True), seed=4
     ).materialize(mode="batched")
     assert live.edges == fresh.edges
     assert live.probe_stats.query_totals == fresh.probe_stats.query_totals

@@ -55,8 +55,8 @@ def test_k_squared_spanner_invariants(graph, seed, k, center_p, mark_p):
         rank_quota=8,
         independence=8,
     )
-    lca = KSquaredSpannerLCA(graph, seed=seed, params=params, shared_cache=True)
-    materialized = lca.materialize()
+    lca = KSquaredSpannerLCA(graph, seed=seed, params=params)
+    materialized = lca.materialize(mode="batched")
     # subgraph property is enforced by measure_stretch's check
     report = measure_stretch(graph, materialized.edges)
     assert preserves_connectivity(graph, materialized.edges)

@@ -29,7 +29,7 @@ def bounded_graph():
 
 
 def test_default_parameters_give_valid_spanner(bounded_graph):
-    lca = KSquaredSpannerLCA(bounded_graph, seed=7, stretch_parameter=2, shared_cache=True)
+    lca = KSquaredSpannerLCA(bounded_graph, seed=7, stretch_parameter=2)
     report = evaluate_lca(lca)
     assert report.stretch.is_finite
     assert report.stretch.max_stretch <= lca.stretch_bound()
@@ -41,8 +41,8 @@ def test_all_sparse_regime_matches_baswana_sen_guarantee(bounded_graph):
     Baswana–Sen simulation and must satisfy the (2k−1) stretch bound."""
     k = 3
     params = tuned_params(bounded_graph.num_vertices, k, budget=10, center_p=0.0, mark_p=0.2)
-    lca = KSquaredSpannerLCA(bounded_graph, seed=7, params=params, shared_cache=True)
-    materialized = lca.materialize()
+    lca = KSquaredSpannerLCA(bounded_graph, seed=7, params=params)
+    materialized = lca.materialize(mode="batched")
     stretch = measure_stretch(bounded_graph, materialized.edges, limit=2 * k)
     assert stretch.max_stretch <= 2 * k - 1
     assert preserves_connectivity(bounded_graph, materialized.edges)
@@ -51,7 +51,7 @@ def test_all_sparse_regime_matches_baswana_sen_guarantee(bounded_graph):
 def test_all_dense_regime_voronoi_only(bounded_graph):
     """With every vertex a center, the dense machinery runs on singleton cells."""
     params = tuned_params(bounded_graph.num_vertices, 2, budget=6, center_p=1.0, mark_p=0.2)
-    lca = KSquaredSpannerLCA(bounded_graph, seed=7, params=params, shared_cache=True)
+    lca = KSquaredSpannerLCA(bounded_graph, seed=7, params=params)
     report = evaluate_lca(lca)
     assert report.connectivity_preserved
     assert report.stretch.max_stretch <= lca.stretch_bound()
@@ -59,7 +59,7 @@ def test_all_dense_regime_voronoi_only(bounded_graph):
 
 def test_mixed_regime_connectivity_and_stretch(bounded_graph):
     params = tuned_params(bounded_graph.num_vertices, 2, budget=8, center_p=0.25, mark_p=0.25)
-    lca = KSquaredSpannerLCA(bounded_graph, seed=11, params=params, shared_cache=True)
+    lca = KSquaredSpannerLCA(bounded_graph, seed=11, params=params)
     report = evaluate_lca(lca)
     assert report.connectivity_preserved
     assert report.stretch.is_finite
@@ -68,33 +68,23 @@ def test_mixed_regime_connectivity_and_stretch(bounded_graph):
 
 def test_consistency_of_answers(bounded_graph):
     params = tuned_params(bounded_graph.num_vertices, 2, budget=8, center_p=0.3, mark_p=0.3)
-    lca = KSquaredSpannerLCA(bounded_graph, seed=5, params=params, shared_cache=True)
+    lca = KSquaredSpannerLCA(bounded_graph, seed=5, params=params).set_query_mode("cached")
     sample = list(bounded_graph.edges())[:30]
     assert check_consistency(lca, edges=sample)
-
-
-def test_shared_cache_does_not_change_answers():
-    graph = graphs.bounded_degree_expanderish(80, d=4, seed=2)
-    params = tuned_params(graph.num_vertices, 2, budget=6, center_p=0.3, mark_p=0.3)
-    cached = KSquaredSpannerLCA(graph, seed=5, params=params, shared_cache=True)
-    uncached = KSquaredSpannerLCA(graph, seed=5, params=params, shared_cache=False)
-    edges = list(graph.edges())[:40]
-    for (u, v) in edges:
-        assert cached.query(u, v) == uncached.query(u, v)
 
 
 def test_deterministic_in_seed():
     graph = graphs.bounded_degree_expanderish(80, d=4, seed=2)
     params = tuned_params(graph.num_vertices, 2, budget=6, center_p=0.3, mark_p=0.3)
-    a = KSquaredSpannerLCA(graph, seed=9, params=params, shared_cache=True).materialize().edges
-    b = KSquaredSpannerLCA(graph, seed=9, params=params, shared_cache=True).materialize().edges
+    a = KSquaredSpannerLCA(graph, seed=9, params=params).materialize(mode="batched").edges
+    b = KSquaredSpannerLCA(graph, seed=9, params=params).materialize(mode="batched").edges
     assert a == b
 
 
 def test_grid_graph_large_diameter():
     graph = graphs.grid_graph(10, 10)
     params = tuned_params(graph.num_vertices, 3, budget=10, center_p=0.2, mark_p=0.3)
-    lca = KSquaredSpannerLCA(graph, seed=3, params=params, shared_cache=True)
+    lca = KSquaredSpannerLCA(graph, seed=3, params=params)
     report = evaluate_lca(lca)
     assert report.connectivity_preserved
     assert report.stretch.max_stretch <= lca.stretch_bound()
@@ -105,20 +95,44 @@ def test_disconnected_graph_components_preserved():
         [graphs.cycle_graph(30), graphs.grid_graph(5, 6)]
     )
     params = tuned_params(graph.num_vertices, 2, budget=6, center_p=0.3, mark_p=0.3)
-    lca = KSquaredSpannerLCA(graph, seed=3, params=params, shared_cache=True)
-    materialized = lca.materialize()
+    lca = KSquaredSpannerLCA(graph, seed=3, params=params)
+    materialized = lca.materialize(mode="batched")
     assert preserves_connectivity(graph, materialized.edges)
 
 
-def test_probe_accounting_without_shared_cache():
+def test_probe_accounting_of_a_cold_query():
     graph = graphs.bounded_degree_expanderish(60, d=4, seed=1)
     params = tuned_params(graph.num_vertices, 2, budget=6, center_p=0.3, mark_p=0.3)
-    lca = KSquaredSpannerLCA(graph, seed=5, params=params, shared_cache=False)
+    lca = KSquaredSpannerLCA(graph, seed=5, params=params)
     u, v = next(iter(graph.edges()))
     outcome = lca.query_with_stats(u, v)
     assert outcome.probe_total > 0
     # far below reading the whole graph
     assert outcome.probe_total < 2 * graph.num_edges
+
+
+def test_batched_materialize_explores_each_vertex_once(monkeypatch):
+    """The cached engine keeps each D^k_L exploration in the oracle's memo
+    layer: a batched materialize runs ``explore`` at most once per vertex,
+    yet keeps the cold run's edges and per-query probe totals."""
+    import repro.spannerk.voronoi as voronoi
+
+    graph = graphs.bounded_degree_expanderish(80, d=4, seed=3)
+    params = tuned_params(graph.num_vertices, 2, budget=6, center_p=0.3, mark_p=0.25, quota=20)
+    cold = KSquaredSpannerLCA(graph, seed=7, params=params).materialize(mode="cold")
+
+    sources = []
+    real_explore = voronoi.explore
+
+    def counting_explore(oracle, source, **kwargs):
+        sources.append(source)
+        return real_explore(oracle, source, **kwargs)
+
+    monkeypatch.setattr(voronoi, "explore", counting_explore)
+    batched = KSquaredSpannerLCA(graph, seed=7, params=params).materialize(mode="batched")
+    assert len(sources) == len(set(sources)) <= graph.num_vertices
+    assert batched.edges == cold.edges
+    assert batched.probe_stats.query_totals == cold.probe_stats.query_totals
 
 
 def test_stretch_parameter_controls_nominal_bound():
