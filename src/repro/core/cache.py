@@ -194,14 +194,13 @@ class OracleCache:
     *derived* per-LCA state.
     """
 
-    __slots__ = ("graph", "stats", "profiler", "_memos", "_trackers")
+    __slots__ = ("graph", "stats", "discards", "_memos", "_trackers")
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self.stats = CacheStats()
-        #: Optional :class:`repro.obs.profiler.ProbeProfiler` observing this
-        #: cache (duck-typed; ``None`` keeps the hot path untouched).
-        self.profiler = None
+        #: Monotone count of stale entries :meth:`lookup` discarded.
+        self.discards = 0
         self._memos: Dict[Hashable, dict] = {}
         # Dependency-tracking frames: while a memoized computation runs, the
         # top frame collects the vertices whose rows it reads.
@@ -317,11 +316,7 @@ class OracleCache:
             return None
         if not self._entry_fresh(entry):
             del table[key]
-            if self.profiler is not None:
-                # Observation only: the discard itself is unchanged, the
-                # profiler just learns that the miss about to follow is an
-                # epoch invalidation rather than a cold first touch.
-                self.profiler.note_invalidation()
+            self.discards += 1
             return None
         if self._trackers and entry.touched:
             self._trackers[-1].update(entry.touched)

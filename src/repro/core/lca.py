@@ -293,7 +293,6 @@ class SpannerLCA(abc.ABC):
         cached = self._cached_oracle
         if cached is not None:
             cached.profiler = profiler
-            cached.cache.profiler = profiler
         return self
 
     def _oracle_for(self, mode: str) -> AdjacencyListOracle:
@@ -307,7 +306,6 @@ class SpannerLCA(abc.ABC):
             self._cached_oracle.kernel = self._resolve_kernel()
             if self._profiler is not None:
                 self._cached_oracle.profiler = self._profiler
-                self._cached_oracle.cache.profiler = self._profiler
         return self._cached_oracle
 
     def ensure_cached_oracle(self) -> CachedOracle:

@@ -259,7 +259,7 @@ class CachedOracle(AdjacencyListOracle):
         """
         cache = self.cache
         profiler = self.profiler
-        invalidations_before = profiler.invalidations if profiler is not None else 0
+        discards = cache.discards if profiler is not None else 0
         entry = cache.lookup(namespace, key)
         if entry is not None:
             value, cost = entry.value
@@ -268,6 +268,10 @@ class CachedOracle(AdjacencyListOracle):
             if profiler is not None:
                 profiler.record_hit(cost.total)
             return value
+        # The discard count moved during *this* lookup exactly when the miss
+        # follows a stale-entry discard rather than a cold first touch;
+        # discards made later, inside ``compute()``, belong to other memos.
+        invalidated = profiler is not None and cache.discards != discards
         cache.stats.misses += 1
         before = self.counter.snapshot()
         with cache.track() as touched:
@@ -275,11 +279,9 @@ class CachedOracle(AdjacencyListOracle):
         cost = self.counter.snapshot() - before
         cache.store(namespace, key, (value, cost), touched)
         if profiler is not None:
-            # The invalidation count moved during *this* lookup exactly when
-            # the miss is a stale-entry discard, not a cold first touch.
-            profiler.record_miss(
-                cost.total, invalidated=profiler.invalidations > invalidations_before
-            )
+            if invalidated:
+                profiler.note_invalidation()
+            profiler.record_miss(cost.total, invalidated=invalidated)
         return value
 
     # ------------------------------------------------------------------ #

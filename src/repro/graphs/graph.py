@@ -68,7 +68,7 @@ def validate_adjacency(adjacency: Mapping[Vertex, Sequence[Vertex]]) -> None:
 
 
 def _in_sorted(values, item: int) -> bool:
-    """Membership test on a sorted array (the removal side-arrays)."""
+    """Membership test on a sorted list (the removal side-lists)."""
     position = bisect_left(values, item)
     return position < len(values) and values[position] == item
 
@@ -442,9 +442,11 @@ class Graph:
         self._mutation_log: List[Edge] = []
         # Per-vertex overlay consulted by every neighbor view while deltas
         # are pending: appended neighbors (in mutation order) and removed
-        # neighbor ids (sorted side-arrays probed with bisect).
+        # neighbor ids (sorted side-lists probed with bisect; plain lists,
+        # so ids beyond 64 bits fit, and short, since compaction bounds the
+        # overlay).
         self._delta_add: Dict[int, List[int]] = {}
-        self._delta_removed: Dict[int, array] = {}
+        self._delta_removed: Dict[int, List[int]] = {}
         self._delta_entries = 0
         # Per-vertex survivor rows (base minus removals plus appends),
         # computed once per epoch instead of per probe; a mutation of the
@@ -491,7 +493,7 @@ class Graph:
         if self.has_edge(u, v):
             raise GraphError(f"({u}, {v}) is already an edge of this graph")
         # A re-added edge whose base occurrence is masked by the removal
-        # side-array stays masked: the appended id lands at the end of the
+        # side-list stays masked: the appended id lands at the end of the
         # row, after the survivors.
         for a, b in ((u, v), (v, u)):
             self._delta_add.setdefault(a, []).append(b)
@@ -522,8 +524,7 @@ class Graph:
                 continue
             removed = self._delta_removed.get(a)
             if removed is None:
-                removed = array("q")
-                self._delta_removed[a] = removed
+                removed = self._delta_removed[a] = []
             insort(removed, b)
             self._delta_entries += 1
         self._num_edges -= 1

@@ -14,9 +14,12 @@ in a weak-keyed map so it dies with the graph: the epoch's
 tables.  An answer is a pure function of (graph, seed, query), so every LCA
 on the graph — every shard and replica — reads the same store, and tables are
 keyed by the center system's value key rather than its identity.  When a
-write moves the epoch, the store rebuilds the view and patches its tables row
-by row (:func:`repro.kernels.spanner3.patch_tables`) instead of rebuilding
-them.
+write moves the epoch, the store patches the view
+(:func:`~repro.kernels.view.patch_view`) and the tables
+(:func:`repro.kernels.spanner3.patch_tables`) for the rows it changed, and
+builds nothing else: a scan row the write may have changed is marked stale
+and rebuilt the first time a scan reads it, and a whole-graph read flushes
+every stale row in one call.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import weakref
 from typing import Optional
 
 from . import spanner3 as _spanner3
-from .view import build_view
+from .view import build_view, patch_view
 
 #: graph -> its :class:`TableStore`; an entry dies with its graph.
 _STORES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -55,26 +58,40 @@ class TableStore:
             self.prefix[system.key] = entry
         return entry[1]
 
-    def scan_tables(self, system, block: Optional[int]) -> "_spanner3.ScanTables":
-        """Closed-form scan outcomes for ``system`` (per block variant)."""
+    def scan_tables(
+        self, system, block: Optional[int], row: Optional[int] = None
+    ) -> "_spanner3.ScanTables":
+        """Closed-form scan outcomes for ``system`` (per block variant).
+
+        Stale rows are rebuilt first: ``row`` alone when given (the one row a
+        scan reads), otherwise every stale row in one call.
+        """
         key = (system.key, block)
         tables = self.scan.get(key)
         if tables is None:
             prefix = self.prefix_tables(system)
             tables = _spanner3.build_scan_tables(self.np, self.view, prefix, block)
             self.scan[key] = tables
+        elif tables.stale is not None and (row is None or tables.stale[row]):
+            if row is None:
+                rows, tables.stale = self.np.flatnonzero(tables.stale), None
+            else:
+                rows, tables.stale[row] = [row], False
+            _spanner3.rebuild_rows(
+                self.np, self.view, self.prefix_tables(system), block, tables, rows
+            )
         return tables
 
     def advance(self, graph) -> None:
-        """Move to ``graph``'s current epoch, patching every table."""
+        """Move to ``graph``'s current epoch, patching the view and tables."""
         np = self.np
         old_view = self.view
         ends = {x for edge in graph.mutations_since(self.epoch) for x in edge}
         self.epoch = graph.epoch
-        self.view = view = build_view(np, graph)
-        if view is None:
+        if old_view is None:
             return
-        touched = np.array(sorted(view.pos[x] for x in ends), dtype=np.int64)
+        touched = np.array(sorted(old_view.pos[x] for x in ends), dtype=np.int64)
+        self.view = view = patch_view(np, old_view, graph, touched)
         prefix, scan = {}, {}
         for key, (system, tables) in self.prefix.items():
             scans = {block: old for (k, block), old in self.scan.items() if k == key}

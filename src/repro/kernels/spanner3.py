@@ -8,8 +8,11 @@ entry ``e = (w → x)`` it derives whether the scan at ``(w, x)`` keeps the
 edge, how many row steps it performs, and how many adjacency probes it
 charges — so both the per-query scan and the whole-graph batched
 materializer become O(1) table lookups with the exact scalar probe schedule.
-After a write, :func:`patch_tables` carries the tables to the new epoch by
-rebuilding only the rows the write can have changed.
+After a write, :func:`patch_tables` carries the tables to the new epoch: it
+rebuilds the prefix rows, copies every scan row the write cannot have changed
+and marks the others stale.  A stale row is rebuilt by :func:`rebuild_rows`
+the first time a read needs it, through the same :func:`build_scan_tables`
+that builds whole tables, so no stale entry is ever read.
 
 Derivation (matching ``_new_cluster_scan_fast``): for every element ``s`` of
 the prefix-center set S(x), its *first cover* ``fc`` is the smallest row
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .view import copy_rows
+
 
 class PrefixTables:
     """Election bitmap + prefix-center rows for one center system × epoch."""
@@ -38,14 +43,19 @@ class PrefixTables:
 
 
 class ScanTables:
-    """Closed-form scan outcome per CSR entry (one block variant)."""
+    """Closed-form scan outcome per CSR entry (one block variant).
 
-    __slots__ = ("kept", "steps", "adj")
+    ``stale`` is a per-row mask of rows whose entries await a rebuild, or
+    ``None`` when no write has marked a row since the last full flush.
+    """
 
-    def __init__(self, kept, steps, adj):
+    __slots__ = ("kept", "steps", "adj", "stale")
+
+    def __init__(self, kept, steps, adj, stale=None):
         self.kept = kept
         self.steps = steps
         self.adj = adj
+        self.stale = stale
 
 
 def build_prefix_tables(np, view, system, elected=None) -> PrefixTables:
@@ -172,9 +182,10 @@ def patch_tables(np, old_view, view, system, prefix: PrefixTables, scans, touche
     prefix rows are rebuilt from ``view`` on the old election bitmap.  A scan
     entry ``w → x`` reads S(x) and the S of w's earlier neighbors, and S(y)
     depends on y's row alone, so only touched rows and the rows listing a
-    touched vertex whose S changed are rebuilt; every other row is copied,
-    shifted by the change in ``indptr``.  Returns the new prefix tables and
-    the new ``{block: ScanTables}``.
+    touched vertex whose S changed are dirty.  Every row is re-laid out for
+    the new ``indptr`` and the dirty rows are marked stale; no scan row is
+    built here.  Returns the new prefix tables and the new
+    ``{block: ScanTables}``.
     """
     fresh = build_prefix_tables(np, view, system, elected=prefix.elected)
     dirty = np.zeros(view.n, dtype=bool)
@@ -189,22 +200,24 @@ def patch_tables(np, old_view, view, system, prefix: PrefixTables, scans, touche
     if moved:
         listed = row_entries(np, view, np.array(moved, dtype=np.int64))
         dirty[view.nbr_pos[listed]] = True
-    entries = row_entries(np, view, np.flatnonzero(dirty))
-    clean = np.flatnonzero(~dirty[view.entry_src])
-    shift = old_view.indptr[:-1] - view.indptr[:-1]
-    copied = clean + shift[view.entry_src[clean]]
     patched = {}
     for block, old in scans.items():
-        built = build_scan_tables(np, view, fresh, block, entries=entries)
-        arrays = []
-        for name in ScanTables.__slots__:
-            source = getattr(old, name)
-            merged = np.empty(view.nnz, dtype=source.dtype)
-            merged[clean] = source[copied]
-            merged[entries] = getattr(built, name)
-            arrays.append(merged)
-        patched[block] = ScanTables(*arrays)
+        arrays = [
+            copy_rows(np, getattr(old, name), old_view.indptr, view.indptr, touched)
+            for name in ("kept", "steps", "adj")
+        ]
+        stale = dirty.copy() if old.stale is None else dirty | old.stale
+        patched[block] = ScanTables(*arrays, stale=stale)
     return fresh, patched
+
+
+def rebuild_rows(np, view, prefix: PrefixTables, block, tables: ScanTables, rows):
+    """Rebuild the rows at sorted positions ``rows`` of ``tables`` in place."""
+    entries = row_entries(np, view, np.asarray(rows, dtype=np.int64))
+    built = build_scan_tables(np, view, prefix, block, entries=entries)
+    tables.kept[entries] = built.kept
+    tables.steps[entries] = built.steps
+    tables.adj[entries] = built.adj
 
 
 def scan_profile(kernel, oracle, system, w, x, index, block):
@@ -223,7 +236,7 @@ def scan_profile(kernel, oracle, system, w, x, index, block):
     px = view.pos.get(x)
     if pw is None or px is None:
         return None
-    tables = store.scan_tables(system, block)
+    tables = store.scan_tables(system, block, pw)
     entry = int(view.indptr[pw]) + int(index)
     kept = bool(tables.kept[entry])
     steps = int(tables.steps[entry])

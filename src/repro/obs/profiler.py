@@ -62,8 +62,11 @@ class ProbeProfiler:
         #: outcome -> probes charged under that outcome (cold schedules for
         #: cold/invalidated recomputes, replayed charges for memo hits).
         self.outcome_probes: Dict[str, int] = {o: 0 for o in CACHE_OUTCOMES}
-        #: Monotone count of stale memo entries discarded by the epoch check
-        #: (also read mid-call to classify the miss that follows one).
+        #: Monotone count of stale memo entries the epoch check discarded in
+        #: a memoized call's own lookup: the misses classified
+        #: ``epoch-invalidated``.  Discards of inner per-vertex state that a
+        #: computation makes while it runs are not counted, so the count
+        #: does not depend on which kernel did the computing.
         self.invalidations = 0
         # Open frames: [label, counter, before-snapshot, children-delta, calls].
         self._frames: List[list] = []

@@ -406,6 +406,21 @@ def test_mutate_command_replays_trace_ops(graph_file, capsys, tmp_path):
     assert not read_edge_list(out_path).has_edge(ru, rv)
 
 
+def test_mutate_command_removes_edges_with_ids_beyond_64_bits(capsys, tmp_path):
+    shift = 1 << 70
+    path = tmp_path / "big.txt"
+    path.write_text(
+        "".join(f"{u + shift} {v + shift}\n" for (u, v) in gnp_graph(30, 0.3, seed=3).edges())
+    )
+    (u, v) = read_edge_list(path).edge_list()[0]
+    out_path = tmp_path / "mutated.txt"
+    code = main(
+        ["mutate", "--graph", str(path), "--remove", f"{u},{v}", "--out", str(out_path)]
+    )
+    assert code == 0
+    assert not read_edge_list(out_path).has_edge(u, v)
+
+
 def test_mutate_command_rejects_invalid_ops_cleanly(graph_file, capsys):
     with pytest.raises(SystemExit, match="mutate:"):
         main(["mutate", "--graph", graph_file, "--add", "0,0"])

@@ -282,3 +282,86 @@ def test_shards_and_replicas_share_one_table_store(monkeypatch):
     builds, writes = run(1, 1)
     assert writes > 0 and builds > 0
     assert run(4, 2) == (builds, writes)
+
+
+def test_a_write_builds_nothing_until_a_read_needs_its_rows(monkeypatch):
+    """Advancing the store past a write patches the view and marks dirty
+    scan rows stale without building either; a scan of a stale row rebuilds
+    exactly that row, and a batched materialize flushes the rest in one call
+    per table and still matches the scalar path."""
+    np = pytest.importorskip("numpy")
+    from repro.kernels import engine as kernel_engine, spanner3 as kernel_spanner3
+
+    views, scans = [], []
+    build_view = kernel_engine.build_view
+    build_scan_tables = kernel_spanner3.build_scan_tables
+
+    def counted_view(*args, **kwargs):
+        views.append(1)
+        return build_view(*args, **kwargs)
+
+    def counted_scan(np_module, view, prefix, block, entries=None):
+        scans.append((block, None if entries is None else entries.tolist()))
+        return build_scan_tables(np_module, view, prefix, block, entries=entries)
+
+    monkeypatch.setattr(kernel_engine, "build_view", counted_view)
+    monkeypatch.setattr(kernel_spanner3, "build_scan_tables", counted_scan)
+
+    def run(kernel):
+        graph = graphs.gnp_graph(70, 0.25, seed=11)
+        lca = _spanner3(graph).set_kernel(kernel)
+        fingerprints = [_fingerprint(lca, lca.materialize(mode="batched"))]
+        (u, v) = sorted(graph.edges())[5]
+        lca.apply_mutations([("remove", u, v)])
+        if kernel == "numpy":
+            assert len(views) == 1 and len(scans) == 2
+            del views[:], scans[:]
+            store = lca.ensure_cached_oracle().kernel.store(graph)
+            assert views == [] and scans == []
+            tables = store.scan[(lca.high_centers.key, None)]
+            row = store.view.pos[u]
+            assert tables.stale[row]
+            store.scan_tables(lca.high_centers, None, row)
+            expected = kernel_spanner3.row_entries(np, store.view, np.array([row]))
+            assert scans == [(None, expected.tolist())] and not tables.stale[row]
+            stale = {
+                block: kernel_spanner3.row_entries(
+                    np, store.view, np.flatnonzero(each.stale)
+                ).tolist()
+                for (key, block), each in store.scan.items()
+            }
+            del scans[:]
+            fingerprints.append(_fingerprint(lca, lca.materialize(mode="batched")))
+            assert views == [] and len(scans) == len(stale) == 2
+            assert dict(scans) == stale
+        else:
+            fingerprints.append(_fingerprint(lca, lca.materialize(mode="batched")))
+        return fingerprints
+
+    assert run("python") == run("numpy")
+
+
+def test_ids_beyond_64_bits_mutate_and_fall_back_to_scalar():
+    """Ids past int64 have no numpy view, so the numpy selection answers with
+    scalar code, across a removal and a re-add, and matches python."""
+    pytest.importorskip("numpy")
+    shift = 1 << 70
+
+    def run(kernel):
+        base = graphs.gnp_graph(40, 0.2, seed=3)
+        graph = graphs.Graph.from_edges(
+            [(u + shift, v + shift) for (u, v) in base.edges()],
+            vertices=[v + shift for v in base.vertices()],
+        )
+        lca = _spanner3(graph).set_kernel(kernel)
+        (u, v) = sorted(graph.edges())[0]
+        lca.apply_mutations([("remove", u, v)])
+        fingerprint = [_fingerprint(lca, lca.materialize(mode="batched"))]
+        lca.apply_mutations([("add", u, v)])
+        outcome = lca.query_with_stats(u, v)
+        fingerprint.append((outcome.in_spanner, outcome.probe_total))
+        if kernel == "numpy":
+            assert _STORES[graph].view is None
+        return fingerprint
+
+    assert run("python") == run("numpy")

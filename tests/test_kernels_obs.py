@@ -9,7 +9,9 @@ scalar path: same per-phase probe totals, same per-kind splits, same call
 counts.  spanner5 reaches those kernels through its spanner3 components;
 spannerk runs its scalar ``bfs``/``voronoi`` code under every kernel, and its
 row pins that attribution, also against the cold engine, whose explorations
-the batched engine replays from its memo.  That parity is what keeps
+the batched engine replays from its memo.  Across a mutated epoch the
+cache-outcome rows (cold, memo hit, epoch-invalidated) and the invalidation
+count must not depend on the kernel either.  That parity is what keeps
 flame-style probe attribution trustworthy regardless of which kernel or
 engine produced the numbers.
 """
@@ -35,6 +37,23 @@ def _profile(make_lca, kernel, mode="batched"):
     return payload["phases"], dict(profiler.phase_calls)
 
 
+def _outcomes_across_writes(make_lca, kernel):
+    """Cache outcomes of answers asked before and after a mutated epoch.
+
+    Half the edges are asked first; after the writes every edge is asked,
+    so the second batch mixes memo hits, answers discarded by the epoch
+    check, and answers never asked before (cold first touches).
+    """
+    lca = make_lca().set_kernel(kernel)
+    profiler = ProbeProfiler()
+    lca.attach_profiler(profiler)
+    edges = sorted(lca.graph.edges())
+    lca.query_batch(edges[::2])
+    lca.apply_mutations([("remove", u, v) for (u, v) in edges[::40]])
+    lca.query_batch(sorted(lca.graph.edges()))
+    return profiler.outcome_calls, profiler.outcome_probes, profiler.invalidations
+
+
 def test_spanner3_neighbor_scan_attribution_matches_scalar():
     def make_lca():
         graph = graphs.gnp_graph(70, 0.25, seed=11)
@@ -45,6 +64,14 @@ def test_spanner3_neighbor_scan_attribution_matches_scalar():
     assert scalar_phases == numpy_phases
     assert scalar_calls == numpy_calls
     assert scalar_phases.get("neighbor-scan", {}).get("total", 0) > 0
+    # Across a mutated epoch the outcome rows must not depend on the kernel:
+    # the scalar scans discard stale per-vertex memo entries inside a cold
+    # answer's computation, and that must not relabel the answer.
+    scalar = _outcomes_across_writes(make_lca, "python")
+    assert scalar == _outcomes_across_writes(make_lca, "numpy")
+    calls, _, invalidations = scalar
+    assert calls["cold"] and calls["memo-hit"] and calls["epoch-invalidated"]
+    assert invalidations == calls["epoch-invalidated"]
 
 
 def test_spannerk_bfs_and_voronoi_attribution_matches_scalar():

@@ -6,8 +6,9 @@ small graphs and seeds, including a randomly chosen mutation epoch: for every
 generated instance, the numpy kernels must produce the same spanner edges,
 the same per-query probe totals and the same per-kind probe counts as the
 scalar reference path, before and after mutations.  The graph's shared
-kernel table store, patched row by row after each round of writes, must
-equal a fresh build on every entry.
+kernel table store, patched after each round of writes (view rows copied,
+dirty scan rows marked stale and rebuilt on read), must equal a fresh build
+on every entry once its stale rows are flushed.
 """
 
 from __future__ import annotations
@@ -89,7 +90,9 @@ def graph_and_write_rounds(draw, max_vertices=20):
     """A small random graph plus rounds of 1–3 writes each.
 
     A write names a vertex pair: it removes the edge when present and adds it
-    otherwise, so any pair sequence replays validly.
+    otherwise, so any pair sequence replays validly.  The compaction
+    threshold is drawn too: 1 folds the overlay into the flat arrays after
+    nearly every write, 512 never does.
     """
     n = draw(st.integers(min_value=4, max_value=max_vertices))
     possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -103,27 +106,35 @@ def graph_and_write_rounds(draw, max_vertices=20):
             max_size=4,
         )
     )
-    return list(range(n)), edges, rounds
+    compact_threshold = draw(st.sampled_from([1, 512]))
+    return list(range(n)), edges, rounds, compact_threshold
 
 
 def _assert_store_matches_fresh_build(np, graph, kernel):
-    """Every table in the graph's store equals a build on a fresh view."""
+    """Every table in the graph's store equals a build on a fresh view.
+
+    The scan tables are flushed first (a whole-graph read rebuilds every
+    stale row), after which no row may be stale.
+    """
     from repro.kernels import spanner3 as kernel_spanner3
     from repro.kernels.view import build_view
 
     store = kernel.store(graph)
     view = build_view(np, graph)
     assert store.epoch == graph.epoch
-    assert np.array_equal(store.view.nbr_id, view.nbr_id)
-    assert np.array_equal(store.view.indptr, view.indptr)
+    for name in ("indptr", "deg", "nbr_id", "nbr_pos", "entry_src", "entry_j", "rev_entry"):
+        assert np.array_equal(getattr(store.view, name), getattr(view, name)), name
     fresh = {}
     for key, (system, tables) in store.prefix.items():
         fresh[key] = kernel_spanner3.build_prefix_tables(np, view, system)
         for name in kernel_spanner3.PrefixTables.__slots__:
             assert np.array_equal(getattr(tables, name), getattr(fresh[key], name)), name
-    for (key, block), tables in store.scan.items():
+    for (key, block), tables in list(store.scan.items()):
+        system = store.prefix[key][0]
+        assert store.scan_tables(system, block) is tables
+        assert tables.stale is None
         rebuilt = kernel_spanner3.build_scan_tables(np, view, fresh[key], block)
-        for name in kernel_spanner3.ScanTables.__slots__:
+        for name in ("kept", "steps", "adj"):
             assert np.array_equal(getattr(tables, name), getattr(rebuilt, name)), name
 
 
@@ -135,10 +146,11 @@ def _assert_store_matches_fresh_build(np, graph, kernel):
 def test_patched_tables_equal_fresh_builds_after_every_write_round(instance, seed):
     import numpy as np
 
-    vertices, edges, rounds = instance
+    vertices, edges, rounds, compact_threshold = instance
     lcas = {}
     for kernel in ("python", "numpy"):
         graph = Graph.from_edges(edges, vertices=vertices)
+        graph.compact_threshold = compact_threshold
         lcas[kernel] = create("spanner3", graph, seed=seed).set_kernel(kernel)
     lca = lcas["numpy"]
     kernel = lca.ensure_cached_oracle().kernel
