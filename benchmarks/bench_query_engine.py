@@ -1,7 +1,7 @@
-"""Query-engine benchmark: cold vs. cached vs. batched vs. numpy kernels.
+"""Query-engine benchmark: cold vs. batched vs. numpy kernels.
 
-The fast query engines (cross-query memoization + the batched
-materialization engine) promise identical answers and identical per-query
+The batched query engine (cross-query memoization + streaming
+materialization) promises identical answers and identical per-query
 probe accounting at a fraction of the wall-clock cost, and the vectorized
 kernel layer (:mod:`repro.kernels`) promises the same again on top of the
 batched engine.  This benchmark times all engines on the four fixture
@@ -14,7 +14,7 @@ Shapes to check on the dense (n=400, p=0.10) fixture:
 * batched must be ≥5× faster than the cold per-query path, and
 * the numpy kernels must be ≥5× faster than the batched pure-Python path,
 
-with byte-identical spanner edges and probe totals everywhere.  The three
+with byte-identical spanner edges and probe totals everywhere.  The two
 scalar engine rows are pinned to ``kernel="python"`` so they stay comparable
 across machines with and without numpy; the kernel row is skipped (not
 failed) when numpy is absent.
@@ -46,7 +46,7 @@ MIN_BATCHED_SPEEDUP = float(os.environ.get("BENCH_MIN_BATCHED_SPEEDUP", "5.0"))
 #: dense fixture are ~6-7x.
 MIN_KERNEL_SPEEDUP = float(os.environ.get("BENCH_MIN_KERNEL_SPEEDUP", "5.0"))
 
-MODES = ("cold", "cached", "batched")
+MODES = ("cold", "batched")
 
 #: Whether the numpy kernel layer is importable in this environment.
 HAVE_NUMPY_KERNEL = resolve_kernel("auto") is not None
@@ -55,9 +55,9 @@ HAVE_NUMPY_KERNEL = resolve_kernel("auto") is not None
 def _time_modes(name, graph, make_lca):
     """Materialize with every engine; return (row dict, per-mode results).
 
-    The three scalar engines run with the probe kernels pinned to "python"
+    The two scalar engines run with the probe kernels pinned to "python"
     (the default "auto" would silently vectorize them wherever numpy is
-    installed); a fourth "kernel" measurement reruns the batched engine
+    installed); a third "kernel" measurement reruns the batched engine
     under ``kernel="numpy"`` when available and is held to the same
     edges-and-probes equivalence key.
     """
@@ -103,11 +103,7 @@ def _time_modes(name, graph, make_lca):
         "n": graph.num_vertices,
         "m": graph.num_edges,
         "cold_s": round(timings["cold"]["seconds"], 4),
-        "cached_s": round(timings["cached"]["seconds"], 4),
         "batched_s": round(timings["batched"]["seconds"], 4),
-        "speedup_cached": round(
-            timings["cold"]["seconds"] / max(timings["cached"]["seconds"], 1e-9), 2
-        ),
         "speedup_batched": round(
             timings["cold"]["seconds"] / max(timings["batched"]["seconds"], 1e-9), 2
         ),
@@ -161,7 +157,7 @@ def test_query_engine_speedups(
         records.append({**row, "modes": timings})
 
     print_section(
-        "Query engines: cold vs. cached vs. batched vs. numpy kernels "
+        "Query engines: cold vs. batched vs. numpy kernels "
         "(identical probes)",
         format_table(rows),
     )

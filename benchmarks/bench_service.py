@@ -1,22 +1,19 @@
 """Service benchmark: sharded + scheduled query serving on open-loop workloads.
 
 Runs the online query service (``repro.service``) on the dense fixture for
-three workload kinds (uniform, zipf, adaptive), times the batch-coalesced
-engine against the unbatched single-shard baseline, verifies that the served
+three workload kinds (uniform, zipf, adaptive), verifies that the served
 answers and per-request probe totals are bit-identical to a fresh
-single-oracle replay, and writes everything to ``BENCH_service.json`` at the
+single-oracle replay, checks that an overloaded ingress sheds load instead
+of failing, and writes everything to ``BENCH_service.json`` at the
 repository root.
 
-Shape to check: batch coalescing (grouping queued requests by shard and
-streaming them through the query-answer memo fast path) must be ≥2× the
-unbatched single-shard path on the dense fixture's zipf workload — the
-skew-heavy stream a serving system actually sees.
+No timing floor is asserted here: ``perfbench``'s ``serve-zipf`` workload
+bounds the service's end-to-end throughput.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro import format_table
@@ -28,30 +25,17 @@ from conftest import print_section
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_service.json"
 
-#: Acceptance floor for the headline coalescing speedup (dense fixture,
-#: zipf workload).  Measured headroom is ~10% (typical ratios are 2.2-2.5x);
-#: the environment override exists for noisy shared CI runners.
-MIN_COALESCE_SPEEDUP = float(os.environ.get("BENCH_MIN_COALESCE_SPEEDUP", "2.0"))
-
 #: Requests per workload: enough for the query-answer memo to reach a warm
 #: steady state on the ~8k-edge dense fixture.
 NUM_REQUESTS = {"uniform": 12000, "zipf": 12000, "adaptive": 8000}
 
-#: The headline coalesced-vs-unbatched comparison runs longer so the warm
-#: steady state dominates and the measured ratio is stable (~2.4x at 20k
-#: requests vs ~2.2x at 12k, where the cold ramp still dilutes it).
-HEADLINE_REQUESTS = 20000
-
 WORKLOAD_SEED = 3
 
 
-def _run(graph, kind, config, record=False, num_requests=None):
+def _run(graph, kind, config, record=False):
     config.record = record
     workload = make_workload(
-        kind,
-        graph,
-        num_requests=num_requests if num_requests else NUM_REQUESTS[kind],
-        seed=WORKLOAD_SEED,
+        kind, graph, num_requests=NUM_REQUESTS[kind], seed=WORKLOAD_SEED
     )
     engine = ServiceEngine(graph, lambda g: create("spanner3", g, seed=5,
                                                    hitting_constant=1.0), config)
@@ -59,33 +43,18 @@ def _run(graph, kind, config, record=False, num_requests=None):
     return engine, report
 
 
-def test_service_workloads_and_coalescing(dense_benchmark_graph):
+def test_service_workloads(dense_benchmark_graph):
     graph = dense_benchmark_graph
 
-    # ---- per-workload service rows (sharded, coalesced) ------------------
+    # ---- per-workload service rows (4 shards, batches of 64) -------------
     rows = []
     records = []
     for kind in ("uniform", "zipf", "adaptive"):
-        _, report = _run(
-            graph, kind, ServiceConfig(num_shards=4, batch_size=64, routing="hash")
-        )
+        _, report = _run(graph, kind, ServiceConfig(num_shards=4, batch_size=64))
         assert report.served == NUM_REQUESTS[kind]
         assert report.rejected == 0
         rows.append(report.as_row())
         records.append(report.as_dict())
-
-    # ---- headline: coalesced vs unbatched, single shard, zipf ------------
-    timings = {}
-    for label, config in (
-        ("unbatched", ServiceConfig(num_shards=1, batch_size=1, coalesce=False)),
-        ("coalesced", ServiceConfig(num_shards=1, batch_size=64, coalesce=True)),
-    ):
-        _, report = _run(graph, "zipf", config, num_requests=HEADLINE_REQUESTS)
-        timings[label] = report
-        rows.append(report.as_row())
-    speedup = timings["coalesced"].throughput_rps / max(
-        timings["unbatched"].throughput_rps, 1e-9
-    )
 
     # ---- equivalence: served answers == fresh single-oracle replay ------
     engine, report = _run(
@@ -110,28 +79,15 @@ def test_service_workloads_and_coalescing(dense_benchmark_graph):
     assert overload.served + overload.rejected == overload.offered
 
     print_section(
-        "Online query service: workloads, sharding, batch coalescing",
+        "Online query service: workloads, sharding, load shedding",
         format_table(rows)
-        + f"\n\ncoalesced vs unbatched (zipf, 1 shard): {speedup:.2f}x"
-        + f"\noverload run: {overload.rejected}/{overload.offered} rejected "
+        + f"\n\noverload run: {overload.rejected}/{overload.offered} rejected "
         f"(queue depth {overload.max_queue_depth_seen})",
     )
 
     payload = {
-        **payload_header("bench_service"),
-        "min_coalesce_speedup_required": MIN_COALESCE_SPEEDUP,
-        "coalesce_speedup_zipf": round(speedup, 2),
+        **payload_header("bench_service", floor_enforced=False),
         "workloads": records,
-        "headline": {
-            "unbatched": timings["unbatched"].as_dict(),
-            "coalesced": timings["coalesced"].as_dict(),
-        },
         "overload": overload.as_dict(),
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
-    assert speedup >= MIN_COALESCE_SPEEDUP, (
-        "batch coalescing must be at least "
-        f"{MIN_COALESCE_SPEEDUP}x faster than the unbatched single-shard "
-        f"path on the dense zipf workload, measured {speedup:.2f}x"
-    )

@@ -6,8 +6,8 @@ through the serving story end to end:
 
 1. a **zipf** workload (hot-vertex-heavy, like real query logs) served by a
    4-shard pool with batch coalescing — the production configuration;
-2. the same stream through the unbatched single-shard baseline — same
-   answers, same per-request probe totals, a fraction of the throughput;
+2. the same stream through a single-shard baseline with batches of one —
+   same answers, same per-request probe totals;
 3. an **adaptive** workload whose requests follow earlier answers (clients
    walking the spanner), recorded to a JSONL trace;
 4. a bit-exact **trace replay** of that recording — the regression workhorse.
@@ -49,10 +49,10 @@ def main(argv: list[str]) -> int:
     report = engine.run(workload)
     rows.append(report.as_row())
 
-    # 2. Baseline: one shard, no coalescing — identical answers, slower.
+    # 2. Baseline: one shard, batches of one — identical answers.
     workload = make_workload("zipf", graph, num_requests=requests, seed=1)
     baseline_engine = ServiceEngine(
-        graph, factory, ServiceConfig(num_shards=1, batch_size=1, coalesce=False)
+        graph, factory, ServiceConfig(num_shards=1, batch_size=1)
     )
     baseline = baseline_engine.run(workload)
     rows.append(baseline.as_row())

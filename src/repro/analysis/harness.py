@@ -80,7 +80,7 @@ def evaluate_lca(
         When given, only this many randomly chosen edges of ``G`` are checked
         for stretch (the spanner is still materialized over all edges).
     mode:
-        Materialization engine ("cold", "cached" or "batched").  Defaults to
+        Materialization engine ("cold" or "batched").  Defaults to
         the batched engine, which produces identical edges and identical
         per-query probe statistics while being several times faster; pass
         "cold" to time the reference per-query path.

@@ -46,7 +46,7 @@ Usage examples::
     python -m repro.cli report run scenarios/smoke.toml --smoke
     python -m repro.cli report render --out report.md
 
-``--query-mode {cold,cached,batched}`` picks the query engine and
+``--query-mode {cold,batched}`` picks the query engine and
 ``--kernel`` the probe kernels (set on each LCA through ``set_kernel``);
 both are performance knobs only — answers and probe accounting are
 identical.
@@ -80,7 +80,6 @@ from .lowerbound import run_distinguishing_experiment
 from .reports.spec import FaultSpec, MaterializeSpec, ServiceSpec, WorkloadSpec
 from .service import (
     DEGRADED_MODES,
-    ROUTING_POLICIES,
     WORKLOAD_KINDS,
     ServiceEngine,
     make_workload,
@@ -186,9 +185,7 @@ def _build_lca(args):
 
 def cmd_query(args) -> int:
     graph, lca = _build_lca(args)
-    # "batched" is a materialization engine; individual queries fall back to
-    # the cached engine (same answers, same per-query probe accounting).
-    lca.set_query_mode("cold" if args.query_mode == "cold" else "cached")
+    lca.set_query_mode(args.query_mode)
     edges = _parse_edges(args.edge) if args.edge else list(graph.edges())[: args.count]
     rows = []
     for (u, v) in edges:
@@ -299,11 +296,9 @@ def cmd_serve_bench(args) -> int:
     # Every value is passed explicitly, so the spec defaults never apply.
     service = ServiceSpec(
         shards=args.shards,
-        routing=args.routing,
         batch_size=args.batch_size,
         max_queue_depth=args.queue_depth,
         arrival_burst=args.arrival_burst,
-        coalesce=not args.no_coalesce,
         replication=args.replication,
         max_retries=args.max_retries,
         timeout_ticks=args.timeout_ticks,
@@ -659,10 +654,10 @@ def _add_query_mode_option(parser: argparse.ArgumentParser) -> None:
         "--query-mode",
         choices=list(QUERY_MODES),
         default="batched",
-        help="query engine: 'cold' re-derives all state per query, 'cached' "
-        "memoizes per-vertex state across queries, 'batched' additionally "
-        "streams materialization; answers and probe accounting are identical "
-        "in every mode (only wall-clock time changes)",
+        help="query engine: 'cold' re-derives all state per query, 'batched' "
+        "memoizes state across queries and streams materialization; answers "
+        "and probe accounting are identical in both modes (only wall-clock "
+        "time changes)",
     )
 
 
@@ -778,10 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--trace", help="JSONL trace file (trace workload)")
     serve.add_argument("--shards", type=int, default=4, help="oracle pool size")
-    serve.add_argument(
-        "--routing", choices=sorted(ROUTING_POLICIES), default="hash",
-        help="vertex-to-shard routing policy",
-    )
     serve.add_argument("--batch-size", type=int, default=32, help="coalesced batch size")
     serve.add_argument(
         "--queue-depth", type=int, default=1024,
@@ -791,10 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--arrival-burst", type=int, default=None,
         help="arrivals per scheduling cycle (default: batch size; larger "
         "values model ingress overload and trigger load shedding)",
-    )
-    serve.add_argument(
-        "--no-coalesce", action="store_true",
-        help="serve request-by-request instead of coalescing batches per shard",
     )
     serve.add_argument(
         "--replication", type=_positive_int, default=1,
@@ -971,12 +958,17 @@ def build_parser() -> argparse.ArgumentParser:
     lower.add_argument("--seed", type=int, default=1)
     lower.set_defaults(handler=cmd_lowerbound)
 
+    for command in sub.choices.values():
+        command.set_defaults(parser=command)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # Name the sub-command, as its own usage errors do.
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.handler(args)
     except (ReproError, OSError) as exc:

@@ -43,12 +43,12 @@ _KERNEL_UNSET = object()
 Edge = Tuple[int, int]
 
 #: Query-engine modes.  ``cold`` answers every query from scratch (the
-#: reference probe schedule); ``cached`` serves repeated per-vertex state from
-#: a cross-query memo while charging the cold schedule; ``batched`` applies
-#: only to :meth:`SpannerLCA.materialize` and additionally streams decisions
-#: without per-query result objects.  All three produce identical answers and
-#: identical per-query probe totals (see :mod:`repro.core.cache`).
-QUERY_MODES = ("cold", "cached", "batched")
+#: reference probe schedule); ``batched`` serves repeated state from a
+#: cross-query memo while charging the cold schedule, and
+#: :meth:`SpannerLCA.materialize` streams its decisions without per-query
+#: result objects.  Both produce identical answers and identical per-query
+#: probe totals (see :mod:`repro.core.cache`).
+QUERY_MODES = ("cold", "batched")
 
 
 def _check_mode(mode: str) -> str:
@@ -185,7 +185,7 @@ class SpannerLCA(abc.ABC):
 
     @property
     def query_mode(self) -> str:
-        """The active query-engine mode ("cold", "cached" or "batched")."""
+        """The active query-engine mode ("cold" or "batched")."""
         return self._query_mode
 
     @property
@@ -205,9 +205,9 @@ class SpannerLCA(abc.ABC):
     def set_query_mode(self, mode: str) -> "SpannerLCA":
         """Select the query engine used by :meth:`query` / :meth:`materialize`.
 
-        Answers and per-query probe accounting are identical in every mode;
-        only wall-clock speed changes.  "batched" affects materialization
-        only — individual queries then run through the cached engine.
+        Answers and per-query probe accounting are identical in both modes;
+        only wall-clock speed changes.  Under "batched", individual queries
+        run through the cached oracle and :meth:`materialize` streams.
         Returns ``self`` for chaining.
         """
         self._query_mode = _check_mode(mode)
@@ -241,7 +241,7 @@ class SpannerLCA(abc.ABC):
     def set_memo_cap(self, cap: Optional[int]) -> "SpannerLCA":
         """Bound the cached engine's resident memo state (the scale mode).
 
-        With a cap, the cached/batched engines run on a
+        With a cap, the batched engine runs on a
         :class:`~repro.core.cache.BoundedOracleCache`: at most ``cap``
         dependency-tracked memo entries stay resident (LRU eviction) and
         per-vertex random tapes are recomputed from their k-wise seed
@@ -295,9 +295,14 @@ class SpannerLCA(abc.ABC):
             cached.profiler = profiler
         return self
 
-    def _oracle_for(self, mode: str) -> AdjacencyListOracle:
-        if mode == "cold":
-            return self._oracle
+    def ensure_cached_oracle(self) -> CachedOracle:
+        """The LCA's cached oracle, created on first use.
+
+        The batched engine runs on it, and the service's replica sets use
+        it as a public handle: a checkpoint snapshots its portable state and
+        a rejoining replica merges it back
+        (:meth:`~repro.core.oracle.CachedOracle.merge_state`).
+        """
         if self._cached_oracle is None:
             cache = None
             if self._memo_cap is not None:
@@ -307,15 +312,6 @@ class SpannerLCA(abc.ABC):
             if self._profiler is not None:
                 self._cached_oracle.profiler = self._profiler
         return self._cached_oracle
-
-    def ensure_cached_oracle(self) -> CachedOracle:
-        """The LCA's cached oracle, created on first use.
-
-        Public handle for the service's replica sets: a checkpoint
-        snapshots its portable state and a rejoining replica merges it back
-        (:meth:`~repro.core.oracle.CachedOracle.merge_state`).
-        """
-        return self._oracle_for("cached")  # type: ignore[return-value]
 
     def query_answer_namespace(self) -> Tuple:
         """The memo namespace of the whole-query-answer cache.
@@ -339,8 +335,8 @@ class SpannerLCA(abc.ABC):
 
     def query_with_stats(self, u: int, v: int) -> EdgeQueryResult:
         """Answer a query and report the probes it used."""
-        mode = "cold" if self._query_mode == "cold" else "cached"
-        return self._query_once(self._oracle_for(mode), u, v)
+        oracle = self._oracle if self._query_mode == "cold" else self.ensure_cached_oracle()
+        return self._query_once(oracle, u, v)
 
     def _query_once(
         self, oracle: AdjacencyListOracle, u: int, v: int
@@ -359,8 +355,8 @@ class SpannerLCA(abc.ABC):
     ) -> BatchQueryResult:
         """Answer a batch of queries through the streaming cached engine.
 
-        This is the per-request analogue of the "batched" materialization
-        mode: every query runs through :meth:`_decide` against the shared
+        This is the per-request analogue of batched materialization: every
+        query runs through :meth:`_decide` against the shared
         cached oracle, probe totals are taken as counter deltas, and no
         per-query result objects or measure contexts are built.  On top of
         the per-vertex memo layer, *whole query answers* are memoized per
@@ -377,7 +373,7 @@ class SpannerLCA(abc.ABC):
         ``validate=False`` skips the per-edge membership check for callers
         (the request scheduler) that have already validated admission.
         """
-        oracle = self._oracle_for("cached")
+        oracle = self.ensure_cached_oracle()
         counter = self._counter
         decide = self._decide
         has_edge = self._graph.has_edge
@@ -420,9 +416,8 @@ class SpannerLCA(abc.ABC):
         check the global object that the local answers are consistent with.
 
         ``mode`` overrides the LCA's query mode for this materialization:
-        "cold" (per-query, from scratch), "cached" (per-query, cross-query
-        memo) or "batched" (the streaming engine of
-        :meth:`_materialize_batched`).  Edges, per-query probe totals and
+        "cold" (per-query, from scratch) or "batched" (the streaming engine
+        of :meth:`_materialize_batched`).  Edges, per-query probe totals and
         per-kind probe counts are identical across modes.
 
         ``tracer`` (a :class:`repro.obs.tracer.SpanTracer`, default off)
@@ -458,9 +453,8 @@ class SpannerLCA(abc.ABC):
             self._materialize_batched(edge_iter, result, validate=edges is not None)
             return
         edge_iter = self._graph.edges() if edges is None else edges
-        oracle = self._oracle_for(mode)
         for (u, v) in edge_iter:
-            outcome = self._query_once(oracle, u, v)
+            outcome = self._query_once(self._oracle, u, v)
             result.probe_stats.add(outcome.probe_total)
             if outcome.in_spanner:
                 result.edges.add(outcome.edge)
@@ -490,7 +484,7 @@ class SpannerLCA(abc.ABC):
         totals still follow the cold-cache schedule (see
         :mod:`repro.core.cache`) and are collected in ``result.probe_stats``.
         """
-        oracle = self._oracle_for("cached")
+        oracle = self.ensure_cached_oracle()
         counter = self._counter
         decide = self._decide
         has_edge = self._graph.has_edge

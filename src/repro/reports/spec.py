@@ -26,7 +26,7 @@ The sub-tables mirror the layers they configure:
     :data:`repro.graphs.FAMILY_BUILDERS` registry, so a spec and a
     ``repro generate`` command line mean the same graph.
 ``[scenario.materialize]``
-    mode (cold/cached/batched) and an optional memo cap — the offline engine.
+    mode (cold/batched) and an optional memo cap — the offline engine.
 ``[scenario.mutations]``
     a deterministic pre-materialization churn burst (count + seed),
     exercising epoch-based cache invalidation.
@@ -216,11 +216,9 @@ class ServiceSpec:
     """
 
     shards: int = 2
-    routing: str = "hash"
     batch_size: int = 32
     max_queue_depth: int = 1024
     arrival_burst: Optional[int] = None
-    coalesce: bool = True
     replication: int = 1
     max_retries: int = 2
     timeout_ticks: int = 64
@@ -234,11 +232,9 @@ class ServiceSpec:
         """The engine configuration this table describes."""
         return ServiceConfig(
             num_shards=self.shards,
-            routing=self.routing,
             batch_size=self.batch_size,
             max_queue_depth=self.max_queue_depth,
             arrival_burst=self.arrival_burst,
-            coalesce=self.coalesce,
             record=False,
             replication=self.replication,
             fault_plan=fault_plan,
@@ -251,10 +247,8 @@ class ServiceSpec:
     def as_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
             "shards": self.shards,
-            "routing": self.routing,
             "batch_size": self.batch_size,
             "max_queue_depth": self.max_queue_depth,
-            "coalesce": self.coalesce,
         }
         if self.arrival_burst is not None:
             payload["arrival_burst"] = self.arrival_burst

@@ -6,10 +6,11 @@ loop — the regime the LCA model is actually designed for ("we never
 construct the full, global spanner at any point").  It consists of:
 
 * :mod:`repro.service.shards` — ``N`` independent cached-oracle shards
-  behind a hash/range vertex router (memo state is partitioned, answers are
+  behind a hash vertex router (memo state is partitioned, answers are
   provably identical to a single oracle);
 * :mod:`repro.service.engine` — a bounded-queue scheduler with admission
-  control and per-shard batch coalescing through the streaming query path;
+  control that splits every dispatched batch by shard and serves each group
+  through the streaming query path;
 * :mod:`repro.service.workload` — uniform / Zipf / adaptive / trace-replay
   request generators (the scenario axis);
 * :mod:`repro.service.trace` — JSONL request-trace recording and replay;
@@ -39,7 +40,6 @@ from .engine import (
 )
 from .metrics import LATENCY_PERCENTILES, LatencyStats, ServiceReport
 from .shards import (
-    ROUTING_POLICIES,
     OracleShard,
     ReplicaSet,
     ShardReport,
@@ -81,7 +81,6 @@ __all__ = [
     "ShardedOraclePool",
     "OracleShard",
     "ReplicaSet",
-    "ROUTING_POLICIES",
     "DEGRADED_MODES",
     "SHED_REASONS",
     "Workload",

@@ -10,10 +10,9 @@ arrival stream) into served answers through a
    ``max_queue_depth`` are rejected (counted, never served).  Admitted
    requests are stamped with their arrival time.
 2. **Dispatch** — pop up to ``batch_size`` requests (FIFO) and serve them
-   on their shards, inline.  With ``coalesce=True`` the router partitions
-   the batch by owning shard and each shard group is one streaming
-   ``serve_batch`` call on that shard; with ``coalesce=False`` every
-   request is its own ``serve_one`` call (the unbatched baseline).
+   on their shards, inline: the router partitions the batch by owning
+   shard and each shard group is one streaming ``serve_batch`` call on
+   that shard.
 3. **Complete** — stamp completion, record per-request latency
    (completion − arrival, so queueing delay is included), feed answers back
    to the workload (the adaptive kind steers on them), and accumulate
@@ -109,7 +108,7 @@ from ..faults import FaultInjector, FaultPlan, FaultStats
 from ..graphs.graph import Graph
 from ..obs.profiler import ProbeProfiler
 from .metrics import LatencyStats, ServiceReport
-from .shards import ROUTING_POLICIES, ShardedOraclePool
+from .shards import ShardedOraclePool
 from .trace import TraceOp
 from .workload import Workload
 
@@ -135,16 +134,12 @@ class ServiceConfig:
     """Tuning knobs of the query service (answers never depend on them)."""
 
     num_shards: int = 1
-    routing: str = "hash"
     batch_size: int = 32
     max_queue_depth: int = 1024
     #: Arrivals ingested per scheduling cycle; defaults to ``batch_size``
     #: (steady state).  Larger values model ingress overload and exercise
     #: admission control.
     arrival_burst: Optional[int] = None
-    #: ``True`` — group each dispatched batch by shard and stream it
-    #: (the fast path); ``False`` — serve request by request (baseline).
-    coalesce: bool = True
     #: Keep a per-request :class:`RequestRecord` log on the engine
     #: (equivalence tests replay it; disable for pure throughput runs).
     record: bool = True
@@ -169,10 +164,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.routing not in ROUTING_POLICIES:
-            raise ValueError(
-                f"unknown routing policy {self.routing!r}; choices: {ROUTING_POLICIES}"
-            )
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_queue_depth < 1:
@@ -226,8 +217,8 @@ class _Part(NamedTuple):
     ``kind`` is "ok" (served: ``outcomes`` holds one ``(answer,
     probe_total)`` per position), or an injected outcome decided at
     submission time: "flaky" (transient error), "timeout" (slow past the
-    timeout budget), "down" (no live replica).  ``group``/``single`` carry
-    what a retry needs to resubmit.
+    timeout budget), "down" (no live replica).  ``group`` carries what a
+    retry needs to resubmit.
     """
 
     outcomes: Optional[List[Tuple[bool, int]]]
@@ -236,7 +227,6 @@ class _Part(NamedTuple):
     shard_id: int
     kind: str
     delay: int
-    single: bool
 
 
 #: Sentinel outcome for requests that could not be served (degraded path).
@@ -269,7 +259,6 @@ class ServiceEngine:
             graph,
             lca_factory,
             num_shards=self.config.num_shards,
-            routing=self.config.routing,
             replication=self.config.replication,
         )
         #: Per-request log of the most recent :meth:`run` (when
@@ -340,7 +329,6 @@ class ServiceEngine:
         burst = config.effective_burst
         batch_size = config.batch_size
         depth_limit = config.max_queue_depth
-        coalesce = config.coalesce
         num_shards = config.num_shards
         replication = config.replication
         timeout_ticks = config.timeout_ticks
@@ -403,10 +391,7 @@ class ServiceEngine:
             return live[0] if live else None
 
         def submit_part(
-            shard_id: int,
-            group: List[Edge],
-            positions: List[int],
-            single: bool,
+            shard_id: int, group: List[Edge], positions: List[int]
         ) -> _Part:
             """Serve one shard group on its live primary, applying injected faults."""
             idx = serving_replica(shard_id)
@@ -416,7 +401,7 @@ class ServiceEngine:
                         "service.part_down", "fault",
                         shard=shard_id, size=len(group),
                     )
-                return _Part(None, positions, group, shard_id, "down", 0, single)
+                return _Part(None, positions, group, shard_id, "down", 0)
             delay = 0
             if faults_on:
                 if injector.take_flake(shard_id, idx):
@@ -425,7 +410,7 @@ class ServiceEngine:
                             "service.part_flaky", "fault",
                             shard=shard_id, replica=idx,
                         )
-                    return _Part(None, positions, group, shard_id, "flaky", 0, single)
+                    return _Part(None, positions, group, shard_id, "flaky", 0)
                 delay = injector.take_delay(shard_id, idx)
                 if delay >= timeout_ticks:
                     if tracing:
@@ -433,16 +418,10 @@ class ServiceEngine:
                             "service.part_timeout", "fault",
                             shard=shard_id, replica=idx, delay=delay,
                         )
-                    return _Part(
-                        None, positions, group, shard_id, "timeout", delay, single
-                    )
-            shard = replica_sets[shard_id].replicas[idx]
-            if single:
-                outcomes = [shard.serve_one(*group[0])]
-            else:
-                result = shard.serve_batch(group, False)
-                outcomes = list(zip(result.answers, result.probe_totals))
-            return _Part(outcomes, positions, group, shard_id, "ok", delay, single)
+                    return _Part(None, positions, group, shard_id, "timeout", delay)
+            result = replica_sets[shard_id].replicas[idx].serve_batch(group, False)
+            outcomes = list(zip(result.answers, result.probe_totals))
+            return _Part(outcomes, positions, group, shard_id, "ok", delay)
 
         def resolve_part(part: _Part) -> Optional[List[Tuple[bool, int]]]:
             """Outcomes aligned with ``part.positions``, retrying injected failures.
@@ -478,39 +457,24 @@ class ServiceEngine:
                 attempt += 1
                 # Resubmit to the *current* primary — it may differ from
                 # the original target after a failover.
-                part = submit_part(
-                    part.shard_id, part.group, part.positions, part.single
-                )
+                part = submit_part(part.shard_id, part.group, part.positions)
 
         def complete(batch: List[_Pending], parts: List[_Part], span) -> None:
             nonlocal served, in_spanner, admitted, rejected
             batch_served = batch_probes = 0
             outcomes: List[object] = [None] * len(batch)
-            stamps: List[float] = [0.0] * len(batch)
-            if coalesce:
-                # A coalesced batch completes as a unit: one stamp once
-                # every shard group has resolved.
-                for part in parts:
-                    result = resolve_part(part)
-                    if result is None:
-                        for position in part.positions:
-                            outcomes[position] = _DEGRADED
-                    else:
-                        for position, outcome in zip(part.positions, result):
-                            outcomes[position] = outcome
-                done = clock()
-                stamps = [done] * len(batch)
-            else:
-                # The unbatched baseline stamps each request as its part
-                # resolves (in batch order), preserving the classic
-                # per-request completion times.
-                for part in parts:
-                    result = resolve_part(part)
-                    outcomes[part.positions[0]] = (
-                        _DEGRADED if result is None else result[0]
-                    )
-                    stamps[part.positions[0]] = clock()
-            for req, outcome, done in zip(batch, outcomes, stamps):
+            for part in parts:
+                result = resolve_part(part)
+                if result is None:
+                    for position in part.positions:
+                        outcomes[position] = _DEGRADED
+                else:
+                    for position, outcome in zip(part.positions, result):
+                        outcomes[position] = outcome
+            # A batch completes as a unit: one stamp once every shard group
+            # has resolved.
+            done = clock()
+            for req, outcome in zip(batch, outcomes):
                 degraded = outcome is _DEGRADED
                 if degraded:
                     if degraded_shed:
@@ -699,23 +663,12 @@ class ServiceEngine:
                 while queue and len(batch) < batch_size and queue[0].op == "query":
                     batch.append(queue.popleft())
                 batches += 1
-                if coalesce:
-                    parts = [
-                        submit_part(shard_id, group, positions, single=False)
-                        for shard_id, group, positions in pool.partition(
-                            [(req.u, req.v) for req in batch]
-                        )
-                    ]
-                else:
-                    parts = [
-                        submit_part(
-                            router.shard_of_edge(req.u, req.v),
-                            [(req.u, req.v)],
-                            [position],
-                            single=True,
-                        )
-                        for position, req in enumerate(batch)
-                    ]
+                parts = [
+                    submit_part(shard_id, group, positions)
+                    for shard_id, group, positions in pool.partition(
+                        [(req.u, req.v) for req in batch]
+                    )
+                ]
                 span = None
                 if tracing:
                     span = tracer.begin(
@@ -747,9 +700,7 @@ class ServiceEngine:
             algorithm=pool.algorithm,
             workload=workload.kind,
             num_shards=num_shards,
-            routing=config.routing,
             batch_size=batch_size,
-            coalesced=coalesce,
             offered=offered,
             admitted=admitted,
             rejected=rejected,

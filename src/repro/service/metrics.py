@@ -118,9 +118,7 @@ class ServiceReport:
     algorithm: str
     workload: str
     num_shards: int
-    routing: str
     batch_size: int
-    coalesced: bool
     offered: int            # requests the workload produced (reads + writes)
     admitted: int           # reads accepted into the queue (writes are
                             # counted in `mutations`; offered == admitted
@@ -182,7 +180,7 @@ class ServiceReport:
             "algorithm": self.algorithm,
             "workload": self.workload,
             "shards": self.num_shards,
-            "batch": self.batch_size if self.coalesced else 1,
+            "batch": self.batch_size,
             "served": self.served,
             "rejected": self.rejected,
             "rps": round(self.throughput_rps, 1),
@@ -204,9 +202,7 @@ class ServiceReport:
             "algorithm": self.algorithm,
             "workload": self.workload,
             "num_shards": self.num_shards,
-            "routing": self.routing,
             "batch_size": self.batch_size,
-            "coalesced": self.coalesced,
             "offered": self.offered,
             "admitted": self.admitted,
             "rejected": self.rejected,

@@ -18,30 +18,21 @@ down per shard and shards never contend on shared mutable state — the layout
 a real multi-process deployment would use.
 
 Answers and per-request probe totals are identical to a single oracle's,
-whatever the shard count or routing policy — the engine's equivalence tests
-pin sharded serving against the same single-oracle baseline.
+whatever the shard count — the engine's equivalence tests pin sharded
+serving against the same single-oracle baseline.
 
-Routing policies
-----------------
-``hash``
-    ``owner = mix(u) % N`` with a splitmix-style integer mix — spreads
-    consecutive vertex ids across shards (good load balance for skewed
-    workloads whose hot vertices have nearby ids).
-``range``
-    ``owner = rank(u) * N // n`` over the sorted vertex id space —
-    contiguous vertex ranges per shard (locality: neighboring vertices tend
-    to co-locate, which helps the per-shard memo when workloads walk
-    neighborhoods).
-
-Both are pure functions of the vertex id, so a router can be recomputed
-anywhere (client-side routing) and answers never depend on the policy.
+Routing
+-------
+``owner = mix(u) % N`` with a splitmix-style integer mix: consecutive,
+offset or sparse vertex ids all spread across the shards.  The owner is a
+pure function of the vertex id, so a router can be recomputed anywhere
+(client-side routing) and needs no view of the graph's id space.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.lca import BatchQueryResult, SpannerLCA
 from ..core.probes import ProbeSnapshot
@@ -49,16 +40,13 @@ from ..graphs.graph import Graph
 
 Edge = Tuple[int, int]
 
-#: Supported routing policies.
-ROUTING_POLICIES = ("hash", "range")
-
 
 def _splitmix(x: int) -> int:
     """Deterministic 64-bit integer mix (splitmix64 finalizer).
 
     Python's ``hash(int)`` is the identity for small ints, which would make
-    "hash" routing degenerate to modulo; this mix decorrelates vertex ids
-    from shard ids.
+    routing degenerate to modulo; this mix decorrelates vertex ids from
+    shard ids.
     """
     x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
@@ -72,47 +60,15 @@ class ShardRouter:
     A query ``(u, v)`` is owned by the shard of its canonical first endpoint
     ``min(u, v)``, so both orientations of an edge route identically and a
     repeat query always lands on the shard holding its memoized state.
-
-    ``vertices`` is either the vertex count (ids assumed ``0 .. n-1``) or
-    the actual id sequence; range routing partitions the *sorted id space*
-    into contiguous blocks, so graphs with arbitrary (sparse, offset) ids
-    still spread across all shards instead of clamping onto the last one.
     """
 
-    def __init__(
-        self,
-        num_shards: int,
-        vertices: Union[int, Sequence[int]],
-        policy: str = "hash",
-    ) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if policy not in ROUTING_POLICIES:
-            raise ValueError(
-                f"unknown routing policy {policy!r}; choices: {ROUTING_POLICIES}"
-            )
         self.num_shards = int(num_shards)
-        if isinstance(vertices, int):
-            self.num_vertices = vertices
-            self._sorted_ids: Optional[List[int]] = None
-        else:
-            self._sorted_ids = sorted(int(v) for v in vertices)
-            self.num_vertices = len(self._sorted_ids)
-        self.policy = policy
 
     def shard_of_vertex(self, v: int) -> int:
-        if self.policy == "hash":
-            return _splitmix(int(v)) % self.num_shards
-        # range: contiguous blocks of the sorted vertex id space, by rank.
-        if self.num_vertices <= 0:
-            return 0
-        if self._sorted_ids is None:
-            rank = min(max(int(v), 0), self.num_vertices - 1)
-        else:
-            rank = min(
-                bisect.bisect_left(self._sorted_ids, int(v)), self.num_vertices - 1
-            )
-        return rank * self.num_shards // self.num_vertices
+        return _splitmix(int(v)) % self.num_shards
 
     def shard_of_edge(self, u: int, v: int) -> int:
         return self.shard_of_vertex(u if u <= v else v)
@@ -149,26 +105,19 @@ class ShardReport:
 class OracleShard:
     """One shard: an independent LCA instance plus request accounting.
 
-    The shard serves queries either one at a time (:meth:`serve_one`, the
-    pre-existing per-query API with its per-request measure context) or as a
-    coalesced batch (:meth:`serve_batch`, the streaming
-    :meth:`~repro.core.lca.SpannerLCA.query_batch` fast path).  Both produce
-    identical answers and identical per-query probe totals.
+    The shard serves each request group of a dispatched batch through the
+    streaming :meth:`~repro.core.lca.SpannerLCA.query_batch` path
+    (:meth:`serve_batch`); answers and per-query probe totals equal a cold
+    per-query run's.
     """
 
     __slots__ = ("shard_id", "lca", "requests", "mutations")
 
     def __init__(self, shard_id: int, lca: SpannerLCA) -> None:
         self.shard_id = shard_id
-        self.lca = lca.set_query_mode("cached")
+        self.lca = lca.set_query_mode("batched")
         self.requests = 0
         self.mutations = 0
-
-    def serve_one(self, u: int, v: int) -> Tuple[bool, int]:
-        """Serve a single request; returns ``(answer, probe_total)``."""
-        self.requests += 1
-        outcome = self.lca.query_with_stats(u, v)
-        return outcome.in_spanner, outcome.probe_total
 
     def serve_batch(self, edges: Sequence[Edge], validate: bool = True) -> BatchQueryResult:
         """Serve a coalesced batch through the streaming engine."""
@@ -191,8 +140,7 @@ class OracleShard:
 
     def telemetry(self) -> Tuple[int, ProbeSnapshot, int, int, int]:
         """Lifetime counters ``(requests, probes, cache_hits, cache_misses,
-        mutations)``; pass to :meth:`report` as a baseline to get per-run
-        deltas."""
+        mutations)``."""
         cache = self.lca.oracle_cache
         return (
             self.requests,
@@ -200,28 +148,6 @@ class OracleShard:
             cache.stats.hits if cache is not None else 0,
             cache.stats.misses if cache is not None else 0,
             self.mutations,
-        )
-
-    def report(
-        self, since: Optional[Tuple[int, ProbeSnapshot, int, int, int]] = None
-    ) -> ShardReport:
-        """Telemetry since ``since`` (a :meth:`telemetry` baseline), or since
-        shard creation when omitted."""
-        requests, probes, hits, misses, mutations = self.telemetry()
-        if since is not None:
-            base_requests, base_probes, base_hits, base_misses, base_mutations = since
-            requests -= base_requests
-            probes = probes - base_probes
-            hits -= base_hits
-            misses -= base_misses
-            mutations -= base_mutations
-        return ShardReport(
-            shard_id=self.shard_id,
-            requests=requests,
-            probes=probes,
-            cache_hits=hits,
-            cache_misses=misses,
-            mutations=mutations,
         )
 
 
@@ -258,11 +184,6 @@ class ReplicaSet:
 
     def __len__(self) -> int:
         return len(self.replicas)
-
-    @property
-    def primary(self) -> OracleShard:
-        """The at-rest primary (replica 0); live routing is the engine's."""
-        return self.replicas[0]
 
     def checkpoint(self, replica_idx: int) -> int:
         """Export ``replica_idx``'s memo state as the set's checkpoint.
@@ -341,17 +262,11 @@ class ShardedOraclePool:
         which the LCA purity contract then guarantees.
     num_shards:
         Number of independent shards.
-    routing:
-        ``"hash"`` or ``"range"`` (see module docstring).
     replication:
         Replicas per shard (default 1 — no redundancy).  Each replica is an
         independent same-seed LCA instance inside a :class:`ReplicaSet`;
         the request engine routes reads to the current live primary and
         fails over when faults take it down.
-
-    ``pool.shards`` exposes the at-rest primaries (replica 0), which keeps
-    every pre-replication caller — and the fault-free fast path — working
-    unchanged; replica-aware code goes through ``pool.replica_sets``.
     """
 
     def __init__(
@@ -359,13 +274,12 @@ class ShardedOraclePool:
         graph: Graph,
         lca_factory: Callable[[Graph], SpannerLCA],
         num_shards: int = 1,
-        routing: str = "hash",
         replication: int = 1,
     ) -> None:
         if replication < 1:
             raise ValueError("replication must be >= 1")
         self.graph = graph
-        self.router = ShardRouter(num_shards, graph.vertices(), routing)
+        self.router = ShardRouter(num_shards)
         self.replication = int(replication)
         self.replica_sets = [
             ReplicaSet(
@@ -373,8 +287,7 @@ class ShardedOraclePool:
             )
             for i in range(num_shards)
         ]
-        self.shards = [replica_set.primary for replica_set in self.replica_sets]
-        name = self.shards[0].lca.name
+        name = self.replica_sets[0].replicas[0].lca.name
         if any(
             replica.lca.name != name
             for replica_set in self.replica_sets
@@ -387,21 +300,6 @@ class ShardedOraclePool:
     def num_shards(self) -> int:
         return len(self.replica_sets)
 
-    def replica(self, shard_id: int, replica_idx: int) -> OracleShard:
-        """The ``replica_idx``-th replica of shard ``shard_id``."""
-        return self.replica_sets[shard_id].replicas[replica_idx]
-
-    def shard_for(self, u: int, v: int) -> OracleShard:
-        return self.shards[self.router.shard_of_edge(u, v)]
-
-    def serve_one(self, u: int, v: int) -> Tuple[bool, int]:
-        """Route and serve a single request (the unbatched path)."""
-        return self.shard_for(u, v).serve_one(u, v)
-
-    def apply_mutation(self, op: str, u: int, v: int) -> int:
-        """Route a graph mutation to its owning shard; returns the epoch."""
-        return self.shard_for(u, v).apply_mutation(op, u, v)
-
     def partition(
         self, edges: Sequence[Edge]
     ) -> List[Tuple[int, List[Edge], List[int]]]:
@@ -410,9 +308,8 @@ class ShardedOraclePool:
         Returns ``(shard_id, group_edges, batch_positions)`` triples in
         first-seen shard order (deterministic for a given batch); the
         positions let per-shard results scatter straight back into batch
-        order.  This is the routing half of :meth:`serve_grouped`, exposed
-        separately so the request engine can serve (and fault-inject) each
-        group on its shard's live replica.
+        order.  The request engine serves (and fault-injects) each group on
+        its shard's live replica.
         """
         shard_of = self.router.shard_of_edge
         groups: Dict[int, List[Edge]] = {}
@@ -429,25 +326,6 @@ class ShardedOraclePool:
             (shard_id, group, slots[shard_id])
             for shard_id, group in groups.items()
         ]
-
-    def serve_grouped(
-        self, edges: Sequence[Edge], validate: bool = True
-    ) -> List[Tuple[bool, int]]:
-        """Route a coalesced batch: group by shard, stream each group.
-
-        Returns one ``(answer, probe_total)`` per input edge, in input
-        order, regardless of how the batch was split across shards.
-        """
-        if not edges:
-            return []
-        out: List[Tuple[bool, int]] = [None] * len(edges)  # type: ignore[list-item]
-        for shard_id, group, positions in self.partition(edges):
-            result = self.shards[shard_id].serve_batch(group, validate=validate)
-            for position, answer, total in zip(
-                positions, result.answers, result.probe_totals
-            ):
-                out[position] = (answer, total)
-        return out
 
     def telemetry(self) -> List[Tuple[int, ProbeSnapshot, int, int, int]]:
         """Per-shard lifetime counters, aggregated across each shard's

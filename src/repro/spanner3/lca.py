@@ -89,7 +89,7 @@ class ThreeSpannerLCA(CombinedLCA):
         to the scalar batched engine.  Falls back (``False``) when no kernel
         is selected or the view cannot represent the graph.
         """
-        oracle = self._oracle_for("cached")
+        oracle = self.ensure_cached_oracle()
         kern = oracle.kernel
         if kern is None:
             return False

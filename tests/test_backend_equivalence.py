@@ -80,10 +80,10 @@ def test_per_kind_probe_counts_match_cold_schedule(name):
 
 
 def test_query_with_stats_matches_across_modes():
-    """The per-query API reports the cold probe snapshot in cached mode too."""
+    """The per-query API reports the cold probe snapshot in batched mode too."""
     graph = graphs.gnp_graph(70, 0.25, seed=11)
     cold = _spanner3(graph)
-    cached = _spanner3(graph).set_query_mode("cached")
+    cached = _spanner3(graph).set_query_mode("batched")
     for (u, v) in list(graph.edges())[:80]:
         a = cold.query_with_stats(u, v)
         b = cached.query_with_stats(u, v)

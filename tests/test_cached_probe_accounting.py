@@ -81,7 +81,7 @@ def test_per_query_charges_are_independent_of_query_order(
     """Any permutation of the stream charges each edge its cold snapshot."""
     edges = list(graph.edges())
     for label, order in _orders(edges).items():
-        lca = FACTORIES[name](graph).set_query_mode("cached")
+        lca = FACTORIES[name](graph).set_query_mode("batched")
         for (u, v) in order:
             snapshot = lca.query_with_stats(u, v).probes
             assert snapshot == cold_reference[name][(u, v)], (name, label, (u, v))
@@ -94,7 +94,7 @@ def test_repeats_interleaved_with_new_queries_recharge_identically(
     """A hot repeat sandwiched between cold first-touches charges the same
     cold schedule both times."""
     edges = list(graph.edges())[:60]
-    lca = FACTORIES[name](graph).set_query_mode("cached")
+    lca = FACTORIES[name](graph).set_query_mode("batched")
     first_charge = {}
     for index, (u, v) in enumerate(edges):
         snapshot = lca.query_with_stats(u, v).probes
@@ -113,7 +113,7 @@ def test_interleaving_across_constructions_does_not_cross_charge(
     every construction still charges its own cold schedule per query."""
     edges = list(graph.edges())
     lcas = {
-        name: factory(graph).set_query_mode("cached")
+        name: factory(graph).set_query_mode("batched")
         for name, factory in FACTORIES.items()
     }
     rotation = sorted(FACTORIES)
@@ -135,7 +135,7 @@ def test_orientation_has_its_own_cold_schedule(name, graph, cold_reference):
     reversed_reference = {
         (v, u): cold.query_with_stats(v, u).probes for (u, v) in edges
     }
-    cached = FACTORIES[name](graph).set_query_mode("cached")
+    cached = FACTORIES[name](graph).set_query_mode("batched")
     for (u, v) in edges:
         forward = cached.query_with_stats(u, v).probes
         backward = cached.query_with_stats(v, u).probes
@@ -150,7 +150,7 @@ def test_query_batch_totals_match_interleaved_per_query_path(name, graph):
     edges = list(graph.edges())[:50]
     stream = edges + [(v, u) for (u, v) in edges[:20]] + edges[:10]
     batch = FACTORIES[name](graph).query_batch(stream)
-    per_query = FACTORIES[name](graph).set_query_mode("cached")
+    per_query = FACTORIES[name](graph).set_query_mode("batched")
     for (u, v), answer, total in batch:
         outcome = per_query.query_with_stats(u, v)
         assert outcome.in_spanner == answer, (name, (u, v))

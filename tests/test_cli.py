@@ -143,7 +143,7 @@ def test_query_mode_and_graph_source_flags(graph_file, capsys, tmp_path):
     save_csr_snapshot(read_edge_list(graph_file), snapshot)
     outputs = {}
     for source in (["--graph", graph_file], ["--mmap", str(snapshot)]):
-        for mode in ("cold", "cached", "batched"):
+        for mode in ("cold", "batched"):
             code = main(
                 ["evaluate", *source, "--algorithm", "spanner3",
                  "--seed", "4", "--query-mode", mode]
@@ -162,11 +162,11 @@ def test_query_command_accepts_query_mode(graph_file, capsys):
     cold = main(["query", "--graph", graph_file, "--edge", f"{u},{v}",
                  "--query-mode", "cold"])
     cold_out = capsys.readouterr().out
-    cached = main(["query", "--graph", graph_file, "--edge", f"{u},{v}",
-                   "--query-mode", "cached"])
-    cached_out = capsys.readouterr().out
-    assert cold == cached == 0
-    assert cold_out == cached_out
+    batched = main(["query", "--graph", graph_file, "--edge", f"{u},{v}",
+                    "--query-mode", "batched"])
+    batched_out = capsys.readouterr().out
+    assert cold == batched == 0
+    assert cold_out == batched_out
 
 
 @pytest.mark.parametrize(
@@ -216,7 +216,7 @@ def test_serve_bench_replays_traces(graph_file, capsys, tmp_path):
     write_trace(trace_path, list(graph.edges())[:25])
     code = main(
         ["serve-bench", "--graph", graph_file, "--workload", "trace",
-         "--trace", str(trace_path), "--shards", "2", "--no-coalesce"]
+         "--trace", str(trace_path), "--shards", "2"]
     )
     assert code == 0
     assert "trace" in capsys.readouterr().out
@@ -306,6 +306,9 @@ def test_good_worker_counts_still_parse(graph_file):
         ["mutate", "--ops", "{missing}"],
         ["mutate", "--ops", "{malformed}"],
         ["evaluate", "--mmap", "{corrupt}"],
+        ["serve-bench", "--no-coalesce"],
+        ["serve-bench", "--routing", "range"],
+        ["evaluate", "--query-mode", "cached"],
     ],
 )
 def test_bad_input_fails_with_one_line(tmp_path, capsys, argv):

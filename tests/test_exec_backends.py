@@ -3,8 +3,8 @@
 ``materialize(edges=...)`` answers each given edge locally, so on a subset it
 must keep exactly the edges that the whole-graph run keeps there, with the
 same per-query probe totals, whichever in-process engine runs it: the
-per-query ``cold``/``cached`` engines or the streaming ``batched`` engine
-(the whole-graph run takes the kernel path instead).  A given subset is
+per-query ``cold`` engine or the streaming ``batched`` engine (the
+whole-graph run takes the kernel path instead).  A given subset is
 validated edge by edge.
 """
 

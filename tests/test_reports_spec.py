@@ -62,12 +62,14 @@ def test_spec_round_trips_through_as_dict():
         ({"workload": {"kind": "uniform", "skew": 2.0}}, "skew"),
         ({"workload": {"kind": "uniform", "write_ratio": 0.5}}, "write_ratio"),
         ({"workload": {"kind": "churn", "write_ratio": 1.5}}, "write_ratio"),
-        ({"service": {"routing": "teleport"}}, "routing"),
+        ({"service": {"routing": "hash"}}, "routing"),
         ({"mutations": {"ops": -1}}, "ops"),
         ({"service": {"executor": "serial"}}, "unknown service keys"),
         ({"workload": {"kind": "zipf", "skew": 0}}, "skew"),
         ({"algorithm": "spanner9"}, "spanner9"),
         ({"faults": {"crashes": 1, "duration": 0}}, "duration"),
+        ({"service": {"coalesce": False}}, "unknown service keys"),
+        ({"materialize": {"mode": "cached"}}, "mode"),
     ],
 )
 def test_invalid_specs_raise_spec_errors(mutation, message):

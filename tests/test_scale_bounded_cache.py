@@ -46,8 +46,8 @@ def _trace(lca, edges):
 def test_bounded_oracle_bit_identical_across_epochs(algorithm, storage, cap):
     reference = create(algorithm, _graph(), seed=7)
     bounded = create(algorithm, _graph(), seed=7).set_memo_cap(cap)
-    reference.set_query_mode("cached")
-    bounded.set_query_mode("cached")
+    reference.set_query_mode("batched")
+    bounded.set_query_mode("batched")
 
     for epoch in range(3):
         edges = sorted(reference.graph.edges())[:30]
@@ -85,7 +85,7 @@ def scalar_bounded_lca():
     """
     lca = create("spanner3", _graph(), seed=11).set_kernel("python")
     lca.set_memo_cap(1)
-    lca.set_query_mode("cached")
+    lca.set_query_mode("batched")
     return lca
 
 

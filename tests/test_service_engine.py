@@ -75,7 +75,7 @@ def test_non_edges_are_rejected_not_served(graph):
 def test_latency_counts_queueing_delay(graph):
     """With an injected clock, latency = completion − arrival stamps."""
     ticks = iter(range(10_000))
-    config = ServiceConfig(num_shards=1, batch_size=2, coalesce=True)
+    config = ServiceConfig(num_shards=1, batch_size=2)
     workload = make_workload("uniform", graph, num_requests=6, seed=2)
     report = ServiceEngine(graph, _factory, config).run(
         workload, clock=lambda: next(ticks)
@@ -94,8 +94,10 @@ def test_config_validation_rejects_nonsense():
         ServiceConfig(max_queue_depth=0)
     with pytest.raises(ValueError):
         ServiceConfig(arrival_burst=0)
-    with pytest.raises(ValueError):
-        ServiceConfig(routing="modulo")
+    with pytest.raises(TypeError):
+        ServiceConfig(coalesce=False)
+    with pytest.raises(TypeError):
+        ServiceConfig(routing="hash")
 
 
 # --------------------------------------------------------------------------- #
@@ -225,20 +227,20 @@ def test_rerunning_an_engine_reports_per_run_shard_telemetry(graph):
     assert sum(r.probes.total for r in second.shard_reports) == second.probe_stats.total
 
 
-def test_range_routing_spreads_non_contiguous_vertex_ids():
-    """Range routing partitions the *sorted id space* by rank, so offset or
-    sparse vertex ids still use every shard."""
+def test_hash_routing_spreads_non_contiguous_vertex_ids():
+    """Routing mixes the vertex id, so offset or sparse vertex ids still
+    use every shard."""
     from repro.graphs import Graph
     from repro.service import ShardRouter
 
     ids = [1000 + 3 * i for i in range(40)]
     edges = [(ids[i], ids[i + 1]) for i in range(len(ids) - 1)]
     graph = Graph.from_edges(edges)
-    router = ShardRouter(4, graph.vertices(), "range")
+    router = ShardRouter(4)
     used = {router.shard_of_vertex(v) for v in ids}
     assert used == {0, 1, 2, 3}
     # Pool-level: a served run on such a graph reaches more than one shard.
     workload = make_workload("uniform", graph, num_requests=60, seed=1)
-    config = ServiceConfig(num_shards=4, routing="range", batch_size=8)
+    config = ServiceConfig(num_shards=4, batch_size=8)
     report = ServiceEngine(graph, _factory, config).run(workload)
     assert sum(1 for r in report.shard_reports if r.requests) > 1

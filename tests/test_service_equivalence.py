@@ -54,14 +54,14 @@ CASES = {
     "spannerk": (_spannerk, lambda: graphs.bounded_degree_expanderish(80, d=4, seed=3)),
 }
 
-#: Engine configurations spanning the axes: shard counts, routing policies,
-#: batch sizes, and the unbatched baseline path.
+#: Engine configurations spanning the axes: shard counts, batch sizes
+#: (down to batches of one) and replication.
 CONFIGS = [
-    ServiceConfig(num_shards=1, batch_size=1, coalesce=False),
-    ServiceConfig(num_shards=1, batch_size=16, coalesce=True),
-    ServiceConfig(num_shards=3, batch_size=8, routing="hash"),
-    ServiceConfig(num_shards=3, batch_size=8, routing="range"),
-    ServiceConfig(num_shards=4, batch_size=32, routing="hash", coalesce=False),
+    ServiceConfig(num_shards=1, batch_size=1),
+    ServiceConfig(num_shards=1, batch_size=16),
+    ServiceConfig(num_shards=3, batch_size=8),
+    ServiceConfig(num_shards=3, batch_size=8, replication=2),
+    ServiceConfig(num_shards=4, batch_size=32),
 ]
 
 NUM_REQUESTS = 300
@@ -163,9 +163,8 @@ def test_shard_counters_sum_to_single_oracle_totals():
 
 def test_router_is_orientation_invariant_and_total():
     graph = graphs.gnp_graph(50, 0.2, seed=8)
-    for policy in ("hash", "range"):
-        router = ShardRouter(4, graph.num_vertices, policy)
-        for (u, v) in graph.edges():
-            shard = router.shard_of_edge(u, v)
-            assert shard == router.shard_of_edge(v, u)
-            assert 0 <= shard < 4
+    router = ShardRouter(4)
+    for (u, v) in graph.edges():
+        shard = router.shard_of_edge(u, v)
+        assert shard == router.shard_of_edge(v, u)
+        assert 0 <= shard < 4

@@ -55,25 +55,6 @@ def test_injected_clock_yields_deterministic_latencies(graph):
     assert float(first.duration_s).is_integer()
 
 
-def test_unbatched_requests_get_individual_completion_stamps(graph):
-    """coalesce=False is the per-request baseline: each request in a batch
-    must carry its own completion time (strictly increasing within the
-    batch under a tick clock), not one shared batch stamp."""
-    config = ServiceConfig(num_shards=1, batch_size=4, coalesce=False)
-    engine, report = _run(graph, config, requests=12, clock=_tick_clock())
-    assert report.served == 12
-    # Under a tick clock both arrival and per-request completion stamps
-    # advance one tick per request, so within a batch latencies are
-    # non-decreasing; a single shared batch stamp would make them strictly
-    # decrease (later arrivals, same completion).
-    for first, second in zip(engine.records, engine.records[1:]):
-        same_batch = (second.seq - 1) // config.batch_size == (
-            first.seq - 1
-        ) // config.batch_size
-        if same_batch:
-            assert second.latency_s >= first.latency_s
-
-
 def test_no_code_path_reads_the_wall_clock_when_a_clock_is_injected(
     graph, monkeypatch
 ):

@@ -68,7 +68,7 @@ def test_mixed_regime_connectivity_and_stretch(bounded_graph):
 
 def test_consistency_of_answers(bounded_graph):
     params = tuned_params(bounded_graph.num_vertices, 2, budget=8, center_p=0.3, mark_p=0.3)
-    lca = KSquaredSpannerLCA(bounded_graph, seed=5, params=params).set_query_mode("cached")
+    lca = KSquaredSpannerLCA(bounded_graph, seed=5, params=params).set_query_mode("batched")
     sample = list(bounded_graph.edges())[:30]
     assert check_consistency(lca, edges=sample)
 
