@@ -49,7 +49,10 @@ Graphs mutate (:meth:`~repro.graphs.graph.Graph.add_edge` /
 ``remove_edge``), and every memoized value is a pure function of the *rows
 it read*.  The cache therefore records, per entry, the set of vertices the
 computation touched (:class:`MemoEntry`) along with the graph epoch at
-store time; a mutation merely bumps the epochs of its two endpoints.  On
+store time; a mutation merely bumps the epochs of its two endpoints.  A
+dependency set is kept as its sorted ids packed into an ``array("q")`` (a
+sorted tuple when an id does not fit in 64 bits), about a fifth of a
+``frozenset``'s memory, and membership is a bisection.  On
 lookup an entry is served only while none of its touched vertices has a
 newer epoch — otherwise it is discarded and the miss path recomputes
 against the current graph, re-charging the cold probe schedule of the *new*
@@ -61,33 +64,57 @@ would produce — the mutation-plane equivalence the tests pin.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterator, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterator, Optional, Sequence, Set, Tuple
 
 from ..graphs.graph import Graph, Vertex
 
 #: Empty dependency set shared by graph-independent memo entries.
-_NO_TOUCHES: frozenset = frozenset()
+_NO_TOUCHES: tuple = ()
+
+
+def _pack_ids(ids: Set[int]) -> Sequence[int]:
+    """A dependency set as sorted ids: an ``array("q")`` of 8-byte ids.
+
+    A set with an id outside the signed 64-bit range becomes a sorted tuple
+    instead.  Either form answers membership by bisection
+    (:func:`_has_id`).
+    """
+    ordered = sorted(ids)
+    try:
+        return array("q", ordered)
+    except OverflowError:
+        return tuple(ordered)
+
+
+def _has_id(packed: Sequence[int], vertex: int) -> bool:
+    """Whether the sorted ids ``packed`` hold ``vertex`` (bisection)."""
+    index = bisect_left(packed, vertex)
+    return index < len(packed) and packed[index] == vertex
 
 
 class MemoEntry:
     """One memoized value plus its epoch-invalidation metadata.
 
-    ``touched`` is the set of vertices whose neighbor rows (or degrees, or
-    adjacency rows) the computation read; ``epoch`` is the graph's global
-    mutation epoch when the value was stored.  The entry is *fresh* while no
-    touched vertex has mutated since — computations are deterministic, so
-    re-running one whose reads are all unchanged would retrace the same
-    reads and produce the same value (and the same cold probe schedule).
-    An entry with an empty ``touched`` set is a pure function of
-    ``(seed, key)`` and never goes stale.
+    ``touched`` holds the vertices whose neighbor rows (or degrees, or
+    adjacency rows) the computation read, packed by :func:`_pack_ids`;
+    ``epoch`` is the graph's global mutation epoch when the value was
+    stored.  The entry is *fresh* while no touched vertex has mutated since
+    — computations are deterministic, so re-running one whose reads are all
+    unchanged would retrace the same reads and produce the same value (and
+    the same cold probe schedule).  An entry with no touched vertex is a
+    pure function of ``(seed, key)`` and never goes stale.
     """
 
     __slots__ = ("value", "epoch", "touched")
 
-    def __init__(self, value, epoch: int = 0, touched: frozenset = _NO_TOUCHES) -> None:
+    def __init__(
+        self, value, epoch: int = 0, touched: Sequence[int] = _NO_TOUCHES
+    ) -> None:
         self.value = value
         self.epoch = epoch
         self.touched = touched
@@ -101,7 +128,7 @@ class MemoEntry:
         )
 
     def __hash__(self):  # pragma: no cover - entries are not used as keys
-        return hash((self.value, self.epoch, self.touched))
+        return hash((self.value, self.epoch, tuple(self.touched)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"MemoEntry({self.value!r}, epoch={self.epoch}, touched={len(self.touched)})"
@@ -281,9 +308,9 @@ class OracleCache:
         if touched:
             if current - stored <= len(touched):
                 # Few mutations since: scan the mutation-log suffix against
-                # the dependency set (O(1) membership per mutation).
+                # the dependency set (membership by bisection).
                 for (u, v) in graph.mutations_since(stored):
-                    if u in touched or v in touched:
+                    if _has_id(touched, u) or _has_id(touched, v):
                         return False
             else:
                 # Many mutations since: per-vertex epoch comparison is the
@@ -325,9 +352,12 @@ class OracleCache:
     def store(
         self, namespace: Hashable, key: Hashable, value, touched: Set[Vertex]
     ) -> MemoEntry:
-        """Store a value computed under a :meth:`track` frame."""
-        touched = frozenset(touched) if touched else _NO_TOUCHES
-        entry = MemoEntry(value, self.graph.epoch, touched)
+        """Store a value computed under a :meth:`track` frame.
+
+        The dependency set is kept packed (:func:`_pack_ids`).
+        """
+        packed = _pack_ids(touched) if touched else _NO_TOUCHES
+        entry = MemoEntry(value, self.graph.epoch, packed)
         self.memo(namespace)[key] = entry
         if self._trackers and touched:
             self._trackers[-1].update(touched)

@@ -63,8 +63,8 @@ class TableStore:
     ) -> "_spanner3.ScanTables":
         """Closed-form scan outcomes for ``system`` (per block variant).
 
-        Stale rows are rebuilt first: ``row`` alone when given (the one row a
-        scan reads), otherwise every stale row in one call.
+        Stale rows are rebuilt first, in place: ``row`` alone when given (the
+        one row a scan reads), otherwise every stale row in one call.
         """
         key = (system.key, block)
         tables = self.scan.get(key)
@@ -77,8 +77,8 @@ class TableStore:
                 rows, tables.stale = self.np.flatnonzero(tables.stale), None
             else:
                 rows, tables.stale[row] = [row], False
-            _spanner3.rebuild_rows(
-                self.np, self.view, self.prefix_tables(system), block, tables, rows
+            _spanner3.build_scan_tables(
+                self.np, self.view, self.prefix_tables(system), block, rows, tables
             )
         return tables
 

@@ -8,11 +8,15 @@ entry ``e = (w → x)`` it derives whether the scan at ``(w, x)`` keeps the
 edge, how many row steps it performs, and how many adjacency probes it
 charges — so both the per-query scan and the whole-graph batched
 materializer become O(1) table lookups with the exact scalar probe schedule.
-After a write, :func:`patch_tables` carries the tables to the new epoch: it
-rebuilds the prefix rows, copies every scan row the write cannot have changed
-and marks the others stale.  A stale row is rebuilt by :func:`rebuild_rows`
-the first time a read needs it, through the same :func:`build_scan_tables`
-that builds whole tables, so no stale entry is ever read.
+:func:`build_scan_tables` builds the scan tables a slab of whole rows at a
+time, so its peak memory is that of one slab, not of the (entry, center)
+expansion of the whole graph; the materializer decides edges one slice at a
+time for the same reason.  After a write, :func:`patch_tables` carries the
+tables to the new epoch: it rebuilds the prefix rows, copies every scan row
+the write cannot have changed and marks the others stale.  A stale row is
+rebuilt the first time a read needs it, through the same
+:func:`build_scan_tables` that builds whole tables, so no stale entry is
+ever read.
 
 Derivation (matching ``_new_cluster_scan_fast``): for every element ``s`` of
 the prefix-center set S(x), its *first cover* ``fc`` is the smallest row
@@ -26,7 +30,7 @@ element stayed uncovered (or the window was empty with S(x) nonempty).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
 from .view import copy_rows
 
@@ -85,35 +89,102 @@ def build_prefix_tables(np, view, system, elected=None) -> PrefixTables:
     return PrefixTables(elected, pc_indptr, pc_val)
 
 
-def build_scan_tables(
-    np, view, tables: PrefixTables, block: Optional[int], entries=None
-) -> ScanTables:
-    """Materialize kept/steps/adjacency for every entry's scan at once.
+#: Most (entry, center) elements one slab of a scan-table build expands at
+#: once.  A slab holds whole rows, so a row with more elements is built alone.
+SLAB_ELEMENTS = 1 << 14
 
-    ``entries`` (sorted entry indices covering whole rows, see
-    :func:`row_entries`) restricts the build to those rows; the returned
-    arrays are then aligned with ``entries``.  A row subset is exact because
-    every grouping below is keyed by source row.
+def build_scan_tables(
+    np, view, tables: PrefixTables, block: Optional[int], rows=None, into=None
+) -> ScanTables:
+    """Build kept/steps/adjacency for the scan rows ``rows``, slab by slab.
+
+    ``rows`` holds sorted row positions (every row when ``None``), and the
+    outcomes are written into ``into`` (new zeroed tables over every entry
+    when ``None``), which is returned.  :func:`_slabs` cuts the rows into
+    slabs, and each slab is built by :func:`_build_slab`, so the build's
+    peak memory is that of one slab.  The first build, the flush of stale
+    rows and a scan's rebuild of the one stale row it reads all come here.
     """
-    if entries is None:
-        nbr_pos, entry_src, entry_j = view.nbr_pos, view.entry_src, view.entry_j
+    if into is None:
+        into = ScanTables(
+            np.zeros(view.nnz, dtype=bool),
+            np.zeros(view.nnz, dtype=np.int64),
+            np.zeros(view.nnz, dtype=np.int64),
+        )
+    for part in _slabs(np, view, tables, rows):
+        into.kept[part], into.steps[part], into.adj[part] = _build_slab(
+            np, view, tables, block, part
+        )
+    return into
+
+
+def _slabs(np, view, tables: PrefixTables, rows):
+    """The entries of ``rows`` in runs of whole rows, one run per slab.
+
+    A run's (entry, center) element count fits :data:`SLAB_ELEMENTS` unless
+    it is a single row: a row is never split, because first covers group
+    elements by source row.  Runs are slices when ``rows`` is ``None`` and
+    sorted entry indices otherwise.  One row goes straight through without
+    the sizing pass.
+    """
+    if rows is None:
+        entries, bounds = None, view.indptr
     else:
-        nbr_pos = view.nbr_pos[entries]
-        entry_src = view.entry_src[entries]
-        entry_j = view.entry_j[entries]
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) == 1:
+            row = int(rows[0])
+            yield slice(int(view.indptr[row]), int(view.indptr[row + 1]))
+            return
+        entries = row_entries(np, view, rows)
+        bounds = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(view.deg[rows], out=bounds[1:])
+    at_row = _elements_before(np, view, tables, entries, bounds)
+    start, count = 0, len(bounds) - 1
+    while start < count:
+        limit = at_row[start] + SLAB_ELEMENTS
+        stop = max(int(np.searchsorted(at_row, limit, side="right")) - 1, start + 1)
+        lo, hi = int(bounds[start]), int(bounds[stop])
+        yield slice(lo, hi) if entries is None else entries[lo:hi]
+        start = stop
+
+
+def _elements_before(np, view, tables: PrefixTables, entries, bounds):
+    """The sizing pass: the element count before each row boundary.
+
+    ``entries`` (all entries when ``None``) are the rows' entries in order,
+    and ``bounds`` the offsets of the row boundaries among them.  It is a
+    function of its own so that its per-entry temporaries are freed before
+    the first slab is built: a generator's locals live until it ends.
+    """
+    nbr_pos = view.nbr_pos if entries is None else view.nbr_pos[entries]
+    elements = np.zeros(len(nbr_pos) + 1, dtype=np.int64)
+    np.cumsum(np.diff(tables.pc_indptr)[nbr_pos], out=elements[1:])
+    return elements[bounds]
+
+
+def _build_slab(np, view, tables: PrefixTables, block, part):
+    """Kept/steps/adjacency of the whole rows whose entries are ``part``.
+
+    ``part`` (a slice or sorted entry indices) covers whole rows, and every
+    grouping below is keyed by source row, so a slab is exact on its own.
+    Returns the three arrays, aligned with ``part``.
+    """
+    nbr_pos = view.nbr_pos[part]
+    entry_src = view.entry_src[part]
+    entry_j = view.entry_j[part]
     nnz = len(nbr_pos)
     kept = np.zeros(nnz, dtype=bool)
     steps = np.zeros(nnz, dtype=np.int64)
     adj = np.zeros(nnz, dtype=np.int64)
     if not nnz:
-        return ScanTables(kept, steps, adj)
+        return kept, steps, adj
     # One "element" per (entry e, center s ∈ S(x_e)) pair, laid out entry-major.
     sizes = tables.pc_indptr[nbr_pos + 1] - tables.pc_indptr[nbr_pos]
     offsets = np.zeros(nnz + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     total = int(offsets[-1])
     if not total:
-        return ScanTables(kept, steps, adj)
+        return kept, steps, adj
     eid = np.repeat(np.arange(nnz, dtype=np.int64), sizes)
     inner = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], sizes)
     cpos = tables.pc_val[tables.pc_indptr[nbr_pos[eid]] + inner]
@@ -164,7 +235,7 @@ def build_scan_tables(
     )
     steps[nonempty] = scan_end_ne - start_ne
     kept[nonempty] = any_unc
-    return ScanTables(kept, steps, adj)
+    return kept, steps, adj
 
 
 def row_entries(np, view, rows):
@@ -211,15 +282,6 @@ def patch_tables(np, old_view, view, system, prefix: PrefixTables, scans, touche
     return fresh, patched
 
 
-def rebuild_rows(np, view, prefix: PrefixTables, block, tables: ScanTables, rows):
-    """Rebuild the rows at sorted positions ``rows`` of ``tables`` in place."""
-    entries = row_entries(np, view, np.asarray(rows, dtype=np.int64))
-    built = build_scan_tables(np, view, prefix, block, entries=entries)
-    tables.kept[entries] = built.kept
-    tables.steps[entries] = built.steps
-    tables.adj[entries] = built.adj
-
-
 def scan_profile(kernel, oracle, system, w, x, index, block):
     """Answer one ``_new_cluster_scan_fast`` call from the precomputed tables.
 
@@ -262,57 +324,45 @@ def scan_profile(kernel, oracle, system, w, x, index, block):
     return kept
 
 
-def materialize_batched(lca, oracle, kernel, result) -> bool:
-    """Array-at-once batched materializer for the full spanner3 edge set.
+#: Most CSR entries one slice of :func:`materialize_batched` evaluates at
+#: once (about half of them are forward entries, one per edge).
+SLICE_ENTRIES = 1 << 14
 
-    Evaluates all four components (H_low, center edges, H_high, H_super) for
-    every edge of the graph in one pass of array arithmetic, replicating the
-    scalar short-circuit order so per-query probe totals, per-kind counts and
-    the ``"neighbor-scan"`` phase attribution are bit-identical.  Returns
-    ``True`` when handled; ``False`` falls back to the scalar engine.
+
+class EdgeCharges(NamedTuple):
+    """spanner3's verdict and probe charges per edge, for a set of edges.
+
+    Every array is aligned with the forward entries evaluated.  ``degree``,
+    ``neighbor`` and ``adjacency`` are each edge's cold charges by probe
+    kind.  Part of them is made inside ``"neighbor-scan"`` frames: one
+    degree probe per scan call (``scan_calls``), every neighbor probe, and
+    ``scan_adjacency`` adjacency probes.
     """
-    from ..spanner3.components import (
-        CenterEdgeComponent,
-        HighDegreeComponent,
-        LowDegreeComponent,
-        SuperBlockComponent,
-    )
 
-    components = getattr(lca, "components", None)
-    if not components or len(components) != 4:
-        return False
-    low, center_edges, high, super_block = components
-    if not (
-        isinstance(low, LowDegreeComponent)
-        and isinstance(center_edges, CenterEdgeComponent)
-        and isinstance(high, HighDegreeComponent)
-        and isinstance(super_block, SuperBlockComponent)
-    ):
-        return False
-    hi_sys = high.centers
-    su_sys = super_block.centers
-    if not (
-        len(center_edges.systems) == 2
-        and center_edges.systems[0] is hi_sys
-        and center_edges.systems[1] is su_sys
-    ):
-        return False
-    store = kernel.store(oracle.graph)
+    kept: Any
+    degree: Any
+    neighbor: Any
+    adjacency: Any
+    scan_calls: Any
+    scan_adjacency: Any
+
+
+def evaluate_edges(np, store, components, e_fwd) -> EdgeCharges:
+    """Decide the edges of the forward entries ``e_fwd`` by array arithmetic.
+
+    Evaluates all four components (H_low, center edges, H_high, H_super) of
+    ``components`` for every edge, replicating the scalar short-circuit
+    order, so each edge's charges by kind and by phase equal the scalar
+    path's.  The tables come from ``store`` (stale rows are flushed first).
+    """
+    low, _, high, super_block = components
     view = store.view
-    if view is None:
-        return False
-    np = kernel.np
     i8 = np.int64
     params = high.params
     t_low = low.threshold
     block = super_block.threshold
-
-    if view.nnz:
-        e_fwd = np.flatnonzero(view.ids[view.entry_src] < view.nbr_id)
-    else:
-        e_fwd = np.zeros(0, dtype=i8)
-    if not len(e_fwd):
-        return True
+    hi_sys = high.centers
+    su_sys = super_block.centers
     hi_pt = store.prefix_tables(hi_sys)
     su_pt = store.prefix_tables(su_sys)
     hi_scan = store.scan_tables(hi_sys, None)
@@ -354,37 +404,33 @@ def materialize_batched(lca, oracle, kernel, result) -> bool:
     gh_v = (dv > params.low_threshold) & (dv <= params.super_threshold)
     ghu = gh_u.astype(i8)
     ghv = gh_v.astype(i8)
-    scan_hi = np.minimum(view.deg, p_hi)
+    hi_adj_f = hi_scan.adj[e_fwd]
+    hi_adj_r = hi_scan.adj[e_rev]
     d1 = gh_u & hi_scan.kept[e_fwd]
     n1 = (~d1).astype(i8)
     c3 = d1 | (gh_v & hi_scan.kept[e_rev])
     c3_deg = (1 + ghu) + n1 * (1 + ghv)
-    c3_nei = ghu * (scan_hi[vp] + hi_scan.steps[e_fwd]) + n1 * ghv * (
-        scan_hi[up] + hi_scan.steps[e_rev]
+    c3_nei = ghu * (np.minimum(dv, p_hi) + hi_scan.steps[e_fwd]) + n1 * ghv * (
+        np.minimum(du, p_hi) + hi_scan.steps[e_rev]
     )
-    c3_adj = ghu * (1 + hi_scan.adj[e_fwd]) + n1 * ghv * (1 + hi_scan.adj[e_rev])
+    c3_adj = ghu * (1 + hi_adj_f) + n1 * ghv * (1 + hi_adj_r)
 
     # H_super: ungated adjacency + block scan in both directions.
     act4 = act3 & ~c3
-    scan_su = np.minimum(view.deg, p_su)
+    su_adj_f = su_scan.adj[e_fwd]
+    su_adj_r = su_scan.adj[e_rev]
     s1 = su_scan.kept[e_fwd]
     ns = (~s1).astype(i8)
     c4 = s1 | su_scan.kept[e_rev]
     c4_deg = 1 + ns
-    c4_nei = (scan_su[vp] + su_scan.steps[e_fwd]) + ns * (
-        scan_su[up] + su_scan.steps[e_rev]
+    c4_nei = (np.minimum(dv, p_su) + su_scan.steps[e_fwd]) + ns * (
+        np.minimum(du, p_su) + su_scan.steps[e_rev]
     )
-    c4_adj = (1 + su_scan.adj[e_fwd]) + ns * (1 + su_scan.adj[e_rev])
+    c4_adj = (1 + su_adj_f) + ns * (1 + su_adj_r)
 
     a2m = act2.astype(i8)
     a3m = act3.astype(i8)
     a4m = act4.astype(i8)
-    deg_arr = deg_c1 + a3m * c3_deg + a4m * c4_deg
-    nei_arr = a3m * c3_nei + a4m * c4_nei
-    adj_arr = a2m * adj_c2 + a3m * c3_adj + a4m * c4_adj
-    answer = c1 | (act2 & c2) | (act3 & c3) | (act4 & c4)
-    totals = (deg_arr + nei_arr + adj_arr).tolist()
-
     # Phase attribution: every scan invocation runs inside a "neighbor-scan"
     # frame; its in-frame charges are degree 1, the full neighbor cost, and
     # the scan's adjacency probes (the index probe stays outside).
@@ -392,29 +438,86 @@ def materialize_batched(lca, oracle, kernel, result) -> bool:
     inv2 = act3 & ~d1 & gh_v
     inv3 = act4
     inv4 = act4 & ~s1
-    calls = int(inv1.sum() + inv2.sum() + inv3.sum() + inv4.sum())
-    deg_total = int(deg_arr.sum())
-    nei_total = int(nei_arr.sum())
-    adj_total = int(adj_arr.sum())
-    phase_adj = int(
-        (inv1 * hi_scan.adj[e_fwd]).sum()
-        + (inv2 * hi_scan.adj[e_rev]).sum()
-        + (inv3 * su_scan.adj[e_fwd]).sum()
-        + (inv4 * su_scan.adj[e_rev]).sum()
+    return EdgeCharges(
+        kept=c1 | (act2 & c2) | (act3 & c3) | (act4 & c4),
+        degree=deg_c1 + a3m * c3_deg + a4m * c4_deg,
+        neighbor=a3m * c3_nei + a4m * c4_nei,
+        adjacency=a2m * adj_c2 + a3m * c3_adj + a4m * c4_adj,
+        scan_calls=(
+            inv1.astype(i8) + inv2.astype(i8) + inv3.astype(i8) + inv4.astype(i8)
+        ),
+        scan_adjacency=(
+            inv1 * hi_adj_f + inv2 * hi_adj_r + inv3 * su_adj_f + inv4 * su_adj_r
+        ),
     )
+
+
+def materialize_batched(lca, oracle, kernel, result) -> bool:
+    """Array-at-once batched materializer for the full spanner3 edge set.
+
+    Decides every edge of the graph by :func:`evaluate_edges`, one slice of
+    :data:`SLICE_ENTRIES` CSR entries at a time, so the peak memory beyond
+    the tables is that of one slice.  Per-query probe totals, per-kind
+    counts and the ``"neighbor-scan"`` phase attribution are bit-identical
+    to the scalar path.  Returns ``True`` when handled; ``False`` falls back
+    to the scalar engine.
+    """
+    from ..spanner3.components import (
+        CenterEdgeComponent,
+        HighDegreeComponent,
+        LowDegreeComponent,
+        SuperBlockComponent,
+    )
+
+    components = getattr(lca, "components", None)
+    if not components or len(components) != 4:
+        return False
+    low, center_edges, high, super_block = components
+    if not (
+        isinstance(low, LowDegreeComponent)
+        and isinstance(center_edges, CenterEdgeComponent)
+        and isinstance(high, HighDegreeComponent)
+        and isinstance(super_block, SuperBlockComponent)
+    ):
+        return False
+    if not (
+        len(center_edges.systems) == 2
+        and center_edges.systems[0] is high.centers
+        and center_edges.systems[1] is super_block.centers
+    ):
+        return False
+    store = kernel.store(oracle.graph)
+    view = store.view
+    if view is None:
+        return False
+    if not view.nnz:
+        return True
+    np = kernel.np
+    degree = neighbor = adjacency = calls = phase_adj = 0
+    for lo in range(0, view.nnz, SLICE_ENTRIES):
+        hi = min(lo + SLICE_ENTRIES, view.nnz)
+        forward = view.ids[view.entry_src[lo:hi]] < view.nbr_id[lo:hi]
+        e_fwd = lo + np.flatnonzero(forward)
+        if not len(e_fwd):
+            continue
+        edges = evaluate_edges(np, store, components, e_fwd)
+        degree += int(edges.degree.sum())
+        neighbor += int(edges.neighbor.sum())
+        adjacency += int(edges.adjacency.sum())
+        calls += int(edges.scan_calls.sum())
+        phase_adj += int(edges.scan_adjacency.sum())
+        totals = (edges.degree + edges.neighbor + edges.adjacency).tolist()
+        result.probe_stats.query_totals.extend(totals)
+        lca.probe_stats.query_totals.extend(totals)
+        kept = e_fwd[edges.kept]
+        kept_u = view.ids[view.entry_src[kept]].tolist()
+        result.edges.update(zip(kept_u, view.nbr_id[kept].tolist()))
     profiler = oracle.profiler
     if profiler is not None and calls:
-        oracle.charge(degree=deg_total - calls, adjacency=adj_total - phase_adj)
+        oracle.charge(degree=degree - calls, adjacency=adjacency - phase_adj)
         frame = profiler.begin_phase("neighbor-scan", oracle.counter, calls=calls)
-        oracle.charge(degree=calls, neighbor=nei_total, adjacency=phase_adj)
+        oracle.charge(degree=calls, neighbor=neighbor, adjacency=phase_adj)
         profiler.end_phase(frame)
     else:
-        oracle.charge(degree=deg_total, neighbor=nei_total, adjacency=adj_total)
-
-    kept_idx = np.flatnonzero(answer)
-    kept_u = view.ids[up[kept_idx]].tolist()
-    kept_v = view.nbr_id[e_fwd[kept_idx]].tolist()
-    result.edges.update(zip(kept_u, kept_v))
-    result.probe_stats.query_totals.extend(totals)
-    lca.probe_stats.query_totals.extend(totals)
+        oracle.charge(degree=degree, neighbor=neighbor, adjacency=adjacency)
     return True

@@ -8,7 +8,8 @@ the same per-query probe totals and the same per-kind probe counts as the
 scalar reference path, before and after mutations.  The graph's shared
 kernel table store, patched after each round of writes (view rows copied,
 dirty scan rows marked stale and rebuilt on read), must equal a fresh build
-on every entry once its stale rows are flushed.
+on every entry once its stale rows are flushed, whatever the slab size the
+scan-table builder cuts its rows by.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.registry import create
 from repro.graphs import Graph
+from repro.kernels import spanner3 as kernel_spanner3
 
 
 @st.composite
@@ -110,13 +112,20 @@ def graph_and_write_rounds(draw, max_vertices=20):
     return list(range(n)), edges, rounds, compact_threshold
 
 
+def _single_slab_build(np, view, prefix, block):
+    """A scan table built with every row in one slab."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_spanner3, "SLAB_ELEMENTS", 1 << 62)
+        return kernel_spanner3.build_scan_tables(np, view, prefix, block)
+
+
 def _assert_store_matches_fresh_build(np, graph, kernel):
     """Every table in the graph's store equals a build on a fresh view.
 
     The scan tables are flushed first (a whole-graph read rebuilds every
-    stale row), after which no row may be stale.
+    stale row), after which no row may be stale.  The reference scan tables
+    are built in one slab.
     """
-    from repro.kernels import spanner3 as kernel_spanner3
     from repro.kernels.view import build_view
 
     store = kernel.store(graph)
@@ -133,7 +142,7 @@ def _assert_store_matches_fresh_build(np, graph, kernel):
         system = store.prefix[key][0]
         assert store.scan_tables(system, block) is tables
         assert tables.stale is None
-        rebuilt = kernel_spanner3.build_scan_tables(np, view, fresh[key], block)
+        rebuilt = _single_slab_build(np, view, fresh[key], block)
         for name in ("kept", "steps", "adj"):
             assert np.array_equal(getattr(tables, name), getattr(rebuilt, name)), name
 
@@ -144,6 +153,27 @@ def _assert_store_matches_fresh_build(np, graph, kernel):
     seed=st.integers(min_value=0, max_value=10**6),
 )
 def test_patched_tables_equal_fresh_builds_after_every_write_round(instance, seed):
+    _check_write_rounds(instance, seed)
+
+
+@pytest.mark.parametrize("slab", [1, 1 << 40], ids=["row-per-slab", "one-slab"])
+@relaxed
+@given(
+    instance=graph_and_write_rounds(),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_slab_size_never_changes_a_scan_table(slab, instance, seed):
+    """Whole builds, stale-row flushes and single-row rebuilds cut into
+    slabs of one row (a 1-element budget) or of the whole graph equal a
+    single-slab build on every entry."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_spanner3, "SLAB_ELEMENTS", slab)
+        _check_write_rounds(instance, seed)
+
+
+def _check_write_rounds(instance, seed):
+    """Replay write rounds under both kernels; after each, compare answers
+    and probes, and the store with a fresh build."""
     import numpy as np
 
     vertices, edges, rounds, compact_threshold = instance

@@ -159,6 +159,68 @@ def test_probe_free_entries_not_stored_but_recomputed_identically():
     assert bounded.resident_entries == 0
 
 
+# --------------------------------------------------------------------------- #
+# Packed dependency sets: ids past 64 bits fall back to a sorted tuple
+# --------------------------------------------------------------------------- #
+WIDE = 1 << 64
+WIDE_READS = [1, 2, 1 << 62, WIDE, WIDE + 1]
+
+
+def _wide_id_graph():
+    """Read vertices below 2^63 and at or above 2^64; 3 and WIDE + 2 are not read."""
+    edges = [(1, 2), (2, 1 << 62), (1 << 62, WIDE), (WIDE, WIDE + 1), (WIDE + 2, WIDE + 3)]
+    return graphs.Graph.from_edges(edges, vertices=[3, *WIDE_READS, WIDE + 2, WIDE + 3])
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+@pytest.mark.parametrize("replica", [False, True], ids=["own", "merged"])
+def test_dependency_sets_past_64_bits_invalidate_on_exactly_their_reads(
+    bounded, replica
+):
+    """A memo entry whose reads span ids below 2^63 and at or above 2^64 is
+    stored as a sorted tuple.  A write to any vertex it read invalidates it
+    and a write elsewhere does not, whether few writes (mutation-log scan)
+    or more writes than reads (per-vertex epochs) came in between, in the
+    cache that stored it and in a replica cache it was merged into."""
+    from array import array
+
+    def stored(graph):
+        def cache_for():
+            return BoundedOracleCache(graph, memo_cap=4) if bounded else OracleCache(graph)
+
+        cache = cache_for()
+        cache.memoize("answers", "wide", lambda: [cache.degree(v) for v in WIDE_READS])
+        cache.memoize("answers", "narrow", lambda: cache.degree(2))
+        if replica:
+            merged = cache_for()
+            merged.merge(cache.snapshot())
+            cache = merged
+        assert cache.lookup("answers", "wide").touched == tuple(sorted(WIDE_READS))
+        assert cache.lookup("answers", "narrow").touched == array("q", [2])
+        return cache
+
+    def write_elsewhere(graph, times):
+        for _ in range(times):
+            if graph.has_edge(3, WIDE + 2):
+                graph.remove_edge(3, WIDE + 2)
+            else:
+                graph.add_edge(3, WIDE + 2)
+
+    graph = _wide_id_graph()
+    cache = stored(graph)
+    for times in (1, len(WIDE_READS) + 1):
+        write_elsewhere(graph, times)
+        assert cache.lookup("answers", "wide") is not None
+    for vertex in WIDE_READS:
+        for times in (0, len(WIDE_READS) + 1):
+            graph = _wide_id_graph()
+            cache = stored(graph)
+            write_elsewhere(graph, times)
+            graph.add_edge(vertex, 3)
+            assert cache.lookup("answers", "wide") is None, (vertex, times)
+            assert (cache.lookup("answers", "narrow") is None) == (vertex == 2)
+
+
 def test_memo_cap_validation():
     graph = _graph()
     for bad in (0, -3, True, 2.5, "8"):
