@@ -15,20 +15,27 @@ Shapes to check on the dense (n=400, p=0.10) fixture:
 * the numpy kernels must be ≥5× faster than the batched pure-Python path,
 
 with byte-identical spanner edges and probe totals everywhere.  The two
-scalar engine rows are pinned to ``kernel="python"`` so they stay comparable
-across machines with and without numpy; the kernel row is skipped (not
-failed) when numpy is absent.
+scalar engine rows pin ``REPRO_KERNEL=python`` so they stay comparable
+across machines with and without numpy; the kernel row pins
+``REPRO_KERNEL=numpy`` and is skipped (not failed) on a host that runs the
+scalar kernel.  Each engine's time is the median of ``REPEATS`` interleaved
+runs, each on a fresh copy of the fixture graph, so no run reads the kernel
+tables of an earlier one.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
+import pytest
+
 from repro import create_lca, format_table
-from repro.kernels import resolve_kernel
+from repro.graphs import Graph
+from repro.kernels import ENV_KERNEL, resolve_kernel
 from repro.spannerk import KSquaredSpannerLCA
 
 from bench_common import payload_header
@@ -46,58 +53,77 @@ MIN_BATCHED_SPEEDUP = float(os.environ.get("BENCH_MIN_BATCHED_SPEEDUP", "5.0"))
 #: dense fixture are ~6-7x.
 MIN_KERNEL_SPEEDUP = float(os.environ.get("BENCH_MIN_KERNEL_SPEEDUP", "5.0"))
 
-MODES = ("cold", "batched")
+#: Engines timed per workload: (row name, query mode, ``REPRO_KERNEL``).
+#: The scalar rows pin "python", since an unset variable would silently
+#: vectorize them wherever numpy is installed.
+ENGINES = (("cold", "cold", "python"), ("batched", "batched", "python"))
 
-#: Whether the numpy kernel layer is importable in this environment.
-HAVE_NUMPY_KERNEL = resolve_kernel("auto") is not None
+#: Whether this host runs the numpy kernels (``REPRO_KERNEL=numpy``, or numpy
+#: importable with the variable unset).  Resolving imports numpy now, so no
+#: timed run pays for the import.
+HAVE_NUMPY_KERNEL = resolve_kernel() is not None
+if HAVE_NUMPY_KERNEL:
+    ENGINES += (("kernel", "batched", "numpy"),)
+
+#: Rounds per workload.  Each round runs every engine once, so all engines
+#: sample the same stretch of host load, and an engine's reported time is
+#: the median over the rounds.  A single run moved the dense
+#: batched-vs-cold ratio by about a third between back-to-back invocations
+#: of the same code.
+REPEATS = 3
 
 
-def _time_modes(name, graph, make_lca):
-    """Materialize with every engine; return (row dict, per-mode results).
+def _fresh_copy(graph):
+    """The same graph, neighbor order included, with no per-graph state."""
+    return Graph({v: list(graph.neighbors(v)) for v in graph.vertices()}, validate=False)
 
-    The two scalar engines run with the probe kernels pinned to "python"
-    (the default "auto" would silently vectorize them wherever numpy is
-    installed); a third "kernel" measurement reruns the batched engine
-    under ``kernel="numpy"`` when available and is held to the same
-    edges-and-probes equivalence key.
-    """
-    timings = {}
-    reference = None
-    for mode in MODES:
-        lca = make_lca(graph).set_kernel("python")
+
+def _materialize_once(graph, make_lca, mode, kernel):
+    """One timed materialization of a fresh copy of ``graph``, so no run
+    reads the kernel tables of an earlier one; the kernel is pinned through
+    ``REPRO_KERNEL``.  Returns (seconds, materialized spanner)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(ENV_KERNEL, kernel)
+        lca = make_lca(_fresh_copy(graph))
         start = time.perf_counter()
         materialized = lca.materialize(mode=mode)
         elapsed = time.perf_counter() - start
-        key = (
-            frozenset(materialized.edges),
-            tuple(materialized.probe_stats.query_totals),
-        )
-        if reference is None:
-            reference = key
-        else:
-            assert key == reference, (name, mode, "equivalence broken")
-        timings[mode] = {
-            "seconds": elapsed,
-            "spanner_edges": materialized.num_edges,
-            "probe_total": materialized.probe_stats.total,
-            "probe_max": materialized.probe_stats.max,
+        assert lca.kernel_name == kernel
+    return elapsed, materialized
+
+
+def _time_modes(name, graph, make_lca):
+    """Materialize with every engine; return (row dict, per-engine results).
+
+    The scalar cold and batched engines, and the batched engine under the
+    numpy kernels when available, are held to one edges-and-probes
+    equivalence key on every run.
+    """
+    runs = {engine: [] for engine, _, _ in ENGINES}
+    last = {}
+    reference = None
+    for _ in range(REPEATS):
+        for engine, mode, kernel in ENGINES:
+            elapsed, materialized = _materialize_once(graph, make_lca, mode, kernel)
+            key = (
+                frozenset(materialized.edges),
+                tuple(materialized.probe_stats.query_totals),
+            )
+            if reference is None:
+                reference = key
+            assert key == reference, (name, engine, "equivalence broken")
+            runs[engine].append(elapsed)
+            last[engine] = materialized
+    timings = {
+        engine: {
+            "seconds": statistics.median(runs[engine]),
+            "runs_s": [round(each, 4) for each in runs[engine]],
+            "spanner_edges": last[engine].num_edges,
+            "probe_total": last[engine].probe_stats.total,
+            "probe_max": last[engine].probe_stats.max,
         }
-    if HAVE_NUMPY_KERNEL:
-        lca = make_lca(graph).set_kernel("numpy")
-        start = time.perf_counter()
-        materialized = lca.materialize(mode="batched")
-        elapsed = time.perf_counter() - start
-        key = (
-            frozenset(materialized.edges),
-            tuple(materialized.probe_stats.query_totals),
-        )
-        assert key == reference, (name, "numpy-kernel", "equivalence broken")
-        timings["kernel"] = {
-            "seconds": elapsed,
-            "spanner_edges": materialized.num_edges,
-            "probe_total": materialized.probe_stats.total,
-            "probe_max": materialized.probe_stats.max,
-        }
+        for engine in runs
+    }
     row = {
         "workload": name,
         "n": graph.num_vertices,
@@ -167,6 +193,7 @@ def test_query_engine_speedups(
         "min_batched_speedup_required": MIN_BATCHED_SPEEDUP,
         "min_kernel_speedup_required": MIN_KERNEL_SPEEDUP,
         "numpy_kernel_available": HAVE_NUMPY_KERNEL,
+        "repeats": REPEATS,
         "workloads": records,
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -33,7 +33,7 @@ Usage examples::
     python -m repro.cli sweep --algorithm spanner3 --sizes 200,400,800
     python -m repro.cli lowerbound --n 202 --budget 14 --trials 10
     python -m repro.cli materialize --generate gnp --n 400 --density 0.1 \
-        --algorithm spanner3 --kernel numpy
+        --algorithm spanner3
     python -m repro.cli serve-bench --generate gnp --n 300 --density 0.08 \
         --workload zipf --requests 2000 --shards 4 --batch-size 32
     python -m repro.cli serve-bench --generate gnp --n 300 --density 0.08 \
@@ -46,10 +46,10 @@ Usage examples::
     python -m repro.cli report run scenarios/smoke.toml --smoke
     python -m repro.cli report render --out report.md
 
-``--query-mode {cold,batched}`` picks the query engine and
-``--kernel`` the probe kernels (set on each LCA through ``set_kernel``);
-both are performance knobs only — answers and probe accounting are
-identical.
+``--query-mode {cold,batched}`` picks the query engine, a performance knob
+only: answers and probe accounting are identical.  The probe kernel is not
+a flag; the ``REPRO_KERNEL`` environment variable selects it for the whole
+process (see :mod:`repro.kernels`).
 
 ``serve-bench`` describes its run with the scenario spec objects of
 :mod:`repro.reports.spec` (``WorkloadSpec``, ``ServiceSpec``,
@@ -75,7 +75,6 @@ from .core.lca import QUERY_MODES
 from .core.registry import available, create
 from .faults import FaultPlan, FaultPlanError
 from .graphs.io import read_edge_list, write_edge_list
-from .kernels import KERNELS, KernelUnavailableError
 from .lowerbound import run_distinguishing_experiment
 from .reports.spec import FaultSpec, MaterializeSpec, ServiceSpec, WorkloadSpec
 from .service import (
@@ -177,7 +176,7 @@ def _build_lca(args):
     """
     spec = MaterializeSpec(mode=args.query_mode, memo_cap=args.memo_cap)
     graph = _load_graph(args)
-    lca = _apply_kernel(create(args.algorithm, graph, seed=args.seed), args)
+    lca = create(args.algorithm, graph, seed=args.seed)
     if spec.memo_cap is not None:
         lca.set_memo_cap(spec.memo_cap)
     return graph, lca
@@ -330,7 +329,7 @@ def cmd_serve_bench(args) -> int:
         raise SystemExit(f"serve-bench: {exc}")
     engine = ServiceEngine(
         graph,
-        lambda g: _apply_kernel(create(args.algorithm, g, seed=args.seed), args),
+        lambda g: create(args.algorithm, g, seed=args.seed),
         service.config(fault_plan),
     )
     tracer = profiler = None
@@ -610,31 +609,6 @@ def _add_graph_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default=None,
-        help="probe-kernel implementation: 'python' (scalar loops), 'numpy' "
-        "(vectorizes spanner3's neighbor-prefix scans over CSR, which "
-        "spanner5 reuses; the other constructions run scalar code; requires "
-        "numpy) or 'auto' (numpy when available). Answers and probe "
-        "accounting are identical under every kernel; only wall-clock time "
-        "changes. Default: auto (also settable via REPRO_KERNEL)",
-    )
-
-
-def _apply_kernel(lca, args):
-    """Apply ``--kernel`` to an LCA, exiting with a one-line message when
-    the requested kernel cannot be loaded (numpy missing)."""
-    if getattr(args, "kernel", None) is None:
-        return lca
-    try:
-        return lca.set_kernel(args.kernel)
-    except KernelUnavailableError as exc:
-        raise SystemExit(f"{args.command}: {exc}")
-
-
 def _add_memo_cap_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--memo-cap",
@@ -699,7 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="query the first COUNT edges when --edge is absent",
     )
     _add_query_mode_option(query)
-    _add_kernel_option(query)
     _add_memo_cap_option(query)
     query.set_defaults(handler=cmd_query)
 
@@ -713,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", help="also write the spanner as an edge-list file"
     )
     _add_query_mode_option(materialize)
-    _add_kernel_option(materialize)
     _add_memo_cap_option(materialize)
     materialize.set_defaults(handler=cmd_materialize)
 
@@ -727,7 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify stretch on a sample of edges instead of all of them",
     )
     _add_query_mode_option(evaluate)
-    _add_kernel_option(evaluate)
     _add_memo_cap_option(evaluate)
     evaluate.set_defaults(handler=cmd_evaluate)
 
@@ -846,7 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the unified metrics snapshot (service/cache/probe/"
         "executor/fault metrics under one naming scheme) to this JSON file",
     )
-    _add_kernel_option(serve)
     serve.set_defaults(handler=cmd_serve_bench)
 
     trace = sub.add_parser(

@@ -35,10 +35,7 @@ from .oracle import AdjacencyListOracle, CachedOracle
 from .probes import ProbeCounter, ProbeSnapshot, ProbeStatistics
 from .seed import Seed, SeedLike
 from ..graphs.graph import Graph
-from ..kernels import check_kernel, resolve_kernel
-
-#: Sentinel marking a kernel selection that has not been resolved yet.
-_KERNEL_UNSET = object()
+from ..kernels import resolve_kernel
 
 Edge = Tuple[int, int]
 
@@ -131,8 +128,6 @@ class SpannerLCA(abc.ABC):
         self._query_mode = "cold"
         self._memo_cap: Optional[int] = None
         self._profiler = None
-        self._kernel_name: Optional[str] = None
-        self._kernel = _KERNEL_UNSET
         self.probe_stats = ProbeStatistics()
 
     # ------------------------------------------------------------------ #
@@ -213,31 +208,6 @@ class SpannerLCA(abc.ABC):
         self._query_mode = _check_mode(mode)
         return self
 
-    def set_kernel(self, kernel: Optional[str]) -> "SpannerLCA":
-        """Select the probe-kernel implementation for the cached engines.
-
-        ``"python"`` forces the scalar reference path, ``"numpy"`` the
-        vectorized kernels (raising
-        :class:`~repro.kernels.KernelUnavailableError` with a one-line
-        message when numpy is missing), and ``"auto"``/``None`` picks numpy
-        when importable.  Answers, per-query probe totals and per-kind probe
-        counts are identical under every kernel (pinned by the
-        kernel-equivalence tests); only wall-clock speed changes.  The cold
-        query mode always runs the scalar reference path.  Returns ``self``
-        for chaining.
-        """
-        if kernel is not None:
-            check_kernel(kernel)
-        self._kernel_name = kernel
-        self._kernel = _KERNEL_UNSET
-        resolved = self._resolve_kernel()
-        cached = self._cached_oracle
-        if cached is not None:
-            cached.kernel = resolved
-        for component in getattr(self, "components", ()):
-            component.set_kernel(kernel)
-        return self
-
     def set_memo_cap(self, cap: Optional[int]) -> "SpannerLCA":
         """Bound the cached engine's resident memo state (the scale mode).
 
@@ -259,8 +229,6 @@ class SpannerLCA(abc.ABC):
             raise ValueError(f"memo cap must be a positive integer or None, got {cap!r}")
         self._memo_cap = cap
         self._cached_oracle = None
-        for component in getattr(self, "components", ()):
-            component.set_memo_cap(cap)
         return self
 
     @property
@@ -270,14 +238,11 @@ class SpannerLCA(abc.ABC):
 
     @property
     def kernel_name(self) -> str:
-        """The resolved kernel actually in use ("python" or "numpy")."""
-        kernel = self._resolve_kernel()
+        """The kernel the cached engine runs ("python" or "numpy"), as
+        ``REPRO_KERNEL`` selected it when the engine was built (building
+        the engine now if it does not exist yet)."""
+        kernel = self.ensure_cached_oracle().kernel
         return "python" if kernel is None else kernel.name
-
-    def _resolve_kernel(self):
-        if self._kernel is _KERNEL_UNSET:
-            self._kernel = resolve_kernel(self._kernel_name)
-        return self._kernel
 
     def attach_profiler(self, profiler) -> "SpannerLCA":
         """Attach a :class:`repro.obs.profiler.ProbeProfiler` to this LCA.
@@ -296,7 +261,8 @@ class SpannerLCA(abc.ABC):
         return self
 
     def ensure_cached_oracle(self) -> CachedOracle:
-        """The LCA's cached oracle, created on first use.
+        """The LCA's cached oracle, created on first use with the probe
+        kernel ``REPRO_KERNEL`` selects (:func:`repro.kernels.resolve_kernel`).
 
         The batched engine runs on it, and the service's replica sets use
         it as a public handle: a checkpoint snapshots its portable state and
@@ -304,11 +270,12 @@ class SpannerLCA(abc.ABC):
         (:meth:`~repro.core.oracle.CachedOracle.merge_state`).
         """
         if self._cached_oracle is None:
+            kernel = resolve_kernel()
             cache = None
             if self._memo_cap is not None:
                 cache = BoundedOracleCache(self._graph, self._memo_cap)
             self._cached_oracle = CachedOracle(self._graph, self._counter, cache=cache)
-            self._cached_oracle.kernel = self._resolve_kernel()
+            self._cached_oracle.kernel = kernel
             if self._profiler is not None:
                 self._cached_oracle.profiler = self._profiler
         return self._cached_oracle

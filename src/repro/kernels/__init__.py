@@ -8,36 +8,40 @@ components) — as numpy array operations directly over flat
 the scalar code: spanner edges, per-query probe totals, and per-kind probe
 counts are bit-identical (pinned by the kernel-equivalence tests).  Every
 other loop, spannerk's explorations and spanner5's bucket scans included,
-runs its scalar code under every selection.
+runs its scalar code under every kernel.
 
-Selection is by name:
+Since the kernel changes no answer, probe, report or trace, which one runs
+is a fact about the host, not a choice each caller makes.  The one switch
+is the ``REPRO_KERNEL`` environment variable, read when an LCA builds its
+cached engine:
 
-``"python"``
+``python``
     The scalar reference path (no kernel object; always available).
-``"numpy"``
-    The vectorized path; requires numpy and raises
-    :class:`KernelUnavailableError` with a one-line message otherwise.
-``"auto"`` (default)
-    ``"numpy"`` when numpy imports, ``"python"`` otherwise.
+``numpy``
+    The vectorized path; requires numpy.
+unset (or empty)
+    ``numpy`` when numpy imports, ``python`` otherwise.
 
-The ``REPRO_KERNEL`` environment variable overrides the ``"auto"`` choice
-process-wide (the CI equivalence job runs the full suite under both values).
+Any other value, or ``numpy`` on a host without numpy, raises
+:class:`KernelUnavailableError`, a :class:`~repro.core.errors.ReproError`
+that the CLI prints as one line.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
 
-#: Valid kernel selections, in the order the CLI advertises them.
-KERNELS = ("auto", "python", "numpy")
+from ..core.errors import ReproError
 
-#: Environment variable consulted when the selection is ``None``/``"auto"``.
+#: The values ``REPRO_KERNEL`` may hold.
+KERNELS = ("python", "numpy")
+
+#: The environment variable that selects the kernel.
 ENV_KERNEL = "REPRO_KERNEL"
 
 
-class KernelUnavailableError(RuntimeError):
-    """An explicitly requested kernel cannot be loaded (numpy missing)."""
+class KernelUnavailableError(ReproError):
+    """``REPRO_KERNEL`` names no kernel, or forces numpy without numpy."""
 
 
 def _numpy_or_none():
@@ -49,47 +53,28 @@ def _numpy_or_none():
     return numpy
 
 
-def check_kernel(name: str) -> str:
-    """Validate a kernel name, returning it (raises ``ValueError`` otherwise)."""
-    if name not in KERNELS:
-        raise ValueError(f"unknown kernel {name!r}; choices: {KERNELS}")
-    return name
+def resolve_kernel():
+    """The kernel ``REPRO_KERNEL`` selects, as an engine instance.
 
-
-def resolve_kernel(name: Optional[str] = None):
-    """Resolve a kernel selection to an engine instance.
-
-    Returns ``None`` for the scalar path ("python") or a fresh
+    Returns ``None`` for the scalar path or a fresh
     :class:`~repro.kernels.engine.NumpyKernel` for the vectorized path.
-    ``None``/``"auto"`` consult ``REPRO_KERNEL`` and fall back to
-    auto-detection; an explicit (or environment-forced) ``"numpy"`` without
-    numpy installed raises :class:`KernelUnavailableError` so mis-provisioned
-    runs fail loudly instead of silently measuring the wrong engine.
+    A forced ``numpy`` without numpy installed raises
+    :class:`KernelUnavailableError`, so mis-provisioned runs fail loudly
+    instead of silently measuring the wrong engine.
     """
-    if name in (None, "auto"):
-        env = os.environ.get(ENV_KERNEL)
-        if env:
-            if env not in KERNELS:
-                raise KernelUnavailableError(
-                    f"{ENV_KERNEL}={env!r} is not a valid kernel; choices: {KERNELS}"
-                )
-            name = env
-        else:
-            name = "auto"
-        if name == "auto":
-            np_module = _numpy_or_none()
-            if np_module is None:
-                return None
-            from .engine import NumpyKernel
-
-            return NumpyKernel(np_module)
-    check_kernel(name)
+    name = os.environ.get(ENV_KERNEL)
+    if name and name not in KERNELS:
+        raise KernelUnavailableError(
+            f"{ENV_KERNEL}={name!r} is not a valid kernel; choices: {KERNELS}"
+        )
     if name == "python":
         return None
     np_module = _numpy_or_none()
     if np_module is None:
+        if not name:
+            return None
         raise KernelUnavailableError(
-            "kernel='numpy' requires numpy, which is not installed; "
+            f"{ENV_KERNEL}='numpy' requires numpy, which is not installed; "
             "install the optional extra: pip install repro-spanner-lca[fast]"
         )
     from .engine import NumpyKernel

@@ -11,6 +11,24 @@ from __future__ import annotations
 import pytest
 
 from repro import graphs
+from repro.kernels import ENV_KERNEL
+
+
+@pytest.fixture
+def pin_kernel(monkeypatch):
+    """Select the probe kernel the one way the library offers: ``REPRO_KERNEL``.
+
+    ``pin_kernel("numpy")`` sets the variable for the rest of the test; a
+    later call replaces it.  The variable is read when an LCA builds its
+    cached engine, so pin it before the LCA's first batched query.
+    Hypothesis tests, which cannot take function-scoped fixtures, set it
+    inside ``pytest.MonkeyPatch.context()`` instead.
+    """
+
+    def pin(kernel: str) -> None:
+        monkeypatch.setenv(ENV_KERNEL, kernel)
+
+    return pin
 
 
 @pytest.fixture

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro.kernels as kernels
 from repro.cli import GENERATORS, build_parser, main
 from repro.graphs import gnp_graph, read_edge_list, write_edge_list
 
@@ -309,6 +311,10 @@ def test_good_worker_counts_still_parse(graph_file):
         ["serve-bench", "--no-coalesce"],
         ["serve-bench", "--routing", "range"],
         ["evaluate", "--query-mode", "cached"],
+        ["query", "--kernel", "numpy"],
+        ["materialize", "--kernel", "numpy"],
+        ["evaluate", "--kernel", "numpy"],
+        ["serve-bench", "--kernel", "numpy"],
     ],
 )
 def test_bad_input_fails_with_one_line(tmp_path, capsys, argv):
@@ -341,10 +347,43 @@ def test_bad_input_fails_with_one_line(tmp_path, capsys, argv):
     assert "\n" not in message
 
 
+@pytest.mark.parametrize("cause", ["invalid-name", "numpy-missing"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--n", "40"],
+        ["serve-bench", "--n", "40", "--requests", "50"],
+        ["report", "run", "{smoke}", "--smoke", "--results", "{results}"],
+    ],
+    ids=["evaluate", "serve-bench", "report-run"],
+)
+def test_bad_kernel_environment_fails_with_one_line(
+    tmp_path, capsys, monkeypatch, pin_kernel, argv, cause
+):
+    """``REPRO_KERNEL`` is the one kernel switch, so a value the host cannot
+    honour exits 1 with one line that names the variable."""
+    if cause == "numpy-missing":
+        monkeypatch.setattr(kernels, "_numpy_or_none", lambda: None)
+        pin_kernel("numpy")
+    else:
+        pin_kernel("fortran")
+    smoke = Path(__file__).resolve().parent.parent / "scenarios" / "smoke.toml"
+    argv = [arg.format(smoke=smoke, results=tmp_path / "results") for arg in argv]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert "Traceback" not in capsys.readouterr().err
+    message = str(excinfo.value.code)
+    assert message.startswith(f"{argv[0]}: REPRO_KERNEL=")
+    assert "\n" not in message
+
+
 @pytest.mark.parametrize("kernel", ["python", "numpy"])
-def test_malformed_indptr_snapshot_fails_with_one_line(tmp_path, capsys, kernel):
+def test_malformed_indptr_snapshot_fails_with_one_line(
+    tmp_path, capsys, pin_kernel, kernel
+):
     if kernel == "numpy":
         pytest.importorskip("numpy")
+    pin_kernel(kernel)
     from repro.scale import save_csr_snapshot
     from repro.scale.snapshot import _HEADER
 
@@ -356,7 +395,7 @@ def test_malformed_indptr_snapshot_fails_with_one_line(tmp_path, capsys, kernel)
     data[at : at + 8] = (10**9).to_bytes(8, sys.byteorder, signed=True)
     path.write_bytes(bytes(data))
     with pytest.raises(SystemExit) as excinfo:
-        main(["evaluate", "--mmap", str(path), "--kernel", kernel])
+        main(["evaluate", "--mmap", str(path)])
     message = str(excinfo.value.code)
     assert message.startswith("--mmap: ") and "malformed indptr" in message
     assert "\n" not in message

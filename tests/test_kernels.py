@@ -3,13 +3,15 @@
 The kernel layer promises *observational equivalence* with the scalar query
 engines: identical spanner edge sets, identical per-query probe totals and
 identical per-kind probe counts, with numpy strictly a wall-clock
-optimization.  These tests pin the selection/fallback machinery (including
-the one-line error when ``kernel="numpy"`` is requested without numpy) and
-the equivalence promise for all three paper constructions, also across
-mutation epochs.  The numpy kernels vectorize spanner3's neighbor-prefix
-scans, which spanner5 reaches through its spanner3 components; each numpy
-row checks that it reached the scan tables, and the spannerk rows check
-that spannerk, which runs scalar code under every kernel, never did.
+optimization.  These tests pin the selection through ``REPRO_KERNEL`` and
+its fallback (including the one-line error when numpy is forced without
+numpy) and the equivalence promise for all three paper constructions, also
+across mutation epochs; every row selects its kernel through the
+environment, as a deployment does.  The numpy kernels vectorize spanner3's
+neighbor-prefix scans, which spanner5 reaches through its spanner3
+components; each numpy row checks that it reached the scan tables, and the
+spannerk rows check that spannerk, which runs scalar code under every
+kernel, never did.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import repro.kernels as kernels
 from repro import graphs
 from repro.analysis import evaluate_lca
 from repro.cli import main as cli_main
+from repro.core.errors import ReproError
 from repro.core.registry import create
 from repro.kernels import ENV_KERNEL, KernelUnavailableError, resolve_kernel
 from repro.kernels.engine import _STORES
@@ -83,76 +86,70 @@ def _fingerprint(lca, materialized):
 # --------------------------------------------------------------------------- #
 
 
-def test_resolve_python_is_scalar_path(monkeypatch):
-    monkeypatch.delenv(ENV_KERNEL, raising=False)
-    assert resolve_kernel("python") is None
+def test_resolve_python_is_scalar_path(pin_kernel):
+    pin_kernel("python")
+    assert resolve_kernel() is None
+    lca = _spanner3(graphs.gnp_graph(30, 0.2, seed=1))
+    assert lca.kernel_name == "python"
+    assert lca.ensure_cached_oracle().kernel is None
 
 
-def test_resolve_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown kernel"):
-        resolve_kernel("cython")
-
-
-def test_resolve_numpy_without_numpy_is_one_line_error(monkeypatch):
+def test_resolve_numpy_without_numpy_is_one_line_error(monkeypatch, pin_kernel):
     monkeypatch.setattr(kernels, "_numpy_or_none", lambda: None)
+    pin_kernel("numpy")
     with pytest.raises(KernelUnavailableError) as excinfo:
-        resolve_kernel("numpy")
+        resolve_kernel()
     message = str(excinfo.value)
     assert "\n" not in message
     assert "pip install repro-spanner-lca[fast]" in message
 
 
-def test_auto_without_numpy_falls_back_to_scalar(monkeypatch):
+def test_auto_without_numpy_falls_back_to_scalar(monkeypatch, pin_kernel):
     monkeypatch.delenv(ENV_KERNEL, raising=False)
     monkeypatch.setattr(kernels, "_numpy_or_none", lambda: None)
-    assert resolve_kernel("auto") is None
-    assert resolve_kernel(None) is None
+    assert resolve_kernel() is None
+    pin_kernel("")
+    assert resolve_kernel() is None
 
 
 def test_auto_with_numpy_picks_the_vectorized_kernel(monkeypatch):
     pytest.importorskip("numpy")
     monkeypatch.delenv(ENV_KERNEL, raising=False)
-    kernel = resolve_kernel("auto")
+    kernel = resolve_kernel()
     assert kernel is not None and kernel.name == "numpy"
 
 
-def test_env_var_overrides_auto(monkeypatch):
-    monkeypatch.setenv(ENV_KERNEL, "python")
-    assert resolve_kernel(None) is None
-    assert resolve_kernel("auto") is None
-    # An explicit selection always wins over the environment.
-    pytest.importorskip("numpy")
-    assert resolve_kernel("numpy") is not None
+def test_env_var_overrides_auto(pin_kernel):
+    pin_kernel("python")
+    assert resolve_kernel() is None
 
 
-def test_invalid_env_var_fails_loudly(monkeypatch):
-    monkeypatch.setenv(ENV_KERNEL, "fortran")
+def test_resolve_rejects_unknown_names(pin_kernel):
+    """A name outside ``KERNELS`` is refused with one line that lists the
+    choices; ``auto`` is not a value, unset is."""
+    for name in ("cython", "auto"):
+        pin_kernel(name)
+        with pytest.raises(KernelUnavailableError, match="not a valid kernel") as excinfo:
+            resolve_kernel()
+        assert isinstance(excinfo.value, ReproError)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert all(choice in message for choice in kernels.KERNELS)
+
+
+def test_invalid_env_var_fails_loudly(pin_kernel):
+    pin_kernel("fortran")
     with pytest.raises(KernelUnavailableError, match="REPRO_KERNEL"):
-        resolve_kernel(None)
+        resolve_kernel()
 
 
-def test_set_kernel_validates_and_chains():
-    graph = graphs.gnp_graph(30, 0.2, seed=1)
-    lca = _spanner3(graph)
-    assert lca.set_kernel("python") is lca
-    assert lca.kernel_name == "python"
-    with pytest.raises(ValueError, match="unknown kernel"):
-        lca.set_kernel("cython")
-
-
-def test_set_kernel_numpy_without_numpy_raises(monkeypatch):
+def test_cli_kernel_error_is_one_line_systemexit(monkeypatch, pin_kernel, tmp_path):
     monkeypatch.setattr(kernels, "_numpy_or_none", lambda: None)
-    lca = _spanner3(graphs.gnp_graph(30, 0.2, seed=1))
-    with pytest.raises(KernelUnavailableError):
-        lca.set_kernel("numpy")
-
-
-def test_cli_kernel_error_is_one_line_systemexit(monkeypatch, tmp_path):
-    monkeypatch.setattr(kernels, "_numpy_or_none", lambda: None)
+    pin_kernel("numpy")
     path = tmp_path / "g.txt"
     graphs.write_edge_list(graphs.gnp_graph(30, 0.2, seed=1), path)
     with pytest.raises(SystemExit) as excinfo:
-        cli_main(["materialize", "--graph", str(path), "--kernel", "numpy"])
+        cli_main(["materialize", "--graph", str(path)])
     message = str(excinfo.value)
     assert message.startswith("materialize:") and "\n" not in message
 
@@ -165,14 +162,15 @@ def test_cli_kernel_error_is_one_line_systemexit(monkeypatch, tmp_path):
 # One storage row: CSR is the only graph storage; the row keeps the test ids.
 @pytest.mark.parametrize("storage", ["csr"])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_identical_edges_and_probes_across_kernels(name, storage):
+def test_identical_edges_and_probes_across_kernels(name, storage, pin_kernel):
     """Same seeds ⇒ same spanner, probe totals and per-kind counts."""
     pytest.importorskip("numpy")
     factory, make_graph = CASES[name]
 
     def run(kernel):
+        pin_kernel(kernel)
         graph = make_graph()
-        lca = factory(graph).set_kernel(kernel)
+        lca = factory(graph)
         assert lca.kernel_name == kernel
         fingerprint = _fingerprint(lca, lca.materialize(mode="batched"))
         if kernel == "numpy":
@@ -183,14 +181,15 @@ def test_identical_edges_and_probes_across_kernels(name, storage):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_kernel_equivalence_survives_mutation_epochs(name):
+def test_kernel_equivalence_survives_mutation_epochs(name, pin_kernel):
     """Post-mutation epochs re-run through the kernels bit-identically."""
     pytest.importorskip("numpy")
     factory, make_graph = CASES[name]
 
     def run(kernel):
+        pin_kernel(kernel)
         graph = make_graph()
-        lca = factory(graph).set_kernel(kernel)
+        lca = factory(graph)
         edges = sorted(graph.edges())
         fingerprints = [_fingerprint(lca, lca.materialize(mode="batched"))]
         # Epoch 1: drop a few edges; epoch 2: add one back plus a fresh edge.
@@ -208,7 +207,7 @@ def test_kernel_equivalence_survives_mutation_epochs(name):
 
 
 @pytest.mark.parametrize("slice_entries", [1, 7])
-def test_materialize_slices_match_the_scalar_path(slice_entries, monkeypatch):
+def test_materialize_slices_match_the_scalar_path(slice_entries, monkeypatch, pin_kernel):
     """The batched materializer decides edges a slice of CSR entries at a
     time; slices that split rows or hold no forward entry at all still give
     the scalar spanner, per-query probe totals and per-kind counts."""
@@ -219,30 +218,35 @@ def test_materialize_slices_match_the_scalar_path(slice_entries, monkeypatch):
     factory, make_graph = CASES["spanner3"]
 
     def run(kernel):
-        lca = factory(make_graph()).set_kernel(kernel)
+        pin_kernel(kernel)
+        lca = factory(make_graph())
         return _fingerprint(lca, lca.materialize(mode="batched"))
 
     assert run("python") == run("numpy")
 
 
-def test_evaluate_lca_kernel_parameter_is_probe_invariant():
+def test_evaluate_lca_kernel_parameter_is_probe_invariant(pin_kernel):
     pytest.importorskip("numpy")
+    pin_kernel("python")
     graph = graphs.gnp_graph(60, 0.2, seed=9)
-    scalar = evaluate_lca(_spanner3(graph).set_kernel("python"))
+    scalar = evaluate_lca(_spanner3(graph))
+    pin_kernel("numpy")
     graph2 = graphs.gnp_graph(60, 0.2, seed=9)
-    vectorized = evaluate_lca(_spanner3(graph2).set_kernel("numpy"))
+    vectorized = evaluate_lca(_spanner3(graph2))
+    _assert_numpy_run_reached_the_kernel("spanner3", graph2)
     assert scalar.num_spanner_edges == vectorized.num_spanner_edges
     assert scalar.probe_max == vectorized.probe_max
     assert scalar.probe_mean == vectorized.probe_mean
 
 
-def test_cold_queries_stay_scalar_and_identical():
+def test_cold_queries_stay_scalar_and_identical(pin_kernel):
     """The cold engine is the reference path; kernels must not touch it."""
     pytest.importorskip("numpy")
 
     def run(kernel):
+        pin_kernel(kernel)
         graph = graphs.gnp_graph(50, 0.2, seed=3)
-        lca = _spanner3(graph).set_kernel(kernel)
+        lca = _spanner3(graph)
         lca.set_query_mode("cold")
         outcomes = [lca.query_with_stats(u, v) for (u, v) in sorted(graph.edges())[:40]]
         return [(o.in_spanner, o.probe_total) for o in outcomes]
@@ -250,27 +254,29 @@ def test_cold_queries_stay_scalar_and_identical():
     assert run("python") == run("numpy")
 
 
-def test_service_engine_kernel_config_is_probe_invariant():
+def test_service_engine_kernel_config_is_probe_invariant(pin_kernel):
     pytest.importorskip("numpy")
     from repro.service import ServiceConfig, ServiceEngine, make_workload
 
     def run(kernel):
+        pin_kernel(kernel)
         graph = graphs.gnp_graph(60, 0.2, seed=9)
         config = ServiceConfig(num_shards=2, batch_size=8)
         workload = make_workload("uniform", graph, num_requests=200, seed=1)
-        engine = ServiceEngine(
-            graph, lambda g: _spanner3(g).set_kernel(kernel), config
-        )
+        engine = ServiceEngine(graph, _spanner3, config)
         report = engine.run(workload)
+        if kernel == "numpy":
+            _assert_numpy_run_reached_the_kernel("spanner3", graph)
         return report.served, report.in_spanner, report.probe_stats.total
 
     assert run("python") == run("numpy")
 
 
-def test_shards_and_replicas_share_one_table_store(monkeypatch):
+def test_shards_and_replicas_share_one_table_store(monkeypatch, pin_kernel):
     """Same-seed shard replicas read one store per graph, patched per write,
     so a 4 × 2 pool builds exactly the scan tables one shard builds."""
     pytest.importorskip("numpy")
+    pin_kernel("numpy")
     from repro.kernels import spanner3 as kernel_spanner3
     from repro.service import ServiceConfig, ServiceEngine, make_workload
 
@@ -291,9 +297,7 @@ def test_shards_and_replicas_share_one_table_store(monkeypatch):
         workload = make_workload(
             "churn", graph, num_requests=300, seed=4, write_ratio=0.1
         )
-        engine = ServiceEngine(
-            graph, lambda g: _spanner3(g).set_kernel("numpy"), config
-        )
+        engine = ServiceEngine(graph, _spanner3, config)
         report = engine.run(workload)
         return len(calls), report.mutations
 
@@ -302,7 +306,7 @@ def test_shards_and_replicas_share_one_table_store(monkeypatch):
     assert run(4, 2) == (builds, writes)
 
 
-def test_a_write_builds_nothing_until_a_read_needs_its_rows(monkeypatch):
+def test_a_write_builds_nothing_until_a_read_needs_its_rows(monkeypatch, pin_kernel):
     """Advancing the store past a write patches the view and marks dirty
     scan rows stale without building either; a scan of a stale row rebuilds
     exactly that row, and a batched materialize flushes exactly the other
@@ -326,8 +330,9 @@ def test_a_write_builds_nothing_until_a_read_needs_its_rows(monkeypatch):
     monkeypatch.setattr(kernel_spanner3, "build_scan_tables", counted_scan)
 
     def run(kernel):
+        pin_kernel(kernel)
         graph = graphs.gnp_graph(70, 0.25, seed=11)
-        lca = _spanner3(graph).set_kernel(kernel)
+        lca = _spanner3(graph)
         fingerprints = [_fingerprint(lca, lca.materialize(mode="batched"))]
         (u, v) = sorted(graph.edges())[5]
         lca.apply_mutations([("remove", u, v)])
@@ -356,7 +361,7 @@ def test_a_write_builds_nothing_until_a_read_needs_its_rows(monkeypatch):
     assert run("python") == run("numpy")
 
 
-def test_scan_table_builds_peak_at_one_slab():
+def test_scan_table_builds_peak_at_one_slab(pin_kernel):
     """A scan-table build expands one slab of (entry, center) pairs at a
     time.  On gnp(400, 0.3) each build's traced peak (numpy reports its
     buffers to tracemalloc) stays under 16 MB, for 0.78 MB of output; a
@@ -364,8 +369,9 @@ def test_scan_table_builds_peak_at_one_slab():
     pytest.importorskip("numpy")
     import tracemalloc
 
+    pin_kernel("numpy")
     graph = graphs.gnp_graph(400, 0.3, seed=3)
-    lca = create("spanner3", graph, seed=5).set_kernel("numpy")
+    lca = create("spanner3", graph, seed=5)
     store = lca.ensure_cached_oracle().kernel.store(graph)
     block = lca.components[3].threshold
     for system, variant in ((lca.high_centers, None), (lca.super_centers, block)):
@@ -379,19 +385,20 @@ def test_scan_table_builds_peak_at_one_slab():
         assert peak < 16 * 2**20, (variant, peak)
 
 
-def test_ids_beyond_64_bits_mutate_and_fall_back_to_scalar():
+def test_ids_beyond_64_bits_mutate_and_fall_back_to_scalar(pin_kernel):
     """Ids past int64 have no numpy view, so the numpy selection answers with
     scalar code, across a removal and a re-add, and matches python."""
     pytest.importorskip("numpy")
     shift = 1 << 70
 
     def run(kernel):
+        pin_kernel(kernel)
         base = graphs.gnp_graph(40, 0.2, seed=3)
         graph = graphs.Graph.from_edges(
             [(u + shift, v + shift) for (u, v) in base.edges()],
             vertices=[v + shift for v in base.vertices()],
         )
-        lca = _spanner3(graph).set_kernel(kernel)
+        lca = _spanner3(graph)
         (u, v) = sorted(graph.edges())[0]
         lca.apply_mutations([("remove", u, v)])
         fingerprint = [_fingerprint(lca, lca.materialize(mode="batched"))]

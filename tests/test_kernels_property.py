@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.registry import create
 from repro.graphs import Graph
-from repro.kernels import spanner3 as kernel_spanner3
+from repro.kernels import ENV_KERNEL, spanner3 as kernel_spanner3
 
 
 @st.composite
@@ -56,7 +56,11 @@ relaxed = settings(
 
 def _run(algorithm, vertices, edges, mutations, seed, kernel):
     graph = Graph.from_edges(edges, vertices=vertices)
-    lca = create(algorithm, graph, seed=seed).set_kernel(kernel)
+    lca = create(algorithm, graph, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(ENV_KERNEL, kernel)
+        # Builds the cached engine, which keeps the kernel read here.
+        assert lca.kernel_name == kernel
     fingerprints = []
     for batch in ([], mutations):
         lca.apply_mutations(batch)
@@ -181,7 +185,11 @@ def _check_write_rounds(instance, seed):
     for kernel in ("python", "numpy"):
         graph = Graph.from_edges(edges, vertices=vertices)
         graph.compact_threshold = compact_threshold
-        lcas[kernel] = create("spanner3", graph, seed=seed).set_kernel(kernel)
+        lcas[kernel] = create("spanner3", graph, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv(ENV_KERNEL, kernel)
+            # Builds the cached engine, which keeps the kernel read here.
+            assert lcas[kernel].kernel_name == kernel
     lca = lcas["numpy"]
     kernel = lca.ensure_cached_oracle().kernel
     store = kernel.store(lca.graph)

@@ -77,13 +77,14 @@ def test_bounded_oracle_materialize_matches_unbounded(cap):
 # Eviction mechanics and honest accounting (scalar kernel: the memo path)
 # --------------------------------------------------------------------------- #
 @pytest.fixture
-def scalar_bounded_lca():
+def scalar_bounded_lca(pin_kernel):
     """A cap-1 spanner3 LCA pinned to the scalar kernel.
 
     The vectorized kernels keep their own array tables and bypass the
     OracleCache memo entirely; only the scalar path exercises store/evict.
     """
-    lca = create("spanner3", _graph(), seed=11).set_kernel("python")
+    pin_kernel("python")
+    lca = create("spanner3", _graph(), seed=11)
     lca.set_memo_cap(1)
     lca.set_query_mode("batched")
     return lca
