@@ -49,7 +49,10 @@ Usage examples::
 ``--query-mode {cold,batched}`` picks the query engine, a performance knob
 only: answers and probe accounting are identical.  The probe kernel is not
 a flag; the ``REPRO_KERNEL`` environment variable selects it for the whole
-process (see :mod:`repro.kernels`).
+process (see :mod:`repro.kernels`).  Every command that builds an LCA
+(``query``, ``materialize``, ``evaluate``, ``sweep``, ``serve-bench`` and
+``report run``) validates the variable before it starts, so a bad value
+fails the same way whether or not the run reaches a kernel.
 
 ``serve-bench`` describes its run with the scenario spec objects of
 :mod:`repro.reports.spec` (``WorkloadSpec``, ``ServiceSpec``,
@@ -75,6 +78,7 @@ from .core.lca import QUERY_MODES
 from .core.registry import available, create
 from .faults import FaultPlan, FaultPlanError
 from .graphs.io import read_edge_list, write_edge_list
+from .kernels import check_environment
 from .lowerbound import run_distinguishing_experiment
 from .reports.spec import FaultSpec, MaterializeSpec, ServiceSpec, WorkloadSpec
 from .service import (
@@ -172,9 +176,11 @@ def _build_lca(args):
     """The graph and LCA of a ``query``, ``materialize`` or ``evaluate`` run.
 
     :class:`MaterializeSpec` checks ``--query-mode`` and ``--memo-cap``, as
-    it checks a spec's ``[materialize]`` table, before the graph is built.
+    it checks a spec's ``[materialize]`` table, and ``REPRO_KERNEL`` is
+    checked, before the graph is built.
     """
     spec = MaterializeSpec(mode=args.query_mode, memo_cap=args.memo_cap)
+    check_environment()
     graph = _load_graph(args)
     lca = create(args.algorithm, graph, seed=args.seed)
     if spec.memo_cap is not None:
@@ -247,6 +253,7 @@ def _int_list(text: str) -> List[int]:
 
 
 def cmd_sweep(args) -> int:
+    check_environment()
     sweep = run_sweep(
         args.algorithm,
         lca_factory=lambda g, s: create(args.algorithm, g, seed=s),
@@ -292,6 +299,7 @@ def _fault_plan(args) -> Optional[FaultPlan]:
 
 
 def cmd_serve_bench(args) -> int:
+    check_environment()
     # Every value is passed explicitly, so the spec defaults never apply.
     service = ServiceSpec(
         shards=args.shards,
@@ -468,6 +476,7 @@ def cmd_report_run(args) -> int:
         wall_timer,
     )
 
+    check_environment()
     try:
         specs = load_scenarios(args.specs)
     except SpecError as exc:

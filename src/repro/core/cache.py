@@ -77,13 +77,17 @@ from ..graphs.graph import Graph, Vertex
 _NO_TOUCHES: tuple = ()
 
 
-def _pack_ids(ids: Set[int]) -> Sequence[int]:
+def _pack_ids(ids) -> Sequence[int]:
     """A dependency set as sorted ids: an ``array("q")`` of 8-byte ids.
 
     A set with an id outside the signed 64-bit range becomes a sorted tuple
     instead.  Either form answers membership by bisection
-    (:func:`_has_id`).
+    (:func:`_has_id`).  Ids that come packed already (an ``array("q")`` of
+    sorted distinct ids, as the numpy kernel builds them) are kept as they
+    are.
     """
+    if isinstance(ids, array):
+        return ids
     ordered = sorted(ids)
     try:
         return array("q", ordered)
@@ -297,33 +301,55 @@ class OracleCache:
     # Epoch-aware memoization (the mutation-plane invalidation protocol)
     # ------------------------------------------------------------------ #
     def _entry_fresh(self, entry: MemoEntry) -> bool:
-        graph = self.graph
-        current = graph.epoch
-        stored = entry.epoch
-        if current == stored:
+        current = self.graph.epoch
+        if current == entry.epoch:
             # Fast path: nothing mutated since the entry was last validated
             # (every lookup on a never-mutated graph, where both sides are 0).
             return True
-        touched = entry.touched
-        if touched:
-            if current - stored <= len(touched):
-                # Few mutations since: scan the mutation-log suffix against
-                # the dependency set (membership by bisection).
-                for (u, v) in graph.mutations_since(stored):
-                    if _has_id(touched, u) or _has_id(touched, v):
-                        return False
-            else:
-                # Many mutations since: per-vertex epoch comparison is the
-                # cheaper direction.
-                vertex_epoch = graph.vertex_epoch
-                for v in touched:
-                    if vertex_epoch(v) > stored:
-                        return False
+        if not self._unchanged(entry):
+            return False
         # Survived validation: re-stamp so the next lookup takes the fast
         # path until the *next* mutation — validation cost is paid once per
         # (entry, mutation burst), not once per hit.
         entry.epoch = current
         return True
+
+    def _unchanged(self, entry: MemoEntry) -> bool:
+        """Whether no vertex ``entry`` touched mutated after its stamp."""
+        touched = entry.touched
+        if not touched:
+            return True
+        graph = self.graph
+        stored = entry.epoch
+        if graph.epoch - stored <= len(touched):
+            # Few mutations since: scan the mutation-log suffix against
+            # the dependency set (membership by bisection).
+            for (u, v) in graph.mutations_since(stored):
+                if _has_id(touched, u) or _has_id(touched, v):
+                    return False
+            return True
+        # Many mutations since: per-vertex epoch comparison is the cheaper
+        # direction.
+        vertex_epoch = graph.vertex_epoch
+        return all(vertex_epoch(v) <= stored for v in touched)
+
+    def count_misses(self, namespace: Hashable, keys) -> int:
+        """How many distinct ``keys`` have no fresh entry under ``namespace``.
+
+        The misses that looking every key up would find, counted without
+        discarding or re-stamping an entry or moving a statistic.
+        """
+        table = self._memos.get(namespace)
+        distinct = set(keys)
+        if not table:
+            return len(distinct)
+        current = self.graph.epoch
+        missing = 0
+        for key in distinct:
+            entry = table.get(key)
+            if entry is None or (entry.epoch != current and not self._unchanged(entry)):
+                missing += 1
+        return missing
 
     def lookup(self, namespace: Hashable, key: Hashable) -> Optional[MemoEntry]:
         """The fresh :class:`MemoEntry` under ``(namespace, key)``, or ``None``.
@@ -354,7 +380,8 @@ class OracleCache:
     ) -> MemoEntry:
         """Store a value computed under a :meth:`track` frame.
 
-        The dependency set is kept packed (:func:`_pack_ids`).
+        The dependency set is kept packed (:func:`_pack_ids`); ``touched``
+        may also come packed already.
         """
         packed = _pack_ids(touched) if touched else _NO_TOUCHES
         entry = MemoEntry(value, self.graph.epoch, packed)

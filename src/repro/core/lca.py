@@ -28,7 +28,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .errors import NotAnEdgeError
+from .errors import GraphError, NotAnEdgeError
 from .ids import canonical_edge
 from .cache import BoundedOracleCache
 from .oracle import AdjacencyListOracle, CachedOracle
@@ -320,27 +320,45 @@ class SpannerLCA(abc.ABC):
     def query_batch(
         self, edges: Iterable[Edge], validate: bool = True
     ) -> BatchQueryResult:
-        """Answer a batch of queries through the streaming cached engine.
+        """Answer a call of queries through the streaming cached engine.
 
-        This is the per-request analogue of batched materialization: every
-        query runs through :meth:`_decide` against the shared
-        cached oracle, probe totals are taken as counter deltas, and no
-        per-query result objects or measure contexts are built.  On top of
-        the per-vertex memo layer, *whole query answers* are memoized per
-        exact orientation through :meth:`~repro.core.oracle.CachedOracle.
-        memoized` — an answer is a pure function of ``(graph, seed, query)``
-        and so is its cold probe schedule, so a repeat request replays the
-        stored per-kind probe cost and returns the stored answer without
-        re-running :meth:`_decide`.  Answers and per-query probe totals are
+        *Whole query answers* are memoized per exact orientation through the
+        cached oracle: an answer is a pure function of ``(graph, seed,
+        query)`` and so is its cold probe schedule, so a repeat request
+        replays the stored per-kind probe cost and returns the stored answer
+        without deciding it again.  Answers and per-query probe totals are
         therefore identical to :meth:`query_with_stats` — the cold-cache
         probe schedule is charged for every query (see
-        :mod:`repro.core.cache`) — only the wall-clock cost per request
-        drops, which is what the service layer's batch coalescing banks on.
+        :mod:`repro.core.cache`) — and only the wall-clock cost per request
+        drops.  Probe totals are returned in parallel lists, with no
+        per-query result object or measure context.
 
-        ``validate=False`` skips the per-edge membership check for callers
-        (the request scheduler) that have already validated admission.
+        A call's misses are decided one of two ways, with identical answers,
+        per-query totals, cache statistics, profiler attribution and memo
+        entries:
+
+        * one query at a time, in request order: each query is looked up
+          and a miss decided by :meth:`_decide`;
+        * together, when :meth:`_batch_decider` returns a decider for the
+          call (spanner3 under the numpy kernel, once a call has enough
+          distinct misses to pay for the array evaluator): see
+          :meth:`_query_together`.  A memo cap or a probe budget keeps the
+          first way, whose eviction order and budget trip point the second
+          would change.
+
+        Either way a repeat inside a call is a hit, and a non-edge raises
+        :class:`NotAnEdgeError` after the queries before it are answered,
+        charged and stored.  ``validate=False`` skips the per-edge
+        membership check of the first way, for callers (the request
+        scheduler) that have already validated admission.
         """
         oracle = self.ensure_cached_oracle()
+        namespace = self.query_answer_namespace()
+        edges = list(edges)
+        if self._memo_cap is None and self._counter.budget is None:
+            together = self._batch_decider(oracle, namespace, edges)
+            if together is not None:
+                return self._query_together(oracle, namespace, edges, together)
         counter = self._counter
         decide = self._decide
         has_edge = self._graph.has_edge
@@ -349,7 +367,6 @@ class SpannerLCA(abc.ABC):
         totals: List[int] = []
         own_totals = self.probe_stats.query_totals
         memoized = oracle.memoized
-        namespace = self.query_answer_namespace()
         before = counter.total
         for (u, v) in edges:
             if validate and not has_edge(u, v):
@@ -365,6 +382,89 @@ class SpannerLCA(abc.ABC):
             totals.append(used)
             own_totals.append(used)
         return BatchQueryResult(edges=batch_edges, answers=answers, probe_totals=totals)
+
+    def _batch_decider(self, oracle: CachedOracle, namespace: Tuple, edges: List[Edge]):
+        """Hook: a function that decides the call ``edges``'s misses together.
+
+        It takes the distinct missed ``(u, v)`` edges, charges their cold
+        probes and returns each one's ``(answer, cold ProbeSnapshot,
+        dependency ids)``.  ``None`` (the default) decides every miss by
+        :meth:`_decide`; ``ThreeSpannerLCA`` returns the numpy kernel's
+        array evaluator for large enough calls.
+        """
+        return None
+
+    def _query_together(
+        self, oracle: CachedOracle, namespace: Tuple, edges: List[Edge], decide
+    ) -> BatchQueryResult:
+        """:meth:`query_batch` with the call's misses decided in one ``decide`` call.
+
+        Looks up the call in request order up to its first non-edge (every
+        query is checked: a miss must be an edge to be decided), decides the
+        distinct misses together, then stores, charges and classifies every
+        looked-up query in request order: a miss's first occurrence is
+        stored and counted a miss, and a repeat is a hit on the stored entry.
+        The stale entries the lookups discard mark their misses
+        epoch-invalidated, as in :meth:`CachedOracle.memoized`.
+        """
+        cache = oracle.cache
+        lookup = cache.lookup
+        has_edge = self._graph.has_edge
+        keys: List[Edge] = []
+        found = []
+        missed = {}  # key -> whether its lookup discarded a stale entry
+        failure = None
+        for (u, v) in edges:
+            try:
+                if not has_edge(u, v):
+                    raise NotAnEdgeError(u, v)
+            except GraphError as exc:
+                failure = exc
+                break
+            key = (u, v)
+            keys.append(key)
+            entry = None
+            if key not in missed:
+                discards = cache.discards
+                entry = lookup(namespace, key)
+                if entry is None:
+                    missed[key] = cache.discards != discards
+            found.append(entry)
+        stored = {}
+        if missed:
+            for key, (answer, cost, touched) in zip(missed, decide(list(missed))):
+                stored[key] = cache.store(namespace, key, (answer, cost), touched)
+        stats = cache.stats
+        profiler = oracle.profiler
+        answers: List[bool] = []
+        totals: List[int] = []
+        neighbor = degree = adjacency = 0
+        for key, entry in zip(keys, found):
+            invalidated = None
+            if entry is None:  # a miss, or a repeat of one in this call
+                entry = stored[key]
+                invalidated = missed.pop(key, None)
+            answer, cost = entry.value
+            if invalidated is None:
+                stats.hits += 1
+                neighbor += cost.neighbor
+                degree += cost.degree
+                adjacency += cost.adjacency
+                if profiler is not None:
+                    profiler.record_hit(cost.total)
+            else:
+                stats.misses += 1
+                if profiler is not None:
+                    if invalidated:
+                        profiler.note_invalidation()
+                    profiler.record_miss(cost.total, invalidated=invalidated)
+            answers.append(answer)
+            totals.append(cost.total)
+        oracle.charge(neighbor=neighbor, degree=degree, adjacency=adjacency)
+        self.probe_stats.query_totals.extend(totals)
+        if failure is not None:
+            raise failure
+        return BatchQueryResult(edges=keys, answers=answers, probe_totals=totals)
 
     # ------------------------------------------------------------------ #
     # Global materialization (verification bridge)

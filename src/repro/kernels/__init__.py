@@ -6,9 +6,11 @@ scans (H_high and H_super, which spanner5 reuses through its spanner3
 components) — as numpy array operations directly over flat
 ``indptr``/``indices`` arrays, while charging the probe ledger *exactly* like
 the scalar code: spanner edges, per-query probe totals, and per-kind probe
-counts are bit-identical (pinned by the kernel-equivalence tests).  Every
-other loop, spannerk's explorations and spanner5's bucket scans included,
-runs its scalar code under every kernel.
+counts are bit-identical (pinned by the kernel-equivalence tests).  The same
+array evaluator decides a spanner3 ``materialize`` and the answer-memo
+misses of a large ``query_batch`` call.  Every other loop, spannerk's
+explorations and spanner5's bucket scans included, runs its scalar code
+under every kernel.
 
 Since the kernel changes no answer, probe, report or trace, which one runs
 is a fact about the host, not a choice each caller makes.  The one switch
@@ -24,7 +26,9 @@ unset (or empty)
 
 Any other value, or ``numpy`` on a host without numpy, raises
 :class:`KernelUnavailableError`, a :class:`~repro.core.errors.ReproError`
-that the CLI prints as one line.
+that the CLI prints as one line.  Every CLI command that builds an LCA
+checks the variable first (:func:`check_environment`), so a run that never
+builds a cached engine fails the same way.
 """
 
 from __future__ import annotations
@@ -53,30 +57,39 @@ def _numpy_or_none():
     return numpy
 
 
+def check_environment() -> str:
+    """Validate ``REPRO_KERNEL`` and return its value (``""`` when unset).
+
+    Raises :class:`KernelUnavailableError` for a value outside
+    :data:`KERNELS`, and for ``numpy`` on a host without numpy.  numpy is
+    imported only when the variable forces it.
+    """
+    name = os.environ.get(ENV_KERNEL) or ""
+    if name and name not in KERNELS:
+        raise KernelUnavailableError(
+            f"{ENV_KERNEL}={name!r} is not a valid kernel; choices: {KERNELS}"
+        )
+    if name == "numpy" and _numpy_or_none() is None:
+        raise KernelUnavailableError(
+            f"{ENV_KERNEL}='numpy' requires numpy, which is not installed; "
+            "install the optional extra: pip install repro-spanner-lca[fast]"
+        )
+    return name
+
+
 def resolve_kernel():
     """The kernel ``REPRO_KERNEL`` selects, as an engine instance.
 
     Returns ``None`` for the scalar path or a fresh
     :class:`~repro.kernels.engine.NumpyKernel` for the vectorized path.
-    A forced ``numpy`` without numpy installed raises
+    A value :func:`check_environment` refuses raises
     :class:`KernelUnavailableError`, so mis-provisioned runs fail loudly
     instead of silently measuring the wrong engine.
     """
-    name = os.environ.get(ENV_KERNEL)
-    if name and name not in KERNELS:
-        raise KernelUnavailableError(
-            f"{ENV_KERNEL}={name!r} is not a valid kernel; choices: {KERNELS}"
-        )
-    if name == "python":
-        return None
-    np_module = _numpy_or_none()
+    name = check_environment()
+    np_module = None if name == "python" else _numpy_or_none()
     if np_module is None:
-        if not name:
-            return None
-        raise KernelUnavailableError(
-            f"{ENV_KERNEL}='numpy' requires numpy, which is not installed; "
-            "install the optional extra: pip install repro-spanner-lca[fast]"
-        )
+        return None
     from .engine import NumpyKernel
 
     return NumpyKernel(np_module)

@@ -18,8 +18,9 @@ write moves the epoch, the store patches the view
 (:func:`~repro.kernels.view.patch_view`) and the tables
 (:func:`repro.kernels.spanner3.patch_tables`) for the rows it changed, and
 builds nothing else: a scan row the write may have changed is marked stale
-and rebuilt the first time a scan reads it, and a whole-graph read flushes
-every stale row in one call.
+and rebuilt the first time a scan reads it (a batch of scans rebuilds the
+stale rows it reads in one call), and a whole-graph read flushes every
+stale row in one call.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class TableStore:
     and ``scan`` maps ``(key, block)`` to :class:`~repro.kernels.spanner3.ScanTables`.
     """
 
-    __slots__ = ("np", "epoch", "view", "prefix", "scan")
+    __slots__ = ("np", "epoch", "view", "prefix", "scan", "_id_order")
 
     def __init__(self, np_module, graph) -> None:
         self.np = np_module
@@ -49,6 +50,23 @@ class TableStore:
         self.view = build_view(np_module, graph)
         self.prefix = {}
         self.scan = {}
+        self._id_order = None
+
+    def id_order(self):
+        """``(rank, ascending)``: each position's rank among the vertex ids,
+        and the ids in ascending order.
+
+        Built on first use; the vertex set never changes, so both outlive
+        every write.
+        """
+        if self._id_order is None:
+            np = self.np
+            ids = self.view.ids
+            order = np.argsort(ids, kind="stable")
+            rank = np.empty(len(ids), dtype=np.int64)
+            rank[order] = np.arange(len(ids), dtype=np.int64)
+            self._id_order = (rank, ids[order])
+        return self._id_order
 
     def prefix_tables(self, system) -> "_spanner3.PrefixTables":
         """Election bitmap + prefix-center rows for ``system``."""
@@ -58,13 +76,12 @@ class TableStore:
             self.prefix[system.key] = entry
         return entry[1]
 
-    def scan_tables(
-        self, system, block: Optional[int], row: Optional[int] = None
-    ) -> "_spanner3.ScanTables":
+    def scan_tables(self, system, block: Optional[int], rows=None) -> "_spanner3.ScanTables":
         """Closed-form scan outcomes for ``system`` (per block variant).
 
-        Stale rows are rebuilt first, in place: ``row`` alone when given (the
-        one row a scan reads), otherwise every stale row in one call.
+        Stale rows are rebuilt first, in place, in one call: those among
+        ``rows`` when given (the one row position a scan reads, or an array
+        of the positions a batch of scans reads), otherwise every stale row.
         """
         key = (system.key, block)
         tables = self.scan.get(key)
@@ -72,14 +89,24 @@ class TableStore:
             prefix = self.prefix_tables(system)
             tables = _spanner3.build_scan_tables(self.np, self.view, prefix, block)
             self.scan[key] = tables
-        elif tables.stale is not None and (row is None or tables.stale[row]):
-            if row is None:
-                rows, tables.stale = self.np.flatnonzero(tables.stale), None
-            else:
-                rows, tables.stale[row] = [row], False
-            _spanner3.build_scan_tables(
-                self.np, self.view, self.prefix_tables(system), block, rows, tables
-            )
+            return tables
+        stale = tables.stale
+        if stale is None:
+            return tables
+        if rows is None:
+            rows, tables.stale = self.np.flatnonzero(stale), None
+        elif isinstance(rows, int):
+            if not stale[rows]:
+                return tables
+            rows, stale[rows] = [rows], False
+        else:
+            rows = self.np.unique(rows[stale[rows]])
+            if not len(rows):
+                return tables
+            stale[rows] = False
+        _spanner3.build_scan_tables(
+            self.np, self.view, self.prefix_tables(system), block, rows, tables
+        )
         return tables
 
     def advance(self, graph) -> None:
@@ -141,3 +168,8 @@ class NumpyKernel:
     def materialize_spanner3(self, lca, oracle, result) -> bool:
         """Whole-graph batched spanner3 materialization (True when handled)."""
         return _spanner3.materialize_batched(lca, oracle, self, result)
+
+    def spanner3_decider(self, lca, oracle, namespace, edges):
+        """A function deciding a spanner3 ``query_batch`` call's misses
+        together, or ``None`` for the per-query path."""
+        return _spanner3.query_decider(self, lca, oracle, namespace, edges)

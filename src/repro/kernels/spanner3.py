@@ -11,12 +11,16 @@ materializer become O(1) table lookups with the exact scalar probe schedule.
 :func:`build_scan_tables` builds the scan tables a slab of whole rows at a
 time, so its peak memory is that of one slab, not of the (entry, center)
 expansion of the whole graph; the materializer decides edges one slice at a
-time for the same reason.  After a write, :func:`patch_tables` carries the
-tables to the new epoch: it rebuilds the prefix rows, copies every scan row
-the write cannot have changed and marks the others stale.  A stale row is
-rebuilt the first time a read needs it, through the same
-:func:`build_scan_tables` that builds whole tables, so no stale entry is
-ever read.
+time for the same reason.  :func:`evaluate_edges` is the one array
+evaluator: the materializer runs it over every edge, and ``query_batch``
+over a call's distinct answer-memo misses once the call has
+:data:`CROSSOVER_MISSES` of them (:func:`query_decider`), with each
+answer's exact read set for the memo's dependency ids.  After a write,
+:func:`patch_tables` carries the tables to the new epoch: it rebuilds the
+prefix rows, copies every scan row the write cannot have changed and marks
+the others stale.  A stale row is rebuilt the first time a read needs it,
+through the same :func:`build_scan_tables` that builds whole tables, so no
+stale entry is ever read.
 
 Derivation (matching ``_new_cluster_scan_fast``): for every element ``s`` of
 the prefix-center set S(x), its *first cover* ``fc`` is the smallest row
@@ -30,8 +34,17 @@ element stayed uncovered (or the window was empty with S(x) nonempty).
 
 from __future__ import annotations
 
+from array import array
+from functools import partial
 from typing import Any, NamedTuple, Optional
 
+from ..core.probes import ProbeSnapshot
+from ..spanner3.components import (
+    CenterEdgeComponent,
+    HighDegreeComponent,
+    LowDegreeComponent,
+    SuperBlockComponent,
+)
 from .view import copy_rows
 
 
@@ -328,6 +341,25 @@ def scan_profile(kernel, oracle, system, w, x, index, block):
 #: once (about half of them are forward entries, one per edge).
 SLICE_ENTRIES = 1 << 14
 
+#: Fewest distinct answer-memo misses a ``query_batch`` call needs before
+#: its misses are decided together by :func:`decide_queries`; a call with
+#: fewer decides each miss by the scalar ``_decide``.  The array path costs
+#: about 220-300 µs a call however few edges it decides, the scalar path
+#: 45-85 µs a miss.  Timed in interleaved pairs on first-touch calls, they
+#: broke even at about 4 misses on G_dense (gnp 1000, p 0.18) and 6 on
+#: G_churn (gnp 400, p 0.22).  A call at or above the constant also pays
+#: for counting its misses, and misses decided together leave the
+#: per-vertex election memo cold for later per-query misses: at 8, the
+#: 4-shard zipf and churn services lost 5.5% and 4.1% of their throughput
+#: (10 pairs).  At 12 the array path still wins 2.04× and 1.66×, and the
+#: service's shard calls, about 8 requests each, stay on the per-query path.
+CROSSOVER_MISSES = 12
+
+#: Most misses one :func:`evaluate_edges` call of :func:`decide_queries`
+#: decides, so a call over a whole edge set expands its read sets a slice
+#: at a time.
+QUERY_SLICE = 1 << 10
+
 
 class EdgeCharges(NamedTuple):
     """spanner3's verdict and probe charges per edge, for a set of edges.
@@ -336,7 +368,9 @@ class EdgeCharges(NamedTuple):
     ``neighbor`` and ``adjacency`` are each edge's cold charges by probe
     kind.  Part of them is made inside ``"neighbor-scan"`` frames: one
     degree probe per scan call (``scan_calls``), every neighbor probe, and
-    ``scan_adjacency`` adjacency probes.
+    ``scan_adjacency`` adjacency probes.  ``reads``, when asked for, holds
+    each edge's read set as ``(ids, bounds)``: edge ``i`` read the sorted
+    distinct vertex ids ``ids[bounds[i]:bounds[i + 1]]``.
     """
 
     kept: Any
@@ -345,15 +379,47 @@ class EdgeCharges(NamedTuple):
     adjacency: Any
     scan_calls: Any
     scan_adjacency: Any
+    reads: Any = None
 
 
-def evaluate_edges(np, store, components, e_fwd) -> EdgeCharges:
+def plain_components(lca):
+    """The four components of a plain spanner3 LCA, or ``None``.
+
+    :func:`evaluate_edges` replicates the scalar decision of exactly four
+    components in this order: H_low, the center edges of two center
+    systems, H_high on the first system and H_super on the second.  Both
+    array paths (``materialize`` and ``query_batch``) run only on an LCA
+    whose components are those.
+    """
+    components = getattr(lca, "components", None)
+    if not components or len(components) != 4:
+        return None
+    low, center_edges, high, super_block = components
+    if not (
+        isinstance(low, LowDegreeComponent)
+        and isinstance(center_edges, CenterEdgeComponent)
+        and isinstance(high, HighDegreeComponent)
+        and isinstance(super_block, SuperBlockComponent)
+        and len(center_edges.systems) == 2
+        and center_edges.systems[0] is high.centers
+        and center_edges.systems[1] is super_block.centers
+    ):
+        return None
+    return components
+
+
+def evaluate_edges(np, store, components, e_fwd, e_rev, reads=False) -> EdgeCharges:
     """Decide the edges of the forward entries ``e_fwd`` by array arithmetic.
 
-    Evaluates all four components (H_low, center edges, H_high, H_super) of
-    ``components`` for every edge, replicating the scalar short-circuit
-    order, so each edge's charges by kind and by phase equal the scalar
-    path's.  The tables come from ``store`` (stale rows are flushed first).
+    ``e_rev`` holds each edge's reverse entry.  Evaluates all four
+    components (H_low, center edges, H_high, H_super) of ``components`` for
+    every edge, replicating the scalar short-circuit order, so each edge's
+    charges by kind and by phase equal the scalar path's.  The tables come
+    from ``store``.  Before each of the four scans is read, the stale rows
+    the edges that invoke it read are rebuilt, as a scalar scan rebuilds the
+    one row it reads; a whole-graph caller flushes every stale row first.
+    With ``reads`` the result carries each edge's read set
+    (:func:`_read_sets`).
     """
     low, _, high, super_block = components
     view = store.view
@@ -365,10 +431,7 @@ def evaluate_edges(np, store, components, e_fwd) -> EdgeCharges:
     su_sys = super_block.centers
     hi_pt = store.prefix_tables(hi_sys)
     su_pt = store.prefix_tables(su_sys)
-    hi_scan = store.scan_tables(hi_sys, None)
-    su_scan = store.scan_tables(su_sys, block)
 
-    e_rev = view.rev_entry[e_fwd]
     up = view.entry_src[e_fwd]
     vp = view.nbr_pos[e_fwd]
     du = view.deg[up]
@@ -404,52 +467,198 @@ def evaluate_edges(np, store, components, e_fwd) -> EdgeCharges:
     gh_v = (dv > params.low_threshold) & (dv <= params.super_threshold)
     ghu = gh_u.astype(i8)
     ghv = gh_v.astype(i8)
+    inv1 = act3 & gh_u
+    hi_scan = store.scan_tables(hi_sys, None, up[inv1])
+    d1 = gh_u & hi_scan.kept[e_fwd]
+    inv2 = act3 & ~d1 & gh_v
+    store.scan_tables(hi_sys, None, vp[inv2])
+    hi_steps_f = hi_scan.steps[e_fwd]
+    hi_steps_r = hi_scan.steps[e_rev]
     hi_adj_f = hi_scan.adj[e_fwd]
     hi_adj_r = hi_scan.adj[e_rev]
-    d1 = gh_u & hi_scan.kept[e_fwd]
     n1 = (~d1).astype(i8)
     c3 = d1 | (gh_v & hi_scan.kept[e_rev])
     c3_deg = (1 + ghu) + n1 * (1 + ghv)
-    c3_nei = ghu * (np.minimum(dv, p_hi) + hi_scan.steps[e_fwd]) + n1 * ghv * (
-        np.minimum(du, p_hi) + hi_scan.steps[e_rev]
+    c3_nei = ghu * (np.minimum(dv, p_hi) + hi_steps_f) + n1 * ghv * (
+        np.minimum(du, p_hi) + hi_steps_r
     )
     c3_adj = ghu * (1 + hi_adj_f) + n1 * ghv * (1 + hi_adj_r)
 
     # H_super: ungated adjacency + block scan in both directions.
     act4 = act3 & ~c3
+    su_scan = store.scan_tables(su_sys, block, up[act4])
+    s1 = su_scan.kept[e_fwd]
+    inv4 = act4 & ~s1
+    store.scan_tables(su_sys, block, vp[inv4])
+    su_steps_f = su_scan.steps[e_fwd]
+    su_steps_r = su_scan.steps[e_rev]
     su_adj_f = su_scan.adj[e_fwd]
     su_adj_r = su_scan.adj[e_rev]
-    s1 = su_scan.kept[e_fwd]
     ns = (~s1).astype(i8)
     c4 = s1 | su_scan.kept[e_rev]
     c4_deg = 1 + ns
-    c4_nei = (np.minimum(dv, p_su) + su_scan.steps[e_fwd]) + ns * (
-        np.minimum(du, p_su) + su_scan.steps[e_rev]
-    )
+    c4_nei = (np.minimum(dv, p_su) + su_steps_f) + ns * (np.minimum(du, p_su) + su_steps_r)
     c4_adj = (1 + su_adj_f) + ns * (1 + su_adj_r)
 
     a2m = act2.astype(i8)
     a3m = act3.astype(i8)
     a4m = act4.astype(i8)
+    read_sets = None
+    if reads:
+        # A scan's window starts at its row (H_high) or its block (H_super).
+        row_u = view.indptr[up]
+        row_v = view.indptr[vp]
+        read_sets = _read_sets(np, store, low_u, up, vp, (
+            (inv1, row_u, hi_steps_f),
+            (inv2, row_v, hi_steps_r),
+            (act4, row_u + (jf // block) * block, su_steps_f),
+            (inv4, row_v + (jr // block) * block, su_steps_r),
+        ))
     # Phase attribution: every scan invocation runs inside a "neighbor-scan"
     # frame; its in-frame charges are degree 1, the full neighbor cost, and
     # the scan's adjacency probes (the index probe stays outside).
-    inv1 = act3 & gh_u
-    inv2 = act3 & ~d1 & gh_v
-    inv3 = act4
-    inv4 = act4 & ~s1
     return EdgeCharges(
         kept=c1 | (act2 & c2) | (act3 & c3) | (act4 & c4),
         degree=deg_c1 + a3m * c3_deg + a4m * c4_deg,
         neighbor=a3m * c3_nei + a4m * c4_nei,
         adjacency=a2m * adj_c2 + a3m * c3_adj + a4m * c4_adj,
         scan_calls=(
-            inv1.astype(i8) + inv2.astype(i8) + inv3.astype(i8) + inv4.astype(i8)
+            inv1.astype(i8) + inv2.astype(i8) + a4m + inv4.astype(i8)
         ),
         scan_adjacency=(
-            inv1 * hi_adj_f + inv2 * hi_adj_r + inv3 * su_adj_f + inv4 * su_adj_r
+            inv1 * hi_adj_f + inv2 * hi_adj_r + act4 * su_adj_f + inv4 * su_adj_r
         ),
+        reads=read_sets,
     )
+
+
+def _read_sets(np, store, low_u, up, vp, windows):
+    """Each edge's read set: the vertices the scalar path reads deciding it.
+
+    The scalar path reads u (its degree) and, unless u is low, v.  Each scan
+    it invokes reads the scanner and the far endpoint (u and v again) and
+    the ``steps`` neighbors of the scanner's row from the window's first
+    entry; steps is 0 exactly when the far endpoint has no centers.
+    ``windows`` lists the scans as (invoked mask, first entry, steps), each
+    aligned with the edges.  Returns ``(ids, bounds)`` as
+    :class:`EdgeCharges` documents.  One sort of ``edge · n + rank`` keys
+    orders every read set by id at once.
+    """
+    view = store.view
+    i8 = np.int64
+    rank, ascending = store.id_order()
+    count, n = len(up), view.n
+    edge = np.arange(count, dtype=i8)
+    # Every window at once: a scan that is not invoked reads no entry.
+    length = np.concatenate([steps * invoked for invoked, _, steps in windows])
+    first = np.concatenate([start for _, start, _ in windows])
+    total = int(length.sum())
+    at = np.repeat(first - (np.cumsum(length) - length), length)
+    at += np.arange(total, dtype=i8)
+    owner = np.repeat(np.tile(edge, len(windows)), length)
+    not_low = edge[~low_u]
+    keys = np.concatenate((
+        edge * n + rank[up],
+        not_low * n + rank[vp[not_low]],
+        owner * n + rank[view.nbr_pos[at]],
+    ))
+    keys.sort()
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    keys = keys[distinct]
+    bounds = np.searchsorted(keys, np.append(edge, count) * n)
+    return ascending[keys % n], bounds
+
+
+def _sums(edges: EdgeCharges):
+    """The charges :func:`_charge` takes, summed over ``edges``."""
+    parts = (edges.degree, edges.neighbor, edges.adjacency, edges.scan_calls, edges.scan_adjacency)
+    return [int(part.sum()) for part in parts]
+
+
+def _charge(oracle, degree, neighbor, adjacency, calls, scan_adjacency) -> None:
+    """Charge decided edges' probes in bulk with the scalar phase split.
+
+    One ``"neighbor-scan"`` frame stands for the ``calls`` scalar scans and
+    holds their charges: a degree probe each, every neighbor probe and the
+    ``scan_adjacency`` adjacency probes.  The rest is charged outside it.
+    """
+    profiler = oracle.profiler
+    if profiler is not None and calls:
+        oracle.charge(degree=degree - calls, adjacency=adjacency - scan_adjacency)
+        frame = profiler.begin_phase("neighbor-scan", oracle.counter, calls=calls)
+        oracle.charge(degree=calls, neighbor=neighbor, adjacency=scan_adjacency)
+        profiler.end_phase(frame)
+    else:
+        oracle.charge(degree=degree, neighbor=neighbor, adjacency=adjacency)
+
+
+def query_decider(kernel, lca, oracle, namespace, edges):
+    """How ``query_batch`` decides the misses of the call ``edges``.
+
+    Returns a function that decides the call's distinct misses together
+    (:func:`decide_queries`), or ``None`` to decide each miss by the scalar
+    path.  The array path needs a plain spanner3 LCA
+    (:func:`plain_components`), at least :data:`CROSSOVER_MISSES` distinct
+    misses, counted under ``namespace`` without touching an entry, and a
+    usable view.
+    """
+    if len(edges) < CROSSOVER_MISSES:
+        return None
+    components = plain_components(lca)
+    if components is None:
+        return None
+    keys = ((u, v) for (u, v) in edges)
+    if oracle.cache.count_misses(namespace, keys) < CROSSOVER_MISSES:
+        return None
+    store = kernel.store(oracle.graph)
+    if store.view is None:
+        return None
+    return partial(decide_queries, kernel.np, store, components, oracle)
+
+
+def decide_queries(np, store, components, oracle, queries):
+    """Decide the distinct edge queries ``queries`` by array arithmetic.
+
+    A query (u, v)'s forward entry is ``indptr[pos[u]]`` plus v's index in
+    u's adjacency row, and its reverse entry the same for (v, u), so no
+    reverse-entry table is built.  :func:`evaluate_edges` decides them
+    :data:`QUERY_SLICE` at a time, and their probes are charged in one go
+    with the scalar phase split.  Returns, per query, its answer, its cold
+    :class:`~repro.core.probes.ProbeSnapshot` and its read set as sorted ids
+    packed in an ``array("q")``, the memo's dependency-set format.
+    """
+    view = store.view
+    pos = view.pos
+    index_row = oracle.graph.adjacency_row
+    decided = []
+    sums = [0] * 5
+    for lo in range(0, len(queries), QUERY_SLICE):
+        part = queries[lo : lo + QUERY_SLICE]
+        places = np.array(
+            [(pos[u], index_row(u)[v], pos[v], index_row(v)[u]) for (u, v) in part],
+            dtype=np.int64,
+        )
+        e_fwd = view.indptr[places[:, 0]] + places[:, 1]
+        e_rev = view.indptr[places[:, 2]] + places[:, 3]
+        edges = evaluate_edges(np, store, components, e_fwd, e_rev, reads=True)
+        sums = [total + part for total, part in zip(sums, _sums(edges))]
+        ids, bounds = edges.reads
+        packed = array("q", ids.tobytes())
+        bounds = bounds.tolist()
+        decided.extend(
+            (answer, ProbeSnapshot(neighbor=n, degree=d, adjacency=a), packed[b:e])
+            for answer, n, d, a, b, e in zip(
+                edges.kept.tolist(),
+                edges.neighbor.tolist(),
+                edges.degree.tolist(),
+                edges.adjacency.tolist(),
+                bounds,
+                bounds[1:],
+            )
+        )
+    _charge(oracle, *sums)
+    return decided
 
 
 def materialize_batched(lca, oracle, kernel, result) -> bool:
@@ -462,29 +671,8 @@ def materialize_batched(lca, oracle, kernel, result) -> bool:
     to the scalar path.  Returns ``True`` when handled; ``False`` falls back
     to the scalar engine.
     """
-    from ..spanner3.components import (
-        CenterEdgeComponent,
-        HighDegreeComponent,
-        LowDegreeComponent,
-        SuperBlockComponent,
-    )
-
-    components = getattr(lca, "components", None)
-    if not components or len(components) != 4:
-        return False
-    low, center_edges, high, super_block = components
-    if not (
-        isinstance(low, LowDegreeComponent)
-        and isinstance(center_edges, CenterEdgeComponent)
-        and isinstance(high, HighDegreeComponent)
-        and isinstance(super_block, SuperBlockComponent)
-    ):
-        return False
-    if not (
-        len(center_edges.systems) == 2
-        and center_edges.systems[0] is high.centers
-        and center_edges.systems[1] is super_block.centers
-    ):
+    components = plain_components(lca)
+    if components is None:
         return False
     store = kernel.store(oracle.graph)
     view = store.view
@@ -493,31 +681,25 @@ def materialize_batched(lca, oracle, kernel, result) -> bool:
     if not view.nnz:
         return True
     np = kernel.np
-    degree = neighbor = adjacency = calls = phase_adj = 0
+    _, _, high, super_block = components
+    # A whole-graph read: flush every stale scan row first, one call a table.
+    store.scan_tables(high.centers, None)
+    store.scan_tables(super_block.centers, super_block.threshold)
+    rev_entry = view.rev_entry
+    sums = [0] * 5
     for lo in range(0, view.nnz, SLICE_ENTRIES):
         hi = min(lo + SLICE_ENTRIES, view.nnz)
         forward = view.ids[view.entry_src[lo:hi]] < view.nbr_id[lo:hi]
         e_fwd = lo + np.flatnonzero(forward)
         if not len(e_fwd):
             continue
-        edges = evaluate_edges(np, store, components, e_fwd)
-        degree += int(edges.degree.sum())
-        neighbor += int(edges.neighbor.sum())
-        adjacency += int(edges.adjacency.sum())
-        calls += int(edges.scan_calls.sum())
-        phase_adj += int(edges.scan_adjacency.sum())
+        edges = evaluate_edges(np, store, components, e_fwd, rev_entry[e_fwd])
+        sums = [total + part for total, part in zip(sums, _sums(edges))]
         totals = (edges.degree + edges.neighbor + edges.adjacency).tolist()
         result.probe_stats.query_totals.extend(totals)
         lca.probe_stats.query_totals.extend(totals)
         kept = e_fwd[edges.kept]
         kept_u = view.ids[view.entry_src[kept]].tolist()
         result.edges.update(zip(kept_u, view.nbr_id[kept].tolist()))
-    profiler = oracle.profiler
-    if profiler is not None and calls:
-        oracle.charge(degree=degree - calls, adjacency=adjacency - phase_adj)
-        frame = profiler.begin_phase("neighbor-scan", oracle.counter, calls=calls)
-        oracle.charge(degree=calls, neighbor=neighbor, adjacency=phase_adj)
-        profiler.end_phase(frame)
-    else:
-        oracle.charge(degree=degree, neighbor=neighbor, adjacency=adjacency)
+    _charge(oracle, *sums)
     return True

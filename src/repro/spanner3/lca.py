@@ -95,6 +95,20 @@ class ThreeSpannerLCA(CombinedLCA):
             return False
         return kern.materialize_spanner3(self, oracle, result)
 
+    def _batch_decider(self, oracle, namespace, edges):
+        """The numpy kernel's array evaluator for a ``query_batch`` call.
+
+        It decides the call's distinct misses in one pass of the arithmetic
+        ``materialize`` uses, once the call has at least
+        :data:`repro.kernels.spanner3.CROSSOVER_MISSES` of them; ``None``
+        (no kernel, too few misses, no usable view) decides each miss by the
+        scalar path.
+        """
+        kern = oracle.kernel
+        if kern is None:
+            return None
+        return kern.spanner3_decider(self, oracle, namespace, edges)
+
 
 @register("spanner3")
 def _make_three_spanner(graph: Graph, seed: SeedLike, **kwargs) -> ThreeSpannerLCA:

@@ -352,16 +352,20 @@ def test_bad_input_fails_with_one_line(tmp_path, capsys, argv):
     "argv",
     [
         ["evaluate", "--n", "40"],
+        ["evaluate", "--n", "40", "--query-mode", "cold"],
+        ["query", "--n", "40", "--query-mode", "cold"],
+        ["sweep", "--sizes", "40", "--queries", "5"],
         ["serve-bench", "--n", "40", "--requests", "50"],
         ["report", "run", "{smoke}", "--smoke", "--results", "{results}"],
     ],
-    ids=["evaluate", "serve-bench", "report-run"],
+    ids=["evaluate", "evaluate-cold", "query-cold", "sweep", "serve-bench", "report-run"],
 )
 def test_bad_kernel_environment_fails_with_one_line(
     tmp_path, capsys, monkeypatch, pin_kernel, argv, cause
 ):
     """``REPRO_KERNEL`` is the one kernel switch, so a value the host cannot
-    honour exits 1 with one line that names the variable."""
+    honour exits 1 with one line that names the variable, also on a run
+    that never builds a cached engine (the cold query mode, ``sweep``)."""
     if cause == "numpy-missing":
         monkeypatch.setattr(kernels, "_numpy_or_none", lambda: None)
         pin_kernel("numpy")

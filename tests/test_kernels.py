@@ -274,22 +274,34 @@ def test_service_engine_kernel_config_is_probe_invariant(pin_kernel):
 
 def test_shards_and_replicas_share_one_table_store(monkeypatch, pin_kernel):
     """Same-seed shard replicas read one store per graph, patched per write,
-    so a 4 × 2 pool builds exactly the scan tables one shard builds."""
-    pytest.importorskip("numpy")
+    so a 4 × 2 pool rebuilds exactly the scan rows one shard rebuilds.
+
+    The one shard's 16-request calls are large enough to decide their
+    misses together, which rebuilds the stale rows a call reads in one
+    build per scan, while the pool's smaller calls rebuild a row per scan;
+    so the rows each table rebuilt are compared, not the number of builds.
+    """
+    np = pytest.importorskip("numpy")
     pin_kernel("numpy")
     from repro.kernels import spanner3 as kernel_spanner3
     from repro.service import ServiceConfig, ServiceEngine, make_workload
 
     build_scan_tables = kernel_spanner3.build_scan_tables
+    decide_queries = kernel_spanner3.decide_queries
 
     def run(num_shards, replication):
-        calls = []
+        scans, together = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return build_scan_tables(*args, **kwargs)
+        def counted(np_module, view, prefix, block, rows=None, into=None):
+            scans.append((block, None if rows is None else np.asarray(rows).tolist()))
+            return build_scan_tables(np_module, view, prefix, block, rows, into)
+
+        def counted_decide(*args):
+            together.append(len(args[-1]))
+            return decide_queries(*args)
 
         monkeypatch.setattr(kernel_spanner3, "build_scan_tables", counted)
+        monkeypatch.setattr(kernel_spanner3, "decide_queries", counted_decide)
         graph = graphs.gnp_graph(70, 0.25, seed=11)
         config = ServiceConfig(
             num_shards=num_shards, replication=replication, batch_size=16
@@ -299,11 +311,48 @@ def test_shards_and_replicas_share_one_table_store(monkeypatch, pin_kernel):
         )
         engine = ServiceEngine(graph, _spanner3, config)
         report = engine.run(workload)
-        return len(calls), report.mutations
+        rebuilt = {}
+        for block, rows in scans:
+            rebuilt.setdefault(block, []).extend([-1] if rows is None else rows)
+        return {block: sorted(rows) for block, rows in rebuilt.items()}, report.mutations, together
 
-    builds, writes = run(1, 1)
-    assert writes > 0 and builds > 0
-    assert run(4, 2) == (builds, writes)
+    rebuilt, writes, together = run(1, 1)
+    assert writes > 0 and together
+    # Every scan table was built whole once and then had stale rows rebuilt.
+    assert len(rebuilt) == 2
+    assert all(rows.count(-1) == 1 and len(rows) > 1 for rows in rebuilt.values())
+    pool_rebuilt, pool_writes, pool_together = run(4, 2)
+    assert pool_writes == writes and not pool_together
+    assert pool_rebuilt == rebuilt
+
+
+def test_capped_query_batch_matches_one_query_at_a_time(pin_kernel):
+    """A memo cap keeps query_batch on the per-query path, so a capped
+    LCA's call has the hits, misses and evictions of asking the same
+    queries one call at a time (deciding the misses together would store
+    them after the call's lookups and move the eviction order)."""
+    pytest.importorskip("numpy")
+    pin_kernel("numpy")
+    graph = graphs.gnp_graph(70, 0.25, seed=11)
+    edges = sorted(graph.edges())[:60]
+    # Repeats both inside and beyond the cap's reach, and the other
+    # orientation (a different memo key).
+    queries = edges[:30] + edges[:10] + edges[30:] + edges[:20]
+    queries += [(v, u) for (u, v) in edges[:10]]
+
+    def run(calls):
+        lca = _spanner3(graph).set_memo_cap(40)
+        answers, totals = [], []
+        for call in calls:
+            result = lca.query_batch(call)
+            answers += result.answers
+            totals += result.probe_totals
+        cache = lca.oracle_cache
+        return answers, totals, cache.stats.hits, cache.stats.misses, cache.evictions
+
+    together = run([queries])
+    assert together == run([[query] for query in queries])
+    assert together[2] > 0 and together[4] > 0
 
 
 def test_a_write_builds_nothing_until_a_read_needs_its_rows(monkeypatch, pin_kernel):

@@ -206,3 +206,175 @@ def _check_write_rounds(instance, seed):
         assert results["numpy"].answers == results["python"].answers
         assert results["numpy"].probe_totals == results["python"].probe_totals
         _assert_store_matches_fresh_build(np, lca.graph, kernel)
+
+
+# --------------------------------------------------------------------------- #
+# query_batch: a call's misses decided together equal the per-query path
+# --------------------------------------------------------------------------- #
+
+
+@st.composite
+def query_call_rounds(draw, max_vertices=22):
+    """A random graph, then rounds of 0–2 writes followed by 1–3 calls.
+
+    A call names edges by index into the graph's current edge list (modulo
+    its length) plus an orientation flag, so it replays validly after any
+    write; indices repeat inside a call and across calls.  Vertices with
+    few neighbors make low-class edges, whose read set is {u} alone.
+    """
+    n = draw(st.integers(min_value=5, max_value=max_vertices))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(
+        st.lists(st.sampled_from(possible), min_size=3, max_size=len(possible), unique=True)
+    )
+    call = st.lists(
+        st.tuples(st.integers(min_value=0, max_value=10**6), st.booleans()),
+        min_size=1,
+        max_size=24,
+    )
+    rounds = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(possible), max_size=2),
+                st.lists(call, min_size=1, max_size=3),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return list(range(n)), edges, rounds
+
+
+def _query_rounds(vertices, edges, rounds, seed, hitting_constant, kernel, crossover):
+    """Serve the rounds' calls on a fresh LCA; everything a caller can see."""
+    from repro.obs.profiler import ProbeProfiler
+
+    together = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(ENV_KERNEL, kernel)
+        patch.setattr(kernel_spanner3, "CROSSOVER_MISSES", crossover)
+        decide_queries = kernel_spanner3.decide_queries
+
+        def counted(*args):
+            together.append(len(args[-1]))
+            return decide_queries(*args)
+
+        patch.setattr(kernel_spanner3, "decide_queries", counted)
+        graph = Graph.from_edges(edges, vertices=vertices)
+        lca = create("spanner3", graph, seed=seed, hitting_constant=hitting_constant)
+        profiler = ProbeProfiler()
+        lca.attach_profiler(profiler)
+        served = []
+        for writes, calls in rounds:
+            for pair in writes:
+                op = "remove" if graph.has_edge(*pair) else "add"
+                if op == "add" or graph.num_edges > 1:
+                    lca.apply_mutations([(op, *pair)])
+            live = sorted(graph.edges())
+            for call in calls:
+                picks = [(live[index % len(live)], flip) for index, flip in call]
+                queries = [(v, u) if flip else (u, v) for (u, v), flip in picks]
+                result = lca.query_batch(queries)
+                served.append((result.answers, result.probe_totals))
+        cache = lca.oracle_cache
+        memo = {
+            key: (entry.value, entry.epoch, list(entry.touched))
+            for key, entry in cache.memo(lca.query_answer_namespace()).items()
+        }
+        return (
+            served,
+            lca.probe_stats.query_totals,
+            lca.probe_counter.snapshot(),
+            profiler.as_dict(),
+            (cache.stats.hits, cache.stats.misses),
+            memo,
+        ), together
+
+
+@relaxed
+@given(
+    instance=query_call_rounds(),
+    seed=st.integers(min_value=0, max_value=10**6),
+    hitting_constant=st.sampled_from([0.3, 1.0]),
+)
+def test_query_batch_decides_misses_together_like_one_at_a_time(
+    instance, seed, hitting_constant
+):
+    """Under both kernels and on both sides of the crossover, query_batch
+    gives the same answers, per-query totals, per-kind counts, profiler
+    attribution, cache statistics and answer-memo entries (value, epoch
+    stamp and dependency ids) as the scalar per-query path, across writes,
+    repeats inside a call and hits across calls."""
+    vertices, edges, rounds = instance
+    reference, _ = _query_rounds(
+        vertices, edges, rounds, seed, hitting_constant, "python", 1
+    )
+    for crossover in (1, 10**6):
+        outcome, together = _query_rounds(
+            vertices, edges, rounds, seed, hitting_constant, "numpy", crossover
+        )
+        assert outcome == reference
+        # Below the crossover the array path never runs; at 1 it decides
+        # every call with a miss (every first call has one).
+        assert bool(together) == (crossover == 1)
+
+
+@pytest.mark.parametrize("crossover", [1, 10**6], ids=["together", "one-at-a-time"])
+@pytest.mark.parametrize("kernel", ["python", "numpy"])
+def test_a_non_edge_raises_after_the_queries_before_it(kernel, crossover, monkeypatch):
+    """``[e1, e2, non-edge, e3]`` raises NotAnEdgeError after answering,
+    charging and storing exactly e1 and e2, as a call of ``[e1, e2]`` would."""
+    from repro import graphs
+    from repro.core.errors import NotAnEdgeError
+
+    monkeypatch.setenv(ENV_KERNEL, kernel)
+    monkeypatch.setattr(kernel_spanner3, "CROSSOVER_MISSES", crossover)
+    graph = graphs.gnp_graph(40, 0.3, seed=2)
+    edges = sorted(graph.edges())
+    e1, e2, e3 = edges[3], edges[17], edges[29]
+    non_edge = next(
+        (u, v) for u in graph.vertices() for v in graph.vertices()
+        if u < v and not graph.has_edge(u, v)
+    )
+    lca = create("spanner3", graph, seed=4)
+    with pytest.raises(NotAnEdgeError):
+        lca.query_batch([e1, e2, non_edge, e3])
+    reference = create("spanner3", graphs.gnp_graph(40, 0.3, seed=2), seed=4)
+    expected = reference.query_batch([e1, e2])
+    answers = lca.oracle_cache.memo(lca.query_answer_namespace())
+    assert list(answers) == [e1, e2]
+    assert [entry.value[0] for entry in answers.values()] == expected.answers
+    assert lca.probe_stats.query_totals == expected.probe_totals
+    assert lca.probe_counter.snapshot() == reference.probe_counter.snapshot()
+    stats = lca.oracle_cache.stats
+    assert (stats.hits, stats.misses) == (0, 2)
+
+
+@pytest.mark.parametrize("query_slice", [7, 1 << 10], ids=["slices-of-7", "one-slice"])
+@pytest.mark.parametrize("n, p, seed", [(40, 0.7, 3), (60, 0.45, 8)])
+def test_query_batch_decides_misses_together_on_dense_graphs(
+    n, p, seed, query_slice, monkeypatch
+):
+    """The hypothesis graphs are small and mostly sparse; these are dense
+    enough for super-class edges whose H_super window starts past the first
+    block, with writes between calls and repeated, re-invalidated keys.  A
+    call's misses are decided in slices of 7 or in one slice."""
+    from repro import graphs
+
+    monkeypatch.setattr(kernel_spanner3, "QUERY_SLICE", query_slice)
+
+    graph = graphs.gnp_graph(n, p, seed=seed)
+    edges = sorted(graph.edges())
+    stride = len(edges) // 40
+    call = [(index * stride, index % 3 == 0) for index in range(40)]
+    repeat = call[:10] + call[:10]
+    writes = [edges[0], edges[stride], (0, n - 1)]
+    rounds = [([], [call]), (writes[:2], [repeat, call]), (writes[2:], [call + repeat])]
+    reference, _ = _query_rounds(list(range(n)), edges, rounds, seed, 1.0, "python", 1)
+    assert reference[3]["invalidations"] > 0
+    for crossover in (1, 10**6):
+        outcome, together = _query_rounds(
+            list(range(n)), edges, rounds, seed, 1.0, "numpy", crossover
+        )
+        assert outcome == reference
+        assert bool(together) == (crossover == 1)
