@@ -25,6 +25,7 @@ verification used by the tests and benchmarks.
 from __future__ import annotations
 
 import abc
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -128,6 +129,7 @@ class SpannerLCA(abc.ABC):
         self._query_mode = "cold"
         self._memo_cap: Optional[int] = None
         self._profiler = None
+        self._answer_namespace: Optional[Tuple] = None
         self.probe_stats = ProbeStatistics()
 
     # ------------------------------------------------------------------ #
@@ -283,18 +285,24 @@ class SpannerLCA(abc.ABC):
     def query_answer_namespace(self) -> Tuple:
         """The memo namespace of the whole-query-answer cache.
 
-        Built from values only (name, seed, parameters) — never from live
-        objects — so it is *portable*: every LCA built from the same name,
-        seed and parameters produces the same namespace, and memoized
+        Built from values only (name, seed, parameter values) — never from
+        live objects — so it is *portable*: every LCA built from the same
+        name, seed and parameters produces the same namespace, and memoized
         answers move between such LCAs (replicas of one shard) through the
-        :meth:`~repro.core.oracle.CachedOracle.merge_state` protocol.
+        :meth:`~repro.core.oracle.CachedOracle.merge_state` protocol.  It is
+        built once per LCA, of primitives only, so every memo lookup and
+        store hashes a plain tuple.
         """
-        return (
-            "query-answer",
-            self.name,
-            self._seed.value,
-            getattr(self, "params", None),
-        )
+        namespace = self._answer_namespace
+        if namespace is None:
+            params = getattr(self, "params", None)
+            namespace = self._answer_namespace = (
+                "query-answer",
+                self.name,
+                self._seed.value,
+                None if params is None else dataclasses.astuple(params),
+            )
+        return namespace
 
     def query(self, u: int, v: int) -> bool:
         """Answer "is ``(u, v)`` in the spanner?" for an edge of ``G``."""

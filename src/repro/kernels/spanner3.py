@@ -30,6 +30,12 @@ H_super) with ``s ∈ S(row_w[j])``.  The scalar loop stops at
 ``E = max(fc) + 1``; it performs ``E - start`` row steps and
 ``Σ_s (min(fc+1, E) - start)`` adjacency probes, and keeps the edge iff some
 element stayed uncovered (or the window was empty with S(x) nonempty).
+
+A slab (:func:`_build_slab`) expands each of its entries ``e`` into one
+element per ``s ∈ S(x_e)`` and finds every first cover with one stable sort
+of the elements by the rank of ``s`` among the system's centers
+(``PrefixTables.rank``): the element leading each run of one rank and one
+scan window sits at that window's first cover of ``s``.
 """
 
 from __future__ import annotations
@@ -49,12 +55,19 @@ from .view import copy_rows
 
 
 class PrefixTables:
-    """Election bitmap + prefix-center rows for one center system × epoch."""
+    """Election bitmap, center ranks and prefix-center rows for one center
+    system × epoch.
 
-    __slots__ = ("elected", "pc_indptr", "pc_val")
+    ``rank`` holds each elected position's index among the elected
+    positions, in the narrowest unsigned dtype that fits, so a scan-table
+    slab groups its elements by one radix sort (:func:`_build_slab`).
+    """
 
-    def __init__(self, elected, pc_indptr, pc_val):
+    __slots__ = ("elected", "rank", "pc_indptr", "pc_val")
+
+    def __init__(self, elected, rank, pc_indptr, pc_val):
         self.elected = elected
+        self.rank = rank
         self.pc_indptr = pc_indptr
         self.pc_val = pc_val
 
@@ -75,19 +88,24 @@ class ScanTables:
         self.stale = stale
 
 
-def build_prefix_tables(np, view, system, elected=None) -> PrefixTables:
+def build_prefix_tables(np, view, system, earlier=None) -> PrefixTables:
     """Evaluate the (pure, probe-free) center election over a whole view.
 
-    ``elected`` reuses the election bitmap of an earlier epoch of the same
-    graph: it depends on the vertex id alone, and the vertex set never
-    changes.
+    ``earlier`` (the tables of an earlier epoch of the same graph) lends its
+    election bitmap and center ranks: both depend on the vertex ids alone,
+    and the vertex set never changes.
     """
-    if elected is None:
+    if earlier is None:
         elected = np.fromiter(
             (bool(system.sampler.is_center(vertex)) for vertex in view.ids.tolist()),
             dtype=bool,
             count=view.n,
         )
+        count = int(elected.sum())
+        rank = np.zeros(view.n, dtype=np.min_scalar_type(max(count - 1, 0)))
+        rank[elected] = np.arange(count, dtype=rank.dtype)
+    else:
+        elected, rank = earlier.elected, earlier.rank
     prefix = system.prefix
     if view.nnz:
         mask = (view.entry_j < prefix) & elected[view.nbr_pos]
@@ -99,11 +117,14 @@ def build_prefix_tables(np, view, system, elected=None) -> PrefixTables:
         counts = np.zeros(view.n, dtype=np.int64)
     pc_indptr = np.zeros(view.n + 1, dtype=np.int64)
     np.cumsum(counts, out=pc_indptr[1:])
-    return PrefixTables(elected, pc_indptr, pc_val)
+    return PrefixTables(elected, rank, pc_indptr, pc_val)
 
 
 #: Most (entry, center) elements one slab of a scan-table build expands at
 #: once.  A slab holds whole rows, so a row with more elements is built alone.
+#: On G_dense (gnp 1000, p 0.18; 2 vCPUs) both tables built fastest at 2^14
+#: and 2^15 (medians 0.25 and 0.27 s over 7 interleaved sweeps) and about
+#: 1.5× slower at 2^12 and 2^16.
 SLAB_ELEMENTS = 1 << 14
 
 def build_scan_tables(
@@ -179,11 +200,19 @@ def _build_slab(np, view, tables: PrefixTables, block, part):
     """Kept/steps/adjacency of the whole rows whose entries are ``part``.
 
     ``part`` (a slice or sorted entry indices) covers whole rows, and every
-    grouping below is keyed by source row, so a slab is exact on its own.
-    Returns the three arrays, aligned with ``part``.
+    grouping below is keyed by a window of one row, so a slab is exact on
+    its own.  Returns the three arrays, aligned with ``part``.
+
+    The elements of one scan window and center form one group, whose
+    minimum row offset is the center's first cover.  They come entry-major
+    over whole rows in increasing entry order, so one stable sort on the
+    center's rank leaves each rank's elements in (window, offset) order: a
+    group is a run of equal rank and window, and the element leading it
+    sits at the first cover.  Ranks are as narrow as the center count
+    allows (16 bits up to 65,536 centers), and numpy sorts such keys by a
+    radix sort.
     """
     nbr_pos = view.nbr_pos[part]
-    entry_src = view.entry_src[part]
     entry_j = view.entry_j[part]
     nnz = len(nbr_pos)
     kept = np.zeros(nnz, dtype=bool)
@@ -192,60 +221,43 @@ def _build_slab(np, view, tables: PrefixTables, block, part):
     if not nnz:
         return kept, steps, adj
     # One "element" per (entry e, center s ∈ S(x_e)) pair, laid out entry-major.
-    sizes = tables.pc_indptr[nbr_pos + 1] - tables.pc_indptr[nbr_pos]
+    first = tables.pc_indptr[nbr_pos]
+    sizes = tables.pc_indptr[nbr_pos + 1] - first
     offsets = np.zeros(nnz + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     total = int(offsets[-1])
     if not total:
         return kept, steps, adj
     eid = np.repeat(np.arange(nnz, dtype=np.int64), sizes)
-    inner = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], sizes)
-    cpos = tables.pc_val[tables.pc_indptr[nbr_pos[eid]] + inner]
-    src = entry_src[eid]
-    j_el = entry_j[eid]
-    # Group elements sharing (src, [block,] s): the group's minimum j is the
-    # first cover.  lexsort is stable, elements were built in entry (hence j)
-    # order, so the head of each group carries the minimum j.
-    if block is None:
-        order = np.lexsort((cpos, src))
-        k1, k2 = src[order], cpos[order]
-        head = np.empty(total, dtype=bool)
-        head[0] = True
-        head[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
-    else:
-        blk = j_el // block
-        order = np.lexsort((cpos, blk, src))
-        k1, k2, k3 = src[order], blk[order], cpos[order]
-        head = np.empty(total, dtype=bool)
-        head[0] = True
-        head[1:] = (
-            (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1]) | (k3[1:] != k3[:-1])
-        )
-    head_idx = np.maximum.accumulate(
-        np.where(head, np.arange(total, dtype=np.int64), 0)
-    )
-    fc_sorted = j_el[order][head_idx]
+    at = np.arange(total, dtype=np.int64) + (first - offsets[:-1])[eid]
+    rank = tables.rank[tables.pc_val[at]]
+    # A window is named by its first entry's index in the slab: the row's
+    # (H_high) or the block's (H_super).
+    start = np.zeros(nnz, dtype=np.int64) if block is None else (entry_j // block) * block
+    window = (np.arange(nnz, dtype=np.int64) - (entry_j - start))[eid]
+    order = np.argsort(rank, kind="stable")
+    by_rank, by_window = rank[order], window[order]
+    head = np.empty(total, dtype=bool)
+    head[0] = True
+    head[1:] = (by_rank[1:] != by_rank[:-1]) | (by_window[1:] != by_window[:-1])
+    heads = np.flatnonzero(head)
+    leaders = order[heads]
     fc = np.empty(total, dtype=np.int64)
-    fc[order] = fc_sorted
-    start_el = (
-        np.zeros(total, dtype=np.int64) if block is None else (j_el // block) * block
-    )
+    fc[order] = np.repeat(entry_j[eid[leaders]], np.diff(heads, append=total))
+    # An element is uncovered (fc == its own offset) iff it leads its group.
+    uncovered = np.zeros(total, dtype=bool)
+    uncovered[leaders] = True
     # Aggregate per entry; reduceat only over entries with S(x) nonempty.
     nonempty = sizes > 0
     off_ne = offsets[:-1][nonempty]
-    uncovered = fc == j_el
     any_unc = np.logical_or.reduceat(uncovered, off_ne)
     max_fc = np.maximum.reduceat(fc, off_ne)
     scan_end_ne = np.where(any_unc, entry_j[nonempty], max_fc + 1)
     scan_end = np.zeros(nnz, dtype=np.int64)
     scan_end[nonempty] = scan_end_ne
-    contrib = np.minimum(fc + 1, scan_end[eid]) - start_el
-    adj[nonempty] = np.add.reduceat(contrib, off_ne)
-    start_ne = (
-        np.zeros(len(off_ne), dtype=np.int64)
-        if block is None
-        else (entry_j[nonempty] // block) * block
-    )
+    start_ne = start[nonempty]
+    reach = np.add.reduceat(np.minimum(fc + 1, scan_end[eid]), off_ne)
+    adj[nonempty] = reach - start_ne * sizes[nonempty]
     steps[nonempty] = scan_end_ne - start_ne
     kept[nonempty] = any_unc
     return kept, steps, adj
@@ -263,15 +275,15 @@ def patch_tables(np, old_view, view, system, prefix: PrefixTables, scans, touche
 
     ``touched`` holds the sorted positions of every row a write changed in
     between, and ``scans`` maps each block variant to its scan tables.  The
-    prefix rows are rebuilt from ``view`` on the old election bitmap.  A scan
-    entry ``w → x`` reads S(x) and the S of w's earlier neighbors, and S(y)
-    depends on y's row alone, so only touched rows and the rows listing a
-    touched vertex whose S changed are dirty.  Every row is re-laid out for
-    the new ``indptr`` and the dirty rows are marked stale; no scan row is
-    built here.  Returns the new prefix tables and the new
-    ``{block: ScanTables}``.
+    prefix rows are rebuilt from ``view`` on the old election bitmap and
+    center ranks.  A scan entry ``w → x`` reads S(x) and the S of w's
+    earlier neighbors, and S(y) depends on y's row alone, so only touched
+    rows and the rows listing a touched vertex whose S changed are dirty.
+    Every row is re-laid out for the new ``indptr`` and the dirty rows are
+    marked stale; no scan row is built here.  Returns the new prefix tables
+    and the new ``{block: ScanTables}``.
     """
-    fresh = build_prefix_tables(np, view, system, elected=prefix.elected)
+    fresh = build_prefix_tables(np, view, system, earlier=prefix)
     dirty = np.zeros(view.n, dtype=bool)
     dirty[touched] = True
     moved = [

@@ -67,17 +67,19 @@ class CSRView:
 
     @property
     def rev_entry(self):
-        """Entry index of each entry's reverse arc (lazy double lexsort).
+        """Entry index of each entry's reverse arc (lazy, two argsorts).
 
         Sorting entries by ``(src, nbr)`` and by ``(nbr, src)`` yields the
         same rank for an arc and its reverse (arcs are distinct, the graph is
         simple), so matching the two orders position-by-position pairs every
-        arc with its reverse in two O(nnz log nnz) sorts.
+        arc with its reverse in two O(nnz log nnz) sorts.  Each order sorts
+        one int64 key per entry, ``src · n + nbr`` or ``nbr · n + src``;
+        the keys are distinct, so any sort gives the same permutation.
         """
         if self._rev_entry is None:
             np = self.np
-            by_src = np.lexsort((self.nbr_pos, self.entry_src))
-            by_nbr = np.lexsort((self.entry_src, self.nbr_pos))
+            by_src = np.argsort(self.entry_src * self.n + self.nbr_pos)
+            by_nbr = np.argsort(self.nbr_pos * self.n + self.entry_src)
             rev = np.empty(self.nnz, dtype=np.int64)
             rev[by_src] = by_nbr
             self._rev_entry = rev

@@ -157,3 +157,30 @@ def test_paper_results_table_is_well_formed():
         assert isinstance(entry, LCADescription)
         row = entry.as_row()
         assert "algorithm" in row and "stretch" in row
+
+
+def test_answer_namespace_is_built_once_of_primitives(graph):
+    """The answer-memo namespace is one tuple per LCA, equal across LCAs of
+    the same name, seed and parameters, and holds no dataclass, so a memo
+    lookup hashes primitives only."""
+    from repro.core.cache import is_portable_namespace
+    from repro.core.registry import create
+
+    lca = create("spanner3", graph, seed=3)
+    namespace = lca.query_answer_namespace()
+    assert lca.query_answer_namespace() is namespace
+    replica = create("spanner3", gnp_graph(30, 0.3, seed=4), seed=3)
+    assert replica.query_answer_namespace() == namespace
+    other = create("spanner3", graph, seed=3, hitting_constant=1.0)
+    assert other.query_answer_namespace() != namespace
+    assert is_portable_namespace(namespace)
+
+    def leaves(value):
+        if isinstance(value, tuple):
+            for item in value:
+                yield from leaves(item)
+        else:
+            yield value
+
+    assert all(isinstance(leaf, (str, int, float, type(None))) for leaf in leaves(namespace))
+    assert ModuloLCA(graph, seed=1, modulus=2).query_answer_namespace()[3] is None

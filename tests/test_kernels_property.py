@@ -10,6 +10,9 @@ kernel table store, patched after each round of writes (view rows copied,
 dirty scan rows marked stale and rebuilt on read), must equal a fresh build
 on every entry once its stale rows are flushed, whatever the slab size the
 scan-table builder cuts its rows by.
+
+Scan tables are also checked against a slow reference that walks each row
+in Python, and ``rev_entry`` against the lexsort pairing it replaced.
 """
 
 from __future__ import annotations
@@ -378,3 +381,165 @@ def test_query_batch_decides_misses_together_on_dense_graphs(
         )
         assert outcome == reference
         assert bool(together) == (crossover == 1)
+
+
+# --------------------------------------------------------------------------- #
+# Scan tables and reverse entries against test-local references
+# --------------------------------------------------------------------------- #
+
+
+def _reference_scan_tables(view, system, block):
+    """Kept/steps/adjacency per entry, walking each row in Python.
+
+    Follows the kernel module docstring's derivation, independently of the
+    prefix tables: S(y) is the set of elected vertices among the first
+    ``system.prefix`` neighbors of y, and the first cover of a center s at
+    entry ``(w, j)`` is the smallest offset of j's scan window (the whole
+    row, or j's ``block``-sized window) whose neighbor's S holds s.
+    """
+    elected = [bool(system.sampler.is_center(v)) for v in view.ids.tolist()]
+    rows = [
+        view.nbr_pos[view.indptr[w] : view.indptr[w + 1]].tolist() for w in range(view.n)
+    ]
+    centers = [[y for y in row[: system.prefix] if elected[y]] for row in rows]
+    outcomes = []
+    for row in rows:
+        first_cover = {}
+        for j, x in enumerate(row):
+            start = 0 if block is None else (j // block) * block
+            if j == start:
+                first_cover = {}
+            for s in centers[x]:
+                first_cover.setdefault(s, j)
+            covers = [first_cover[s] for s in centers[x]]
+            if not covers:
+                outcomes.append((False, 0, 0))
+                continue
+            uncovered = j in covers
+            end = j if uncovered else max(covers) + 1
+            adjacency = sum(min(cover + 1, end) - start for cover in covers)
+            outcomes.append((uncovered, end - start, adjacency))
+    return [[outcome[k] for outcome in outcomes] for k in range(3)]
+
+
+def _assert_tables_equal(np, built, reference, entries=None):
+    """``built`` equals ``reference`` on ``entries`` (every entry when None)."""
+    for name, expected in zip(("kept", "steps", "adj"), reference):
+        got = getattr(built, name)
+        expected = np.array(expected, dtype=got.dtype)
+        if entries is not None:
+            got, expected = got[entries], expected[entries]
+        assert np.array_equal(got, expected), name
+
+
+@st.composite
+def graph_with_writes(draw, max_vertices=24):
+    """A random graph, some add/remove writes and a random row subset."""
+    vertices, edges, mutations = draw(graph_and_mutations(max_vertices))
+    rows = draw(st.lists(st.sampled_from(vertices), unique=True, max_size=len(vertices)))
+    return vertices, edges, mutations, sorted(rows)
+
+
+@relaxed
+@given(
+    instance=graph_with_writes(),
+    seed=st.integers(min_value=0, max_value=10**6),
+    hitting_constant=st.sampled_from([0.3, 1.0, 2.0]),
+    which=st.sampled_from(["high", "super"]),
+    block=st.sampled_from(["scan", None, 1, 2, 3]),
+)
+def test_scan_tables_match_a_row_walking_reference(
+    instance, seed, hitting_constant, which, block
+):
+    """Whole builds, builds cut into slabs of one row (a 1-element budget)
+    or of the whole graph, and row-subset builds equal the reference on
+    every entry, for both center systems and block widths beyond the one
+    each scan uses ("scan")."""
+    import numpy as np
+
+    from repro.kernels.view import build_view
+
+    vertices, edges, mutations, subset = instance
+    graph = Graph.from_edges(edges, vertices=vertices)
+    lca = create("spanner3", graph, seed=seed, hitting_constant=hitting_constant)
+    lca.apply_mutations(mutations)
+    system = lca.high_centers if which == "high" else lca.super_centers
+    if block == "scan":
+        block = None if which == "high" else lca.components[3].threshold
+    view = build_view(np, graph)
+    prefix = kernel_spanner3.build_prefix_tables(np, view, system)
+    reference = _reference_scan_tables(view, system, block)
+    rows = np.array(subset, dtype=np.int64)
+    entries = kernel_spanner3.row_entries(np, view, rows)
+    with pytest.MonkeyPatch.context() as patch:
+        for slab in (1, 1 << 40):
+            patch.setattr(kernel_spanner3, "SLAB_ELEMENTS", slab)
+            whole = kernel_spanner3.build_scan_tables(np, view, prefix, block)
+            _assert_tables_equal(np, whole, reference)
+            part = kernel_spanner3.build_scan_tables(np, view, prefix, block, rows)
+            _assert_tables_equal(np, part, reference, entries)
+            rest = np.ones(view.nnz, dtype=bool)
+            rest[entries] = False
+            assert not part.kept[rest].any()
+            assert not part.steps[rest].any() and not part.adj[rest].any()
+
+
+def test_scan_tables_over_65536_centers_sort_wide_ranks_alike():
+    """gnp(700, 0.2)'s H_high system elects over 256 centers, so its ranks
+    are 16-bit.  Its table equals the reference, and a build on 64-bit
+    ranks, the sort a system of more than 65,536 centers takes, equals it."""
+    import numpy as np
+
+    from repro import graphs
+    from repro.kernels.view import build_view
+
+    graph = graphs.gnp_graph(700, 0.2, seed=1)
+    lca = create("spanner3", graph, seed=1)
+    view = build_view(np, graph)
+    prefix = kernel_spanner3.build_prefix_tables(np, view, lca.high_centers)
+    assert int(prefix.elected.sum()) > 256
+    assert prefix.rank.dtype == np.uint16
+    built = kernel_spanner3.build_scan_tables(np, view, prefix, None)
+    _assert_tables_equal(np, built, _reference_scan_tables(view, lca.high_centers, None))
+    wide = kernel_spanner3.PrefixTables(
+        prefix.elected, prefix.rank.astype(np.int64), prefix.pc_indptr, prefix.pc_val
+    )
+    rebuilt = kernel_spanner3.build_scan_tables(np, view, wide, None)
+    for name in ("kept", "steps", "adj"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(built, name)), name
+
+
+def _lexsort_rev_entry(np, view):
+    """Each entry's reverse entry by matching (src, nbr) and (nbr, src) lexsorts."""
+    by_src = np.lexsort((view.nbr_pos, view.entry_src))
+    by_nbr = np.lexsort((view.entry_src, view.nbr_pos))
+    rev = np.empty(view.nnz, dtype=np.int64)
+    rev[by_src] = by_nbr
+    return rev
+
+
+@relaxed
+@given(instance=graph_and_write_rounds())
+def test_rev_entry_pairs_arcs_like_lexsort_before_and_after_patches(instance):
+    """``rev_entry`` equals the lexsort pairing and maps every arc to its
+    reverse, on a fresh view and on the view patched after each round of
+    writes."""
+    import numpy as np
+
+    from repro.kernels.view import build_view, patch_view
+
+    vertices, edges, rounds, compact_threshold = instance
+    graph = Graph.from_edges(edges, vertices=vertices)
+    graph.compact_threshold = compact_threshold
+    view = build_view(np, graph)
+    for writes in [[]] + rounds:
+        epoch = graph.epoch
+        for pair in writes:
+            graph.apply_mutation("remove" if graph.has_edge(*pair) else "add", *pair)
+        ends = {x for edge in graph.mutations_since(epoch) for x in edge}
+        touched = np.array(sorted(view.pos[x] for x in ends), dtype=np.int64)
+        view = patch_view(np, view, graph, touched)
+        rev = view.rev_entry
+        assert np.array_equal(rev, _lexsort_rev_entry(np, view))
+        assert np.array_equal(view.entry_src[rev], view.nbr_pos)
+        assert np.array_equal(view.nbr_pos[rev], view.entry_src)
