@@ -1,4 +1,4 @@
-"""Million-node scale benchmark: streaming build, mmap load, bounded memo.
+"""Million-node scale benchmark: streaming build, mmap load, queries.
 
 Sweeps ``n`` over {10^4, 10^5, 10^6} (override with ``BENCH_SCALE_SIZES``)
 at a fixed expected degree and measures, per size:
@@ -14,10 +14,8 @@ at a fixed expected degree and measures, per size:
 * **snapshot save / mmap load** — the load's tracemalloc peak is O(n)
   (the id → position map), never O(m): the adjacency pages stay on disk
   until the kernel faults them in;
-* **bounded-memo queries** — spanner3 probe totals over a deterministic
-  edge sample under ``memo_cap=512``, asserted equal to the unbounded
-  cache's totals at the sizes where both run, with the resident entry
-  count (flat in n) recorded next to them.
+* **queries** — spanner3 probe totals over a deterministic edge sample of
+  the mapped graph.
 
 Results go to ``BENCH_scale.json`` at the repository root; ``ru_maxrss``
 is recorded per phase so the whole-process RSS curve is inspectable too.
@@ -60,7 +58,6 @@ LEGACY_MAX_N = 100_000
 MIN_STREAM_RSS_RATIO = float(os.environ.get("BENCH_MIN_STREAM_RSS_RATIO", "2.0"))
 
 SEED = 101
-MEMO_CAP = 512
 NUM_QUERIES = int(os.environ.get("BENCH_SCALE_QUERIES", "16"))
 
 
@@ -103,7 +100,7 @@ def _mb(num_bytes):
     return round(num_bytes / 1e6, 2)
 
 
-def test_scale_streaming_mmap_bounded_memo(tmp_path):
+def test_scale_streaming_mmap_queries(tmp_path):
     rows = []
     results = []
     for n in SIZES:
@@ -143,22 +140,12 @@ def test_scale_streaming_mmap_bounded_memo(tmp_path):
         entry["mmap_load_peak_bytes"] = load_peak
 
         edges = _sample_edges(mapped, NUM_QUERIES)
-        bounded_lca = create("spanner3", mapped, seed=7).set_memo_cap(MEMO_CAP)
-        query_s, _, batch = _traced(lambda: bounded_lca.query_batch(edges))
-        cache = bounded_lca.ensure_cached_oracle().cache
+        lca = create("spanner3", mapped, seed=7)
+        query_s, _, batch = _traced(lambda: lca.query_batch(edges))
         entry["queries"] = len(edges)
         entry["query_s"] = round(query_s, 3)
         entry["probe_total"] = sum(batch.probe_totals)
         entry["probe_max"] = max(batch.probe_totals, default=0)
-        entry["memo_cap"] = MEMO_CAP
-        entry["memo_resident"] = cache.resident_entries
-        assert cache.resident_entries <= MEMO_CAP
-
-        if n <= LEGACY_MAX_N:
-            unbounded = create("spanner3", mapped, seed=7)
-            reference = unbounded.query_batch(edges)
-            assert batch.answers == reference.answers
-            assert batch.probe_totals == reference.probe_totals
         mapped.detach()
         entry["maxrss_kb"] = _maxrss_kb()
         results.append(entry)
@@ -172,13 +159,12 @@ def test_scale_streaming_mmap_bounded_memo(tmp_path):
                 "legacy/stream": "-" if ratio is None else round(ratio, 2),
                 "load peak MB": _mb(load_peak),
                 "probes/query": round(entry["probe_total"] / max(1, len(edges)), 1),
-                "resident": entry["memo_resident"],
             }
         )
 
     floor_checked = any(n <= LEGACY_MAX_N for n in SIZES)
     print_section(
-        "Scale plane: streaming build, mmap load, bounded-memo probes vs n",
+        "Scale plane: streaming build, mmap load, probes vs n",
         format_table(rows)
         + f"\n\npeak-memory floor legacy/stream >= {MIN_STREAM_RSS_RATIO}"
         + ("" if floor_checked else "  [no legacy-sized n swept: floor not checked]"),
@@ -188,7 +174,6 @@ def test_scale_streaming_mmap_bounded_memo(tmp_path):
         **payload_header("bench_scale", floor_enforced=floor_checked),
         "degree_target": DEGREE_TARGET,
         "seed": SEED,
-        "memo_cap": MEMO_CAP,
         "min_stream_rss_ratio_required": MIN_STREAM_RSS_RATIO,
         "sizes": results,
     }

@@ -21,9 +21,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
-    # CI exercises 3.10-3.12; keep the floor in lockstep so an install on an
-    # untested interpreter fails loudly instead of at runtime.
-    python_requires=">=3.10",
+    python_requires=">=3.11",
     # The core library is dependency-free; numpy only unlocks the vectorized
     # probe kernels (see docs/kernels.md).  Without it, kernel="numpy" fails
     # with a one-line error pointing at this extra and everything else runs
@@ -41,7 +39,6 @@ setup(
         "License :: OSI Approved :: MIT License",
         "Operating System :: POSIX :: Linux",
         "Programming Language :: Python :: 3",
-        "Programming Language :: Python :: 3.10",
         "Programming Language :: Python :: 3.11",
         "Programming Language :: Python :: 3.12",
         "Topic :: Scientific/Engineering :: Mathematics",

@@ -56,9 +56,7 @@ fails the same way whether or not the run reaches a kernel.
 
 ``serve-bench`` describes its run with the scenario spec objects of
 :mod:`repro.reports.spec` (``WorkloadSpec``, ``ServiceSpec``,
-``FaultSpec``), and ``query``, ``materialize`` and ``evaluate`` check
-``--query-mode`` and ``--memo-cap`` with ``MaterializeSpec``, so a flag
-fails by the same rule as the spec key it mirrors.
+``FaultSpec``).
 
 Bad input fails with one line: a library error (:class:`ReproError`) or an
 unreadable file (:class:`OSError`) escaping a command exits as
@@ -80,7 +78,7 @@ from .faults import FaultPlan, FaultPlanError
 from .graphs.io import read_edge_list, write_edge_list
 from .kernels import check_environment
 from .lowerbound import run_distinguishing_experiment
-from .reports.spec import FaultSpec, MaterializeSpec, ServiceSpec, WorkloadSpec
+from .reports.spec import FaultSpec, ServiceSpec, WorkloadSpec
 from .service import (
     DEGRADED_MODES,
     WORKLOAD_KINDS,
@@ -121,7 +119,7 @@ def _load_graph(args) -> graphs.Graph:
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type for counts that must be >= 1 (--memo-cap, --replication,
+    """Argparse type for counts that must be >= 1 (--replication,
     --fault-horizon, --timeout-ticks, --queries, --stretch-sample, --count).
 
     Rejecting 0/negative values here gives a one-line argparse usage error
@@ -175,17 +173,11 @@ def cmd_generate(args) -> int:
 def _build_lca(args):
     """The graph and LCA of a ``query``, ``materialize`` or ``evaluate`` run.
 
-    :class:`MaterializeSpec` checks ``--query-mode`` and ``--memo-cap``, as
-    it checks a spec's ``[materialize]`` table, and ``REPRO_KERNEL`` is
-    checked, before the graph is built.
+    ``REPRO_KERNEL`` is checked before the graph is built.
     """
-    spec = MaterializeSpec(mode=args.query_mode, memo_cap=args.memo_cap)
     check_environment()
     graph = _load_graph(args)
-    lca = create(args.algorithm, graph, seed=args.seed)
-    if spec.memo_cap is not None:
-        lca.set_memo_cap(spec.memo_cap)
-    return graph, lca
+    return graph, create(args.algorithm, graph, seed=args.seed)
 
 
 def cmd_query(args) -> int:
@@ -618,20 +610,6 @@ def _add_graph_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_memo_cap_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--memo-cap",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="bound the cached engine's resident memo state to N entries "
-        "(LRU eviction; per-query random tapes are recomputed from k-wise "
-        "seeds instead of stored). Answers and probe accounting are "
-        "identical to the unbounded cache; only resident memory and "
-        "re-derivation time change. Default: unbounded",
-    )
-
-
 def _add_query_mode_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--query-mode",
@@ -682,7 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="query the first COUNT edges when --edge is absent",
     )
     _add_query_mode_option(query)
-    _add_memo_cap_option(query)
     query.set_defaults(handler=cmd_query)
 
     materialize = sub.add_parser(
@@ -695,7 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", help="also write the spanner as an edge-list file"
     )
     _add_query_mode_option(materialize)
-    _add_memo_cap_option(materialize)
     materialize.set_defaults(handler=cmd_materialize)
 
     evaluate = sub.add_parser("evaluate", help="materialize and verify an LCA")
@@ -708,7 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify stretch on a sample of edges instead of all of them",
     )
     _add_query_mode_option(evaluate)
-    _add_memo_cap_option(evaluate)
     evaluate.set_defaults(handler=cmd_evaluate)
 
     sweep = sub.add_parser("sweep", help="size/probe scaling sweep")

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterator, Optional, Sequence, Set, Tuple
@@ -467,97 +466,3 @@ class OracleCache:
         """Drop all memoized state (answers are unaffected; only speed is)."""
         self._memos.clear()
 
-
-class BoundedOracleCache(OracleCache):
-    """An :class:`OracleCache` whose memo footprint is capped (LRU eviction).
-
-    The space-efficient-LCA observation (Alon–Rubinfeld–Vardi–Xie): since
-    every memoized value is a pure function of ``(graph, seed, key)``,
-    *forgetting* one is always safe — the next lookup simply misses and the
-    miss path recomputes the identical value, re-charging the identical
-    cold probe schedule.  Eviction is therefore answer- and probe-invisible
-    by construction; only wall-clock re-derivation cost changes, and the
-    existing cold-schedule accounting reports that honestly (the recompute
-    charges exactly what the evicted entry's hit replay would have).
-
-    Two policies bound the footprint:
-
-    * **capped LRU** — at most ``memo_cap`` dependency-tracked entries are
-      resident across all namespaces; storing past the cap evicts the least
-      recently used entry (``evictions`` counts them).  Epoch awareness
-      comes for free: stale entries discarded by the base lookup leave the
-      LRU ring in the same step.
-    * **k-wise seed compression** — entries with an *empty* dependency set
-      are pure functions of ``(seed, key)``: the per-vertex coin tapes the
-      unbounded cache stores once per vertex (O(n) resident state).  The
-      bounded cache never stores them at all; they are recomputed on demand
-      from the O(log n)-word k-wise seed families in :mod:`repro.rand.kwise`
-      that generated them, which is probe-free and deterministic.
-    """
-
-    __slots__ = ("memo_cap", "evictions", "_lru")
-
-    def __init__(self, graph: Graph, memo_cap: int) -> None:
-        if not isinstance(memo_cap, int) or isinstance(memo_cap, bool) or memo_cap < 1:
-            raise ValueError(f"memo_cap must be a positive integer, got {memo_cap!r}")
-        super().__init__(graph)
-        self.memo_cap = memo_cap
-        self.evictions = 0
-        # Recency ring: (namespace, key) -> None, oldest first.  Holds
-        # exactly the resident dependency-tracked entries.
-        self._lru: "OrderedDict[tuple, None]" = OrderedDict()
-
-    @property
-    def resident_entries(self) -> int:
-        """Number of capped memo entries currently resident (≤ ``memo_cap``)."""
-        return len(self._lru)
-
-    def lookup(self, namespace: Hashable, key: Hashable) -> Optional[MemoEntry]:
-        entry = super().lookup(namespace, key)
-        lru_key = (namespace, key)
-        if entry is None:
-            # Covers epoch-stale discards performed by the base lookup.
-            self._lru.pop(lru_key, None)
-        elif lru_key in self._lru:
-            self._lru.move_to_end(lru_key)
-        return entry
-
-    def store(
-        self, namespace: Hashable, key: Hashable, value, touched: Set[Vertex]
-    ) -> MemoEntry:
-        if not touched:
-            # Graph-independent state (the stored random tapes): recompute
-            # from the k-wise seeds instead of occupying a capped slot.
-            return MemoEntry(value, self.graph.epoch, _NO_TOUCHES)
-        entry = super().store(namespace, key, value, touched)
-        self._lru[(namespace, key)] = None
-        self._lru.move_to_end((namespace, key))
-        self._evict_over_cap()
-        return entry
-
-    def _evict_over_cap(self) -> None:
-        while len(self._lru) > self.memo_cap:
-            namespace, key = self._lru.popitem(last=False)[0]
-            table = self._memos.get(namespace)
-            if table is not None:
-                table.pop(key, None)
-                if not table:
-                    del self._memos[namespace]
-            self.evictions += 1
-
-    def merge(self, snapshot: CacheSnapshot) -> None:
-        super().merge(snapshot)
-        for namespace, table in snapshot.memos.items():
-            own = self._memos.get(namespace)
-            if own is None:
-                continue
-            for key in table:
-                if key in own:
-                    lru_key = (namespace, key)
-                    if lru_key not in self._lru:
-                        self._lru[lru_key] = None
-        self._evict_over_cap()
-
-    def clear(self) -> None:
-        super().clear()
-        self._lru.clear()

@@ -31,7 +31,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import GraphError, NotAnEdgeError
 from .ids import canonical_edge
-from .cache import BoundedOracleCache
 from .oracle import AdjacencyListOracle, CachedOracle
 from .probes import ProbeCounter, ProbeSnapshot, ProbeStatistics
 from .seed import Seed, SeedLike
@@ -127,7 +126,6 @@ class SpannerLCA(abc.ABC):
         self._oracle = AdjacencyListOracle(graph, self._counter)
         self._cached_oracle: Optional[CachedOracle] = None
         self._query_mode = "cold"
-        self._memo_cap: Optional[int] = None
         self._profiler = None
         self._answer_namespace: Optional[Tuple] = None
         self.probe_stats = ProbeStatistics()
@@ -210,34 +208,6 @@ class SpannerLCA(abc.ABC):
         self._query_mode = _check_mode(mode)
         return self
 
-    def set_memo_cap(self, cap: Optional[int]) -> "SpannerLCA":
-        """Bound the cached engine's resident memo state (the scale mode).
-
-        With a cap, the batched engine runs on a
-        :class:`~repro.core.cache.BoundedOracleCache`: at most ``cap``
-        dependency-tracked memo entries stay resident (LRU eviction) and
-        per-vertex random tapes are recomputed from their k-wise seed
-        families instead of being stored.  Answers and per-kind probe
-        accounting are bit-identical to the unbounded cache in every mode
-        and across mutation epochs (pinned by
-        ``tests/test_scale_bounded_cache.py``); evicted state is simply
-        recomputed — and re-charged — on the next touch.  ``None`` removes
-        the cap.  Existing cached state is dropped either way (the engine
-        is rebuilt on next use).  Returns ``self`` for chaining.
-        """
-        if cap is not None and (
-            not isinstance(cap, int) or isinstance(cap, bool) or cap < 1
-        ):
-            raise ValueError(f"memo cap must be a positive integer or None, got {cap!r}")
-        self._memo_cap = cap
-        self._cached_oracle = None
-        return self
-
-    @property
-    def memo_cap(self) -> Optional[int]:
-        """The active memo-entry cap, or ``None`` when unbounded (telemetry)."""
-        return self._memo_cap
-
     @property
     def kernel_name(self) -> str:
         """The kernel the cached engine runs ("python" or "numpy"), as
@@ -273,10 +243,7 @@ class SpannerLCA(abc.ABC):
         """
         if self._cached_oracle is None:
             kernel = resolve_kernel()
-            cache = None
-            if self._memo_cap is not None:
-                cache = BoundedOracleCache(self._graph, self._memo_cap)
-            self._cached_oracle = CachedOracle(self._graph, self._counter, cache=cache)
+            self._cached_oracle = CachedOracle(self._graph, self._counter)
             self._cached_oracle.kernel = kernel
             if self._profiler is not None:
                 self._cached_oracle.profiler = self._profiler
@@ -350,9 +317,8 @@ class SpannerLCA(abc.ABC):
         * together, when :meth:`_batch_decider` returns a decider for the
           call (spanner3 under the numpy kernel, once a call has enough
           distinct misses to pay for the array evaluator): see
-          :meth:`_query_together`.  A memo cap or a probe budget keeps the
-          first way, whose eviction order and budget trip point the second
-          would change.
+          :meth:`_query_together`.  A probe budget keeps the first way,
+          whose budget trip point the second would change.
 
         Either way a repeat inside a call is a hit, and a non-edge raises
         :class:`NotAnEdgeError` after the queries before it are answered,
@@ -363,7 +329,7 @@ class SpannerLCA(abc.ABC):
         oracle = self.ensure_cached_oracle()
         namespace = self.query_answer_namespace()
         edges = list(edges)
-        if self._memo_cap is None and self._counter.budget is None:
+        if self._counter.budget is None:
             together = self._batch_decider(oracle, namespace, edges)
             if together is not None:
                 return self._query_together(oracle, namespace, edges, together)

@@ -150,23 +150,15 @@ class CachedOracle(AdjacencyListOracle):
     an :class:`~repro.core.cache.OracleCache`.  See :mod:`repro.core.cache`
     for the full accounting contract.
 
-    The cache is owned by the oracle (or shared, when passed in) and persists
-    across queries, which is what makes repeated materializations and batched
-    query engines fast.
+    The cache is owned by the oracle and persists across queries, which is
+    what makes repeated materializations and batched query engines fast.
     """
 
     supports_memo = True
 
-    def __init__(
-        self,
-        graph: Graph,
-        counter: Optional[ProbeCounter] = None,
-        cache: Optional[OracleCache] = None,
-    ) -> None:
+    def __init__(self, graph: Graph, counter: Optional[ProbeCounter] = None) -> None:
         super().__init__(graph, counter)
-        if cache is not None and cache.graph is not graph:
-            raise ValueError("cache was built for a different graph")
-        self.cache = cache if cache is not None else OracleCache(graph)
+        self.cache = OracleCache(graph)
 
     # ------------------------------------------------------------------ #
     # Probe primitives (identical charging, cached reads)

@@ -17,8 +17,7 @@ Format::
     reason = "benchmarks exist to measure wall-clock time"
 
 ``path`` is an :mod:`fnmatch` glob over repository-relative POSIX paths.
-Parsed by :func:`repro.reports.spec.load_toml` (:mod:`tomllib` on 3.11+, a
-stdlib-only subset parser on 3.10).
+Parsed by :func:`repro.reports.spec.load_toml` (:mod:`tomllib`).
 """
 
 from __future__ import annotations

@@ -59,8 +59,6 @@ ENTRY_POINTS = [
     "repro.scale.snapshot:save_csr_snapshot",
     "repro.scale.snapshot:load_csr_snapshot",
     "repro.scale.snapshot:MappedCSRGraph",
-    "repro.core.cache:BoundedOracleCache",
-    "repro.core.lca:SpannerLCA.set_memo_cap",
 ]
 
 

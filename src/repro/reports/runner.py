@@ -197,11 +197,6 @@ def _build_graph(spec: ScenarioSpec, n: int) -> Graph:
 def _run_size(spec: ScenarioSpec, n: int) -> SizeResult:
     graph = _build_graph(spec, n)
     lca = create(spec.algorithm, graph, seed=spec.seed, **spec.algorithm_options)
-    if spec.materialize.memo_cap is not None:
-        # Bounded-memory oracle mode: answers and probe accounting are
-        # bit-identical to the unbounded cache, so result tables cannot
-        # depend on the cap — only resident memory does.
-        lca.set_memo_cap(spec.materialize.memo_cap)
     applied = 0
     if spec.mutations.ops:
         applied = lca.apply_mutations(

@@ -26,7 +26,7 @@ The sub-tables mirror the layers they configure:
     :data:`repro.graphs.FAMILY_BUILDERS` registry, so a spec and a
     ``repro generate`` command line mean the same graph.
 ``[scenario.materialize]``
-    mode (cold/batched) and an optional memo cap — the offline engine.
+    mode (cold/batched) — the offline engine.
 ``[scenario.mutations]``
     a deterministic pre-materialization churn burst (count + seed),
     exercising epoch-based cache invalidation.
@@ -47,6 +47,7 @@ The sub-tables mirror the layers they configure:
 from __future__ import annotations
 
 import json
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
@@ -116,29 +117,15 @@ class GraphSpec:
 
 @dataclass(frozen=True)
 class MaterializeSpec:
-    """The offline-engine axis: query mode and optional memo cap."""
+    """The offline-engine axis: the query mode."""
 
     mode: str = "batched"
-    memo_cap: Optional[int] = None
 
     def __post_init__(self) -> None:
         _check_choice(self.mode, QUERY_MODES, "materialize mode")
-        if self.memo_cap is not None:
-            _require(
-                isinstance(self.memo_cap, int) and self.memo_cap >= 1,
-                f"memo_cap must be an integer >= 1, got {self.memo_cap!r}",
-            )
-            _require(
-                self.mode != "cold",
-                "memo_cap bounds the cached engine; the cold mode has no "
-                "memo to cap — drop one of them",
-            )
 
     def as_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"mode": self.mode}
-        if self.memo_cap is not None:
-            payload["memo_cap"] = self.memo_cap
-        return payload
+        return {"mode": self.mode}
 
 
 @dataclass(frozen=True)
@@ -519,118 +506,16 @@ def _sub(spec_cls, data: Optional[Dict[str, object]], what: str):
 # File loading
 # --------------------------------------------------------------------------- #
 def load_toml(path: Path, error: Type[Exception] = SpecError) -> Dict[str, object]:
-    """Parse a TOML file: :mod:`tomllib` on 3.11+, a subset parser on 3.10.
+    """Parse a TOML file with :mod:`tomllib`.
 
-    The one TOML reader for scenario specs and the lint baseline.  The
-    fallback covers exactly what those files use — ``[table]`` /
-    ``[[array-of-tables]]`` headers, ``key = value`` with strings, ints,
-    floats, booleans and flat arrays, and ``#`` comments — and produces the
-    same structure tomllib would for them.  Malformed input raises the
-    caller's ``error`` type, located by path (and line, for the fallback).
+    The one TOML reader for scenario specs and the lint baseline.  Malformed
+    input raises the caller's ``error`` type, naming the path and the line.
     """
-    try:
-        import tomllib
-    except ImportError:  # Python 3.10 (python_requires floor)
-        try:
-            return _parse_toml_subset(path)
-        except SpecError as exc:
-            raise error(str(exc)) from None
     with path.open("rb") as handle:
         try:
             return tomllib.load(handle)
         except tomllib.TOMLDecodeError as exc:
             raise error(f"{path}: invalid TOML: {exc}") from None
-
-
-def _parse_toml_subset(path: Path) -> Dict[str, object]:
-    root: Dict[str, object] = {}
-    current = root
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = _strip_toml_comment(raw).strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
-        if line.startswith("[[") and line.endswith("]]"):
-            parent = _descend(root, line[2:-2].split(".")[:-1], where)
-            entry: Dict[str, object] = {}
-            existing = parent.setdefault(line[2:-2].split(".")[-1], [])
-            if not isinstance(existing, list):
-                raise SpecError(f"{where}: {line} clashes with an earlier table/value")
-            existing.append(entry)
-            current = entry
-        elif line.startswith("[") and line.endswith("]"):
-            parts = line[1:-1].split(".")
-            parent = _descend(root, parts[:-1], where)
-            current = parent.setdefault(parts[-1], {})
-            if not isinstance(current, dict):
-                raise SpecError(f"{where}: table name {line} clashes with a value")
-        elif "=" in line:
-            key, _, value = line.partition("=")
-            current[key.strip()] = _toml_value(value.strip(), where)
-        else:
-            raise SpecError(f"{where}: cannot parse line {raw!r}")
-    return root
-
-
-def _strip_toml_comment(line: str) -> str:
-    in_string = False
-    for index, char in enumerate(line):
-        if char == '"':
-            in_string = not in_string
-        elif char == "#" and not in_string:
-            return line[:index]
-    return line
-
-
-def _descend(root: Dict[str, object], parts: List[str], where: str) -> Dict[str, object]:
-    node: object = root
-    for part in parts:
-        if isinstance(node, dict):
-            node = node.setdefault(part, {})
-        if isinstance(node, list):
-            if not node:
-                raise SpecError(f"{where}: [[{part}]] must precede its sub-tables")
-            node = node[-1]
-        if not isinstance(node, dict):
-            raise SpecError(f"{where}: {part!r} is not a table")
-    return node
-
-
-def _split_toml_array(inner: str) -> List[str]:
-    """Split array items on commas outside double quotes."""
-    items: List[str] = []
-    current: List[str] = []
-    in_string = False
-    for char in inner:
-        if char == '"':
-            in_string = not in_string
-        if char == "," and not in_string:
-            items.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    items.append("".join(current))
-    return [item.strip() for item in items if item.strip()]
-
-
-def _toml_value(text: str, where: str) -> object:
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_toml_value(item, where) for item in _split_toml_array(inner)]
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise SpecError(f"{where}: unsupported TOML value {text!r}") from None
 
 
 def load_scenario_file(path: Union[str, Path]) -> List[ScenarioSpec]:

@@ -12,10 +12,7 @@ list (ROADMAP: "Million-node graphs"):
   plugs in wherever a :class:`~repro.graphs.Graph` does — the one
   read-only graph transport.
 
-The bounded-memory oracle mode that completes the scale story lives with
-the rest of the memoization machinery in
-:class:`repro.core.cache.BoundedOracleCache`, reachable via
-``SpannerLCA.set_memo_cap``.  See ``docs/scale.md``.
+See ``docs/scale.md``.
 """
 
 from .snapshot import (

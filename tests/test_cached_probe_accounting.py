@@ -8,17 +8,22 @@ materializations (one fixed edge order); these tests attack the contract
 where it is actually at risk: per-query charges under *interleaved* and
 *reordered* query streams, including streams interleaved across different
 constructions, which is exactly the access pattern the service layer's
-sharded pool produces.
+sharded pool produces.  Forgetting memo state mid-stream must not move a
+charge either, and a memo entry's packed dependency set must invalidate on
+exactly the vertices it read.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
 from repro import graphs
+from repro.core.cache import OracleCache
 from repro.core.registry import create
+from repro.reports.runner import churn_ops
 from repro.spannerk import KSquaredParams, KSquaredSpannerLCA
 
 
@@ -155,3 +160,92 @@ def test_query_batch_totals_match_interleaved_per_query_path(name, graph):
         outcome = per_query.query_with_stats(u, v)
         assert outcome.in_spanner == answer, (name, (u, v))
         assert outcome.probe_total == total, (name, (u, v))
+
+
+@pytest.mark.parametrize("kernel", ["python", "numpy"])
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_clearing_the_memo_changes_no_answer_or_probe(name, kernel, pin_kernel):
+    """Every memo entry is a pure function of (graph, seed, key), so
+    forgetting one is safe: a batched LCA whose memo is cleared between
+    query_batch calls and across mutation epochs answers and charges, per
+    query and per kind, exactly what a cold LCA does."""
+    if kernel == "numpy":
+        pytest.importorskip("numpy")
+    pin_kernel(kernel)
+    graph = graphs.gnp_graph(60, 0.25, seed=11)
+    cold = FACTORIES[name](graph)
+    lca = FACTORIES[name](graph)
+    calls = 0
+    for epoch in range(3):
+        edges = sorted(graph.edges())[:40]
+        # A repeat inside a call, and the other orientation (its own memo key).
+        for call in (
+            edges[:20],
+            edges[10:30] + edges[10:15],
+            edges[20:] + [(v, u) for (u, v) in edges[:12]],
+        ):
+            if calls % 2:
+                assert lca.oracle_cache.memo_sizes()
+                lca.oracle_cache.clear()
+            calls += 1
+            result = lca.query_batch(call)
+            expected = [cold.query_with_stats(u, v) for (u, v) in call]
+            assert result.answers == [e.in_spanner for e in expected], (name, epoch)
+            assert result.probe_totals == [e.probe_total for e in expected], (name, epoch)
+            assert (
+                lca.probe_counter.snapshot().as_dict()
+                == cold.probe_counter.snapshot().as_dict()
+            ), (name, epoch)
+        lca.apply_mutations(churn_ops(graph, 6, seed=100 + epoch))
+
+
+WIDE = 1 << 64
+WIDE_READS = [1, 2, 1 << 62, WIDE, WIDE + 1]
+
+
+def _wide_id_graph():
+    """Read vertices below 2^63 and at or above 2^64; 3 and WIDE + 2 are not read."""
+    edges = [(1, 2), (2, 1 << 62), (1 << 62, WIDE), (WIDE, WIDE + 1), (WIDE + 2, WIDE + 3)]
+    return graphs.Graph.from_edges(edges, vertices=[3, *WIDE_READS, WIDE + 2, WIDE + 3])
+
+
+@pytest.mark.parametrize("replica", [False, True], ids=["own", "merged"])
+def test_dependency_sets_past_64_bits_invalidate_on_exactly_their_reads(replica):
+    """A memo entry whose reads span ids below 2^63 and at or above 2^64 is
+    stored as a sorted tuple.  A write to any vertex it read invalidates it
+    and a write elsewhere does not, whether few writes (mutation-log scan)
+    or more writes than reads (per-vertex epochs) came in between, in the
+    cache that stored it and in a replica cache it was merged into."""
+
+    def stored(graph):
+        cache = OracleCache(graph)
+        cache.memoize("answers", "wide", lambda: [cache.degree(v) for v in WIDE_READS])
+        cache.memoize("answers", "narrow", lambda: cache.degree(2))
+        if replica:
+            merged = OracleCache(graph)
+            merged.merge(cache.snapshot())
+            cache = merged
+        assert cache.lookup("answers", "wide").touched == tuple(sorted(WIDE_READS))
+        assert cache.lookup("answers", "narrow").touched == array("q", [2])
+        return cache
+
+    def write_elsewhere(graph, times):
+        for _ in range(times):
+            if graph.has_edge(3, WIDE + 2):
+                graph.remove_edge(3, WIDE + 2)
+            else:
+                graph.add_edge(3, WIDE + 2)
+
+    graph = _wide_id_graph()
+    cache = stored(graph)
+    for times in (1, len(WIDE_READS) + 1):
+        write_elsewhere(graph, times)
+        assert cache.lookup("answers", "wide") is not None
+    for vertex in WIDE_READS:
+        for times in (0, len(WIDE_READS) + 1):
+            graph = _wide_id_graph()
+            cache = stored(graph)
+            write_elsewhere(graph, times)
+            graph.add_edge(vertex, 3)
+            assert cache.lookup("answers", "wide") is None, (vertex, times)
+            assert (cache.lookup("answers", "narrow") is None) == (vertex == 2)

@@ -253,8 +253,8 @@ def test_serve_bench_replays_whole_trace_when_requests_unset(graph_file, capsys,
 @pytest.mark.parametrize(
     "argv",
     [
-        ["materialize", "--memo-cap"],
-        ["evaluate", "--memo-cap"],
+        ["serve-bench", "--fault-horizon"],
+        ["evaluate", "--stretch-sample"],
         ["serve-bench", "--replication"],
         ["serve-bench", "--timeout-ticks"],
     ],
@@ -315,6 +315,8 @@ def test_good_worker_counts_still_parse(graph_file):
         ["materialize", "--kernel", "numpy"],
         ["evaluate", "--kernel", "numpy"],
         ["serve-bench", "--kernel", "numpy"],
+        ["query", "--memo-cap", "8"],
+        ["materialize", "--memo-cap", "8"],
     ],
 )
 def test_bad_input_fails_with_one_line(tmp_path, capsys, argv):

@@ -326,35 +326,6 @@ def test_shards_and_replicas_share_one_table_store(monkeypatch, pin_kernel):
     assert pool_rebuilt == rebuilt
 
 
-def test_capped_query_batch_matches_one_query_at_a_time(pin_kernel):
-    """A memo cap keeps query_batch on the per-query path, so a capped
-    LCA's call has the hits, misses and evictions of asking the same
-    queries one call at a time (deciding the misses together would store
-    them after the call's lookups and move the eviction order)."""
-    pytest.importorskip("numpy")
-    pin_kernel("numpy")
-    graph = graphs.gnp_graph(70, 0.25, seed=11)
-    edges = sorted(graph.edges())[:60]
-    # Repeats both inside and beyond the cap's reach, and the other
-    # orientation (a different memo key).
-    queries = edges[:30] + edges[:10] + edges[30:] + edges[:20]
-    queries += [(v, u) for (u, v) in edges[:10]]
-
-    def run(calls):
-        lca = _spanner3(graph).set_memo_cap(40)
-        answers, totals = [], []
-        for call in calls:
-            result = lca.query_batch(call)
-            answers += result.answers
-            totals += result.probe_totals
-        cache = lca.oracle_cache
-        return answers, totals, cache.stats.hits, cache.stats.misses, cache.evictions
-
-    together = run([queries])
-    assert together == run([[query] for query in queries])
-    assert together[2] > 0 and together[4] > 0
-
-
 def test_a_write_builds_nothing_until_a_read_needs_its_rows(monkeypatch, pin_kernel):
     """Advancing the store past a write patches the view and marks dirty
     scan rows stale without building either; a scan of a stale row rebuilds

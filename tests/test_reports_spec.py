@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from pathlib import Path
 
 import pytest
@@ -70,6 +69,10 @@ def test_spec_round_trips_through_as_dict():
         ({"faults": {"crashes": 1, "duration": 0}}, "duration"),
         ({"service": {"coalesce": False}}, "unknown service keys"),
         ({"materialize": {"mode": "cached"}}, "mode"),
+        (
+            {"materialize": {"memo_cap": 8}},
+            "unknown materialize keys ['memo_cap']; known: ['mode']",
+        ),
     ],
 )
 def test_invalid_specs_raise_spec_errors(mutation, message):
@@ -155,19 +158,6 @@ def test_smoke_suite_covers_acceptance_matrix():
     assert all(spec.workload is not None for spec in specs)
 
 
-def test_toml_subset_parser_matches_tomllib_on_shipped_specs():
-    """The 3.10 fallback parser must agree with tomllib on every curated spec
-    and on the lint baseline (the two TOML files the package reads)."""
-    tomllib = pytest.importorskip("tomllib")
-    from repro.reports.spec import _parse_toml_subset
-
-    shipped = sorted(SCENARIOS_DIR.glob("*.toml"))
-    for path in shipped + [SCENARIOS_DIR.parent / "lint-baseline.toml"]:
-        with path.open("rb") as handle:
-            expected = tomllib.load(handle)
-        assert _parse_toml_subset(path) == expected, path.name
-
-
 def test_wrong_typed_values_become_spec_errors():
     """Type errors in values must surface as SpecError, not raw tracebacks."""
     for bad in (
@@ -179,33 +169,16 @@ def test_wrong_typed_values_become_spec_errors():
             ScenarioSpec.from_dict(bad)
 
 
-def test_subset_parser_rejects_table_array_clash(tmp_path):
-    from repro.reports.spec import _parse_toml_subset
-
-    path = tmp_path / "clash.toml"
-    path.write_text('[scenario]\nname = "a"\n\n[[scenario]]\nname = "b"\n')
-    with pytest.raises(SpecError, match="clashes"):
-        _parse_toml_subset(path)
-
-
-def test_toml_fallback_raises_the_callers_error_at_path_and_line(
-    tmp_path, monkeypatch
-):
+def test_toml_fallback_raises_the_callers_error_at_path_and_line(tmp_path):
+    """A malformed TOML file raises the caller's error type, naming the file
+    and the line tomllib stopped at."""
     from repro.lint import BaselineError, load_baseline
 
-    monkeypatch.setitem(sys.modules, "tomllib", None)  # the 3.10 code path
     path = tmp_path / "lint-baseline.toml"
     path.write_text("schema = 1\n[[allow]]\ncode = DET001\n", encoding="utf-8")
-    with pytest.raises(BaselineError, match=re.escape(f"{path}:3:")):
+    with pytest.raises(BaselineError, match=re.escape(str(path)) + ".*line 3") as excinfo:
         load_baseline(path)
-
-
-def test_subset_parser_handles_commas_inside_quoted_strings(tmp_path):
-    from repro.reports.spec import _parse_toml_subset
-
-    path = tmp_path / "quoted.toml"
-    path.write_text('tags = ["a, b", "c"]\ncounts = [1, 2, 3]\n')
-    assert _parse_toml_subset(path) == {"tags": ["a, b", "c"], "counts": [1, 2, 3]}
+    assert "\n" not in str(excinfo.value)
 
 
 # --------------------------------------------------------------------------- #

@@ -231,10 +231,10 @@ def test_read_edge_list_stream_errors(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# Scenario-spec validation for streaming families and memo caps
+# Scenario-spec validation for streaming families
 # --------------------------------------------------------------------------- #
-def _scenario_toml(extra=""):
-    return f"""
+def _scenario_toml():
+    return """
 [[scenario]]
 name = "s"
 algorithm = "spanner3"
@@ -247,16 +247,14 @@ seed = 3
 
 [scenario.materialize]
 mode = "batched"
-{extra}
 """
 
 
 def test_spec_accepts_stream_family_with_csr_backend(tmp_path):
     path = tmp_path / "ok.toml"
-    path.write_text(_scenario_toml("memo_cap = 16"))
+    path.write_text(_scenario_toml())
     (spec,) = load_scenario_file(path)
     assert spec.graph.family == "gnp-stream"
-    assert spec.materialize.memo_cap == 16
 
 
 def test_spec_rejects_stream_family_with_dict_backend(tmp_path):
@@ -268,19 +266,3 @@ def test_spec_rejects_stream_family_with_dict_backend(tmp_path):
         load_scenario_file(path)
     assert "\n" not in str(excinfo.value)
 
-
-@pytest.mark.parametrize(
-    "extra,message",
-    [
-        ("memo_cap = 0", "memo_cap"),
-        ('memo_cap = 8\nmode = "cold"', "cold mode has no memo"),
-    ],
-)
-def test_spec_rejects_nonsensical_cap_combinations(tmp_path, extra, message):
-    path = tmp_path / "bad.toml"
-    toml = _scenario_toml(extra)
-    if 'mode = "cold"' in extra:
-        toml = toml.replace('mode = "batched"\n', "")
-    path.write_text(toml)
-    with pytest.raises(SpecError, match=message):
-        load_scenario_file(path)
