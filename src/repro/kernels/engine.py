@@ -14,13 +14,15 @@ in a weak-keyed map so it dies with the graph: the epoch's
 tables.  An answer is a pure function of (graph, seed, query), so every LCA
 on the graph — every shard and replica — reads the same store, and tables are
 keyed by the center system's value key rather than its identity.  When a
-write moves the epoch, the store patches the view
-(:func:`~repro.kernels.view.patch_view`) and the tables
-(:func:`repro.kernels.spanner3.patch_tables`) for the rows it changed, and
-builds nothing else: a scan row the write may have changed is marked stale
-and rebuilt the first time a scan reads it (a batch of scans rebuilds the
-stale rows it reads in one call), and a whole-graph read flushes every
-stale row in one call.
+write moves the epoch, the store patches its one view
+(:func:`~repro.kernels.view.patch_view`) and its tables
+(:func:`repro.kernels.spanner3.patch_tables`) in place for the rows it
+changed: each per-entry array moves its unchanged rows inside its own
+buffer, so a write allocates no per-entry array unless an add outgrows a
+buffer.  Nothing else is built: a scan row the write may have changed is
+marked stale and rebuilt the first time a scan reads it (a batch of scans
+rebuilds the stale rows it reads in one call), and a whole-graph read
+flushes every stale row in one call.
 """
 
 from __future__ import annotations
@@ -110,24 +112,19 @@ class TableStore:
         return tables
 
     def advance(self, graph) -> None:
-        """Move to ``graph``'s current epoch, patching the view and tables."""
+        """Move to ``graph``'s current epoch, patching the view and tables in place."""
         np = self.np
-        old_view = self.view
+        view = self.view
         ends = {x for edge in graph.mutations_since(self.epoch) for x in edge}
         self.epoch = graph.epoch
-        if old_view is None:
+        if view is None:
             return
-        touched = np.array(sorted(old_view.pos[x] for x in ends), dtype=np.int64)
-        self.view = view = patch_view(np, old_view, graph, touched)
-        prefix, scan = {}, {}
+        touched = np.array(sorted(view.pos[x] for x in ends), dtype=np.int64)
+        old_indptr = view.indptr
+        patch_view(np, view, graph, touched)
         for key, (system, tables) in self.prefix.items():
-            scans = {block: old for (k, block), old in self.scan.items() if k == key}
-            fresh, patched = _spanner3.patch_tables(
-                np, old_view, view, system, tables, scans, touched
-            )
-            prefix[key] = (system, fresh)
-            scan.update(((key, block), new) for block, new in patched.items())
-        self.prefix, self.scan = prefix, scan
+            scans = [each for (k, _), each in self.scan.items() if k == key]
+            _spanner3.patch_tables(np, view, old_indptr, system, tables, scans, touched)
 
 
 class NumpyKernel:

@@ -15,9 +15,10 @@ time for the same reason.  :func:`evaluate_edges` is the one array
 evaluator: the materializer runs it over every edge, and ``query_batch``
 over a call's distinct answer-memo misses once the call has
 :data:`CROSSOVER_MISSES` of them (:func:`query_decider`), with each
-answer's exact read set for the memo's dependency ids.  After a write,
-:func:`patch_tables` carries the tables to the new epoch: it rebuilds the
-prefix rows, copies every scan row the write cannot have changed and marks
+answer's exact read set for the memo's dependency ids; it asks for no table
+that none of its edges reads.  After a write, :func:`patch_tables` carries
+the tables to the new epoch in place: it re-derives the touched vertices'
+prefix rows, moves every scan row the write cannot have changed and marks
 the others stale.  A stale row is rebuilt the first time a read needs it,
 through the same :func:`build_scan_tables` that builds whole tables, so no
 stale entry is ever read.
@@ -51,12 +52,13 @@ from ..spanner3.components import (
     LowDegreeComponent,
     SuperBlockComponent,
 )
-from .view import copy_rows
+from .view import move_rows
 
 
 class PrefixTables:
     """Election bitmap, center ranks and prefix-center rows for one center
-    system × epoch.
+    system, at the epoch of the store that holds them (a write patches the
+    rows in place, :func:`patch_tables`).
 
     ``rank`` holds each elected position's index among the elected
     positions, in the narrowest unsigned dtype that fits, so a scan-table
@@ -88,24 +90,16 @@ class ScanTables:
         self.stale = stale
 
 
-def build_prefix_tables(np, view, system, earlier=None) -> PrefixTables:
-    """Evaluate the (pure, probe-free) center election over a whole view.
-
-    ``earlier`` (the tables of an earlier epoch of the same graph) lends its
-    election bitmap and center ranks: both depend on the vertex ids alone,
-    and the vertex set never changes.
-    """
-    if earlier is None:
-        elected = np.fromiter(
-            (bool(system.sampler.is_center(vertex)) for vertex in view.ids.tolist()),
-            dtype=bool,
-            count=view.n,
-        )
-        count = int(elected.sum())
-        rank = np.zeros(view.n, dtype=np.min_scalar_type(max(count - 1, 0)))
-        rank[elected] = np.arange(count, dtype=rank.dtype)
-    else:
-        elected, rank = earlier.elected, earlier.rank
+def build_prefix_tables(np, view, system) -> PrefixTables:
+    """Evaluate the (pure, probe-free) center election over a whole view."""
+    elected = np.fromiter(
+        (bool(system.sampler.is_center(vertex)) for vertex in view.ids.tolist()),
+        dtype=bool,
+        count=view.n,
+    )
+    count = int(elected.sum())
+    rank = np.zeros(view.n, dtype=np.min_scalar_type(max(count - 1, 0)))
+    rank[elected] = np.arange(count, dtype=rank.dtype)
     prefix = system.prefix
     if view.nnz:
         mask = (view.entry_j < prefix) & elected[view.nbr_pos]
@@ -270,41 +264,54 @@ def row_entries(np, view, rows):
     return np.repeat(starts, lengths) + np.arange(int(lengths.sum()), dtype=np.int64)
 
 
-def patch_tables(np, old_view, view, system, prefix: PrefixTables, scans, touched):
-    """Carry one center system's tables from ``old_view`` to ``view``.
+def patch_tables(np, view, old_indptr, system, prefix: PrefixTables, scans, touched):
+    """Carry one center system's tables to ``view``'s epoch, in place.
 
-    ``touched`` holds the sorted positions of every row a write changed in
-    between, and ``scans`` maps each block variant to its scan tables.  The
-    prefix rows are rebuilt from ``view`` on the old election bitmap and
-    center ranks.  A scan entry ``w → x`` reads S(x) and the S of w's
-    earlier neighbors, and S(y) depends on y's row alone, so only touched
-    rows and the rows listing a touched vertex whose S changed are dirty.
-    Every row is re-laid out for the new ``indptr`` and the dirty rows are
-    marked stale; no scan row is built here.  Returns the new prefix tables
-    and the new ``{block: ScanTables}``.
+    ``view`` was just patched from the row offsets ``old_indptr``,
+    ``touched`` holds the sorted positions of every row that changed, and
+    ``scans`` lists the system's scan tables.  S(x) depends on x's row
+    alone, so only the touched vertices' prefix rows are re-derived, on the
+    election bitmap (which depends on the vertex ids alone), and spliced
+    into ``pc_val``.  A scan entry ``w → x`` reads S(x) and the S of w's
+    earlier neighbors, so only touched rows and the rows listing a touched
+    vertex whose S changed are dirty.  ``pc_val`` and every scan table's
+    ``kept``/``steps``/``adj`` move their unchanged rows by
+    :func:`~repro.kernels.view.move_rows`; the touched scan rows are left
+    zero, and every dirty row is marked stale.  No scan row is built here.
     """
-    fresh = build_prefix_tables(np, view, system, earlier=prefix)
+    elected = prefix.elected
+    rows = []
+    for x in touched.tolist():
+        lo = int(view.indptr[x])
+        head = view.nbr_pos[lo : lo + min(int(view.deg[x]), system.prefix)]
+        rows.append(head[elected[head]])
+    old = prefix.pc_indptr
+    moved = [
+        x for x, row in zip(touched.tolist(), rows)
+        if not np.array_equal(prefix.pc_val[old[x] : old[x + 1]], row)
+    ]
+    counts = np.diff(old)
+    counts[touched] = [len(row) for row in rows]
+    pc_indptr = np.zeros(view.n + 1, dtype=np.int64)
+    np.cumsum(counts, out=pc_indptr[1:])
+    prefix.pc_val = move_rows(np, prefix.pc_val, old, pc_indptr, touched)
+    for x, row in zip(touched.tolist(), rows):
+        prefix.pc_val[pc_indptr[x] : pc_indptr[x + 1]] = row
+    prefix.pc_indptr = pc_indptr
     dirty = np.zeros(view.n, dtype=bool)
     dirty[touched] = True
-    moved = [
-        x for x in touched.tolist()
-        if not np.array_equal(
-            prefix.pc_val[prefix.pc_indptr[x] : prefix.pc_indptr[x + 1]],
-            fresh.pc_val[fresh.pc_indptr[x] : fresh.pc_indptr[x + 1]],
-        )
-    ]
     if moved:
         listed = row_entries(np, view, np.array(moved, dtype=np.int64))
         dirty[view.nbr_pos[listed]] = True
-    patched = {}
-    for block, old in scans.items():
-        arrays = [
-            copy_rows(np, getattr(old, name), old_view.indptr, view.indptr, touched)
-            for name in ("kept", "steps", "adj")
-        ]
-        stale = dirty.copy() if old.stale is None else dirty | old.stale
-        patched[block] = ScanTables(*arrays, stale=stale)
-    return fresh, patched
+    for tables in scans:
+        for name in ("kept", "steps", "adj"):
+            setattr(tables, name, move_rows(
+                np, getattr(tables, name), old_indptr, view.indptr, touched
+            ))
+        if tables.stale is None:
+            tables.stale = dirty.copy()
+        else:
+            tables.stale |= dirty
 
 
 def scan_profile(kernel, oracle, system, w, x, index, block):
@@ -427,11 +434,10 @@ def evaluate_edges(np, store, components, e_fwd, e_rev, reads=False) -> EdgeChar
     components (H_low, center edges, H_high, H_super) of ``components`` for
     every edge, replicating the scalar short-circuit order, so each edge's
     charges by kind and by phase equal the scalar path's.  The tables come
-    from ``store``.  Before each of the four scans is read, the stale rows
-    the edges that invoke it read are rebuilt, as a scalar scan rebuilds the
-    one row it reads; a whole-graph caller flushes every stale row first.
-    With ``reads`` the result carries each edge's read set
-    (:func:`_read_sets`).
+    from ``store``, and only those some edge reads: the prefix tables when
+    an edge reaches the center-edge rule, a scan table when an edge invokes
+    its scan (:func:`_scans`).  With ``reads`` the result carries each
+    edge's read set (:func:`_read_sets`).
     """
     low, _, high, super_block = components
     view = store.view
@@ -441,8 +447,6 @@ def evaluate_edges(np, store, components, e_fwd, e_rev, reads=False) -> EdgeChar
     block = super_block.threshold
     hi_sys = high.centers
     su_sys = super_block.centers
-    hi_pt = store.prefix_tables(hi_sys)
-    su_pt = store.prefix_tables(su_sys)
 
     up = view.entry_src[e_fwd]
     vp = view.nbr_pos[e_fwd]
@@ -460,18 +464,23 @@ def evaluate_edges(np, store, components, e_fwd, e_rev, reads=False) -> EdgeChar
     act2 = ~c1
     p_hi = hi_sys.prefix
     p_su = su_sys.prefix
-    a1 = hi_pt.elected[vp]
-    r1 = a1 & (jf < p_hi)
-    a2 = hi_pt.elected[up]
-    r2 = a2 & (jr < p_hi)
-    a3 = su_pt.elected[vp]
-    r3 = a3 & (jf < p_su)
-    a4 = su_pt.elected[up]
-    r4 = a4 & (jr < p_su)
-    adj_c2 = a1.astype(i8) + (~r1) * (
-        a2.astype(i8) + (~r2) * (a3.astype(i8) + (~r3) * a4.astype(i8))
-    )
-    c2 = r1 | r2 | r3 | r4
+    adj_c2 = np.zeros(len(e_fwd), dtype=i8)
+    c2 = np.zeros(len(e_fwd), dtype=bool)
+    if act2.any():
+        hi_pt = store.prefix_tables(hi_sys)
+        su_pt = store.prefix_tables(su_sys)
+        a1 = hi_pt.elected[vp]
+        r1 = a1 & (jf < p_hi)
+        a2 = hi_pt.elected[up]
+        r2 = a2 & (jr < p_hi)
+        a3 = su_pt.elected[vp]
+        r3 = a3 & (jf < p_su)
+        a4 = su_pt.elected[up]
+        r4 = a4 & (jr < p_su)
+        adj_c2 = a1.astype(i8) + (~r1) * (
+            a2.astype(i8) + (~r2) * (a3.astype(i8) + (~r3) * a4.astype(i8))
+        )
+        c2 = r1 | r2 | r3 | r4
 
     # H_high: gate on is_high_degree(w), then the closed-form scan.
     act3 = act2 & ~c2
@@ -480,16 +489,11 @@ def evaluate_edges(np, store, components, e_fwd, e_rev, reads=False) -> EdgeChar
     ghu = gh_u.astype(i8)
     ghv = gh_v.astype(i8)
     inv1 = act3 & gh_u
-    hi_scan = store.scan_tables(hi_sys, None, up[inv1])
-    d1 = gh_u & hi_scan.kept[e_fwd]
-    inv2 = act3 & ~d1 & gh_v
-    store.scan_tables(hi_sys, None, vp[inv2])
-    hi_steps_f = hi_scan.steps[e_fwd]
-    hi_steps_r = hi_scan.steps[e_rev]
-    hi_adj_f = hi_scan.adj[e_fwd]
-    hi_adj_r = hi_scan.adj[e_rev]
+    d1, inv2, hi_kept_r, hi_steps_f, hi_steps_r, hi_adj_f, hi_adj_r = _scans(
+        np, store, hi_sys, None, inv1, act3 & gh_v, up, vp, e_fwd, e_rev
+    )
     n1 = (~d1).astype(i8)
-    c3 = d1 | (gh_v & hi_scan.kept[e_rev])
+    c3 = d1 | hi_kept_r
     c3_deg = (1 + ghu) + n1 * (1 + ghv)
     c3_nei = ghu * (np.minimum(dv, p_hi) + hi_steps_f) + n1 * ghv * (
         np.minimum(du, p_hi) + hi_steps_r
@@ -498,16 +502,11 @@ def evaluate_edges(np, store, components, e_fwd, e_rev, reads=False) -> EdgeChar
 
     # H_super: ungated adjacency + block scan in both directions.
     act4 = act3 & ~c3
-    su_scan = store.scan_tables(su_sys, block, up[act4])
-    s1 = su_scan.kept[e_fwd]
-    inv4 = act4 & ~s1
-    store.scan_tables(su_sys, block, vp[inv4])
-    su_steps_f = su_scan.steps[e_fwd]
-    su_steps_r = su_scan.steps[e_rev]
-    su_adj_f = su_scan.adj[e_fwd]
-    su_adj_r = su_scan.adj[e_rev]
+    s1, inv4, su_kept_r, su_steps_f, su_steps_r, su_adj_f, su_adj_r = _scans(
+        np, store, su_sys, block, act4, act4, up, vp, e_fwd, e_rev
+    )
     ns = (~s1).astype(i8)
-    c4 = s1 | su_scan.kept[e_rev]
+    c4 = s1 | su_kept_r
     c4_deg = 1 + ns
     c4_nei = (np.minimum(dv, p_su) + su_steps_f) + ns * (np.minimum(du, p_su) + su_steps_r)
     c4_adj = (1 + su_adj_f) + ns * (1 + su_adj_r)
@@ -541,6 +540,38 @@ def evaluate_edges(np, store, components, e_fwd, e_rev, reads=False) -> EdgeChar
             inv1 * hi_adj_f + inv2 * hi_adj_r + act4 * su_adj_f + inv4 * su_adj_r
         ),
         reads=read_sets,
+    )
+
+
+def _scans(np, store, system, block, first, second, up, vp, e_fwd, e_rev):
+    """The outcomes of one rule's scans: from u for the edges ``first``,
+    then from v for the edges of ``second`` whose scan from u did not keep
+    them.
+
+    Returns ``(kept by u's scan, scanned from v, kept by v's scan)`` as edge
+    masks, then the table's ``steps`` and ``adj`` at ``e_fwd`` and at
+    ``e_rev``.  Before each direction is read, the stale rows its scans
+    read are rebuilt, as a scalar scan rebuilds the one row it reads.  When
+    no edge scans, the table is not asked for (so a first request does not
+    build it whole) and every outcome is zero.
+    """
+    if not (first.any() or second.any()):
+        none = np.zeros(len(first), dtype=bool)
+        zero = np.zeros(len(first), dtype=np.int64)
+        return none, none, none, zero, zero, zero, zero
+    tables = store.scan_tables(system, block, up[first])
+    kept_u = first & tables.kept[e_fwd]
+    from_v = second & ~kept_u
+    if from_v.any():
+        store.scan_tables(system, block, vp[from_v])
+    return (
+        kept_u,
+        from_v,
+        from_v & tables.kept[e_rev],
+        tables.steps[e_fwd],
+        tables.steps[e_rev],
+        tables.adj[e_fwd],
+        tables.adj[e_rev],
     )
 
 
@@ -693,10 +724,17 @@ def materialize_batched(lca, oracle, kernel, result) -> bool:
     if not view.nnz:
         return True
     np = kernel.np
-    _, _, high, super_block = components
-    # A whole-graph read: flush every stale scan row first, one call a table.
-    store.scan_tables(high.centers, None)
-    store.scan_tables(super_block.centers, super_block.threshold)
+    low, _, high, super_block = components
+    # A whole-graph read: flush every stale scan row first, one call a
+    # table, for each table whose scan some vertex's degree class reaches.
+    # H_high scans run from the high class and H_super scans from any
+    # vertex above the low threshold.
+    params = high.params
+    deg = view.deg
+    if ((deg > params.low_threshold) & (deg <= params.super_threshold)).any():
+        store.scan_tables(high.centers, None)
+    if (deg > low.threshold).any():
+        store.scan_tables(super_block.centers, super_block.threshold)
     rev_entry = view.rev_entry
     sums = [0] * 5
     for lo in range(0, view.nnz, SLICE_ENTRIES):

@@ -1,17 +1,17 @@
-"""Numpy images of one graph epoch's adjacency (the kernel substrate).
+"""Numpy image of a graph's adjacency at its latest epoch (the kernel substrate).
 
-A :class:`CSRView` freezes one mutation epoch of a graph into flat int64
-arrays — exactly the CSR layout, plus the derived per-entry tables the
-spanner3 scan kernels index into (entry source, in-row offset,
-reverse-entry permutation).  Views are read-only copies: mutating the graph
-never corrupts a view, and the table store that holds the view records its
-epoch, so a stale view is replaced on the next kernel call.
+A :class:`CSRView` holds one graph epoch's adjacency as flat int64 arrays —
+exactly the CSR layout, plus the derived per-entry tables the spanner3 scan
+kernels index into (entry source, in-row offset, reverse-entry permutation).
+The table store owns one view per graph and patches it at every epoch a
+kernel reads, so a view is the store's working state, not a snapshot.
 
-A write changes two rows, so a view is carried to a later epoch by
-:func:`patch_view`, which copies the unchanged rows as slices and reads only
-the touched rows from the graph.  :func:`build_view` converts the flat
-arrays at once and patches in the rows of any pending delta overlay the
-same way.
+A write changes two rows, so :func:`patch_view` carries a view to a later
+epoch in place: each per-entry array moves its runs of unchanged rows once,
+inside its own buffer (:func:`move_rows`), and only the touched rows are read
+from the graph.  A buffer gets spare room only when an add outgrows it.
+:func:`build_view` converts the flat arrays at once and patches in the rows
+of any pending delta overlay the same way.
 
 Building a view performs **zero probes**: it reads the adjacency structure
 directly, the same way :meth:`repro.graphs.graph.Graph.edges` does.  All
@@ -26,13 +26,15 @@ from ..core.errors import UnknownVertexError
 
 
 class CSRView:
-    """Immutable numpy adjacency image of one graph epoch.
+    """Numpy adjacency image of a graph at the epoch it was last patched to.
 
     Vertices are addressed by *position* (row index); ``ids``/``pos`` map
     between positions and vertex ids.  For every CSR entry ``e`` (one
     directed arc), ``entry_src[e]`` is the source position, ``entry_j[e]``
     the offset of ``e`` inside its row, ``nbr_id``/``nbr_pos`` the target.
     ``rev_entry`` (lazy) maps each entry to its reverse arc's entry index.
+    :func:`patch_view` rewrites the arrays in place, so a caller reads them
+    only while the graph stays at the view's epoch.
     """
 
     __slots__ = (
@@ -127,50 +129,83 @@ def build_view(np_module, graph) -> Optional[CSRView]:
     if graph.delta_count:
         overlay = set(graph._delta_add) | set(graph._delta_removed)
         rows = np.array(sorted(pos[v] for v in overlay), dtype=np.int64)
-        view = patch_view(np, view, graph, rows)
+        patch_view(np, view, graph, rows)
     return view
 
 
-def patch_view(np_module, view: CSRView, graph, rows) -> CSRView:
-    """Carry ``view`` to ``graph``'s current epoch, re-reading only ``rows``.
+def patch_view(np_module, view: CSRView, graph, rows) -> None:
+    """Carry ``view`` to ``graph``'s current epoch in place, re-reading only ``rows``.
 
     ``rows`` holds the sorted positions of every row that changed since the
-    view's epoch.  Their new contents come from ``graph.neighbors``; every
-    run of unchanged rows is copied as one slice.  ``ids``/``pos`` are
-    shared with ``view`` (the vertex set never changes), and ``rev_entry``
-    is rebuilt lazily on first use.
+    view's epoch.  Each per-entry array moves its runs of unchanged rows by
+    :func:`move_rows`, and only the entries of ``rows`` are written, from
+    ``graph.neighbors``.  ``indptr`` is replaced, not rewritten, so a caller
+    that kept the old one can re-lay out its own per-entry arrays the same
+    way.  ``ids``/``pos`` never change (the vertex set is fixed), and
+    ``rev_entry`` is rebuilt lazily on first use.
     """
     np = np_module
-    deg = view.deg.copy()
     lists = [graph.neighbors(vertex) for vertex in view.ids[rows].tolist()]
-    deg[rows] = [len(row) for row in lists]
+    old_indptr = view.indptr
+    view.deg[rows] = [len(row) for row in lists]
     indptr = np.zeros(view.n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    nbr_id = copy_rows(np, view.nbr_id, view.indptr, indptr, rows)
-    nbr_pos = copy_rows(np, view.nbr_pos, view.indptr, indptr, rows)
+    np.cumsum(view.deg, out=indptr[1:])
+    for name in ("nbr_id", "nbr_pos", "entry_src", "entry_j"):
+        setattr(view, name, move_rows(np, getattr(view, name), old_indptr, indptr, rows))
     pos = view.pos
     for row, neighbors in zip(rows.tolist(), lists):
-        lo, hi = indptr[row], indptr[row + 1]
-        nbr_id[lo:hi] = neighbors
-        nbr_pos[lo:hi] = [pos[w] for w in neighbors]
-    return _view(np, view.ids, pos, indptr, nbr_id, nbr_pos)
+        lo, hi = int(indptr[row]), int(indptr[row + 1])
+        view.nbr_id[lo:hi] = neighbors
+        view.nbr_pos[lo:hi] = [pos[w] for w in neighbors]
+        view.entry_src[lo:hi] = row
+        view.entry_j[lo:hi] = range(hi - lo)
+    view.indptr = indptr
+    view.nnz = int(indptr[-1])
+    view._rev_entry = None
 
 
-def copy_rows(np_module, old, old_indptr, indptr, rows):
-    """``old``'s per-entry values re-laid out for ``indptr``, minus ``rows``.
+#: Spare entries a per-entry array's new buffer gets when an add outgrows
+#: the old one, so that later adds move rows in place.  A buffer no add has
+#: outgrown holds exactly its entries.
+SPARE_ENTRIES = 1 << 12
 
-    Every run of rows between two of the sorted positions ``rows`` keeps its
-    length, so it moves as one slice.  The entries of ``rows`` themselves
-    are left zero for the caller to fill.
+
+def move_rows(np_module, values, old_indptr, indptr, rows):
+    """``values``, one value per entry laid out by ``old_indptr``, moved in
+    place to the layout ``indptr``.
+
+    ``rows`` holds the sorted positions of the rows whose length may have
+    changed.  Every run of rows between two of them keeps its length and
+    moves once, inside the buffer ``values`` is a prefix of (its ``base``,
+    or itself when it owns its data): left shifts in ascending order and
+    right shifts in descending order, so no run overwrites one that has not
+    moved yet.  The entries of ``rows`` are then zeroed for the caller to
+    fill.  A buffer too small for the new layout, or read-only, is replaced
+    by a zeroed one with :data:`SPARE_ENTRIES` to spare, into which the
+    runs are copied.  Returns the new entries: a prefix of the buffer.
     """
     np = np_module
-    out = np.zeros(int(indptr[-1]), dtype=old.dtype)
+    size = int(indptr[-1])
+    runs = []
     start = 0
     for stop in rows.tolist() + [len(indptr) - 1]:
         if stop > start:
-            out[indptr[start] : indptr[stop]] = old[old_indptr[start] : old_indptr[stop]]
+            src = int(old_indptr[start])
+            runs.append((src, int(indptr[start]), int(old_indptr[stop]) - src))
         start = stop + 1
-    return out
+    buffer = values.base if isinstance(values.base, np.ndarray) else values
+    if len(buffer) < size or not buffer.flags.writeable:
+        buffer = np.zeros(size + SPARE_ENTRIES, dtype=values.dtype)
+        for src, dst, length in runs:
+            buffer[dst : dst + length] = values[src : src + length]
+        return buffer[:size]
+    left = [run for run in runs if run[1] < run[0]]
+    right = [run for run in runs if run[1] > run[0]]
+    for src, dst, length in left + right[::-1]:
+        buffer[dst : dst + length] = buffer[src : src + length]
+    for row in rows.tolist():
+        buffer[int(indptr[row]) : int(indptr[row + 1])] = 0
+    return buffer[:size]
 
 
 def _view(np, ids, pos, indptr, nbr_id, nbr_pos) -> CSRView:

@@ -381,6 +381,111 @@ def test_a_write_builds_nothing_until_a_read_needs_its_rows(monkeypatch, pin_ker
     assert run("python") == run("numpy")
 
 
+def _count_table_builds(monkeypatch):
+    """Record every prefix-table build (``"prefix"``) and every scan-table
+    build (its block variant) from here on."""
+    from repro.kernels import spanner3 as kernel_spanner3
+
+    builds = []
+    build_prefix_tables = kernel_spanner3.build_prefix_tables
+    build_scan_tables = kernel_spanner3.build_scan_tables
+
+    def counted_prefix(*args, **kwargs):
+        builds.append("prefix")
+        return build_prefix_tables(*args, **kwargs)
+
+    def counted_scan(np_module, view, prefix, block, rows=None, into=None):
+        builds.append(block)
+        return build_scan_tables(np_module, view, prefix, block, rows, into)
+
+    monkeypatch.setattr(kernel_spanner3, "build_prefix_tables", counted_prefix)
+    monkeypatch.setattr(kernel_spanner3, "build_scan_tables", counted_scan)
+    return builds
+
+
+def test_a_call_of_low_class_misses_builds_no_table(monkeypatch, pin_kernel):
+    """Every vertex of a 40-cycle is low-class, so H_low decides each edge
+    from degrees alone: a call of 20 misses, decided together, builds
+    neither a prefix table nor a scan table, and answers like python."""
+    pytest.importorskip("numpy")
+    from repro.kernels import spanner3 as kernel_spanner3
+
+    builds = _count_table_builds(monkeypatch)
+    together = []
+    decide_queries = kernel_spanner3.decide_queries
+
+    def counted_decide(*args):
+        together.append(len(args[-1]))
+        return decide_queries(*args)
+
+    monkeypatch.setattr(kernel_spanner3, "decide_queries", counted_decide)
+
+    def run(kernel):
+        pin_kernel(kernel)
+        graph = graphs.cycle_graph(40)
+        queries = sorted(graph.edges())[:20]
+        result = _spanner3(graph).query_batch(queries)
+        return result.answers, result.probe_totals
+
+    assert run("python") == run("numpy")
+    assert together == [20]
+    assert builds == []
+
+
+def test_materialize_builds_no_table_no_vertex_class_reads(monkeypatch, pin_kernel):
+    """In K_30 every vertex is above n^{3/4}, so no H_high scan can run: a
+    batched materialize builds the two prefix tables and the H_super table
+    only, after a write too, and matches python."""
+    pytest.importorskip("numpy")
+    builds = _count_table_builds(monkeypatch)
+
+    def run(kernel):
+        pin_kernel(kernel)
+        graph = graphs.complete_graph(30)
+        lca = _spanner3(graph)
+        fingerprints = [_fingerprint(lca, lca.materialize(mode="batched"))]
+        lca.apply_mutations([("remove", 0, 1)])
+        fingerprints.append(_fingerprint(lca, lca.materialize(mode="batched")))
+        if kernel == "numpy":
+            block = lca.components[3].threshold
+            assert sorted(_STORES[graph].scan) == [(lca.super_centers.key, block)]
+            # One build of each table, and the flush of the write's stale
+            # rows of the H_super table.
+            assert builds.count("prefix") == 2
+            assert [each for each in builds if each != "prefix"] == [block, block]
+        return fingerprints
+
+    assert run("python") == run("numpy")
+
+
+def test_a_removal_patches_the_store_without_per_entry_arrays(pin_kernel):
+    """After one removal the store moves rows inside the arrays it holds:
+    on gnp(400, 0.22), with both scan tables built, carrying the store to
+    the new epoch peaks below one int64 array per entry (8·nnz bytes) under
+    tracemalloc.  Allocating every per-entry array anew peaked near
+    2.4 MB there, about 8.6 such arrays."""
+    pytest.importorskip("numpy")
+    import tracemalloc
+
+    pin_kernel("numpy")
+    graph = graphs.gnp_graph(400, 0.22, seed=3)
+    lca = create("spanner3", graph, seed=5)
+    kernel = lca.ensure_cached_oracle().kernel
+    store = kernel.store(graph)
+    store.scan_tables(lca.high_centers, None)
+    store.scan_tables(lca.super_centers, lca.components[3].threshold)
+    edges = sorted(graph.edges())
+    lca.apply_mutations([("remove", *edges[len(edges) // 2])])
+    tracemalloc.start()
+    try:
+        assert kernel.store(graph) is store
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert store.epoch == graph.epoch and len(store.scan) == 2
+    assert peak < 8 * store.view.nnz, (peak, store.view.nnz)
+
+
 def test_scan_table_builds_peak_at_one_slab(pin_kernel):
     """A scan-table build expands one slab of (entry, center) pairs at a
     time.  On gnp(400, 0.3) each build's traced peak (numpy reports its

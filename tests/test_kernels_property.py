@@ -6,13 +6,15 @@ small graphs and seeds, including a randomly chosen mutation epoch: for every
 generated instance, the numpy kernels must produce the same spanner edges,
 the same per-query probe totals and the same per-kind probe counts as the
 scalar reference path, before and after mutations.  The graph's shared
-kernel table store, patched after each round of writes (view rows copied,
-dirty scan rows marked stale and rebuilt on read), must equal a fresh build
-on every entry once its stale rows are flushed, whatever the slab size the
-scan-table builder cuts its rows by.
+kernel table store, patched in place after each round of writes (unchanged
+rows moved inside their buffers, dirty scan rows marked stale and rebuilt
+on read), must equal a fresh build on every entry once its stale rows are
+flushed, whatever the slab size the scan-table builder cuts its rows by and
+whether or not the buffers have spare room.
 
 Scan tables are also checked against a slow reference that walks each row
-in Python, and ``rev_entry`` against the lexsort pairing it replaced.
+in Python, ``move_rows`` against concatenating the unchanged rows into a
+fresh array, and ``rev_entry`` against the lexsort pairing it replaced.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.registry import create
 from repro.graphs import Graph
-from repro.kernels import ENV_KERNEL, spanner3 as kernel_spanner3
+from repro.kernels import ENV_KERNEL, spanner3 as kernel_spanner3, view as kernel_view
 
 
 @st.composite
@@ -175,6 +177,23 @@ def test_slab_size_never_changes_a_scan_table(slab, instance, seed):
     single-slab build on every entry."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernel_spanner3, "SLAB_ELEMENTS", slab)
+        _check_write_rounds(instance, seed)
+
+
+@pytest.mark.parametrize(
+    "spare", [0, kernel_view.SPARE_ENTRIES], ids=["reallocate", "in-place"]
+)
+@relaxed
+@given(
+    instance=graph_and_write_rounds(),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_spare_room_never_changes_a_patched_table(spare, instance, seed):
+    """With no spare room every add outgrows its buffers and reallocates
+    them; with the default room the adds after the first move rows in
+    place.  Both leave every table equal to a fresh build."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_view, "SPARE_ENTRIES", spare)
         _check_write_rounds(instance, seed)
 
 
@@ -509,6 +528,76 @@ def test_scan_tables_over_65536_centers_sort_wide_ranks_alike():
         assert np.array_equal(getattr(rebuilt, name), getattr(built, name)), name
 
 
+@st.composite
+def row_rewrites(draw, max_rows=12, max_length=6):
+    """Row lengths, rounds that each rewrite a set of rows, and the spare
+    room of the first buffer.
+
+    A rewritten row may grow, shrink or keep its length; every other row
+    keeps its length.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_rows))
+    length = st.integers(min_value=0, max_value=max_length)
+    lengths = draw(st.lists(length, min_size=n, max_size=n))
+    rounds = draw(
+        st.lists(
+            st.dictionaries(st.integers(min_value=0, max_value=n - 1), length, max_size=n),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    room = draw(st.integers(min_value=0, max_value=16))
+    return lengths, rounds, room
+
+
+@settings(relaxed, max_examples=300)
+@given(instance=row_rewrites(), spare=st.sampled_from([0, 3, kernel_view.SPARE_ENTRIES]))
+def test_move_rows_equals_concatenating_the_unchanged_rows(instance, spare):
+    """Round after round on one buffer, ``move_rows`` lays out the rows it
+    did not rewrite exactly as concatenating them into a fresh array would,
+    with the rewritten rows zero.  It moves them inside the buffer while
+    the buffer has room, and otherwise copies them into a new buffer with
+    ``SPARE_ENTRIES`` to spare."""
+    import itertools
+
+    import numpy as np
+
+    lengths, rounds, room = instance
+    label = itertools.count(1)
+
+    def layout(lengths):
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        return indptr
+
+    indptr = layout(lengths)
+    values = np.zeros(int(indptr[-1]) + room, dtype=np.int64)[: int(indptr[-1])]
+    values[:] = [next(label) for _ in range(len(values))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_view, "SPARE_ENTRIES", spare)
+        for rewrite in rounds:
+            new_lengths = [rewrite.get(row, length) for row, length in enumerate(lengths)]
+            new_indptr = layout(new_lengths)
+            expected = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+                np.zeros(new_lengths[row], dtype=np.int64)
+                if row in rewrite
+                else values[indptr[row] : indptr[row + 1]].copy()
+                for row in range(len(lengths))
+            ])
+            buffer = values.base
+            rows = np.array(sorted(rewrite), dtype=np.int64)
+            moved = kernel_view.move_rows(np, values, indptr, new_indptr, rows)
+            assert np.array_equal(moved, expected)
+            if len(buffer) >= new_indptr[-1]:
+                assert moved.base is buffer
+            else:
+                assert len(moved.base) == new_indptr[-1] + spare
+            for row in rewrite:
+                lo, hi = new_indptr[row], new_indptr[row + 1]
+                moved[lo:hi] = [next(label) for _ in range(hi - lo)]
+            values, indptr, lengths = moved, new_indptr, new_lengths
+
+
 def _lexsort_rev_entry(np, view):
     """Each entry's reverse entry by matching (src, nbr) and (nbr, src) lexsorts."""
     by_src = np.lexsort((view.nbr_pos, view.entry_src))
@@ -538,7 +627,7 @@ def test_rev_entry_pairs_arcs_like_lexsort_before_and_after_patches(instance):
             graph.apply_mutation("remove" if graph.has_edge(*pair) else "add", *pair)
         ends = {x for edge in graph.mutations_since(epoch) for x in edge}
         touched = np.array(sorted(view.pos[x] for x in ends), dtype=np.int64)
-        view = patch_view(np, view, graph, touched)
+        patch_view(np, view, graph, touched)
         rev = view.rev_entry
         assert np.array_equal(rev, _lexsort_rev_entry(np, view))
         assert np.array_equal(view.entry_src[rev], view.nbr_pos)
