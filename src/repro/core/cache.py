@@ -23,19 +23,19 @@ cached fast path therefore preserves accounting exactly:
 * only the wall-clock work is elided: memoized values are returned from
   dictionaries and the corresponding probes are recorded in bulk.
 
-Concretely, :meth:`~repro.core.oracle.CachedOracle.memoized` measures the
-probes charged while computing a value on the first (miss) execution and
-replays exactly that per-kind probe delta on every later hit.  Because a
-memoized computation's probe cost is itself a pure function of
-``(graph, seed, key)``, the replayed cost equals the cold cost, and an
-equivalence test (``tests/test_backend_equivalence.py``) enforces identical
-per-query probe totals between the cold and cached paths.
+Concretely, :meth:`~repro.core.lca.SpannerLCA.query_batch` stores each
+answer with the per-kind probes its decision charged on the miss and
+replays exactly that cost on every later hit.  Because an answer's probe
+cost is itself a pure function of ``(graph, seed, query)``, the replayed
+cost equals the cold cost, and an equivalence test
+(``tests/test_backend_equivalence.py``) enforces identical per-query probe
+totals between the cold and cached paths.
 
-One observable difference is *budget* enforcement granularity: a
-:class:`~repro.core.probes.ProbeCounter` budget still trips on the same
-query, but bulk recording may overshoot the budget by the size of the last
-bulk charge instead of stopping at exactly ``budget + 1`` probes.  Budgeted
-counters (the lower-bound experiments) use the cold path.
+One observable difference is *budget* enforcement: charges are recorded in
+bulk (a call's hits at its end, misses decided together at once), so a
+:class:`~repro.core.probes.ProbeCounter` budget trips inside the call whose
+charges pass it rather than on the query and probe the cold path stops at.
+Budgeted counters (the lower-bound experiments) use the cold path.
 
 :class:`OracleCache` is the storage: per-vertex read caches for the three
 probe primitives plus named memo tables for derived per-vertex state.  It is
@@ -332,24 +332,6 @@ class OracleCache:
         vertex_epoch = graph.vertex_epoch
         return all(vertex_epoch(v) <= stored for v in touched)
 
-    def count_misses(self, namespace: Hashable, keys) -> int:
-        """How many distinct ``keys`` have no fresh entry under ``namespace``.
-
-        The misses that looking every key up would find, counted without
-        discarding or re-stamping an entry or moving a statistic.
-        """
-        table = self._memos.get(namespace)
-        distinct = set(keys)
-        if not table:
-            return len(distinct)
-        current = self.graph.epoch
-        missing = 0
-        for key in distinct:
-            entry = table.get(key)
-            if entry is None or (entry.epoch != current and not self._unchanged(entry)):
-                missing += 1
-        return missing
-
     def lookup(self, namespace: Hashable, key: Hashable) -> Optional[MemoEntry]:
         """The fresh :class:`MemoEntry` under ``(namespace, key)``, or ``None``.
 
@@ -408,8 +390,7 @@ class OracleCache:
         of ``compute`` so later mutations of any vertex it read invalidate
         the entry.  Callers charge the cold probe schedule themselves —
         this layer never touches a probe counter (or the hit/miss stats,
-        which remain the :meth:`~repro.core.oracle.CachedOracle.memoized`
-        telemetry).
+        which count ``query_batch``'s answer lookups).
         """
         entry = self.lookup(namespace, key)
         if entry is not None:

@@ -295,92 +295,34 @@ class SpannerLCA(abc.ABC):
     def query_batch(
         self, edges: Iterable[Edge], validate: bool = True
     ) -> BatchQueryResult:
-        """Answer a call of queries through the streaming cached engine.
+        """Answer a call of queries through the cached engine.
 
-        *Whole query answers* are memoized per exact orientation through the
-        cached oracle: an answer is a pure function of ``(graph, seed,
-        query)`` and so is its cold probe schedule, so a repeat request
-        replays the stored per-kind probe cost and returns the stored answer
-        without deciding it again.  Answers and per-query probe totals are
-        therefore identical to :meth:`query_with_stats` — the cold-cache
-        probe schedule is charged for every query (see
-        :mod:`repro.core.cache`) — and only the wall-clock cost per request
-        drops.  Probe totals are returned in parallel lists, with no
-        per-query result object or measure context.
+        *Whole query answers* are memoized per exact orientation: an answer
+        is a pure function of ``(graph, seed, query)`` and so is its cold
+        probe schedule, so a hit returns the stored answer and replays the
+        stored per-kind probe cost.  Answers and per-query probe totals are
+        therefore identical to :meth:`query_with_stats` (see
+        :mod:`repro.core.cache`); only the wall-clock cost drops.  A call
+        takes three steps:
 
-        A call's misses are decided one of two ways, with identical answers,
-        per-query totals, cache statistics, profiler attribution and memo
-        entries:
+        1. look the queries up in request order, up to the first non-edge;
+        2. decide the distinct misses, together by the decider
+           :meth:`_batch_decider` offers for them, else one at a time by
+           :meth:`_decide_each`;
+        3. store the misses, then charge and classify every looked-up query
+           in request order: a miss's first occurrence is counted a miss
+           (epoch-invalidated when its lookup discarded a stale entry), and
+           a repeat inside the call is a hit on the stored entry.
 
-        * one query at a time, in request order: each query is looked up
-          and a miss decided by :meth:`_decide`;
-        * together, when :meth:`_batch_decider` returns a decider for the
-          call (spanner3 under the numpy kernel, once a call has enough
-          distinct misses to pay for the array evaluator): see
-          :meth:`_query_together`.  A probe budget keeps the first way,
-          whose budget trip point the second would change.
-
-        Either way a repeat inside a call is a hit, and a non-edge raises
-        :class:`NotAnEdgeError` after the queries before it are answered,
-        charged and stored.  ``validate=False`` skips the per-edge
-        membership check of the first way, for callers (the request
-        scheduler) that have already validated admission.
+        A non-edge raises :class:`NotAnEdgeError` after the queries before
+        it are answered, charged and stored.  A miss is always checked to be
+        an edge before it is decided; ``validate=False`` skips the check for
+        hits, for callers (the request scheduler) that have already
+        validated admission.  A probe budget trips inside the call whose
+        charges pass it.
         """
         oracle = self.ensure_cached_oracle()
         namespace = self.query_answer_namespace()
-        edges = list(edges)
-        if self._counter.budget is None:
-            together = self._batch_decider(oracle, namespace, edges)
-            if together is not None:
-                return self._query_together(oracle, namespace, edges, together)
-        counter = self._counter
-        decide = self._decide
-        has_edge = self._graph.has_edge
-        batch_edges: List[Edge] = []
-        answers: List[bool] = []
-        totals: List[int] = []
-        own_totals = self.probe_stats.query_totals
-        memoized = oracle.memoized
-        before = counter.total
-        for (u, v) in edges:
-            if validate and not has_edge(u, v):
-                raise NotAnEdgeError(u, v)
-            answer = memoized(
-                namespace, (u, v), lambda: bool(decide(oracle, u, v))
-            )
-            after = counter.total
-            used = after - before
-            before = after
-            batch_edges.append((u, v))
-            answers.append(answer)
-            totals.append(used)
-            own_totals.append(used)
-        return BatchQueryResult(edges=batch_edges, answers=answers, probe_totals=totals)
-
-    def _batch_decider(self, oracle: CachedOracle, namespace: Tuple, edges: List[Edge]):
-        """Hook: a function that decides the call ``edges``'s misses together.
-
-        It takes the distinct missed ``(u, v)`` edges, charges their cold
-        probes and returns each one's ``(answer, cold ProbeSnapshot,
-        dependency ids)``.  ``None`` (the default) decides every miss by
-        :meth:`_decide`; ``ThreeSpannerLCA`` returns the numpy kernel's
-        array evaluator for large enough calls.
-        """
-        return None
-
-    def _query_together(
-        self, oracle: CachedOracle, namespace: Tuple, edges: List[Edge], decide
-    ) -> BatchQueryResult:
-        """:meth:`query_batch` with the call's misses decided in one ``decide`` call.
-
-        Looks up the call in request order up to its first non-edge (every
-        query is checked: a miss must be an edge to be decided), decides the
-        distinct misses together, then stores, charges and classifies every
-        looked-up query in request order: a miss's first occurrence is
-        stored and counted a miss, and a repeat is a hit on the stored entry.
-        The stale entries the lookups discard mark their misses
-        epoch-invalidated, as in :meth:`CachedOracle.memoized`.
-        """
         cache = oracle.cache
         lookup = cache.lookup
         has_edge = self._graph.has_edge
@@ -389,24 +331,29 @@ class SpannerLCA(abc.ABC):
         missed = {}  # key -> whether its lookup discarded a stale entry
         failure = None
         for (u, v) in edges:
+            key = (u, v)
+            entry = None
             try:
-                if not has_edge(u, v):
+                if validate and not has_edge(u, v):
                     raise NotAnEdgeError(u, v)
+                if key not in missed:
+                    discards = cache.discards
+                    entry = lookup(namespace, key)
+                    if entry is None:
+                        if not (validate or has_edge(u, v)):
+                            raise NotAnEdgeError(u, v)
+                        missed[key] = cache.discards != discards
             except GraphError as exc:
                 failure = exc
                 break
-            key = (u, v)
             keys.append(key)
-            entry = None
-            if key not in missed:
-                discards = cache.discards
-                entry = lookup(namespace, key)
-                if entry is None:
-                    missed[key] = cache.discards != discards
             found.append(entry)
         stored = {}
         if missed:
-            for key, (answer, cost, touched) in zip(missed, decide(list(missed))):
+            misses = list(missed)
+            decide = self._batch_decider(oracle, misses)
+            decided = self._decide_each(oracle, misses) if decide is None else decide(misses)
+            for key, (answer, cost, touched) in zip(misses, decided):
                 stored[key] = cache.store(namespace, key, (answer, cost), touched)
         stats = cache.stats
         profiler = oracle.profiler
@@ -439,6 +386,35 @@ class SpannerLCA(abc.ABC):
         if failure is not None:
             raise failure
         return BatchQueryResult(edges=keys, answers=answers, probe_totals=totals)
+
+    def _batch_decider(self, oracle: CachedOracle, misses: List[Edge]):
+        """Hook: a function that decides the distinct misses ``misses`` together.
+
+        Called with the misses, it charges their cold probes and returns what
+        :meth:`_decide_each` returns.  ``None`` (the default) decides them one
+        at a time; ``ThreeSpannerLCA`` offers the numpy kernel's array
+        evaluator for enough misses.
+        """
+        return None
+
+    def _decide_each(self, oracle: CachedOracle, misses: List[Edge]) -> list:
+        """Decide ``misses`` one at a time by :meth:`_decide`.
+
+        Returns each miss's ``(answer, cold ProbeSnapshot, read set)``: the
+        probes its decision charged and the vertices it read.
+        """
+        counter = oracle.counter
+        track = oracle.cache.track
+        decide = self._decide
+        decided = []
+        before = counter.snapshot()
+        for (u, v) in misses:
+            with track() as touched:
+                answer = bool(decide(oracle, u, v))
+            after = counter.snapshot()
+            decided.append((answer, after - before, touched))
+            before = after
+        return decided
 
     # ------------------------------------------------------------------ #
     # Global materialization (verification bridge)

@@ -119,10 +119,6 @@ class AdjacencyListOracle:
         deg = self.degree(v)
         return [self.neighbor(v, i) for i in range(deg)]
 
-    def neighbor_index(self, u: Vertex, v: Vertex) -> Optional[int]:
-        """Alias of :meth:`adjacency` matching the paper's phrasing."""
-        return self.adjacency(u, v)
-
     # ------------------------------------------------------------------ #
     # Metadata that the LCA model allows the algorithm to know for free
     # ------------------------------------------------------------------ #
@@ -232,49 +228,6 @@ class CachedOracle(AdjacencyListOracle):
         self.charge(
             neighbor=cost.neighbor, degree=cost.degree, adjacency=cost.adjacency
         )
-
-    def memoized(self, namespace: Hashable, key: Hashable, compute):
-        """Memoize ``compute()`` and replay its probe cost on every hit.
-
-        On a miss, ``compute()`` runs against this oracle (so it charges its
-        own cold-schedule probes) and the measured per-kind probe delta is
-        stored next to the value; on a hit, exactly that delta is replayed.
-        ``compute`` must be a pure function of ``(graph, seed, key)`` whose
-        probe cost does not depend on cache state — true for every derived
-        quantity in this library, and checked end-to-end by the equivalence
-        tests.
-
-        Entries are epoch-invalidated (:mod:`repro.core.cache`): the reads
-        ``compute`` makes are dependency-tracked, and a later mutation of
-        any vertex it touched turns the entry into a miss, so the value and
-        its cold probe schedule are recomputed against the mutated graph.
-        """
-        cache = self.cache
-        profiler = self.profiler
-        discards = cache.discards if profiler is not None else 0
-        entry = cache.lookup(namespace, key)
-        if entry is not None:
-            value, cost = entry.value
-            cache.stats.hits += 1
-            self.replay(cost)
-            if profiler is not None:
-                profiler.record_hit(cost.total)
-            return value
-        # The discard count moved during *this* lookup exactly when the miss
-        # follows a stale-entry discard rather than a cold first touch;
-        # discards made later, inside ``compute()``, belong to other memos.
-        invalidated = profiler is not None and cache.discards != discards
-        cache.stats.misses += 1
-        before = self.counter.snapshot()
-        with cache.track() as touched:
-            value = compute()
-        cost = self.counter.snapshot() - before
-        cache.store(namespace, key, (value, cost), touched)
-        if profiler is not None:
-            if invalidated:
-                profiler.note_invalidation()
-            profiler.record_miss(cost.total, invalidated=invalidated)
-        return value
 
     # ------------------------------------------------------------------ #
     # Snapshot / merge (the replica checkpoint protocol)

@@ -166,7 +166,7 @@ class NumpyKernel:
         """Whole-graph batched spanner3 materialization (True when handled)."""
         return _spanner3.materialize_batched(lca, oracle, self, result)
 
-    def spanner3_decider(self, lca, oracle, namespace, edges):
+    def spanner3_decider(self, lca, oracle, misses):
         """A function deciding a spanner3 ``query_batch`` call's misses
-        together, or ``None`` for the per-query path."""
-        return _spanner3.query_decider(self, lca, oracle, namespace, edges)
+        together, or ``None`` to decide them one at a time."""
+        return _spanner3.query_decider(self, lca, oracle, misses)

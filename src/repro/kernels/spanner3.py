@@ -13,8 +13,8 @@ time, so its peak memory is that of one slab, not of the (entry, center)
 expansion of the whole graph; the materializer decides edges one slice at a
 time for the same reason.  :func:`evaluate_edges` is the one array
 evaluator: the materializer runs it over every edge, and ``query_batch``
-over a call's distinct answer-memo misses once the call has
-:data:`CROSSOVER_MISSES` of them (:func:`query_decider`), with each
+over a call's distinct answer-memo misses once :data:`CROSSOVER_MISSES` of
+them reach the center-edge rule (:func:`query_decider`), with each
 answer's exact read set for the memo's dependency ids; it asks for no table
 that none of its edges reads.  After a write, :func:`patch_tables` carries
 the tables to the new epoch in place: it re-derives the touched vertices'
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from array import array
 from functools import partial
+from itertools import islice
 from typing import Any, NamedTuple, Optional
 
 from ..core.probes import ProbeSnapshot
@@ -360,18 +361,20 @@ def scan_profile(kernel, oracle, system, w, x, index, block):
 #: once (about half of them are forward entries, one per edge).
 SLICE_ENTRIES = 1 << 14
 
-#: Fewest distinct answer-memo misses a ``query_batch`` call needs before
+#: Fewest distinct answer-memo misses reaching the center-edge rule (both
+#: endpoints above H_low's threshold) a ``query_batch`` call needs before
 #: its misses are decided together by :func:`decide_queries`; a call with
-#: fewer decides each miss by the scalar ``_decide``.  The array path costs
-#: about 220-300 µs a call however few edges it decides, the scalar path
-#: 45-85 µs a miss.  Timed in interleaved pairs on first-touch calls, they
-#: broke even at about 4 misses on G_dense (gnp 1000, p 0.18) and 6 on
-#: G_churn (gnp 400, p 0.22).  A call at or above the constant also pays
-#: for counting its misses, and misses decided together leave the
-#: per-vertex election memo cold for later per-query misses: at 8, the
-#: 4-shard zipf and churn services lost 5.5% and 4.1% of their throughput
-#: (10 pairs).  At 12 the array path still wins 2.04× and 1.66×, and the
-#: service's shard calls, about 8 requests each, stay on the per-query path.
+#: fewer decides each miss by the scalar ``_decide``.  A miss H_low decides
+#: costs the scalar path two degree reads, so it does not count, and a call
+#: of such misses builds no view.  The array path costs about 220-300 µs a
+#: call however few edges it decides, the scalar path 45-85 µs a miss.
+#: Timed in interleaved pairs on first-touch calls, they broke even at
+#: about 4 misses on G_dense (gnp 1000, p 0.18) and 6 on G_churn (gnp 400,
+#: p 0.22).  Misses decided together leave the per-vertex election memo
+#: cold for later per-query misses: at 8, the 4-shard zipf and churn
+#: services lost 5.5% and 4.1% of their throughput (10 pairs).  At 12 the
+#: array path still wins 2.04× and 1.66×, and the service's shard calls,
+#: about 8 requests each, are decided one at a time.
 CROSSOVER_MISSES = 12
 
 #: Most misses one :func:`evaluate_edges` call of :func:`decide_queries`
@@ -636,23 +639,24 @@ def _charge(oracle, degree, neighbor, adjacency, calls, scan_adjacency) -> None:
         oracle.charge(degree=degree, neighbor=neighbor, adjacency=adjacency)
 
 
-def query_decider(kernel, lca, oracle, namespace, edges):
-    """How ``query_batch`` decides the misses of the call ``edges``.
+def query_decider(kernel, lca, oracle, misses):
+    """How ``query_batch`` decides the distinct misses ``misses`` of a call.
 
-    Returns a function that decides the call's distinct misses together
-    (:func:`decide_queries`), or ``None`` to decide each miss by the scalar
-    path.  The array path needs a plain spanner3 LCA
-    (:func:`plain_components`), at least :data:`CROSSOVER_MISSES` distinct
-    misses, counted under ``namespace`` without touching an entry, and a
-    usable view.
+    Returns a function that decides them together (:func:`decide_queries`),
+    or ``None`` to decide each by the scalar path.  The array path needs a
+    plain spanner3 LCA (:func:`plain_components`), at least
+    :data:`CROSSOVER_MISSES` misses whose endpoints' degrees (read
+    probe-free) both pass H_low's threshold, and a usable view.
     """
-    if len(edges) < CROSSOVER_MISSES:
+    if len(misses) < CROSSOVER_MISSES:
         return None
     components = plain_components(lca)
     if components is None:
         return None
-    keys = ((u, v) for (u, v) in edges)
-    if oracle.cache.count_misses(namespace, keys) < CROSSOVER_MISSES:
+    threshold = components[0].threshold
+    degree = oracle.graph.degree
+    reaching = (1 for (u, v) in misses if degree(u) > threshold and degree(v) > threshold)
+    if sum(islice(reaching, CROSSOVER_MISSES)) < CROSSOVER_MISSES:
         return None
     store = kernel.store(oracle.graph)
     if store.view is None:

@@ -23,7 +23,7 @@ from typing import List, Optional
 
 from ..core.lca import SpannerLCA
 from ..core.oracle import AdjacencyListOracle
-from ..core.seed import SeedLike
+from ..core.seed import Seed, SeedLike
 from ..graphs.graph import Graph
 from ..rand.kwise import recommended_independence
 from ..rand.sampler import hitting_probability
@@ -243,7 +243,7 @@ class SuperBlockComponent(SpannerLCA):
             independence = recommended_independence(n)
         probability = hitting_probability(threshold, n, hitting_constant)
         centers = PrefixCenterSystem(
-            seed=SeedLikeDeriver.derive(seed, role),
+            seed=Seed.of(seed).derive(role),
             probability=probability,
             prefix=threshold,
             independence=independence,
@@ -287,12 +287,3 @@ class SuperBlockComponent(SpannerLCA):
     def _decide(self, oracle: AdjacencyListOracle, u: int, v: int) -> bool:
         return self._kept_by_scan(oracle, u, v) or self._kept_by_scan(oracle, v, u)
 
-
-class SeedLikeDeriver:
-    """Small helper turning any seed-like value into a derived child seed."""
-
-    @staticmethod
-    def derive(seed: SeedLike, label: str):
-        from ..core.seed import Seed
-
-        return Seed.of(seed).derive(label)

@@ -95,19 +95,18 @@ class ThreeSpannerLCA(CombinedLCA):
             return False
         return kern.materialize_spanner3(self, oracle, result)
 
-    def _batch_decider(self, oracle, namespace, edges):
-        """The numpy kernel's array evaluator for a ``query_batch`` call.
+    def _batch_decider(self, oracle, misses):
+        """The numpy kernel's array evaluator for a ``query_batch`` call's misses.
 
-        It decides the call's distinct misses in one pass of the arithmetic
-        ``materialize`` uses, once the call has at least
-        :data:`repro.kernels.spanner3.CROSSOVER_MISSES` of them; ``None``
-        (no kernel, too few misses, no usable view) decides each miss by the
-        scalar path.
+        It decides them in one pass of the arithmetic ``materialize`` uses,
+        once at least :data:`repro.kernels.spanner3.CROSSOVER_MISSES` of them
+        reach the center-edge rule; ``None`` (no kernel, too few such misses,
+        no usable view) decides each miss by the scalar path.
         """
         kern = oracle.kernel
         if kern is None:
             return None
-        return kern.spanner3_decider(self, oracle, namespace, edges)
+        return kern.spanner3_decider(self, oracle, misses)
 
 
 @register("spanner3")

@@ -14,6 +14,7 @@ from repro import graphs
 from repro.core.lca import QUERY_MODES
 from repro.core.oracle import AdjacencyListOracle, CachedOracle
 from repro.core.registry import create
+from repro.kernels import ENV_KERNEL, _numpy_or_none
 from repro.spannerk import KSquaredParams, KSquaredSpannerLCA
 
 
@@ -120,19 +121,25 @@ def test_cached_oracle_primitives_charge_like_cold():
             assert cold.counter.snapshot() == cached.counter.snapshot()
 
 
-def test_memoized_replays_measured_cost():
+def test_memoized_replays_measured_cost(monkeypatch):
+    """A repeat ``query_batch`` call replays exactly the per-kind cost the
+    first call measured, which is the cold schedule, under every kernel."""
     graph = graphs.gnp_graph(30, 0.3, seed=4)
-    oracle = CachedOracle(graph)
-    v = graph.vertices()[0]
-
-    def compute():
-        return tuple(oracle.neighbors_prefix(v, 4))
-
-    first = oracle.memoized("ns", v, compute)
-    cost_after_miss = oracle.counter.snapshot()
-    second = oracle.memoized("ns", v, compute)
-    assert first == second
-    replayed = oracle.counter.snapshot() - cost_after_miss
-    assert replayed == cost_after_miss  # hit replays exactly the miss cost
-    assert oracle.cache.stats.hits == 1 and oracle.cache.stats.misses == 1
+    reference = _spanner3(graph)
+    edge = max(graph.edges(), key=lambda e: reference.query_with_stats(*e).probe_total)
+    cold = _spanner3(graph).query_with_stats(*edge).probes
+    assert cold.neighbor and cold.adjacency  # the decision scans a row
+    for kernel in ["python"] + (["numpy"] if _numpy_or_none() else []):
+        monkeypatch.setenv(ENV_KERNEL, kernel)
+        lca = _spanner3(graph)
+        first = lca.query_batch([edge])
+        cost_after_miss = lca.probe_counter.snapshot()
+        second = lca.query_batch([edge])
+        assert second.answers == first.answers
+        assert cost_after_miss == cold
+        replayed = lca.probe_counter.snapshot() - cost_after_miss
+        assert replayed == cost_after_miss  # hit replays exactly the miss cost
+        assert second.probe_totals == first.probe_totals == [cold.total]
+        stats = lca.oracle_cache.stats
+        assert stats.hits == 1 and stats.misses == 1
 

@@ -405,8 +405,10 @@ def _count_table_builds(monkeypatch):
 
 def test_a_call_of_low_class_misses_builds_no_table(monkeypatch, pin_kernel):
     """Every vertex of a 40-cycle is low-class, so H_low decides each edge
-    from degrees alone: a call of 20 misses, decided together, builds
-    neither a prefix table nor a scan table, and answers like python."""
+    from degrees alone: none of a call's 20 misses reaches the center-edge
+    rule, so they are decided one at a time, with no table store built for
+    the graph, and answered like python.  A numpy materialize of the same
+    cycle decides every edge by the array path and builds no table either."""
     pytest.importorskip("numpy")
     from repro.kernels import spanner3 as kernel_spanner3
 
@@ -425,11 +427,60 @@ def test_a_call_of_low_class_misses_builds_no_table(monkeypatch, pin_kernel):
         graph = graphs.cycle_graph(40)
         queries = sorted(graph.edges())[:20]
         result = _spanner3(graph).query_batch(queries)
+        assert graph not in _STORES
         return result.answers, result.probe_totals
 
     assert run("python") == run("numpy")
-    assert together == [20]
+    assert together == []
     assert builds == []
+
+    def materialized(kernel):
+        pin_kernel(kernel)
+        graph = graphs.cycle_graph(40)
+        lca = _spanner3(graph)
+        fingerprint = _fingerprint(lca, lca.materialize(mode="batched"))
+        assert (graph in _STORES) == (kernel == "numpy")
+        return fingerprint
+
+    assert materialized("python") == materialized("numpy")
+    assert builds == []
+
+
+@pytest.mark.parametrize("crossover", [1, 10**6], ids=["together", "one-at-a-time"])
+@pytest.mark.parametrize("kernel", ["python", "numpy"])
+def test_an_unvalidated_non_edge_raises_after_the_edge_before_it(
+    kernel, crossover, monkeypatch, pin_kernel
+):
+    """``validate=False`` skips the edge check of hits only: a miss is
+    checked before it is decided, so ``[edge, non-edge]`` raises
+    NotAnEdgeError after answering, charging and storing ``edge`` alone,
+    and memoizes no answer for the non-edge."""
+    if kernel == "numpy":
+        pytest.importorskip("numpy")
+    from repro.core.errors import NotAnEdgeError
+    from repro.kernels import spanner3 as kernel_spanner3
+
+    pin_kernel(kernel)
+    monkeypatch.setattr(kernel_spanner3, "CROSSOVER_MISSES", crossover)
+    graph = graphs.gnp_graph(40, 0.3, seed=2)
+    edge = max(graph.edges(), key=lambda e: min(graph.degree(e[0]), graph.degree(e[1])))
+    non_edge = next(
+        (u, v) for u in graph.vertices() for v in graph.vertices()
+        if u < v and not graph.has_edge(u, v)
+    )
+    lca = _spanner3(graph)
+    assert min(graph.degree(x) for x in edge) > lca.params.low_threshold
+    with pytest.raises(NotAnEdgeError):
+        lca.query_batch([edge, non_edge], False)
+    expected = _spanner3(graphs.gnp_graph(40, 0.3, seed=2)).query_batch([edge])
+    answers = lca.oracle_cache.memo(lca.query_answer_namespace())
+    assert list(answers) == [edge]
+    assert [answers[edge].value[0]] == expected.answers
+    assert lca.probe_stats.query_totals == expected.probe_totals
+    stats = lca.oracle_cache.stats
+    assert (stats.hits, stats.misses) == (0, 1)
+    # The stored edge is a hit now, served without the edge check.
+    assert lca.query_batch([edge], False).answers == expected.answers
 
 
 def test_materialize_builds_no_table_no_vertex_class_reads(monkeypatch, pin_kernel):

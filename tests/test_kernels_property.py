@@ -268,20 +268,29 @@ def query_call_rounds(draw, max_vertices=22):
 
 
 def _query_rounds(vertices, edges, rounds, seed, hitting_constant, kernel, crossover):
-    """Serve the rounds' calls on a fresh LCA; everything a caller can see."""
+    """Serve the rounds' calls on a fresh LCA: everything a caller can see,
+    then per call whether its misses were decided together, and whether a
+    miss decided one at a time reached the center-edge rule."""
     from repro.obs.profiler import ProbeProfiler
+    from repro.spanner3.components import CenterEdgeComponent
 
-    together = []
+    together, reached = [], []
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv(ENV_KERNEL, kernel)
         patch.setattr(kernel_spanner3, "CROSSOVER_MISSES", crossover)
         decide_queries = kernel_spanner3.decide_queries
+        center_edge_decide = CenterEdgeComponent._decide
 
         def counted(*args):
-            together.append(len(args[-1]))
+            together[-1] = True
             return decide_queries(*args)
 
+        def reaching(self, oracle, u, v):
+            reached[-1] = True
+            return center_edge_decide(self, oracle, u, v)
+
         patch.setattr(kernel_spanner3, "decide_queries", counted)
+        patch.setattr(CenterEdgeComponent, "_decide", reaching)
         graph = Graph.from_edges(edges, vertices=vertices)
         lca = create("spanner3", graph, seed=seed, hitting_constant=hitting_constant)
         profiler = ProbeProfiler()
@@ -296,6 +305,8 @@ def _query_rounds(vertices, edges, rounds, seed, hitting_constant, kernel, cross
             for call in calls:
                 picks = [(live[index % len(live)], flip) for index, flip in call]
                 queries = [(v, u) if flip else (u, v) for (u, v), flip in picks]
+                together.append(False)
+                reached.append(False)
                 result = lca.query_batch(queries)
                 served.append((result.answers, result.probe_totals))
         cache = lca.oracle_cache
@@ -310,7 +321,7 @@ def _query_rounds(vertices, edges, rounds, seed, hitting_constant, kernel, cross
             profiler.as_dict(),
             (cache.stats.hits, cache.stats.misses),
             memo,
-        ), together
+        ), together, reached
 
 
 @relaxed
@@ -328,17 +339,18 @@ def test_query_batch_decides_misses_together_like_one_at_a_time(
     stamp and dependency ids) as the scalar per-query path, across writes,
     repeats inside a call and hits across calls."""
     vertices, edges, rounds = instance
-    reference, _ = _query_rounds(
+    reference, _, reached = _query_rounds(
         vertices, edges, rounds, seed, hitting_constant, "python", 1
     )
     for crossover in (1, 10**6):
-        outcome, together = _query_rounds(
+        outcome, together, _ = _query_rounds(
             vertices, edges, rounds, seed, hitting_constant, "numpy", crossover
         )
         assert outcome == reference
-        # Below the crossover the array path never runs; at 1 it decides
-        # every call with a miss (every first call has one).
-        assert bool(together) == (crossover == 1)
+        # Below the crossover the array path never runs; at 1 it decides a
+        # call exactly when one of its misses reaches the center-edge rule,
+        # which the python run shows by invoking that rule.
+        assert together == (reached if crossover == 1 else [False] * len(reached))
 
 
 @pytest.mark.parametrize("crossover", [1, 10**6], ids=["together", "one-at-a-time"])
@@ -392,14 +404,14 @@ def test_query_batch_decides_misses_together_on_dense_graphs(
     repeat = call[:10] + call[:10]
     writes = [edges[0], edges[stride], (0, n - 1)]
     rounds = [([], [call]), (writes[:2], [repeat, call]), (writes[2:], [call + repeat])]
-    reference, _ = _query_rounds(list(range(n)), edges, rounds, seed, 1.0, "python", 1)
+    reference, _, _ = _query_rounds(list(range(n)), edges, rounds, seed, 1.0, "python", 1)
     assert reference[3]["invalidations"] > 0
     for crossover in (1, 10**6):
-        outcome, together = _query_rounds(
+        outcome, together, _ = _query_rounds(
             list(range(n)), edges, rounds, seed, 1.0, "numpy", crossover
         )
         assert outcome == reference
-        assert bool(together) == (crossover == 1)
+        assert any(together) == (crossover == 1)
 
 
 # --------------------------------------------------------------------------- #

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import AdjacencyListOracle
 from repro.core.errors import ProbeBudgetExceededError
 from repro.graphs import Graph, complete_graph, gnp_graph, star_graph
+from repro.kernels import ENV_KERNEL
 from repro.spanner3 import ThreeSpannerLCA
 from repro.spanner5 import FiveSpannerLCA
 
@@ -54,6 +55,37 @@ def test_budget_failure_does_not_corrupt_later_queries():
     budgeted._counter.budget = None
     budgeted._counter.reset()
     assert [budgeted.query(u, v) for (u, v) in edges] == expected
+
+
+@pytest.mark.parametrize("kernel", ["python", "numpy"])
+def test_budget_failure_does_not_corrupt_later_query_batch_calls(kernel, monkeypatch):
+    """The ``query_batch`` twin of the test above: the budget trips while
+    the call decides its misses, and the call stores nothing, so once the
+    budget is lifted and the counter reset the same call answers, charges
+    and memoizes like a fresh LCA's.  Under numpy the call's 20 misses are
+    decided together, under python one at a time."""
+    if kernel == "numpy":
+        pytest.importorskip("numpy")
+    monkeypatch.setenv(ENV_KERNEL, kernel)
+    graph = gnp_graph(100, 0.25, seed=4)
+    reference = ThreeSpannerLCA(graph, seed=2)
+    budgeted = ThreeSpannerLCA(graph, seed=2)
+    edges = list(graph.edges())[:20]
+    expected = reference.query_batch(edges)
+
+    budgeted._counter.budget = 3
+    with pytest.raises(ProbeBudgetExceededError):
+        budgeted.query_batch(edges)
+    budgeted._counter.budget = None
+    budgeted._counter.reset()
+    result = budgeted.query_batch(edges)
+    assert result.answers == expected.answers
+    assert result.probe_totals == expected.probe_totals
+    assert budgeted.probe_counter.snapshot() == reference.probe_counter.snapshot()
+    namespace = reference.query_answer_namespace()
+    assert budgeted.oracle_cache.memo(namespace) == reference.oracle_cache.memo(namespace)
+    stats, fresh = budgeted.oracle_cache.stats, reference.oracle_cache.stats
+    assert (stats.hits, stats.misses) == (fresh.hits, fresh.misses) == (0, 20)
 
 
 # --------------------------------------------------------------------------- #
