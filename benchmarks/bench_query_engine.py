@@ -53,7 +53,7 @@ MIN_BATCHED_SPEEDUP = float(os.environ.get("BENCH_MIN_BATCHED_SPEEDUP", "5.0"))
 #: dense fixture are ~6-7x.
 MIN_KERNEL_SPEEDUP = float(os.environ.get("BENCH_MIN_KERNEL_SPEEDUP", "5.0"))
 
-#: Engines timed per workload: (row name, query mode, ``REPRO_KERNEL``).
+#: Engines timed per workload: (row name, materialize mode, ``REPRO_KERNEL``).
 #: The scalar rows pin "python", since an unset variable would silently
 #: vectorize them wherever numpy is installed.
 ENGINES = (("cold", "cold", "python"), ("batched", "batched", "python"))

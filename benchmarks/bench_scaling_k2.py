@@ -69,8 +69,8 @@ def test_k_tradeoff_at_fixed_size(benchmark):
     for k in (1, 2, 3):
         lca = KSquaredSpannerLCA(
             graph, seed=9, params=tuned_k2_params(graph.num_vertices, k=k)
-        ).set_query_mode("batched")
-        kept = sum(1 for (u, v) in sample if lca.query(u, v))
+        )
+        kept = sum(lca.query_batch(sample).answers)
         estimate = kept / len(sample) * graph.num_edges
         estimates[k] = estimate
         rows.append(
@@ -86,6 +86,6 @@ def test_k_tradeoff_at_fixed_size(benchmark):
 
     lca = KSquaredSpannerLCA(
         graph, seed=9, params=tuned_k2_params(graph.num_vertices, k=2)
-    ).set_query_mode("batched")
+    )
     u, v = sample[0]
-    benchmark(lambda: lca.query(u, v))
+    benchmark(lambda: lca.query_batch([(u, v)]))

@@ -64,10 +64,12 @@ def evaluate_lca(
     stretch_limit: Optional[int] = None,
     sample_stretch_edges: Optional[int] = None,
     seed: int = 0,
-    mode: str = "batched",
     mutations: Optional[Iterable] = None,
 ) -> EvaluationReport:
     """Materialize an LCA over every edge of its graph and verify the result.
+
+    The spanner is materialized by the batched engine, whose edges and
+    per-query probe statistics equal the cold reference path's.
 
     Parameters
     ----------
@@ -79,11 +81,6 @@ def evaluate_lca(
     sample_stretch_edges:
         When given, only this many randomly chosen edges of ``G`` are checked
         for stretch (the spanner is still materialized over all edges).
-    mode:
-        Materialization engine ("cold" or "batched").  Defaults to
-        the batched engine, which produces identical edges and identical
-        per-query probe statistics while being several times faster; pass
-        "cold" to time the reference per-query path.
     mutations:
         Optional sequence of graph mutations (``(op, u, v)`` triples or
         :class:`~repro.service.trace.TraceOp` records) applied to the LCA's
@@ -94,7 +91,7 @@ def evaluate_lca(
     """
     graph = lca.graph
     applied = lca.apply_mutations(mutations) if mutations is not None else 0
-    materialized = lca.materialize(mode=mode)
+    materialized = lca.materialize(mode="batched")
     report = evaluate_materialized(
         graph,
         materialized,

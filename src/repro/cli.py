@@ -27,9 +27,7 @@ Usage examples::
     python -m repro.cli list
     python -m repro.cli generate --family gnp --n 400 --density 0.1 --out g.txt
     python -m repro.cli evaluate --graph g.txt --algorithm spanner3 --seed 7
-    python -m repro.cli evaluate --graph g.txt --query-mode batched
     python -m repro.cli query --graph g.txt --algorithm spanner5 --edge 3,17 --edge 5,8
-    python -m repro.cli query --graph g.txt --query-mode cold --edge 3,17
     python -m repro.cli sweep --algorithm spanner3 --sizes 200,400,800
     python -m repro.cli lowerbound --n 202 --budget 14 --trials 10
     python -m repro.cli materialize --generate gnp --n 400 --density 0.1 \
@@ -46,8 +44,9 @@ Usage examples::
     python -m repro.cli report run scenarios/smoke.toml --smoke
     python -m repro.cli report render --out report.md
 
-``--query-mode {cold,batched}`` picks the query engine, a performance knob
-only: answers and probe accounting are identical.  The probe kernel is not
+``query``, ``materialize`` and ``evaluate`` answer through the LCA's cached
+engine (``query_batch`` and a batched ``materialize``); their answers and
+probe accounting equal the cold reference path's.  The probe kernel is not
 a flag; the ``REPRO_KERNEL`` environment variable selects it for the whole
 process (see :mod:`repro.kernels`).  Every command that builds an LCA
 (``query``, ``materialize``, ``evaluate``, ``sweep``, ``serve-bench`` and
@@ -72,7 +71,6 @@ from typing import List, Optional, Sequence, Tuple
 from . import graphs
 from .analysis import evaluate_lca, exponent_row, format_table, run_sweep
 from .core.errors import GraphError, ParameterError, ReproError
-from .core.lca import QUERY_MODES
 from .core.registry import available, create
 from .faults import FaultPlan, FaultPlanError
 from .graphs.io import read_edge_list, write_edge_list
@@ -182,25 +180,18 @@ def _build_lca(args):
 
 def cmd_query(args) -> int:
     graph, lca = _build_lca(args)
-    lca.set_query_mode(args.query_mode)
     edges = _parse_edges(args.edge) if args.edge else list(graph.edges())[: args.count]
-    rows = []
-    for (u, v) in edges:
-        outcome = lca.query_with_stats(u, v)
-        rows.append(
-            {
-                "edge": f"({u}, {v})",
-                "in spanner": outcome.in_spanner,
-                "probes": outcome.probe_total,
-            }
-        )
+    rows = [
+        {"edge": f"({u}, {v})", "in spanner": answer, "probes": total}
+        for (u, v), answer, total in lca.query_batch(edges)
+    ]
     print(format_table(rows, title=f"{args.algorithm} on {graph}"))
     return 0
 
 
 def cmd_materialize(args) -> int:
     graph, lca = _build_lca(args)
-    spanner = lca.materialize(mode=args.query_mode)
+    spanner = lca.materialize(mode="batched")
     stats = spanner.probe_stats
     rows = [
         {
@@ -208,7 +199,6 @@ def cmd_materialize(args) -> int:
             "n": graph.num_vertices,
             "m": graph.num_edges,
             "|H|": spanner.num_edges,
-            "mode": args.query_mode,
             "max probes": stats.max,
             "mean probes": round(stats.mean, 1),
         }
@@ -222,11 +212,7 @@ def cmd_materialize(args) -> int:
 
 def cmd_evaluate(args) -> int:
     _, lca = _build_lca(args)
-    report = evaluate_lca(
-        lca,
-        sample_stretch_edges=args.stretch_sample,
-        mode=args.query_mode,
-    )
+    report = evaluate_lca(lca, sample_stretch_edges=args.stretch_sample)
     print(format_table([report.as_row()], title=f"{args.algorithm} evaluation"))
     if not report.stretch_ok:
         print("WARNING: measured stretch exceeds the declared bound", file=sys.stderr)
@@ -610,18 +596,6 @@ def _add_graph_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_query_mode_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--query-mode",
-        choices=list(QUERY_MODES),
-        default="batched",
-        help="query engine: 'cold' re-derives all state per query, 'batched' "
-        "memoizes state across queries and streams materialization; answers "
-        "and probe accounting are identical in both modes (only wall-clock "
-        "time changes)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the full ``repro-lca`` argument parser (all sub-commands)."""
     parser = argparse.ArgumentParser(
@@ -659,7 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10,
         help="query the first COUNT edges when --edge is absent",
     )
-    _add_query_mode_option(query)
     query.set_defaults(handler=cmd_query)
 
     materialize = sub.add_parser(
@@ -671,7 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     materialize.add_argument(
         "--out", help="also write the spanner as an edge-list file"
     )
-    _add_query_mode_option(materialize)
     materialize.set_defaults(handler=cmd_materialize)
 
     evaluate = sub.add_parser("evaluate", help="materialize and verify an LCA")
@@ -683,7 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="verify stretch on a sample of edges instead of all of them",
     )
-    _add_query_mode_option(evaluate)
     evaluate.set_defaults(handler=cmd_evaluate)
 
     sweep = sub.add_parser("sweep", help="size/probe scaling sweep")

@@ -20,6 +20,12 @@ The class also provides :meth:`materialize`, which queries every edge of the
 graph and returns the induced global spanner together with per-query probe
 statistics — the bridge between the local algorithm and the global
 verification used by the tests and benchmarks.
+
+The method a caller picks decides the engine.  :meth:`query` and
+:meth:`query_with_stats` run the cold reference on the plain oracle;
+:meth:`query_batch` is the one cached query path; :meth:`materialize` takes
+its engine per call (``mode``, cold by default).  The engines differ in
+wall-clock time only: answers and per-query probe ledgers are identical.
 """
 
 from __future__ import annotations
@@ -39,18 +45,20 @@ from ..kernels import resolve_kernel
 
 Edge = Tuple[int, int]
 
-#: Query-engine modes.  ``cold`` answers every query from scratch (the
-#: reference probe schedule); ``batched`` serves repeated state from a
-#: cross-query memo while charging the cold schedule, and
-#: :meth:`SpannerLCA.materialize` streams its decisions without per-query
-#: result objects.  Both produce identical answers and identical per-query
+#: The engines :meth:`SpannerLCA.materialize` can run.  ``cold`` answers
+#: every edge from scratch on the plain oracle (the reference probe
+#: schedule); ``batched`` streams the edges through the cached engine,
+#: which serves repeated state from a cross-query memo while charging the
+#: cold schedule.  Both produce identical answers and identical per-query
 #: probe totals (see :mod:`repro.core.cache`).
 QUERY_MODES = ("cold", "batched")
 
 
 def _check_mode(mode: str) -> str:
     if mode not in QUERY_MODES:
-        raise ValueError(f"unknown query mode {mode!r}; choices: {QUERY_MODES}")
+        raise ValueError(
+            f"unknown materialize mode {mode!r}; choices: {QUERY_MODES}"
+        )
     return mode
 
 
@@ -125,7 +133,6 @@ class SpannerLCA(abc.ABC):
         self._counter = ProbeCounter()
         self._oracle = AdjacencyListOracle(graph, self._counter)
         self._cached_oracle: Optional[CachedOracle] = None
-        self._query_mode = "cold"
         self._profiler = None
         self._answer_namespace: Optional[Tuple] = None
         self.probe_stats = ProbeStatistics()
@@ -179,11 +186,6 @@ class SpannerLCA(abc.ABC):
         return count
 
     @property
-    def query_mode(self) -> str:
-        """The active query-engine mode ("cold" or "batched")."""
-        return self._query_mode
-
-    @property
     def probe_counter(self) -> ProbeCounter:
         """The shared probe counter (telemetry: per-kind totals so far)."""
         return self._counter
@@ -196,17 +198,6 @@ class SpannerLCA(abc.ABC):
         on it."""
         cached = self._cached_oracle
         return cached.cache if cached is not None else None
-
-    def set_query_mode(self, mode: str) -> "SpannerLCA":
-        """Select the query engine used by :meth:`query` / :meth:`materialize`.
-
-        Answers and per-query probe accounting are identical in both modes;
-        only wall-clock speed changes.  Under "batched", individual queries
-        run through the cached oracle and :meth:`materialize` streams.
-        Returns ``self`` for chaining.
-        """
-        self._query_mode = _check_mode(mode)
-        return self
 
     @property
     def kernel_name(self) -> str:
@@ -276,17 +267,18 @@ class SpannerLCA(abc.ABC):
         return self.query_with_stats(u, v).in_spanner
 
     def query_with_stats(self, u: int, v: int) -> EdgeQueryResult:
-        """Answer a query and report the probes it used."""
-        oracle = self._oracle if self._query_mode == "cold" else self.ensure_cached_oracle()
-        return self._query_once(oracle, u, v)
+        """Answer a query from scratch on the plain oracle and report the
+        probes it used.
 
-    def _query_once(
-        self, oracle: AdjacencyListOracle, u: int, v: int
-    ) -> EdgeQueryResult:
+        This is the cold reference path: every probe goes to the plain
+        oracle and nothing comes from the cross-query memo, so its answer
+        and per-kind charge are the ones every cached path
+        (:meth:`query_batch`, a batched :meth:`materialize`) must reproduce.
+        """
         if not self._graph.has_edge(u, v):
             raise NotAnEdgeError(u, v)
         with self._counter.measure() as measurement:
-            answer = bool(self._decide(oracle, u, v))
+            answer = bool(self._decide(self._oracle, u, v))
         self.probe_stats.add(measurement.total)
         return EdgeQueryResult(
             edge=canonical_edge(u, v), in_spanner=answer, probes=measurement.used
@@ -422,7 +414,7 @@ class SpannerLCA(abc.ABC):
     def materialize(
         self,
         edges: Optional[Iterable[Edge]] = None,
-        mode: Optional[str] = None,
+        mode: str = "cold",
         tracer=None,
     ) -> MaterializedSpanner:
         """Query every edge (or the given subset) and collect the spanner.
@@ -432,16 +424,16 @@ class SpannerLCA(abc.ABC):
         point"; this method exists purely so that tests and benchmarks can
         check the global object that the local answers are consistent with.
 
-        ``mode`` overrides the LCA's query mode for this materialization:
-        "cold" (per-query, from scratch) or "batched" (the streaming engine
-        of :meth:`_materialize_batched`).  Edges, per-query probe totals and
-        per-kind probe counts are identical across modes.
+        ``mode`` picks the engine: "cold" (the default) answers each edge by
+        :meth:`query_with_stats`; "batched" streams the edges through
+        :meth:`_materialize_batched` on the cached oracle.  Edges, per-query
+        probe totals and per-kind probe counts are identical across modes.
 
         ``tracer`` (a :class:`repro.obs.tracer.SpanTracer`, default off)
         wraps the run in a ``materialize`` span — observation only, answers
         and probe accounting are unchanged.
         """
-        mode = _check_mode(self._query_mode if mode is None else mode)
+        mode = _check_mode(mode)
         result = MaterializedSpanner(
             algorithm=self.name, stretch_bound=self.stretch_bound(), edges=set()
         )
@@ -471,7 +463,7 @@ class SpannerLCA(abc.ABC):
             return
         edge_iter = self._graph.edges() if edges is None else edges
         for (u, v) in edge_iter:
-            outcome = self._query_once(self._oracle, u, v)
+            outcome = self.query_with_stats(u, v)
             result.probe_stats.add(outcome.probe_total)
             if outcome.in_spanner:
                 result.edges.add(outcome.edge)

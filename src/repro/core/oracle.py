@@ -97,23 +97,6 @@ class AdjacencyListOracle:
         limit = min(int(count), deg)
         return [self.neighbor(v, i) for i in range(limit)]
 
-    def neighbors_block(self, v: Vertex, block_size: int, block_index: int) -> List[Vertex]:
-        """The ``block_index``-th block of size ``block_size`` of ``Γ(v)``.
-
-        Blocks partition the neighbor list into consecutive parts
-        ``Γ_{Δ,1}(v), Γ_{Δ,2}(v), ...`` as in Section 1.4.  The last block of
-        the paper may have up to ``2Δ`` vertices; here, for simplicity and
-        consistency, blocks are exactly ``block_size`` long except the final
-        one which contains the remainder (possibly shorter).  All algorithms
-        only rely on blocks being a consistent partition of the neighbor list.
-        """
-        deg = self.degree(v)
-        start = block_index * block_size
-        stop = min(start + block_size, deg)
-        if start >= deg:
-            return []
-        return [self.neighbor(v, i) for i in range(start, stop)]
-
     def all_neighbors(self, v: Vertex) -> List[Vertex]:
         """The entire neighbor list Γ(v) (deg(v) ``Neighbor`` probes + 1 degree)."""
         deg = self.degree(v)
@@ -184,20 +167,6 @@ class CachedOracle(AdjacencyListOracle):
         if limit:
             self.counter.record(NEIGHBOR, limit)
         return list(row[:limit])
-
-    def neighbors_block(self, v: Vertex, block_size: int, block_index: int) -> List[Vertex]:
-        row = self.cache.neighbors(v)
-        deg = len(row)
-        self.counter.record(DEGREE)
-        start = block_index * block_size
-        stop = min(start + block_size, deg)
-        if start >= deg:
-            return []
-        if stop > start:
-            self.counter.record(NEIGHBOR, stop - start)
-        # Out-of-range (negative) indices answer ⊥ exactly like the cold
-        # per-probe loop, probes included.
-        return [row[i] if i >= 0 else None for i in range(start, stop)]
 
     def all_neighbors(self, v: Vertex) -> List[Vertex]:
         row = self.cache.neighbors(v)

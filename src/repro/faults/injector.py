@@ -74,15 +74,6 @@ class FaultStats:
             "blocked_write_cycles": self.blocked_write_cycles,
         }
 
-    @property
-    def total_injected(self) -> int:
-        return (
-            self.crashes
-            + self.shard_losses
-            + self.slow_batches
-            + self.transient_errors
-        )
-
     def register_into(self, registry, prefix: str = "faults") -> None:
         """Register every counter into a metrics registry under ``prefix``.
 

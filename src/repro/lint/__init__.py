@@ -1,7 +1,7 @@
 """``repro lint`` — the AST-based contract checker.
 
 The reproduction's guarantees (byte-identical reports, bit-identical
-probes across kernels × query modes × shard layouts, answer-invisible
+probes across kernels × engines × shard layouts, answer-invisible
 observability and replication) rest on source-level contracts that the
 test suite can only probe dynamically: no wall-clock in deterministic
 paths, all randomness through seeded streams, tracer hooks guarded and

@@ -1,7 +1,7 @@
 """DET001/DET002: no wall clock, no ambient randomness.
 
 The reproduction's headline guarantee — byte-identical reports and
-bit-identical probe accounting across kernels × query modes × shard layouts — only
+bit-identical probe accounting across kernels × engines × shard layouts — only
 holds if deterministic paths never consult sources that vary between runs:
 
 * **DET001** — wall-clock and entropy reads (``time.time``,

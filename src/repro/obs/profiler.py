@@ -186,17 +186,6 @@ class ProbeProfiler:
                 row["share"] = round(share, 3)
         return rows
 
-    def outcome_rows(self) -> List[Dict[str, object]]:
-        """One row per cache outcome: calls and probes charged."""
-        return [
-            {
-                "outcome": outcome,
-                "calls": self.outcome_calls[outcome],
-                "probes": self.outcome_probes[outcome],
-            }
-            for outcome in CACHE_OUTCOMES
-        ]
-
     def as_dict(self) -> Dict[str, object]:
         """The deterministic JSON payload (reports/metrics consume this)."""
         return {

@@ -2,15 +2,14 @@
 
 Every other plane of the repository answers "can the system do X?"; this one
 answers "show me".  A scenario spec (:mod:`repro.reports.spec`) declares one
-point in the configuration space — graph family × spanner family × query
-mode × workload × mutation churn — the runner
-(:mod:`repro.reports.runner`) executes it deterministically through the
-existing harness/service machinery, the store (:mod:`repro.reports.store`)
-versions the resulting JSON next to an environment fingerprint, and the
-renderer (:mod:`repro.reports.render`) turns stored results into the
-Markdown tables the paper's experimental sections would show (probes vs n,
-spanner size vs stretch parameter, stretch certificates, service latency
-percentiles).
+point in the configuration space — graph family × spanner family × workload
+× mutation churn — the runner (:mod:`repro.reports.runner`) executes it
+deterministically through the existing harness/service machinery, the store
+(:mod:`repro.reports.store`) versions the resulting JSON next to an
+environment fingerprint, and the renderer (:mod:`repro.reports.render`)
+turns stored results into the Markdown tables the paper's experimental
+sections would show (probes vs n, spanner size vs stretch parameter, stretch
+certificates, service latency percentiles).
 
 One command each::
 
@@ -35,7 +34,6 @@ from .runner import (
 )
 from .spec import (
     GraphSpec,
-    MaterializeSpec,
     MutationSpec,
     ObservabilitySpec,
     ScenarioSpec,
@@ -49,7 +47,6 @@ from .store import ResultStore, StoreError, environment_fingerprint, wall_timer
 
 __all__ = [
     "GraphSpec",
-    "MaterializeSpec",
     "MutationSpec",
     "ObservabilitySpec",
     "ScenarioSpec",

@@ -48,14 +48,12 @@ def _inventory_rows(results: Sequence[Dict[str, object]]) -> List[Dict[str, obje
         spec = payload.get("spec", {})
         graph = spec.get("graph", {})
         workload = spec.get("workload") or {}
-        materialize = spec.get("materialize", {})
         rows.append(
             {
                 "scenario": payload.get("name"),
                 "algorithm": spec.get("algorithm"),
                 "family": graph.get("family"),
                 "sizes": ", ".join(str(n) for n in graph.get("sizes", [])),
-                "engine": materialize.get("mode"),
                 "workload": workload.get("kind", "-"),
                 "churn ops": (spec.get("mutations") or {}).get("ops", 0),
                 "smoke": bool(payload.get("smoke")),

@@ -1,7 +1,7 @@
 """Scenario runner: one :class:`ScenarioSpec` in, one :class:`ScenarioResult` out.
 
 The runner composes the machinery the planes already expose — graph families
-(:mod:`repro.graphs.generators`), the LCA registry, the offline engines
+(:mod:`repro.graphs.generators`), the LCA registry, the batched engine
 behind :meth:`~repro.core.lca.SpannerLCA.materialize`, the verification
 harness (:mod:`repro.analysis.harness`) and the online service
 (:mod:`repro.service.engine`) — and reduces a run to plain, JSON-serializable
@@ -19,8 +19,8 @@ Markdown report twice and compares bytes.
 
 **Faithful accounting.**  Probe totals and per-kind counts come from the
 same cold-schedule accounting contract every other harness uses (see
-:mod:`repro.core.cache`): the query mode and the service's sharding and
-batching change wall-clock time only, never the reported probe numbers.
+:mod:`repro.core.cache`): the cached engine and the service's sharding
+and batching change wall-clock time only, never the reported probe numbers.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def _run_size(spec: ScenarioSpec, n: int) -> SizeResult:
             churn_ops(graph, spec.mutations.ops, spec.mutations.seed)
         )
     before = lca.probe_counter.snapshot()
-    materialized = lca.materialize(mode=spec.materialize.mode)
+    materialized = lca.materialize(mode="batched")
     kinds = (lca.probe_counter.snapshot() - before).as_dict()
     report = evaluate_materialized(graph, materialized)
     stats = materialized.probe_stats

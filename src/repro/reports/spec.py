@@ -1,10 +1,10 @@
 """Declarative scenario specs: one TOML/JSON table per experiment.
 
 A :class:`ScenarioSpec` names one point in the system's configuration space —
-graph family × spanner family × query mode × workload × mutation churn —
-plus the seeds that make the run reproducible.  Spec files are plain data
-(TOML via :mod:`tomllib`, or JSON), so the curated suite under
-``scenarios/`` is reviewable, diffable and runnable with one command::
+graph family × spanner family × workload × mutation churn — plus the seeds
+that make the run reproducible.  Spec files are plain data (TOML via
+:mod:`tomllib`, or JSON), so the curated suite under ``scenarios/`` is
+reviewable, diffable and runnable with one command::
 
     repro report run scenarios/smoke.toml
     repro report render
@@ -25,8 +25,6 @@ The sub-tables mirror the layers they configure:
     family / sizes / density / seed — resolved through the shared
     :data:`repro.graphs.FAMILY_BUILDERS` registry, so a spec and a
     ``repro generate`` command line mean the same graph.
-``[scenario.materialize]``
-    mode (cold/batched) — the offline engine.
 ``[scenario.mutations]``
     a deterministic pre-materialization churn burst (count + seed),
     exercising epoch-based cache invalidation.
@@ -53,7 +51,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from ..core.errors import ReproError
-from ..core.lca import QUERY_MODES
 from ..core.registry import create
 from ..faults import FaultPlan
 from ..graphs.generators import GRAPH_FAMILIES
@@ -113,19 +110,6 @@ class GraphSpec:
             "density": self.density,
             "seed": self.seed,
         }
-
-
-@dataclass(frozen=True)
-class MaterializeSpec:
-    """The offline-engine axis: the query mode."""
-
-    mode: str = "batched"
-
-    def __post_init__(self) -> None:
-        _check_choice(self.mode, QUERY_MODES, "materialize mode")
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"mode": self.mode}
 
 
 @dataclass(frozen=True)
@@ -357,7 +341,6 @@ class ScenarioSpec:
     seed: int = 7
     description: str = ""
     graph: GraphSpec = field(default_factory=GraphSpec)
-    materialize: MaterializeSpec = field(default_factory=MaterializeSpec)
     mutations: MutationSpec = field(default_factory=MutationSpec)
     workload: Optional[WorkloadSpec] = None
     service: ServiceSpec = field(default_factory=ServiceSpec)
@@ -404,7 +387,6 @@ class ScenarioSpec:
             "algorithm": self.algorithm,
             "seed": self.seed,
             "graph": self.graph.as_dict(),
-            "materialize": self.materialize.as_dict(),
         }
         if self.description:
             payload["description"] = self.description
@@ -432,7 +414,6 @@ class ScenarioSpec:
             "seed",
             "description",
             "graph",
-            "materialize",
             "mutations",
             "workload",
             "service",
@@ -452,7 +433,6 @@ class ScenarioSpec:
                 seed=int(data.get("seed", 7)),
                 description=str(data.get("description", "")),
                 graph=_sub(GraphSpec, data.get("graph"), "graph"),
-                materialize=_sub(MaterializeSpec, data.get("materialize"), "materialize"),
                 mutations=_sub(MutationSpec, data.get("mutations"), "mutations"),
                 workload=(
                     _sub(WorkloadSpec, workload_data, "workload")

@@ -51,9 +51,7 @@ from .trace import (
     TRACE_OPS,
     TraceOp,
     as_trace_op,
-    iter_trace,
     iter_trace_ops,
-    read_trace,
     read_trace_ops,
     write_trace,
 )
@@ -92,8 +90,6 @@ __all__ = [
     "WORKLOAD_KINDS",
     "make_workload",
     "write_trace",
-    "read_trace",
-    "iter_trace",
     "TraceOp",
     "TRACE_OPS",
     "MUTATION_OPS",

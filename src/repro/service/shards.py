@@ -115,7 +115,7 @@ class OracleShard:
 
     def __init__(self, shard_id: int, lca: SpannerLCA) -> None:
         self.shard_id = shard_id
-        self.lca = lca.set_query_mode("batched")
+        self.lca = lca
         self.requests = 0
         self.mutations = 0
 

@@ -17,10 +17,6 @@ stream position all survive :func:`write_trace` → :func:`read_trace_ops`),
 which is what makes recorded churn workloads replayable.  Unknown extra
 keys are ignored so traces can carry annotations (timestamps, client ids)
 without breaking replay.
-
-:func:`read_trace` / :func:`iter_trace` are the query-only legacy readers:
-they yield plain edges and refuse mixed traces instead of silently dropping
-the writes.
 """
 
 from __future__ import annotations
@@ -118,24 +114,3 @@ def iter_trace_ops(path: PathLike) -> Iterator[TraceOp]:
 def read_trace_ops(path: PathLike) -> List[TraceOp]:
     """Load a whole JSONL trace (queries and mutations) into memory."""
     return list(iter_trace_ops(path))
-
-
-def iter_trace(path: PathLike) -> Iterator[Edge]:
-    """Stream query edges from a query-only JSONL trace.
-
-    Raises on mutation records: a caller expecting plain edges would
-    otherwise silently drop the writes that the recorded answers depend on.
-    Use :func:`iter_trace_ops` for mixed traces.
-    """
-    for record in iter_trace_ops(path):
-        if record.is_mutation:
-            raise ValueError(
-                f"{path}: trace contains {record.op!r} mutation records; "
-                "replay it with read_trace_ops/iter_trace_ops"
-            )
-        yield record.edge
-
-
-def read_trace(path: PathLike) -> List[Edge]:
-    """Load a whole query-only JSONL trace into memory."""
-    return list(iter_trace(path))

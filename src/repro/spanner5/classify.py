@@ -42,12 +42,6 @@ class DesertedCrowdedClassifier:
             return DESERTED
         return CROWDED
 
-    def is_deserted(self, oracle: AdjacencyListOracle, vertex: int) -> bool:
-        return self.classify(oracle, vertex) == DESERTED
-
-    def is_crowded(self, oracle: AdjacencyListOracle, vertex: int) -> bool:
-        return self.classify(oracle, vertex) == CROWDED
-
     # ------------------------------------------------------------------ #
     # Probe-free version for reports / verification
     # ------------------------------------------------------------------ #

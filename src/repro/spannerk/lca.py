@@ -39,10 +39,10 @@ class KSquaredSpannerLCA(CombinedLCA):
         Optional explicit :class:`KSquaredParams` (tests use this to control
         L and the sampling probabilities at small n).
 
-    The cached and batched engines keep every D^k_L exploration in the
-    oracle's memo layer, shared by the three components, and charge each
-    query the exploration's cold probe cost; per-query probe totals equal
-    the cold schedule's in every query mode.
+    The cached engine keeps every D^k_L exploration in the oracle's memo
+    layer, shared by the three components, and charges each query the
+    exploration's cold probe cost; per-query probe totals equal the cold
+    schedule's on every engine.
     """
 
     name = "spannerk"

@@ -403,13 +403,6 @@ class LocalView:
                 best = candidate
         return best
 
-    def is_adjacent_to_marked_cell(self, cluster: ClusterInfo) -> bool:
-        """Whether some cell adjacent to the cluster is marked."""
-        return any(
-            self.randomness.is_marked_cell(cell)
-            for cell in self.adjacent_cells(cluster)
-        )
-
     def rank_position(
         self, target_center: int, candidate_centers
     ) -> int:

@@ -62,11 +62,19 @@ def cold_reference(graph):
     """Per-construction map ``edge -> cold per-kind probe snapshot``."""
     reference = {}
     for name, factory in FACTORIES.items():
-        lca = factory(graph)  # cold mode: every query re-derives from scratch
+        lca = factory(graph)  # query_with_stats re-derives every query from scratch
         reference[name] = {
             (u, v): lca.query_with_stats(u, v).probes for (u, v) in graph.edges()
         }
     return reference
+
+
+def _served(lca, u, v):
+    """Answer ``(u, v)`` in a one-edge ``query_batch`` call; return the answer
+    and the per-kind charge the call added to the probe counter."""
+    before = lca.probe_counter.snapshot()
+    (answer,) = lca.query_batch([(u, v)]).answers
+    return answer, lca.probe_counter.snapshot() - before
 
 
 def _orders(edges):
@@ -86,9 +94,9 @@ def test_per_query_charges_are_independent_of_query_order(
     """Any permutation of the stream charges each edge its cold snapshot."""
     edges = list(graph.edges())
     for label, order in _orders(edges).items():
-        lca = FACTORIES[name](graph).set_query_mode("batched")
+        lca = FACTORIES[name](graph)
         for (u, v) in order:
-            snapshot = lca.query_with_stats(u, v).probes
+            _, snapshot = _served(lca, u, v)
             assert snapshot == cold_reference[name][(u, v)], (name, label, (u, v))
 
 
@@ -99,14 +107,14 @@ def test_repeats_interleaved_with_new_queries_recharge_identically(
     """A hot repeat sandwiched between cold first-touches charges the same
     cold schedule both times."""
     edges = list(graph.edges())[:60]
-    lca = FACTORIES[name](graph).set_query_mode("batched")
+    lca = FACTORIES[name](graph)
     first_charge = {}
     for index, (u, v) in enumerate(edges):
-        snapshot = lca.query_with_stats(u, v).probes
+        _, snapshot = _served(lca, u, v)
         first_charge[(u, v)] = snapshot
         if index >= 1:  # repeat an earlier (now memoized) query immediately
             prev = edges[index // 2]
-            again = lca.query_with_stats(*prev).probes
+            _, again = _served(lca, *prev)
             assert again == first_charge[prev], (name, prev)
             assert again == cold_reference[name][prev], (name, prev)
 
@@ -117,17 +125,14 @@ def test_interleaving_across_constructions_does_not_cross_charge(
     """Round-robin the same stream through all three constructions at once;
     every construction still charges its own cold schedule per query."""
     edges = list(graph.edges())
-    lcas = {
-        name: factory(graph).set_query_mode("batched")
-        for name, factory in FACTORIES.items()
-    }
+    lcas = {name: factory(graph) for name, factory in FACTORIES.items()}
     rotation = sorted(FACTORIES)
     for index, (u, v) in enumerate(edges):
         # One construction answers this edge; the others answer neighbors of
         # the stream position, so all memo tables warm out of lockstep.
         for offset, name in enumerate(rotation):
             (a, b) = edges[(index + offset) % len(edges)]
-            snapshot = lcas[name].query_with_stats(a, b).probes
+            _, snapshot = _served(lcas[name], a, b)
             assert snapshot == cold_reference[name][(a, b)], (name, (a, b))
 
 
@@ -140,26 +145,30 @@ def test_orientation_has_its_own_cold_schedule(name, graph, cold_reference):
     reversed_reference = {
         (v, u): cold.query_with_stats(v, u).probes for (u, v) in edges
     }
-    cached = FACTORIES[name](graph).set_query_mode("batched")
+    cached = FACTORIES[name](graph)
     for (u, v) in edges:
-        forward = cached.query_with_stats(u, v).probes
-        backward = cached.query_with_stats(v, u).probes
+        _, forward = _served(cached, u, v)
+        _, backward = _served(cached, v, u)
         assert forward == cold_reference[name][(u, v)], (name, (u, v))
         assert backward == reversed_reference[(v, u)], (name, (v, u))
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_query_batch_totals_match_interleaved_per_query_path(name, graph):
-    """The streaming batch engine charges the same per-request totals as the
-    per-query API for an interleaved, repeat-heavy stream."""
+    """One call over an interleaved, repeat-heavy stream answers and charges
+    each request what one-edge calls on a fresh LCA do, and both match the
+    cold reference per kind."""
     edges = list(graph.edges())[:50]
     stream = edges + [(v, u) for (u, v) in edges[:20]] + edges[:10]
     batch = FACTORIES[name](graph).query_batch(stream)
-    per_query = FACTORIES[name](graph).set_query_mode("batched")
+    per_query = FACTORIES[name](graph)
+    cold = FACTORIES[name](graph)
     for (u, v), answer, total in batch:
-        outcome = per_query.query_with_stats(u, v)
-        assert outcome.in_spanner == answer, (name, (u, v))
-        assert outcome.probe_total == total, (name, (u, v))
+        served, charge = _served(per_query, u, v)
+        reference = cold.query_with_stats(u, v)
+        assert served == answer == reference.in_spanner, (name, (u, v))
+        assert charge == reference.probes, (name, (u, v))
+        assert charge.total == total, (name, (u, v))
 
 
 @pytest.mark.parametrize("kernel", ["python", "numpy"])

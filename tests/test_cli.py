@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import repro.kernels as kernels
+from repro.analysis import evaluate_materialized, format_table
 from repro.cli import GENERATORS, build_parser, main
+from repro.core.registry import create
 from repro.graphs import gnp_graph, read_edge_list, write_edge_list
 
 
@@ -137,38 +139,60 @@ def test_unknown_family_rejected(tmp_path):
         cmd_generate(args)
 
 
-def test_query_mode_and_graph_source_flags(graph_file, capsys, tmp_path):
-    """--query-mode and --graph/--mmap change the path, never the output."""
+def test_graph_source_flags_print_the_cold_row(graph_file, capsys, tmp_path):
+    """--graph and --mmap print the row a cold materialize of the same graph
+    gives, for ``materialize`` and for ``evaluate``."""
     from repro.scale import save_csr_snapshot
 
-    snapshot = tmp_path / "graph.csr"
-    save_csr_snapshot(read_edge_list(graph_file), snapshot)
-    outputs = {}
-    for source in (["--graph", graph_file], ["--mmap", str(snapshot)]):
-        for mode in ("cold", "batched"):
-            code = main(
-                ["evaluate", *source, "--algorithm", "spanner3",
-                 "--seed", "4", "--query-mode", mode]
-            )
-            assert code == 0
-            outputs[(source[0], mode)] = capsys.readouterr().out
-    reference = outputs[("--graph", "cold")]
-    assert "spanner3" in reference
-    for key, out in outputs.items():
-        assert out == reference, key
-
-
-def test_query_command_accepts_query_mode(graph_file, capsys):
     graph = read_edge_list(graph_file)
-    u, v = next(iter(graph.edges()))
-    cold = main(["query", "--graph", graph_file, "--edge", f"{u},{v}",
-                 "--query-mode", "cold"])
-    cold_out = capsys.readouterr().out
-    batched = main(["query", "--graph", graph_file, "--edge", f"{u},{v}",
-                    "--query-mode", "batched"])
-    batched_out = capsys.readouterr().out
-    assert cold == batched == 0
-    assert cold_out == batched_out
+    snapshot = tmp_path / "graph.csr"
+    save_csr_snapshot(graph, snapshot)
+    cold = create("spanner3", graph, seed=4).materialize()
+    row = {
+        "algorithm": "spanner3",
+        "n": graph.num_vertices,
+        "m": graph.num_edges,
+        "|H|": cold.num_edges,
+        "max probes": cold.probe_stats.max,
+        "mean probes": round(cold.probe_stats.mean, 1),
+    }
+    expected = {
+        "materialize": format_table([row], title="spanner3 materialization"),
+        "evaluate": format_table(
+            [evaluate_materialized(graph, cold).as_row()], title="spanner3 evaluation"
+        ),
+    }
+    for source in (["--graph", graph_file], ["--mmap", str(snapshot)]):
+        for command, table in expected.items():
+            code = main([command, *source, "--algorithm", "spanner3", "--seed", "4"])
+            assert code == 0
+            assert capsys.readouterr().out == table + "\n", (source[0], command)
+
+
+def test_query_command_prints_cold_answers(graph_file, capsys):
+    """``query`` prints a cold LCA's query_with_stats answers and probe
+    totals, for explicit edges (a repeat and a reversed one included) and
+    for the first --count edges."""
+    graph = read_edge_list(graph_file)
+    (u, v), *rest = list(graph.edges())[:3]
+    explicit = [(u, v), *rest, (v, u), (u, v)]
+    runs = [
+        ([arg for (a, b) in explicit for arg in ("--edge", f"{a},{b}")], explicit),
+        (["--count", "4"], list(graph.edges())[:4]),
+    ]
+    for flags, asked in runs:
+        code = main(["query", "--graph", graph_file, "--seed", "4", *flags])
+        assert code == 0
+        cold = create("spanner3", graph, seed=4)
+        rows = []
+        for (a, b) in asked:
+            outcome = cold.query_with_stats(a, b)
+            rows.append(
+                {"edge": f"({a}, {b})", "in spanner": outcome.in_spanner,
+                 "probes": outcome.probe_total}
+            )
+        table = format_table(rows, title=f"spanner3 on {graph}")
+        assert capsys.readouterr().out == table + "\n", flags
 
 
 @pytest.mark.parametrize(
@@ -317,6 +341,8 @@ def test_good_worker_counts_still_parse(graph_file):
         ["serve-bench", "--kernel", "numpy"],
         ["query", "--memo-cap", "8"],
         ["materialize", "--memo-cap", "8"],
+        ["query", "--query-mode", "cold"],
+        ["materialize", "--query-mode", "batched"],
     ],
 )
 def test_bad_input_fails_with_one_line(tmp_path, capsys, argv):
@@ -354,20 +380,20 @@ def test_bad_input_fails_with_one_line(tmp_path, capsys, argv):
     "argv",
     [
         ["evaluate", "--n", "40"],
-        ["evaluate", "--n", "40", "--query-mode", "cold"],
-        ["query", "--n", "40", "--query-mode", "cold"],
+        ["materialize", "--n", "40"],
+        ["query", "--n", "40"],
         ["sweep", "--sizes", "40", "--queries", "5"],
         ["serve-bench", "--n", "40", "--requests", "50"],
         ["report", "run", "{smoke}", "--smoke", "--results", "{results}"],
     ],
-    ids=["evaluate", "evaluate-cold", "query-cold", "sweep", "serve-bench", "report-run"],
+    ids=["evaluate", "materialize", "query", "sweep", "serve-bench", "report-run"],
 )
 def test_bad_kernel_environment_fails_with_one_line(
     tmp_path, capsys, monkeypatch, pin_kernel, argv, cause
 ):
     """``REPRO_KERNEL`` is the one kernel switch, so a value the host cannot
     honour exits 1 with one line that names the variable, also on a run
-    that never builds a cached engine (the cold query mode, ``sweep``)."""
+    that never builds a cached engine (``sweep``)."""
     if cause == "numpy-missing":
         monkeypatch.setattr(kernels, "_numpy_or_none", lambda: None)
         pin_kernel("numpy")

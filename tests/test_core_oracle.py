@@ -58,19 +58,6 @@ def test_neighbors_prefix_clamps_to_degree():
     assert len(prefix) == 2
 
 
-def test_neighbors_block_partitions_list():
-    graph = Graph.from_edges([(0, i) for i in range(1, 8)])
-    oracle = AdjacencyListOracle(graph)
-    block0 = oracle.neighbors_block(0, block_size=3, block_index=0)
-    block1 = oracle.neighbors_block(0, block_size=3, block_index=1)
-    block2 = oracle.neighbors_block(0, block_size=3, block_index=2)
-    block3 = oracle.neighbors_block(0, block_size=3, block_index=3)
-    assert len(block0) == 3 and len(block1) == 3 and len(block2) == 1
-    assert block3 == []
-    combined = block0 + block1 + block2
-    assert combined == list(graph.neighbors(0))
-
-
 def test_all_neighbors_counts_degree_plus_neighbors():
     oracle = AdjacencyListOracle(make_graph())
     neighbors = oracle.all_neighbors(0)

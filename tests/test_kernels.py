@@ -247,7 +247,6 @@ def test_cold_queries_stay_scalar_and_identical(pin_kernel):
         pin_kernel(kernel)
         graph = graphs.gnp_graph(50, 0.2, seed=3)
         lca = _spanner3(graph)
-        lca.set_query_mode("cold")
         outcomes = [lca.query_with_stats(u, v) for (u, v) in sorted(graph.edges())[:40]]
         return [(o.in_spanner, o.probe_total) for o in outcomes]
 

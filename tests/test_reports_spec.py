@@ -25,7 +25,6 @@ def test_minimal_spec_fills_defaults():
     assert spec.name == "tiny"
     assert spec.algorithm == "spanner3"
     assert spec.graph.sizes == (40,)
-    assert spec.materialize.mode == "batched"
     assert spec.workload is None
     assert spec.mutations.ops == 0
 
@@ -55,8 +54,8 @@ def test_spec_round_trips_through_as_dict():
         ({"graph": {"family": "nope"}}, "family"),
         ({"graph": {"family": "gnp", "sizes": []}}, "sizes"),
         ({"graph": {"backend": "csr"}}, "graph keys ['backend']"),
-        ({"materialize": {"mode": "warp"}}, "mode"),
-        ({"materialize": {"executor": "serial"}}, "unknown materialize keys"),
+        ({"materialize": {"mode": "warp"}}, "unknown scenario keys ['materialize']"),
+        ({"materialize": {"executor": "serial"}}, "unknown scenario keys ['materialize']"),
         ({"workload": {"kind": "trace"}}, "trace"),
         ({"workload": {"kind": "uniform", "skew": 2.0}}, "skew"),
         ({"workload": {"kind": "uniform", "write_ratio": 0.5}}, "write_ratio"),
@@ -68,11 +67,9 @@ def test_spec_round_trips_through_as_dict():
         ({"algorithm": "spanner9"}, "spanner9"),
         ({"faults": {"crashes": 1, "duration": 0}}, "duration"),
         ({"service": {"coalesce": False}}, "unknown service keys"),
-        ({"materialize": {"mode": "cached"}}, "mode"),
-        (
-            {"materialize": {"memo_cap": 8}},
-            "unknown materialize keys ['memo_cap']; known: ['mode']",
-        ),
+        ({"materialize": {"mode": "cached"}}, "unknown scenario keys ['materialize']"),
+        ({"materialize": {"memo_cap": 8}}, "unknown scenario keys ['materialize']"),
+        ({"materialize": {}}, "unknown scenario keys ['materialize']"),
     ],
 )
 def test_invalid_specs_raise_spec_errors(mutation, message):

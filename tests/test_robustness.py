@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import AdjacencyListOracle
 from repro.core.errors import ProbeBudgetExceededError
-from repro.graphs import Graph, complete_graph, gnp_graph, star_graph
+from repro.graphs import Graph, complete_graph, gnp_graph
 from repro.kernels import ENV_KERNEL
 from repro.spanner3 import ThreeSpannerLCA
 from repro.spanner5 import FiveSpannerLCA
@@ -111,21 +111,6 @@ def test_oracle_matches_graph_on_arbitrary_probes(edge_set, probes):
         assert oracle.degree(v) == graph.degree(v)
     for (u, v) in edges:
         assert oracle.adjacency(u, v) == graph.adjacency_index(u, v)
-
-
-def test_oracle_block_partition_covers_neighbor_list():
-    graph = star_graph(30)
-    oracle = AdjacencyListOracle(graph)
-    blocks = []
-    index = 0
-    while True:
-        block = oracle.neighbors_block(0, block_size=7, block_index=index)
-        if not block:
-            break
-        blocks.append(block)
-        index += 1
-    flattened = [w for block in blocks for w in block]
-    assert flattened == list(graph.neighbors(0))
 
 
 # --------------------------------------------------------------------------- #

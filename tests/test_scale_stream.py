@@ -244,9 +244,6 @@ family = "gnp-stream"
 sizes = [40]
 density = 0.1
 seed = 3
-
-[scenario.materialize]
-mode = "batched"
 """
 
 

@@ -20,7 +20,6 @@ from repro.service import (
     TraceOp,
     LatencyStats,
     make_workload,
-    read_trace,
     read_trace_ops,
     write_trace,
 )
@@ -175,18 +174,11 @@ def test_mixed_trace_round_trips_losslessly(tmp_path, graph):
     ] == normalized
 
 
-def test_query_only_trace_readers_refuse_mixed_traces(tmp_path):
-    path = tmp_path / "mixed.jsonl"
-    write_trace(path, [(0, 1), TraceOp("add", 1, 2)])
-    with pytest.raises(ValueError, match="mutation records"):
-        read_trace(path)
-
-
 def test_query_only_trace_format_is_unchanged(tmp_path):
     path = tmp_path / "plain.jsonl"
     write_trace(path, [(3, 17), (5, 8)])
     assert path.read_text() == '{"u": 3, "v": 17}\n{"u": 5, "v": 8}\n'
-    assert read_trace(path) == [(3, 17), (5, 8)]
+    assert read_trace_ops(path) == [TraceOp("query", 3, 17), TraceOp("query", 5, 8)]
 
 
 def test_replayed_churn_trace_reproduces_the_original_run(tmp_path, graph):

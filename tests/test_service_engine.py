@@ -19,9 +19,10 @@ from repro.service import (
     LatencyStats,
     ServiceConfig,
     ServiceEngine,
+    TraceOp,
     TraceWorkload,
     make_workload,
-    read_trace,
+    read_trace_ops,
     serve_workload,
     write_trace,
 )
@@ -161,7 +162,7 @@ def test_trace_roundtrip_preserves_orientation(tmp_path, graph):
             break
     path = tmp_path / "trace.jsonl"
     assert write_trace(path, edges) == 20
-    assert read_trace(path) == edges
+    assert read_trace_ops(path) == [TraceOp("query", u, v) for (u, v) in edges]
     replay = list(TraceWorkload(graph, path=str(path)))
     assert replay == edges
 
@@ -174,7 +175,7 @@ def test_trace_truncation_and_malformed_lines(tmp_path, graph):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"u": 1, "v": 2}\nnot-json\n')
     with pytest.raises(ValueError, match="malformed trace record"):
-        read_trace(bad)
+        read_trace_ops(bad)
 
 
 # --------------------------------------------------------------------------- #

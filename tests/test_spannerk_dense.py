@@ -145,12 +145,13 @@ def test_connector_stretch_bound_is_probabilistic():
 def test_components_union_equals_full_lca():
     graph = grid_graph(5, 5)
     params = make_params(graph.num_vertices, center_p=0.5, mark_p=0.3, quota=5)
-    lca = KSquaredSpannerLCA(graph, seed=5, params=params).set_query_mode("batched")
+    lca = KSquaredSpannerLCA(graph, seed=5, params=params)
     for (u, v) in list(graph.edges())[:30]:
         expected = any(
             component._decide(lca._oracle, u, v) for component in lca.components
         )
         assert lca.query(u, v) == expected
+        assert lca.query_batch([(u, v)]).answers == [expected]
 
 
 def test_isolated_vertex_handled():

@@ -68,9 +68,14 @@ def test_mixed_regime_connectivity_and_stretch(bounded_graph):
 
 def test_consistency_of_answers(bounded_graph):
     params = tuned_params(bounded_graph.num_vertices, 2, budget=8, center_p=0.3, mark_p=0.3)
-    lca = KSquaredSpannerLCA(bounded_graph, seed=5, params=params).set_query_mode("batched")
+    lca = KSquaredSpannerLCA(bounded_graph, seed=5, params=params)
     sample = list(bounded_graph.edges())[:30]
     assert check_consistency(lca, edges=sample)
+    # The cached engine, asked each edge twice and reversed, agrees with it.
+    stream = [q for (u, v) in sample for q in ((u, v), (u, v), (v, u))]
+    assert lca.query_batch(stream).answers == [
+        lca.query(u, v) for (u, v) in sample for _ in range(3)
+    ]
 
 
 def test_deterministic_in_seed():

@@ -16,8 +16,19 @@ import pytest
 
 from repro import graphs
 from repro.scale import load_csr_snapshot, save_csr_snapshot
-from repro.service import TraceWorkload, make_workload, read_trace, write_trace
-from repro.service.trace import iter_trace
+from repro.service import (
+    TraceOp,
+    TraceWorkload,
+    make_workload,
+    read_trace_ops,
+    write_trace,
+)
+from repro.service.trace import iter_trace_ops
+
+
+def _queries(edges):
+    """The trace records a query-only stream of ``edges`` reads back as."""
+    return [TraceOp("query", u, v) for (u, v) in edges]
 
 
 @pytest.fixture
@@ -79,8 +90,8 @@ def test_write_read_roundtrip_is_lossless(tmp_path, graph):
             break
     path = tmp_path / "trace.jsonl"
     assert write_trace(path, stream) == len(stream)
-    assert read_trace(path) == stream
-    assert list(iter_trace(path)) == stream
+    assert read_trace_ops(path) == _queries(stream)
+    assert list(iter_trace_ops(path)) == _queries(stream)
     assert list(TraceWorkload(graph, path=str(path))) == stream
 
 
@@ -88,7 +99,7 @@ def test_roundtrip_preserves_large_and_negative_ids(tmp_path):
     stream = [(10**15, 10**15 + 1), (-4, 7), (7, -4)]
     path = tmp_path / "big.jsonl"
     write_trace(path, stream)
-    assert read_trace(path) == stream
+    assert read_trace_ops(path) == _queries(stream)
 
 
 def test_annotation_keys_survive_replay_ignored(tmp_path, graph):
@@ -100,7 +111,7 @@ def test_annotation_keys_survive_replay_ignored(tmp_path, graph):
                 json.dumps({"u": u, "v": v, "ts": i * 0.5, "client": f"c{i}"}) + "\n"
             )
         handle.write("\n")  # trailing blank line is skipped
-    assert read_trace(path) == edges
+    assert read_trace_ops(path) == _queries(edges)
 
 
 def test_recorded_service_stream_replays_to_identical_answers(tmp_path, graph):
