@@ -4,7 +4,7 @@ Every benchmark that writes a ``BENCH_*.json`` file at the repository root
 builds its payload on :func:`payload_header`, so all artifacts carry the
 same machine-context block:
 
-* ``benchmark`` — the artifact's name (``bench_service``, ...);
+* ``benchmark`` — the artifact's name (``bench_faults``, ...);
 * ``python`` / ``machine`` — interpreter version and architecture;
 * ``cpu_count`` — usable CPUs (:func:`cpu_count`, affinity-aware);
 * ``floor_enforced`` — whether the benchmark's acceptance floor was

@@ -15,14 +15,17 @@ at a fixed expected degree and measures, per size:
   (the id → position map), never O(m): the adjacency pages stay on disk
   until the kernel faults them in;
 * **queries** — spanner3 probe totals over a deterministic edge sample of
-  the mapped graph, answered by one ``query_batch`` call on an LCA whose
-  cached engine is built before the clock starts.
+  the mapped graph, answered by one ``query_batch`` call on a fresh LCA
+  whose cached engine is built before the clock starts.
 
-Every ``*_s`` field times an untraced call, and every ``*_peak_bytes`` field
-comes from a separate call of the same phase under ``tracemalloc``, so
-tracing never inflates a time.  Results go to ``BENCH_scale.json`` at the
-repository root; ``ru_maxrss`` is recorded per phase so the whole-process
-RSS curve is inspectable too.
+Every ``*_s`` field is the median of ``TIMING_REPEATS`` (3) untraced calls
+of its phase: one call's time varies between runs by as much as the
+effects it is read for.  Every ``*_peak_bytes`` field comes from one
+separate call of the same phase under ``tracemalloc``, so tracing never
+inflates a time; a peak repeats between runs to within 0.01%, so one call
+suffices.
+Results go to ``BENCH_scale.json`` at the repository root; ``ru_maxrss``
+is recorded per phase so the whole-process RSS curve is inspectable too.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import bisect
 import json
 import os
 import resource
+import statistics
 import time
 import tracemalloc
 from pathlib import Path
@@ -64,12 +68,26 @@ MIN_STREAM_RSS_RATIO = float(os.environ.get("BENCH_MIN_STREAM_RSS_RATIO", "2.0")
 SEED = 101
 NUM_QUERIES = int(os.environ.get("BENCH_SCALE_QUERIES", "16"))
 
+#: Untraced calls per timed phase; each ``*_s`` field is their median.
+TIMING_REPEATS = 3
 
-def _timed(fn):
-    """(wall seconds, result) of one untraced call."""
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result
+
+def _timed(fn, prepare=None):
+    """(median wall seconds, last result) of ``TIMING_REPEATS`` untraced
+    calls of ``fn``.
+
+    Each call's result is dropped before the next call starts, so two never
+    live at once.  ``prepare``, when given, runs untimed before each call
+    and its result is the call's argument.
+    """
+    seconds = []
+    for _ in range(TIMING_REPEATS):
+        result = None
+        args = () if prepare is None else (prepare(),)
+        start = time.perf_counter()
+        result = fn(*args)
+        seconds.append(time.perf_counter() - start)
+    return statistics.median(seconds), result
 
 
 def _peak_bytes(fn):
@@ -158,9 +176,13 @@ def test_scale_streaming_mmap_queries(tmp_path):
         entry["mmap_load_peak_bytes"] = load_peak
 
         edges = _sample_edges(mapped, NUM_QUERIES)
-        lca = create("spanner3", mapped, seed=7)
-        lca.ensure_cached_oracle()  # picks the kernel, importing numpy
-        query_s, batch = _timed(lambda: lca.query_batch(edges))
+
+        def fresh_lca():
+            lca = create("spanner3", mapped, seed=7)
+            lca.ensure_cached_oracle()  # picks the kernel, importing numpy
+            return lca
+
+        query_s, batch = _timed(lambda lca: lca.query_batch(edges), fresh_lca)
         entry["queries"] = len(edges)
         entry["query_s"] = round(query_s, 6)  # a call takes well under 1 ms
         entry["probe_total"] = sum(batch.probe_totals)

@@ -67,7 +67,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, Optional, Sequence, Set, Tuple
 
 from ..graphs.graph import Graph, Vertex
@@ -135,60 +135,6 @@ class MemoEntry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"MemoEntry({self.value!r}, epoch={self.epoch}, touched={len(self.touched)})"
-
-#: Leaf types allowed inside a *portable* memo namespace (see
-#: :func:`is_portable_namespace`).
-_PORTABLE_LEAVES = (str, int, float, bool, type(None), bytes)
-
-
-def is_portable_namespace(namespace: Hashable) -> bool:
-    """Whether a memo namespace means the same thing in every LCA instance.
-
-    Portable namespaces are built only from primitives (and tuples thereof,
-    plus frozen dataclasses such as :class:`~repro.core.seed.Seed` or the
-    parameter objects, which compare by value): two LCAs built from the
-    same name, seed and parameters produce equal namespaces, so memo tables
-    under them can move from one instance's cache to the other's (replica
-    checkpoints).  Namespaces keyed by live objects (the
-    ``(system_object, role)`` convention for per-vertex derived state) are
-    instance-local by construction and are excluded from snapshots.
-    """
-    if isinstance(namespace, bool):  # bool before int for clarity; both fine
-        return True
-    if isinstance(namespace, _PORTABLE_LEAVES):
-        return True
-    if isinstance(namespace, tuple):
-        return all(is_portable_namespace(item) for item in namespace)
-    # Frozen dataclasses (Seed, *Params) hash and compare by value; detect
-    # them structurally instead of importing every type.
-    params = getattr(namespace, "__dataclass_params__", None)
-    if params is not None and params.frozen:
-        fields = getattr(namespace, "__dataclass_fields__", {})
-        return all(
-            is_portable_namespace(getattr(namespace, name)) for name in fields
-        )
-    return False
-
-
-@dataclass
-class CacheSnapshot:
-    """Portable slice of an :class:`OracleCache` (mergeable).
-
-    Contains the hit/miss statistics plus every memo table whose namespace
-    is portable (:func:`is_portable_namespace`) — in practice the
-    query-answer memo, whose values ``(answer, cold ProbeSnapshot)`` are pure
-    functions of ``(graph, seed, query)``.  Because the values are pure,
-    merging snapshots from any number of sources in any order produces the
-    same cache: a merge is deterministic by construction.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    memos: Dict[Hashable, dict] = field(default_factory=dict)
-
-    @property
-    def entries(self) -> int:
-        return sum(len(table) for table in self.memos.values())
 
 
 @dataclass
@@ -399,49 +345,6 @@ class OracleCache:
             value = compute()
         self.store(namespace, key, value, touched)
         return value
-
-    # ------------------------------------------------------------------ #
-    # Snapshot / merge (the replica checkpoint protocol)
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> CacheSnapshot:
-        """Export the portable slice of this cache (see :class:`CacheSnapshot`).
-
-        Only memo tables under portable namespaces are included; per-vertex
-        derived state keyed by live system objects stays local.  Tables are
-        shallow-copied so the snapshot is stable under further queries.
-        """
-        return CacheSnapshot(
-            hits=self.stats.hits,
-            misses=self.stats.misses,
-            memos={
-                namespace: dict(table)
-                for namespace, table in self._memos.items()
-                if table and is_portable_namespace(namespace)
-            },
-        )
-
-    def merge(self, snapshot: CacheSnapshot) -> None:
-        """Fold another cache's portable slice into this cache.
-
-        Memoized values under a portable namespace are pure functions of
-        ``(graph, seed, key)``, so entries present on both sides are equal
-        and first-write-wins merging is deterministic regardless of merge
-        order.  Hit/miss statistics accumulate (telemetry only — answers
-        and probe accounting never depend on them).
-
-        The snapshot must come from a cache over the *same* graph object
-        (replicas of one shard share it), so incoming entries keep their own
-        epoch stamps: an entry exported before a mutation of a vertex it
-        touched stays stale here and discards itself on its next lookup,
-        exactly like a local entry would.
-        """
-        self.stats.hits += snapshot.hits
-        self.stats.misses += snapshot.misses
-        for namespace, table in snapshot.memos.items():
-            own = self.memo(namespace)
-            for key, entry in table.items():
-                if key not in own:
-                    own[key] = entry
 
     def clear(self) -> None:
         """Drop all memoized state (answers are unaffected; only speed is)."""

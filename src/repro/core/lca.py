@@ -228,9 +228,9 @@ class SpannerLCA(abc.ABC):
         kernel ``REPRO_KERNEL`` selects (:func:`repro.kernels.resolve_kernel`).
 
         The batched engine runs on it, and the service's replica sets use
-        it as a public handle: a checkpoint snapshots its portable state and
-        a rejoining replica merges it back
-        (:meth:`~repro.core.oracle.CachedOracle.merge_state`).
+        it as a public handle: a checkpoint copies its answer table
+        (:meth:`query_answer_namespace`) and a rejoining replica folds the
+        copy into its own (:meth:`repro.service.shards.ReplicaSet.sync`).
         """
         if self._cached_oracle is None:
             kernel = resolve_kernel()
@@ -244,12 +244,12 @@ class SpannerLCA(abc.ABC):
         """The memo namespace of the whole-query-answer cache.
 
         Built from values only (name, seed, parameter values) — never from
-        live objects — so it is *portable*: every LCA built from the same
-        name, seed and parameters produces the same namespace, and memoized
-        answers move between such LCAs (replicas of one shard) through the
-        :meth:`~repro.core.oracle.CachedOracle.merge_state` protocol.  It is
-        built once per LCA, of primitives only, so every memo lookup and
-        store hashes a plain tuple.
+        live objects — so every LCA built from the same name, seed and
+        parameters produces the same namespace, and memoized answers move
+        between such LCAs (replicas of one shard) through
+        :meth:`repro.service.shards.ReplicaSet.checkpoint`.  It is built
+        once per LCA, of primitives only, so every memo lookup and store
+        hashes a plain tuple.
         """
         namespace = self._answer_namespace
         if namespace is None:
@@ -437,7 +437,7 @@ class SpannerLCA(abc.ABC):
         result = MaterializedSpanner(
             algorithm=self.name, stretch_bound=self.stretch_bound(), edges=set()
         )
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             with tracer.span(
                 "materialize", "exec", algorithm=self.name, mode=mode
             ) as span:

@@ -18,9 +18,9 @@ indices ``0 .. t-1`` here.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from .cache import CacheSnapshot, OracleCache
+from .cache import OracleCache
 from .probes import ADJACENCY, DEGREE, NEIGHBOR, ProbeCounter, ProbeSnapshot
 from ..graphs.graph import Graph, Vertex
 
@@ -176,12 +176,8 @@ class CachedOracle(AdjacencyListOracle):
         return list(row)
 
     # ------------------------------------------------------------------ #
-    # Memoization of derived pure state
+    # Bulk charging (the cold schedule of a memoized value)
     # ------------------------------------------------------------------ #
-    def memo(self, namespace: Hashable) -> dict:
-        """A named memo table on the underlying cache."""
-        return self.cache.memo(namespace)
-
     def charge(self, neighbor: int = 0, degree: int = 0, adjacency: int = 0) -> None:
         """Record probes in bulk (the cold schedule of a memoized value)."""
         counter = self.counter
@@ -197,27 +193,6 @@ class CachedOracle(AdjacencyListOracle):
         self.charge(
             neighbor=cost.neighbor, degree=cost.degree, adjacency=cost.adjacency
         )
-
-    # ------------------------------------------------------------------ #
-    # Snapshot / merge (the replica checkpoint protocol)
-    # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> CacheSnapshot:
-        """Export the portable memo state (see :class:`CacheSnapshot`).
-
-        Every exported entry carries its measured cold-schedule probe cost,
-        so a receiver that merges the snapshot keeps charging exactly the
-        cold schedule on later hits — per-query probe accounting is
-        unchanged by where a value was first computed.
-        """
-        return self.cache.snapshot()
-
-    def merge_state(self, snapshot: CacheSnapshot) -> None:
-        """Fold another oracle's portable memo state into this oracle's cache.
-
-        Deterministic regardless of merge order (values are pure functions
-        of ``(graph, seed, key)``); never touches the probe counter.
-        """
-        self.cache.merge(snapshot)
 
 
 class SubgraphOracle(AdjacencyListOracle):

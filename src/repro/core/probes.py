@@ -74,11 +74,6 @@ class ProbeSnapshot:
             adjacency=self.adjacency + other.adjacency,
         )
 
-    def __reduce__(self):
-        # Compact pickling: snapshots travel by the tens of thousands in
-        # parallel-execution chunk results (one per memoized query answer).
-        return (ProbeSnapshot, (self.neighbor, self.degree, self.adjacency))
-
     def as_dict(self) -> Dict[str, int]:
         return {
             NEIGHBOR: self.neighbor,

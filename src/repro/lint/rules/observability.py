@@ -1,28 +1,25 @@
-"""OBS001: observability calls in hot paths stay behind enabled-guards.
+"""OBS001: observability calls in hot paths stay behind tracer guards.
 
 The observability plane's contract (``docs/observability.md``) is that
 tracing and metrics are *pure observation*: attaching a tracer changes no
 answer, probe count or latency stamp, and the disabled path costs one
-attribute check per site.  That second half is a source-level discipline —
+comparison per site.  That second half is a source-level discipline —
 every ``tracer.span/instant/begin/end`` (and registry ``counter/gauge/
 observe``) call in the hot packages (``core/``, ``kernels/``,
-``service/``) must sit behind an ``if tracer.enabled``-style guard or be
-made on a receiver that defaults to :data:`repro.obs.tracer.NULL_TRACER`.
+``service/``) must sit behind a guard on its receiver, such as
+``if tracer is not None:``; a tracer is off when it is ``None``.
 
 The guard check is a small module-level taint analysis, matching the idioms
 the codebase actually uses:
 
-* direct guards — ``if tracer is not None and tracer.enabled:``;
-* hoisted flags — ``tracing = tracer is not None and tracer.enabled`` then
-  ``if tracing:`` (and derived flags like ``fold_trace = tracing and ...``);
+* direct guards — ``if tracer is not None:``;
+* hoisted flags — ``tracing = tracer is not None`` then ``if tracing:``
+  (and derived flags like ``fold_trace = tracing and ...``);
 * handle guards — ``span = tracer.begin(...)`` under a guard, later
-  ``if span is not None: tracer.end(span)``;
-* null-object receivers — names assigned from ``NULL_TRACER`` (or defaulted
-  to it) may be called unguarded, that being the point of the pattern.
+  ``if span is not None: tracer.end(span)``.
 
 Backed dynamically by ``tests/test_obs_integration.py`` (answer/probe/
-latency invariance) and ``benchmarks/bench_obs.py`` (the <=5% null-tracer
-overhead floor); this rule keeps new instrumentation sites honest.
+latency invariance); this rule keeps new instrumentation sites honest.
 """
 
 from __future__ import annotations
@@ -63,21 +60,31 @@ def _receiver_kind(func: ast.Attribute) -> str:
 
 
 def _mentions(node: ast.AST, names: Set[str]) -> bool:
-    for child in ast.walk(node):
-        if isinstance(child, ast.Attribute) and child.attr == "enabled":
-            return True
-        if isinstance(child, ast.Name) and child.id in names:
-            return True
-    return False
+    return any(
+        isinstance(child, ast.Name) and child.id in names
+        for child in ast.walk(node)
+    )
 
 
 def _tainted_names(tree: ast.Module) -> Set[str]:
-    """Names carrying guard state: derived from ``.enabled``, a tracer
-    handle (``x = tracer.begin(...)``), ``NULL_TRACER`` or another such name."""
-    tainted: Set[str] = {"NULL_TRACER"}
+    """Names carrying guard state: a name the file calls tracer or metrics
+    methods on, a tracer handle (``x = tracer.begin(...)``) or a name
+    derived from another such name (``tracing = tracer is not None``).
+
+    A call's result is guard state only when the call is a tracer or
+    metrics method: ``report = run(tracer)`` does not make ``report`` a
+    guard."""
+    tainted: Set[str] = set()
     assignments = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and _receiver_kind(node.func)
+        ):
+            tainted.add(node.func.value.id)
+        elif isinstance(node, ast.Assign):
             assignments.append((node.targets, node.value))
         elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)) and node.value:
             assignments.append(([node.target], node.value))
@@ -85,11 +92,13 @@ def _tainted_names(tree: ast.Module) -> Set[str]:
     while changed:
         changed = False
         for targets, value in assignments:
-            guardy = _mentions(value, tainted)
-            if not guardy and isinstance(value, ast.Call):
+            if isinstance(value, ast.Call):
                 func = value.func
-                if isinstance(func, ast.Attribute) and _receiver_kind(func):
-                    guardy = True
+                guardy = isinstance(func, ast.Attribute) and bool(
+                    _receiver_kind(func)
+                )
+            else:
+                guardy = _mentions(value, tainted)
             if not guardy:
                 continue
             for target in targets:
@@ -99,72 +108,20 @@ def _tainted_names(tree: ast.Module) -> Set[str]:
     return tainted
 
 
-def _null_safe_map(tree: ast.Module) -> dict:
-    """Scope id → names bound (or defaulted) to ``NULL_TRACER`` there.
-
-    Keyed by ``id(function_node)`` (``None`` for module scope) so that one
-    function defaulting ``tracer=NULL_TRACER`` does not whitelist the name
-    for every *other* function in the module.  Requires parent links
-    (:meth:`FileContext.walk` ran first).
-    """
-    safe: dict = {None: set()}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
-            if any(
-                isinstance(child, ast.Name) and child.id == "NULL_TRACER"
-                for child in ast.walk(node.value)
-            ):
-                scope = _enclosing_scope(node)
-                safe.setdefault(scope, set()).update(
-                    target.id
-                    for target in node.targets
-                    if isinstance(target, ast.Name)
-                )
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            positional = args.posonlyargs + args.args
-            scoped = safe.setdefault(id(node), set())
-            for arg, default in zip(positional[len(positional) - len(args.defaults):],
-                                    args.defaults):
-                if isinstance(default, ast.Name) and default.id == "NULL_TRACER":
-                    scoped.add(arg.arg)
-            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                if isinstance(default, ast.Name) and default.id == "NULL_TRACER":
-                    scoped.add(arg.arg)
-    return safe
-
-
-def _enclosing_scope(node: ast.AST):
-    for parent in ancestors(node):
-        if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return id(parent)
-    return None
-
-
-def _null_safe_for(call: ast.Call, safe_map: dict) -> Set[str]:
-    """Null-safe names visible at one call site: module + enclosing scopes."""
-    names = set(safe_map.get(None, ()))
-    for parent in ancestors(call):
-        if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names |= safe_map.get(id(parent), set())
-    return names
-
-
 class GuardedObservabilityRule(Rule):
-    """OBS001: hot-path tracer/metrics calls are guarded or null-object."""
+    """OBS001: hot-path tracer/metrics calls are guarded."""
 
     code = "OBS001"
     name = "guarded-observability"
     contract = (
         "tracer/metrics calls in core/, kernels/, service/ sit "
-        "behind an enabled-guard or use the NULL_TRACER pattern"
+        "behind a guard on their receiver"
     )
 
     def check(self, ctx: FileContext) -> List[Finding]:
         if not ctx.under(*HOT_PACKAGES):
             return []
         tainted = None
-        null_safe_map = None
         findings: List[Finding] = []
         for node in ctx.walk():
             if not isinstance(node, ast.Call):
@@ -177,12 +134,8 @@ class GuardedObservabilityRule(Rule):
                 continue
             if tainted is None:
                 tainted = _tainted_names(ctx.tree)
-                null_safe_map = _null_safe_map(ctx.tree)
             receiver = dotted_name(func.value) or ""
             receiver_head = receiver.split(".", 1)[0]
-            null_safe = _null_safe_for(node, null_safe_map)
-            if receiver in null_safe or receiver_head in null_safe:
-                continue
             if self._guarded(node, tainted | {receiver, receiver_head}):
                 continue
             findings.append(
@@ -190,8 +143,8 @@ class GuardedObservabilityRule(Rule):
                     ctx,
                     node,
                     f"unguarded {kind} call {receiver}.{func.attr}() on a hot "
-                    "path; guard with 'if tracer.enabled:' (or a flag derived "
-                    "from it) or default the receiver to NULL_TRACER",
+                    "path; guard with 'if tracer is not None:' (or a flag "
+                    "derived from it)",
                 )
             )
         return findings

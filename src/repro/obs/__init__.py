@@ -9,9 +9,9 @@ is the connective tissue, in three parts:
 * :mod:`repro.obs.tracer` — a **deterministic structured tracer**:
   hierarchical spans stamped with an internal monotone tick counter (never
   the engine's injected clock, so enabling tracing cannot perturb measured
-  latencies), collected in a bounded ring buffer.  The default
-  :data:`NULL_TRACER` is disabled; every instrumentation site guards on
-  ``tracer.enabled`` so the off path costs one attribute check.
+  latencies), collected in a bounded ring buffer.  Tracing is off when
+  the tracer is ``None``; every instrumentation site guards on
+  ``tracer is not None`` so the off path costs one comparison.
 * :mod:`repro.obs.export` — JSONL and Chrome ``trace_event`` export (load
   the latter in Perfetto / ``chrome://tracing``), plus readers and a span
   summarizer.  Same run ⇒ byte-identical exports on any host.
@@ -40,11 +40,9 @@ from .export import (
 )
 from .metrics import METRICS_SCHEMA, MetricsRegistry, collect_run_metrics
 from .profiler import CACHE_OUTCOMES, PROBE_PHASES, ProbeProfiler
-from .tracer import NULL_TRACER, NullTracer, Span, SpanTracer
+from .tracer import Span, SpanTracer
 
 __all__ = [
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "SpanTracer",
     "TRACE_SCHEMA",

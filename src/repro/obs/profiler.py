@@ -50,8 +50,6 @@ class ProbeProfiler:
     with :meth:`merge` in shard order at report time.
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         #: phase -> per-kind probe counts (only phases actually seen).
         self.phase_kinds: Dict[str, Dict[str, int]] = {}

@@ -9,10 +9,11 @@ Design constraints, in priority order:
    it is observing.  The engine's cycle counter travels as a span *argument*
    instead.  Two runs of the same deterministic schedule therefore produce
    byte-identical span streams on any host.
-2. **Zero cost when disabled.**  The default tracer is :data:`NULL_TRACER`
-   (``enabled = False``); instrumentation sites guard with
-   ``if tracer.enabled:`` (mirroring the engine's ``faults_on`` idiom), so
-   the disabled path costs one attribute check per site.
+2. **Zero cost when disabled.**  Tracing is off when the tracer is
+   ``None``, the default of every instrumented signature; instrumentation
+   sites guard with ``if tracer is not None:`` (or a flag hoisted from it,
+   mirroring the engine's ``faults_on`` idiom), so the disabled path costs
+   one comparison per site.
 3. **Bounded memory.**  Finished spans land in a ring buffer
    (``deque(maxlen=capacity)``); once full, the oldest spans are dropped and
    counted in :attr:`SpanTracer.dropped` so exports can say so honestly.
@@ -56,37 +57,6 @@ class Span:
         return (self.end if self.end is not None else self.begin) - self.begin
 
 
-class NullTracer:
-    """The disabled tracer: every operation is a no-op.
-
-    Instrumentation sites should guard on :attr:`enabled` and skip the call
-    entirely; the methods exist so un-guarded call sites still work.
-    """
-
-    enabled = False
-    dropped = 0
-
-    @contextmanager
-    def span(self, name: str, cat: str = "run", **args) -> Iterator[None]:
-        yield None
-
-    def begin(self, name: str, cat: str = "run", parent=None, **args) -> None:
-        return None
-
-    def end(self, span, **args) -> None:
-        return None
-
-    def instant(self, name: str, cat: str = "event", **args) -> None:
-        return None
-
-    def finished(self) -> List[Span]:
-        return []
-
-
-#: The default tracer every instrumented signature falls back to.
-NULL_TRACER = NullTracer()
-
-
 class SpanTracer:
     """Collecting tracer: hierarchical spans in a bounded ring buffer.
 
@@ -94,8 +64,6 @@ class SpanTracer:
     engine, ``SpannerLCA.materialize`` and the report runner all emit spans
     from one thread, which is what keeps span order deterministic.
     """
-
-    enabled = True
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:

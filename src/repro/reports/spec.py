@@ -194,7 +194,6 @@ class ServiceSpec:
     max_retries: int = 2
     timeout_ticks: int = 64
     degraded_mode: str = "answer"
-    checkpoint_interval: int = 8
 
     def __post_init__(self) -> None:
         _check_by_building(self.config, "service")
@@ -212,7 +211,6 @@ class ServiceSpec:
             max_retries=self.max_retries,
             timeout_ticks=self.timeout_ticks,
             degraded_mode=self.degraded_mode,
-            checkpoint_interval=self.checkpoint_interval,
         )
 
     def as_dict(self) -> Dict[str, object]:
@@ -231,8 +229,6 @@ class ServiceSpec:
             payload["timeout_ticks"] = self.timeout_ticks
         if self.degraded_mode != "answer":
             payload["degraded_mode"] = self.degraded_mode
-        if self.checkpoint_interval != 8:
-            payload["checkpoint_interval"] = self.checkpoint_interval
         return payload
 
 

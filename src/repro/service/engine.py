@@ -67,10 +67,11 @@ and fault runs stay bit-reproducible.  The engine reacts:
   of ``replication`` same-seed LCA instances.  Reads route to a sticky
   *primary* (lowest live replica index); when a crash takes the primary
   down, the lowest live replica is promoted and inherits the crashed
-  primary's warm memo state by merging the set's latest checkpoint (taken
-  from the primary every ``checkpoint_interval`` batches).  Answers and
-  per-request probe totals are unchanged by failover — LCA purity plus
-  cold-schedule accounting make every replica serve bit-identically.
+  primary's warm answers by folding in the set's latest checkpoint (a copy
+  of the primary's answer table, taken every :data:`CHECKPOINT_BATCHES`
+  batches).  Answers and per-request probe totals are unchanged by
+  failover — LCA purity plus cold-schedule accounting make every replica
+  serve bit-identically.
 * **Retries with backoff** — submissions hit by injected flaky faults and
   timed-out slow batches are resubmitted to the *current* primary, up to
   ``max_retries`` times, burning :func:`backoff_ticks` readings of the
@@ -120,6 +121,10 @@ DEGRADED_MODES = ("answer", "shed")
 #: Shed-reason codes reported under ``extras["shed_reasons"]``.
 SHED_REASONS = ("invalid", "overload", "degraded")
 
+#: Batches between primary checkpoints (replica warm-answer sync) in a
+#: replicated fault run.
+CHECKPOINT_BATCHES = 8
+
 
 def backoff_ticks(attempt: int) -> int:
     """Clock ticks burned before retry number ``attempt`` (0-based).
@@ -158,8 +163,6 @@ class ServiceConfig:
     #: Reads on a fully-down shard: "answer" (explicit degraded answer) or
     #: "shed" (rejected under the distinct "degraded" reason code).
     degraded_mode: str = "answer"
-    #: Batches between primary checkpoints (replica warm-state sync).
-    checkpoint_interval: int = 8
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -181,8 +184,6 @@ class ServiceConfig:
             )
         if self.timeout_ticks < 1:
             raise ValueError("timeout_ticks must be >= 1")
-        if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
 
     @property
     def effective_burst(self) -> int:
@@ -300,7 +301,7 @@ class ServiceEngine:
                     shard.lca.attach_profiler(local)
                     attached.append((shard, local))
         try:
-            if tracer is not None and tracer.enabled:
+            if tracer is not None:
                 with tracer.span(
                     "service.run",
                     "service",
@@ -334,7 +335,7 @@ class ServiceEngine:
         timeout_ticks = config.timeout_ticks
         max_retries = config.max_retries
         degraded_shed = config.degraded_mode == "shed"
-        tracing = tracer is not None and tracer.enabled
+        tracing = tracer is not None
 
         injector: Optional[FaultInjector] = None
         if config.fault_plan is not None:
@@ -554,7 +555,7 @@ class ServiceEngine:
                         replica_sets[shard_id].sync(live[0])
                 if (
                     replication > 1
-                    and batches - checkpointed_at >= config.checkpoint_interval
+                    and batches - checkpointed_at >= CHECKPOINT_BATCHES
                 ):
                     for shard_id in range(num_shards):
                         idx = primary[shard_id]

@@ -71,33 +71,6 @@ class LatencyStats:
     def percentile_s(self, q: float) -> float:
         return nearest_rank_percentile(self._sorted_samples(), q)
 
-    def merge(self, other: "LatencyStats") -> None:
-        """Fold another summary in without re-sorting the union.
-
-        Both sides' sorted views are combined with a linear two-pointer
-        merge, so folding per-shard summaries into a pool-level one costs
-        O(n + m) instead of the O((n+m) log (n+m)) a concatenate-and-sort
-        would pay.  Equivalent to adding every sample of ``other``
-        (pinned by a hypothesis property test against that oracle).
-        """
-        if not other.samples_s:
-            return
-        left = self._sorted_samples()
-        right = other._sorted_samples()
-        merged: List[float] = []
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if left[i] <= right[j]:
-                merged.append(left[i])
-                i += 1
-            else:
-                merged.append(right[j])
-                j += 1
-        merged.extend(left[i:])
-        merged.extend(right[j:])
-        self.samples_s.extend(other.samples_s)
-        self._ordered = merged
-
     def as_dict(self) -> Dict[str, float]:
         """Summary in milliseconds (the natural scale for serving)."""
         ordered = self._sorted_samples()

@@ -161,14 +161,18 @@ class ReplicaSet:
     never the read's answer or its cold-schedule probe total.
 
     What replicas do **not** automatically share is warm memo state.  The
-    set therefore keeps one *checkpoint*: a portable
-    :class:`~repro.core.cache.CacheSnapshot` exported by the serving
-    primary (:meth:`checkpoint`).  A replica promoted after a crash — or
-    rejoining after recovery — merges the latest checkpoint it has not
-    seen (:meth:`sync`), inheriting the primary's memo entries.  Merged
-    entries are epoch-stamped (see :mod:`repro.core.cache`), so a
-    checkpoint taken before a graph mutation is still safe to merge after
-    it: stale entries discard themselves on their next lookup.
+    set therefore keeps one *checkpoint*: a copy of the serving primary's
+    answer table, the memo under
+    :meth:`~repro.core.lca.SpannerLCA.query_answer_namespace`
+    (:meth:`checkpoint`).  Answers are all a same-seed replica needs to
+    get warm; every other memo table is keyed by the instance's own live
+    objects.  A replica promoted after a crash — or rejoining after
+    recovery — folds the latest checkpoint it has not seen into its own
+    answer table (:meth:`sync`).  Entries keep their epoch stamps (see
+    :mod:`repro.core.cache`), so a checkpoint taken before a graph
+    mutation is still safe to fold in after it: stale entries discard
+    themselves on their next lookup.  No hit or miss count moves with a
+    checkpoint, so each replica's counters count its own lookups only.
     """
 
     __slots__ = ("shard_id", "replicas", "_checkpoint", "_version", "_synced")
@@ -178,39 +182,47 @@ class ReplicaSet:
             raise ValueError("a replica set needs at least one replica")
         self.shard_id = shard_id
         self.replicas = list(replicas)
-        self._checkpoint: Optional[Tuple[int, object]] = None  # (source, snap)
+        self._checkpoint: Optional[Tuple[int, dict]] = None  # (source, answers)
         self._version = 0
         self._synced = [0] * len(self.replicas)
 
     def __len__(self) -> int:
         return len(self.replicas)
 
+    def _answers(self, replica_idx: int) -> dict:
+        """The answer table of replica ``replica_idx`` (created if empty)."""
+        lca = self.replicas[replica_idx].lca
+        return lca.ensure_cached_oracle().cache.memo(lca.query_answer_namespace())
+
     def checkpoint(self, replica_idx: int) -> int:
-        """Export ``replica_idx``'s memo state as the set's checkpoint.
+        """Copy ``replica_idx``'s answer table as the set's checkpoint.
 
         Returns the checkpoint version.
         """
-        oracle = self.replicas[replica_idx].lca.ensure_cached_oracle()
         self._version += 1
-        self._checkpoint = (replica_idx, oracle.snapshot_state())
+        self._checkpoint = (replica_idx, dict(self._answers(replica_idx)))
         self._synced[replica_idx] = self._version
         return self._version
 
     def sync(self, replica_idx: int) -> bool:
-        """Merge the latest unseen checkpoint into ``replica_idx``.
+        """Fold the latest unseen checkpoint into ``replica_idx``.
 
         Called on promotion (the new primary inherits the crashed
-        primary's warm state) and on rejoin after recovery.  A no-op when
-        the replica exported the checkpoint itself or has already merged
-        it; returns whether a merge happened.
+        primary's warm answers) and on rejoin after recovery.  An answer
+        the replica already holds is kept (first write wins); since
+        answers are pure functions of ``(graph, seed, query)``, the order
+        of syncs never changes the table.  A no-op when the replica took
+        the checkpoint itself or has already folded it in; returns
+        whether a fold happened.
         """
         if self._checkpoint is None:
             return False
-        source, snapshot = self._checkpoint
+        source, answers = self._checkpoint
         if source == replica_idx or self._synced[replica_idx] >= self._version:
             return False
-        replica = self.replicas[replica_idx]
-        replica.lca.ensure_cached_oracle().merge_state(snapshot)
+        own = self._answers(replica_idx)
+        for key, entry in answers.items():
+            own.setdefault(key, entry)
         self._synced[replica_idx] = self._version
         return True
 

@@ -224,7 +224,8 @@ def test_dependency_sets_past_64_bits_invalidate_on_exactly_their_reads(replica)
     stored as a sorted tuple.  A write to any vertex it read invalidates it
     and a write elsewhere does not, whether few writes (mutation-log scan)
     or more writes than reads (per-vertex epochs) came in between, in the
-    cache that stored it and in a replica cache it was merged into."""
+    cache that stored it and in a replica cache its table was copied into
+    (as a replica checkpoint copies the answer table)."""
 
     def stored(graph):
         cache = OracleCache(graph)
@@ -232,7 +233,7 @@ def test_dependency_sets_past_64_bits_invalidate_on_exactly_their_reads(replica)
         cache.memoize("answers", "narrow", lambda: cache.degree(2))
         if replica:
             merged = OracleCache(graph)
-            merged.merge(cache.snapshot())
+            merged.memo("answers").update(cache.memo("answers"))
             cache = merged
         assert cache.lookup("answers", "wide").touched == tuple(sorted(WIDE_READS))
         assert cache.lookup("answers", "narrow").touched == array("q", [2])

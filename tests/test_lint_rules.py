@@ -117,30 +117,35 @@ def test_det002_accepts_seeded_namespaced_streams(tmp_path):
 def test_obs001_flags_unguarded_tracer_call_on_hot_path(tmp_path):
     report = lint_tree(tmp_path, {
         "src/repro/core/mod.py": """
+            NULL_TRACER = object()
+
             def answer(tracer):
                 tracer.instant("core.answer")
                 return 1
-        """,
-    })
-    assert codes(report) == ["OBS001"]
-
-
-def test_obs001_accepts_guards_flags_and_null_tracer(tmp_path):
-    report = lint_tree(tmp_path, {
-        "src/repro/core/mod.py": """
-            NULL_TRACER = object()
-
-            def direct(tracer):
-                if tracer is not None and tracer.enabled:
-                    tracer.instant("core.direct")
-
-            def hoisted(tracer):
-                tracing = tracer is not None and tracer.enabled
-                if tracing:
-                    tracer.instant("core.hoisted")
 
             def null_default(tracer=NULL_TRACER):
                 tracer.instant("core.null")
+
+            def derived_from_a_call(tracer):
+                result = len(tracer)
+                if result:
+                    tracer.instant("core.derived")
+        """,
+    })
+    assert codes(report) == ["OBS001", "OBS001", "OBS001"]
+
+
+def test_obs001_accepts_direct_and_hoisted_guards(tmp_path):
+    report = lint_tree(tmp_path, {
+        "src/repro/core/mod.py": """
+            def direct(tracer):
+                if tracer is not None:
+                    tracer.instant("core.direct")
+
+            def hoisted(tracer):
+                tracing = tracer is not None
+                if tracing:
+                    tracer.instant("core.hoisted")
         """,
     })
     assert codes(report) == []

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.obs import (
-    NULL_TRACER,
     SpanTracer,
     TRACE_SCHEMA,
     chrome_trace,
@@ -91,16 +90,6 @@ def test_ring_buffer_drops_oldest_and_counts():
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         SpanTracer(capacity=0)
-
-
-def test_null_tracer_is_disabled_and_silent():
-    assert NULL_TRACER.enabled is False
-    with NULL_TRACER.span("run", "service") as span:
-        assert span is None
-    NULL_TRACER.end(NULL_TRACER.begin("x", "y"))
-    NULL_TRACER.instant("x")
-    assert NULL_TRACER.finished() == []
-    assert NULL_TRACER.dropped == 0
 
 
 def test_same_operations_same_bytes():

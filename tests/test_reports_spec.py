@@ -70,6 +70,10 @@ def test_spec_round_trips_through_as_dict():
         ({"materialize": {"mode": "cached"}}, "unknown scenario keys ['materialize']"),
         ({"materialize": {"memo_cap": 8}}, "unknown scenario keys ['materialize']"),
         ({"materialize": {}}, "unknown scenario keys ['materialize']"),
+        (
+            {"service": {"checkpoint_interval": 8}},
+            "unknown service keys ['checkpoint_interval']",
+        ),
     ],
 )
 def test_invalid_specs_raise_spec_errors(mutation, message):

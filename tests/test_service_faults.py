@@ -18,12 +18,17 @@ from __future__ import annotations
 import pytest
 
 from repro import graphs
-from repro.core.cache import CacheSnapshot, is_portable_namespace
 from repro.core.registry import create
-from repro.core.seed import Seed
 from repro.faults import FaultEvent, FaultPlan
 from repro.reports import TickClock
-from repro.service import ServiceConfig, ServiceEngine, TraceOp, make_workload
+from repro.service import (
+    OracleShard,
+    ReplicaSet,
+    ServiceConfig,
+    ServiceEngine,
+    TraceOp,
+    make_workload,
+)
 from repro.service.engine import backoff_ticks
 
 
@@ -345,13 +350,13 @@ def test_single_inflight_slot_with_pending_writes_drains_cleanly():
 # --------------------------------------------------------------------------- #
 # Replica checkpoint protocol (ReplicaSet.checkpoint / ReplicaSet.sync)
 # --------------------------------------------------------------------------- #
-def test_portable_namespace_predicate():
-    assert is_portable_namespace("query-answer")
-    assert is_portable_namespace(("query-answer", "spanner3", 5, None))
-    assert is_portable_namespace(Seed(7))
-    assert is_portable_namespace(("x", Seed(7), 1.5, True))
-    assert not is_portable_namespace((object(), "role"))
-    assert not is_portable_namespace([1, 2])  # unhashable anyway
+def replica_set(graph, replicas):
+    return ReplicaSet(0, [OracleShard(0, _factory(graph)) for _ in range(replicas)])
+
+
+def answer_table(replicas, idx):
+    lca = replicas.replicas[idx].lca
+    return lca.oracle_cache.memo(lca.query_answer_namespace())
 
 
 def test_snapshot_merge_is_order_independent_and_accounting_preserving():
@@ -359,75 +364,85 @@ def test_snapshot_merge_is_order_independent_and_accounting_preserving():
     edges = list(graph.edges())
     half_a, half_b = edges[: len(edges) // 2], edges[len(edges) // 2 :]
 
-    worker_a = _factory(graph)
-    worker_a.query_batch(half_a)
-    snap_a = worker_a.ensure_cached_oracle().snapshot_state()
-    worker_b = _factory(graph)
-    worker_b.query_batch(half_b)
-    snap_b = worker_b.ensure_cached_oracle().snapshot_state()
+    # Replicas 0 and 1 serve one half each; replica 2 syncs their
+    # checkpoints in the order a, b and replica 3 in the order b, a.
+    replicas = replica_set(graph, 4)
+    replicas.replicas[0].serve_batch(half_a)
+    replicas.replicas[1].serve_batch(half_b)
+    replicas.checkpoint(0)
+    assert replicas.sync(2)
+    replicas.checkpoint(1)
+    assert replicas.sync(2) and replicas.sync(3)
+    replicas.checkpoint(0)
+    assert replicas.sync(3)
+    assert answer_table(replicas, 2) == answer_table(replicas, 3)
+    assert len(answer_table(replicas, 2)) == len(edges)
 
-    merged_ab = _factory(graph).ensure_cached_oracle()
-    merged_ab.merge_state(snap_a)
-    merged_ab.merge_state(snap_b)
-    merged_ba = _factory(graph).ensure_cached_oracle()
-    merged_ba.merge_state(snap_b)
-    merged_ba.merge_state(snap_a)
-    assert merged_ab.snapshot_state().memos == merged_ba.snapshot_state().memos
-    assert merged_ab.snapshot_state().entries == len(edges)
-
-    # A replica that only *merged* state still charges cold totals.
-    coordinator = _factory(graph)
-    coordinator.ensure_cached_oracle().merge_state(snap_a)
-    replay = coordinator.query_batch(half_a)
+    # A replica that only *synced* answers still charges cold totals, and
+    # its counters count its own lookups only.
+    replay = replicas.replicas[2].serve_batch(half_a)
     cold = _factory(graph).query_batch(half_a)
     assert replay.answers == cold.answers
     assert replay.probe_totals == cold.probe_totals
+    stats = replicas.replicas[2].lca.oracle_cache.stats
+    assert (stats.hits, stats.misses) == (len(half_a), 0)
 
 
 def test_snapshot_excludes_process_local_namespaces():
     graph = graphs.gnp_graph(40, 0.25, seed=6)
-    lca = _factory(graph)
-    lca.materialize(mode="batched")  # populates per-vertex object-keyed memos
-    snapshot = lca.ensure_cached_oracle().snapshot_state()
-    assert isinstance(snapshot, CacheSnapshot)
-    for namespace in snapshot.memos:
-        assert is_portable_namespace(namespace), namespace
+    edges = list(graph.edges())
+    replicas = replica_set(graph, 2)
+    primary = replicas.replicas[0]
+    # Calls this small decide their misses one at a time, which fills the
+    # per-vertex memos keyed by live objects under either kernel.
+    for start in range(0, len(edges), 4):
+        primary.serve_batch(edges[start : start + 4])
+    namespace = primary.lca.query_answer_namespace()
+    assert len(primary.lca.oracle_cache.memo_sizes()) > 1
+    replicas.checkpoint(0)
+    assert replicas.sync(1)
+    cache = replicas.replicas[1].lca.oracle_cache
+    assert cache.memo_sizes() == {repr(namespace): len(edges)}
+    assert (cache.stats.hits, cache.stats.misses) == (0, 0)
 
 
 def test_checkpoint_taken_before_a_write_stays_stale_after_merge():
     """A replica syncing a pre-write checkpoint must not serve the entries
-    the write invalidated: merged entries keep their own epoch stamps."""
+    the write invalidated: synced entries keep their own epoch stamps."""
     graph = graphs.gnp_graph(60, 0.2, seed=4)
-    primary = _factory(graph)
-    primary.query_batch(list(graph.edges()))
-    checkpoint = primary.ensure_cached_oracle().snapshot_state()
+    replicas = replica_set(graph, 2)
+    replicas.replicas[0].serve_batch(list(graph.edges()))
+    replicas.checkpoint(0)
     for (u, v) in list(graph.edges())[::7][:6]:
         graph.remove_edge(u, v)
-    replica = _factory(graph)
-    replica.ensure_cached_oracle().merge_state(checkpoint)
+    assert replicas.sync(1)
     live = list(graph.edges())
-    synced = replica.query_batch(live)
+    synced = replicas.replicas[1].serve_batch(live)
     fresh = _factory(graph).query_batch(live)
     assert synced.answers == fresh.answers
     assert synced.probe_totals == fresh.probe_totals
 
 
+CHURN = dict(workload_kind="churn", write_ratio=0.1, requests=800)
+
+
+def crash_storm_run(fault_seed):
+    """2 shards × 2 replicas under a seeded crash storm, serving churn."""
+    plan = FaultPlan.generate(
+        fault_seed, num_shards=2, replication=2, horizon=100, crashes=6
+    )
+    config = ServiceConfig(
+        num_shards=2, batch_size=8, replication=2, fault_plan=plan
+    )
+    return run_engine(config, **CHURN)
+
+
 def test_failover_under_churn_matches_the_fault_free_run():
     """Writes between a checkpoint and a failover: every non-degraded answer
     and probe total still equals the fault-free run's."""
-    churn = dict(workload_kind="churn", write_ratio=0.1, requests=800)
-    _, clean, _ = run_engine(ServiceConfig(num_shards=2, batch_size=8), **churn)
+    _, clean, _ = run_engine(ServiceConfig(num_shards=2, batch_size=8), **CHURN)
     for fault_seed in (1, 5):
-        plan = FaultPlan.generate(
-            fault_seed, num_shards=2, replication=2, horizon=100, crashes=6
-        )
-        _, faulty, report = run_engine(
-            ServiceConfig(
-                num_shards=2, batch_size=8, replication=2, fault_plan=plan,
-                checkpoint_interval=2,
-            ),
-            **churn,
-        )
+        _, faulty, report = crash_storm_run(fault_seed)
         assert report.faults["failovers"] > 0
         served = {r.seq: r for r in faulty.records if not r.degraded}
         mismatched = [
@@ -437,3 +452,16 @@ def test_failover_under_churn_matches_the_fault_free_run():
             != (r.in_spanner, r.probe_total)
         ]
         assert mismatched == [], fault_seed
+
+
+def test_replicated_fault_runs_count_each_served_read_as_one_lookup():
+    """A checkpoint moves answers, not hit or miss counts: after failovers
+    every shard report counts one cache lookup per request it served."""
+    for fault_seed in (1, 5):
+        _, _, report = crash_storm_run(fault_seed)
+        assert report.faults["failovers"] > 0
+        assert report.faults["checkpoints"] > 0
+        for shard in report.shard_reports:
+            assert shard.cache_hits + shard.cache_misses == shard.requests, (
+                fault_seed, shard.shard_id,
+            )
