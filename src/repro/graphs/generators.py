@@ -94,11 +94,9 @@ def grid_graph(rows: int, cols: int, seed: Optional[int] = None) -> Graph:
 def _gnp_edge_iter(n: int, p: float, rng: random.Random) -> Iterator[Edge]:
     """Skip-sampling ``G(n, p)`` edge enumeration.
 
-    Shared by the in-memory :func:`gnp_graph` and the chunked
-    :func:`gnp_edge_chunks`, so both consume the rng in exactly the same
-    schedule — the foundation of the streamed-vs-in-memory bit-identity
-    pinned in ``tests/test_scale_stream.py``.  Yields each edge exactly
-    once, ``(w, v)`` with ``w < v``.
+    The one rng schedule of the ``G(n, p)`` family: :func:`gnp_edge_chunks`
+    emits it in chunks, which :func:`gnp_graph` builds into CSR arrays.
+    Yields each edge exactly once, ``(w, v)`` with ``w < v``.
     """
     if p <= 0.0:
         return
@@ -127,15 +125,12 @@ def gnp_graph(n: int, p: float, seed: Optional[int] = None) -> Graph:
     """Erdős–Rényi ``G(n, p)``.
 
     Uses the skip-sampling technique so generation is O(m) rather than O(n²)
-    for small ``p``.
+    for small ``p``, and builds the skip sampler's chunks straight into CSR
+    arrays (:func:`build_csr_from_chunks`), so no Python edge list exists at
+    any ``n``.  Neighbor rows are shuffled with ``seed`` as the other
+    families shuffle theirs.
     """
-    if n < 1:
-        raise ParameterError("n must be positive")
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError("p must be in [0, 1]")
-    rng = _rng(seed)
-    edges: List[Edge] = list(_gnp_edge_iter(n, p, rng))
-    return _build(edges, range(n), seed)
+    return build_csr_from_chunks(gnp_edge_chunks(n, p, seed), shuffle_seed=seed)
 
 
 def gnm_graph(n: int, m: int, seed: Optional[int] = None) -> Graph:
@@ -204,11 +199,7 @@ def circulant_graph(n: int, offsets: Sequence[int], seed: Optional[int] = None) 
 # Skewed / structured families targeting the paper's regimes
 # --------------------------------------------------------------------------- #
 def _power_law_weights(n: int, exponent: float, min_degree: int) -> List[float]:
-    """The capped Chung–Lu weight sequence shared by both power-law paths.
-
-    Non-increasing in the vertex index — a property the streaming
-    skip-sampler (:func:`_chung_lu_edge_iter`) relies on.
-    """
+    """The capped Chung–Lu weight sequence of :func:`power_law_graph`."""
     weights = [
         max(float(min_degree), float(min_degree) * ((i + 1) ** (-1.0 / (exponent - 1.0))) * n ** (1.0 / (exponent - 1.0)) / 4.0)
         for i in range(n)
@@ -374,7 +365,7 @@ def relabel_randomly(graph: Graph, seed: Optional[int] = None, id_space: int = 1
 
 
 # --------------------------------------------------------------------------- #
-# Streaming (chunk-emitting) families
+# Chunked edge streams and the CSR builder they feed
 # --------------------------------------------------------------------------- #
 class EdgeChunkStream:
     """Re-iterable stream of edge chunks — the million-node generation path.
@@ -383,9 +374,8 @@ class EdgeChunkStream:
     at no point does a Python edge list (or per-edge tuple objects) for the
     whole graph exist.  The stream is **re-iterable**: every ``iter()``
     re-runs the seeded factory from scratch and yields the identical chunk
-    sequence, which is what lets the incremental CSR builder
-    (:func:`repro.scale.stream.build_csr_from_chunks`) make its two passes
-    (degree count, then fill) without buffering.
+    sequence, which is what lets :func:`build_csr_from_chunks` make its two
+    passes (degree count, then fill) without buffering.
 
     Emitters guarantee each undirected edge appears exactly once with no
     self-loops; the builder validates ids and loops as it consumes.
@@ -424,13 +414,7 @@ def gnp_edge_chunks(
     seed: Optional[int] = None,
     chunk_edges: int = DEFAULT_CHUNK_EDGES,
 ) -> EdgeChunkStream:
-    """Chunk-emitting ``G(n, p)``.
-
-    Consumes the seeded rng in exactly the same schedule as
-    :func:`gnp_graph` (they share :func:`_gnp_edge_iter`), so streaming
-    this into the incremental CSR builder with ``shuffle_seed=seed``
-    reproduces ``gnp_graph(n, p, seed)`` bit for bit.
-    """
+    """Chunk-emitting ``G(n, p)``: the edges :func:`gnp_graph` builds."""
     if n < 1:
         raise ParameterError("n must be positive")
     if not 0.0 <= p <= 1.0:
@@ -438,147 +422,112 @@ def gnp_edge_chunks(
     return EdgeChunkStream(n, lambda: _gnp_edge_iter(n, p, _rng(seed)), chunk_edges)
 
 
-def _chung_lu_edge_iter(
-    n: int, weights: Sequence[float], rng: random.Random
-) -> Iterator[Edge]:
-    """Miller–Hagberg skip sampling of the Chung–Lu model.
+def build_csr_from_chunks(
+    chunks: EdgeChunkStream, shuffle_seed: Optional[int] = None
+) -> Graph:
+    """Two-pass incremental CSR build over a re-iterable chunk stream.
 
-    O(n + m) for non-increasing weight sequences: within each row the
-    connection probability only shrinks, so a geometric skip at the current
-    probability followed by an acceptance correction samples every pair
-    ``u < v`` with probability ``min(1, w_u * w_v / total)`` — without the
-    O(n²) pair scan of the in-memory generator.  Yields each edge once.
+    The first pass counts per-vertex degrees and prefix-sums them into
+    ``indptr``; the second places each endpoint at its row cursor, in the
+    append order ``Graph.from_edges`` would produce.  Peak memory is the
+    three int64 arrays plus one chunk, O(n + m) bytes rather than O(m)
+    Python objects.
+
+    ``chunks`` yields flat ``array('q')`` buffers of ``[u, v, u, v, ...]``
+    pairs and must yield the identical sequence on every iteration (the
+    :class:`EdgeChunkStream` contract).  Vertex ids must lie in
+    ``0..n-1``; self-loops, out-of-range ids and odd-length chunks raise
+    :class:`~repro.core.errors.GraphError`.  Duplicate-freeness is the
+    emitter's contract — the builder does not dedup (a dedup structure is
+    exactly the O(m)-objects cost this path exists to avoid).
+
+    With a ``shuffle_seed``, per-row shuffles replay ``from_edges``'s
+    schedule bit for bit: one ``random.Random(shuffle_seed)`` over rows in
+    id order, rows shorter than 2 consuming no randomness.  So for the same
+    edge sequence and seed the arrays equal ``Graph.from_edges``'s.
     """
-    total = math.fsum(weights)
-    if total <= 0.0:
-        return
-    for u in range(n - 1):
-        v = u + 1
-        p = min(1.0, weights[u] * weights[v] / total)
-        while v < n and p > 0.0:
-            if p < 1.0:
-                log_q = math.log(1.0 - p)
-                if log_q == 0.0:
-                    break  # p below one float ulp: no edge lands in this row
-                r = rng.random()
-                v += int(math.floor(math.log(1.0 - r) / log_q))
-            if v < n:
-                q = min(1.0, weights[u] * weights[v] / total)
-                if rng.random() < q / p:
-                    yield (u, v)
-                p = q
-                v += 1
+    n = int(chunks.num_vertices)
+    if n < 0:
+        raise ParameterError("num_vertices must be non-negative")
 
+    counts = array("q", bytes(8 * n)) if n else array("q")
+    total = 0
+    for chunk in chunks:
+        length = len(chunk)
+        if length % 2:
+            raise GraphError(
+                f"edge chunk has odd length {length}; chunks are flat [u, v, ...] pairs"
+            )
+        for i in range(0, length, 2):
+            u = chunk[i]
+            v = chunk[i + 1]
+            if u == v:
+                raise GraphError(f"self-loop at vertex {u} in edge chunk")
+            if u < 0 or u >= n or v < 0 or v >= n:
+                raise GraphError(
+                    f"edge ({u}, {v}) outside the declared vertex range 0..{n - 1}"
+                )
+            counts[u] += 1
+            counts[v] += 1
+        total += length
 
-def power_law_edge_chunks(
-    n: int,
-    exponent: float = 2.5,
-    min_degree: int = 2,
-    seed: Optional[int] = None,
-    chunk_edges: int = DEFAULT_CHUNK_EDGES,
-) -> EdgeChunkStream:
-    """Chunk-emitting power-law family (exact Chung–Lu via skip sampling).
+    indptr = array("q", bytes(8 * (n + 1)))
+    offset = 0
+    for p in range(n):
+        indptr[p] = offset
+        offset += counts[p]
+    indptr[n] = offset
 
-    Same capped weight sequence as :func:`power_law_graph` but a different
-    (streaming-friendly, O(n + m)) sampler, so this is a sibling family —
-    deterministic per seed and degree-skewed like the in-memory one, not a
-    bit-identical replay of it.
-    """
-    if n < 2:
-        raise ParameterError("n must be at least 2")
-    if exponent <= 1.0:
-        raise ParameterError("exponent must exceed 1")
-    weights = _power_law_weights(n, exponent, min_degree)
-    return EdgeChunkStream(
-        n, lambda: _chung_lu_edge_iter(n, weights, _rng(seed)), chunk_edges
-    )
+    indices = array("q", bytes(8 * total)) if total else array("q")
+    cursor = counts  # reuse the degree array as the per-row fill cursor
+    cursor[:] = indptr[:n]
+    try:
+        for chunk in chunks:
+            for i in range(0, len(chunk), 2):
+                u = chunk[i]
+                v = chunk[i + 1]
+                indices[cursor[u]] = v
+                cursor[u] += 1
+                indices[cursor[v]] = u
+                cursor[v] += 1
+    except IndexError:
+        # The fill pass saw more entries than the count pass sized for.
+        raise GraphError(
+            "edge-chunk stream changed between passes; streams must be "
+            "re-iterable and deterministic"
+        ) from None
+    for p in range(n):
+        if cursor[p] != indptr[p + 1]:
+            raise GraphError(
+                "edge-chunk stream changed between passes; streams must be "
+                "re-iterable and deterministic"
+            )
 
+    if shuffle_seed is not None:
+        rng = random.Random(shuffle_seed)
+        for p in range(n):
+            start, stop = indptr[p], indptr[p + 1]
+            if stop - start < 2:
+                continue  # from_edges shuffles these too, consuming no randomness
+            row = indices[start:stop].tolist()
+            rng.shuffle(row)
+            indices[start:stop] = array("q", row)
 
-def _clustered_edge_iter(
-    n: int, num_clusters: int, p: float, rng: random.Random
-) -> Iterator[Edge]:
-    """Contiguous-block clustered family: complete clusters + sparse inter edges.
-
-    Clusters are contiguous id blocks of size ``ceil(n / num_clusters)``
-    (the streaming sibling of :func:`dense_cluster_graph`'s round-robin
-    assignment).  Intra-cluster pairs are complete; inter-cluster pairs are
-    skip-sampled at probability ``p`` — candidate positions that land inside
-    ``u``'s own block are discarded, so each cross pair is hit independently
-    with probability exactly ``p``.  Yields each edge once.
-    """
-    csize = -(-n // num_clusters) if num_clusters else n
-    for start in range(0, n, csize):
-        stop = min(start + csize, n)
-        for u in range(start, stop):
-            for v in range(u + 1, stop):
-                yield (u, v)
-    if p <= 0.0:
-        return
-    if p >= 1.0:
-        for u in range(n):
-            for v in range(u + 1, n):
-                if u // csize != v // csize:
-                    yield (u, v)
-        return
-    log_q = math.log(1.0 - p)
-    if log_q == 0.0:
-        return  # p below one float ulp (see _gnp_edge_iter)
-    for u in range(n - 1):
-        v = u
-        while True:
-            r = rng.random()
-            v += 1 + int(math.floor(math.log(1.0 - r) / log_q))
-            if v >= n:
-                break
-            if v // csize != u // csize:
-                yield (u, v)
-
-
-def cluster_edge_chunks(
-    n: int,
-    num_clusters: int,
-    inter_probability: float = 0.02,
-    seed: Optional[int] = None,
-    chunk_edges: int = DEFAULT_CHUNK_EDGES,
-) -> EdgeChunkStream:
-    """Chunk-emitting clustered family (contiguous dense blocks + sparse links)."""
-    if n < 1:
-        raise ParameterError("n must be positive")
-    if num_clusters < 1 or num_clusters > n:
-        raise ParameterError("num_clusters must be in [1, n]")
-    if not 0.0 <= inter_probability <= 1.0:
-        raise ParameterError("inter_probability must be in [0, 1]")
-    return EdgeChunkStream(
-        n,
-        lambda: _clustered_edge_iter(n, num_clusters, inter_probability, _rng(seed)),
-        chunk_edges,
-    )
-
-
-def _stream_family_builder(family: str):
-    """Registry adapter routing a ``*-stream`` family through the scale plane.
-
-    The import is deferred into the call so ``repro.graphs`` (foundation
-    layer) never imports ``repro.scale`` at module load; the scale plane
-    imports graphs, not the other way around.
-    """
-
-    def build(n: int, density: float, seed: Optional[int]) -> Graph:
-        from ..scale.stream import build_stream_family
-
-        return build_stream_family(family, n, density=density, seed=seed)
-
-    return build
-
+    return Graph.from_arrays(indptr, indices)
 
 # --------------------------------------------------------------------------- #
 # Named families (the scenario axis)
 # --------------------------------------------------------------------------- #
-#: Size/density-parameterized graph families addressable by name.  The CLI
-#: (``--generate``) and the experiment plane (:mod:`repro.reports`) share
-#: this registry, so a scenario spec and a command line mean the same graph.
+def _gnp_family(n: int, density: float, seed: Optional[int]) -> Graph:
+    return gnp_graph(n, density, seed=seed)
+
+
+#: Size/density-parameterized graph families addressable by name, one
+#: builder per model.  The CLI (``--generate``) and the experiment plane
+#: (:mod:`repro.reports`) share this registry, so a scenario spec and a
+#: command line mean the same graph.
 FAMILY_BUILDERS: Dict[str, object] = {
-    "gnp": lambda n, density, seed: gnp_graph(n, density, seed=seed),
+    "gnp": _gnp_family,
     "clustered": lambda n, density, seed: dense_cluster_graph(
         n, max(2, n // 10), inter_probability=density, seed=seed
     ),
@@ -592,16 +541,9 @@ FAMILY_BUILDERS: Dict[str, object] = {
     "grid": lambda n, density, seed: grid_graph(
         max(2, int(round(n ** 0.5))), max(2, int(round(n ** 0.5))), seed=seed
     ),
-    "gnp-stream": _stream_family_builder("gnp-stream"),
-    "power-law-stream": _stream_family_builder("power-law-stream"),
-    "clustered-stream": _stream_family_builder("clustered-stream"),
+    # Another name for "gnp", the one perfbench's workloads build by.
+    "gnp-stream": _gnp_family,
 }
-
-#: Families built by the chunked streaming path, straight into flat CSR
-#: arrays without a Python edge list.
-STREAM_FAMILIES = tuple(
-    sorted(name for name in FAMILY_BUILDERS if name.endswith("-stream"))
-)
 
 #: Sorted family names (argparse choices, spec validation).
 GRAPH_FAMILIES = tuple(sorted(FAMILY_BUILDERS))

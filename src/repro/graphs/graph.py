@@ -227,17 +227,17 @@ class Graph:
     ) -> "Graph":
         """Adopt pre-built flat CSR arrays without an adjacency-dict pass.
 
-        This is the entry point for the streaming builders
-        (:mod:`repro.scale.stream`): they assemble ``indptr``/``indices``
-        incrementally from edge chunks and hand the finished arrays over,
-        so a million-node graph never exists as a Python edge list or an
-        adjacency mapping.  The arrays are adopted, not copied — callers
+        This is the entry point for the chunk builder
+        (:func:`repro.graphs.generators.build_csr_from_chunks`): it
+        assembles ``indptr``/``indices`` incrementally from edge chunks and
+        hands the finished arrays over, so a million-node graph never
+        exists as a Python edge list or an adjacency mapping.  The arrays are adopted, not copied — callers
         must not mutate them afterwards.
 
         ``ids`` defaults to ``0..n-1`` (position == id).  Row ``p`` of
         ``indices`` must hold the neighbors of ``ids[p]`` in their final,
         probe-visible order; symmetry and simplicity are the builder's
-        contract (the streaming builder validates per edge as it fills).
+        contract (the chunk builder validates per edge as it fills).
         """
         n = len(indptr) - 1
         if n < 0 or indptr[0] != 0:

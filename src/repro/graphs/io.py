@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 from ..core.errors import GraphError
-from .generators import DEFAULT_CHUNK_EDGES, EdgeChunkStream
 from .graph import Graph
 
 PathLike = Union[str, Path]
@@ -70,65 +69,6 @@ def read_edge_list(path: PathLike) -> Graph:
         vertices.add(u)
         vertices.add(v)
     return Graph.from_edges(edges, vertices=sorted(vertices))
-
-
-def read_edge_list_stream(
-    path: PathLike, chunk_edges: int = DEFAULT_CHUNK_EDGES
-) -> EdgeChunkStream:
-    """Stream an edge-list file as flat int64 chunks (the million-node path).
-
-    Unlike :func:`read_edge_list`, no Python edge list is ever built: the
-    returned :class:`~repro.graphs.generators.EdgeChunkStream` re-opens the
-    file on every iteration and yields ``array('q')`` chunks straight into
-    the incremental CSR builder (:func:`repro.scale.stream.build_csr_from_chunks`).
-
-    The streaming contract is stricter than the in-memory reader's:
-
-    * the ``# n m`` header written by :func:`write_edge_list` is required
-      (the builder must size its arrays before the first pass),
-    * vertex ids must lie in ``0..n-1`` (enforced by the builder), and
-    * edges must be duplicate-free, as ``write_edge_list`` output is.
-
-    ``v <vertex>`` isolated-vertex lines are validated and skipped — with
-    contiguous ids every vertex exists whether or not an edge touches it.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise GraphError(f"edge-list file {str(path)!r} does not exist")
-    with path.open("r", encoding="utf-8") as handle:
-        first = handle.readline()
-    parts = first.split()
-    if len(parts) != 3 or parts[0] != "#":
-        raise GraphError(
-            f"streaming reads require the '# n m' header line "
-            f"(write_edge_list emits one); got {first.strip()!r}"
-        )
-    try:
-        num_vertices = int(parts[1])
-    except ValueError:
-        raise GraphError(f"malformed '# n m' header line: {first.strip()!r}") from None
-
-    def factory() -> Iterator[Tuple[int, int]]:
-        with path.open("r", encoding="utf-8") as lines:
-            for raw_line in lines:
-                line = raw_line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split()
-                try:
-                    if fields[0] == "v":
-                        if len(fields) != 2:
-                            raise ValueError
-                        int(fields[1])
-                        continue
-                    if len(fields) < 2:
-                        raise ValueError
-                    u, v = int(fields[0]), int(fields[1])
-                except ValueError:
-                    raise GraphError(f"malformed edge line: {raw_line!r}") from None
-                yield (u, v)
-
-    return EdgeChunkStream(num_vertices, factory, chunk_edges)
 
 
 def write_adjacency_json(graph: Graph, path: PathLike) -> None:

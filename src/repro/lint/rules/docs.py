@@ -53,9 +53,7 @@ ENTRY_POINTS = [
     "repro.lint:run_lint",
     "repro.graphs.graph:Graph.from_arrays",
     "repro.graphs.generators:EdgeChunkStream",
-    "repro.graphs.io:read_edge_list_stream",
-    "repro.scale.stream:build_csr_from_chunks",
-    "repro.scale.stream:build_stream_family",
+    "repro.graphs.generators:build_csr_from_chunks",
     "repro.scale.snapshot:save_csr_snapshot",
     "repro.scale.snapshot:load_csr_snapshot",
     "repro.scale.snapshot:MappedCSRGraph",

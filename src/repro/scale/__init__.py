@@ -1,16 +1,11 @@
-"""Million-node scale plane: streaming CSR builds, mmap snapshots.
+"""Disk-backed CSR snapshots: the million-node graph transport.
 
-This package holds the pieces that let a 10^6-node, 10^7-entry graph be
-generated, persisted and served without ever materializing a Python edge
-list (ROADMAP: "Million-node graphs"):
-
-* :mod:`repro.scale.stream` — a two-pass incremental CSR builder fed by
-  re-iterable edge-chunk streams (:class:`repro.graphs.EdgeChunkStream`),
-  plus the ``*-stream`` family front door used by ``FAMILY_BUILDERS``.
-* :mod:`repro.scale.snapshot` — a raw-array on-disk CSR snapshot format
-  with a read-only memory-mapped loader (:class:`MappedCSRGraph`) that
-  plugs in wherever a :class:`~repro.graphs.Graph` does — the one
-  read-only graph transport.
+:mod:`repro.scale.snapshot` holds a raw-array on-disk CSR snapshot format
+with a read-only memory-mapped loader (:class:`MappedCSRGraph`) that plugs
+in wherever a :class:`~repro.graphs.Graph` does — the one read-only graph
+transport.  Graphs too large for an edge list are generated by
+:func:`repro.graphs.gnp_graph`, which builds its edge chunks straight into
+CSR arrays (:func:`repro.graphs.build_csr_from_chunks`).
 
 See ``docs/scale.md``.
 """
@@ -21,12 +16,8 @@ from .snapshot import (
     load_csr_snapshot,
     save_csr_snapshot,
 )
-from .stream import build_csr_from_chunks, build_stream_family, stream_family
 
 __all__ = [
-    "build_csr_from_chunks",
-    "build_stream_family",
-    "stream_family",
     "save_csr_snapshot",
     "load_csr_snapshot",
     "MappedCSRGraph",

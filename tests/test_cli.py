@@ -343,6 +343,7 @@ def test_good_worker_counts_still_parse(graph_file):
         ["materialize", "--memo-cap", "8"],
         ["query", "--query-mode", "cold"],
         ["materialize", "--query-mode", "batched"],
+        ["materialize", "--generate", "power-law-stream"],
     ],
 )
 def test_bad_input_fails_with_one_line(tmp_path, capsys, argv):

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+from array import array
+
 import pytest
 
 from repro.core.errors import ParameterError
 from repro.graphs import (
+    FAMILY_BUILDERS,
+    GRAPH_FAMILIES,
     bounded_degree_expanderish,
+    build_family,
     circulant_graph,
     complete_graph,
     cycle_graph,
@@ -23,6 +29,21 @@ from repro.graphs import (
     relabel_randomly,
     star_graph,
 )
+
+#: sha256 of the ``array("q")`` bytes of ids, indptr and indices of
+#: ``build_family(name, 60, density=0.1, seed=3)`` for every registered
+#: family (``grid`` rounds n up to 64).  An LCA reads its input only through
+#: the adjacency-list oracle, so a digest that moves moves every answer,
+#: probe ledger and report row built on that family.
+FAMILY_DIGESTS = {
+    "bounded": "ac6231159997257981780bcbf75a851f1db312c19f1eae26572be739044005fa",
+    "clustered": "2af3f985b43f9021beb360b67a6fc9c6de564460855f2b537753aa02b97cd875",
+    "gnp": "63bc0ad71c76cd7aa85e080dc011f737c9b1f177a995760a2c7f78ccd0dc00ab",
+    "gnp-stream": "63bc0ad71c76cd7aa85e080dc011f737c9b1f177a995760a2c7f78ccd0dc00ab",
+    "grid": "b7efaf04883c657461d1fff2b8572ce019bb7811da96e783b1bf5c020de28e46",
+    "hubs": "6915479cbbad8976a7fd8e9c5189a925f3aed6f3e5cb9cabdc63a8c02bceb0b6",
+    "power-law": "0842edbe7d6d7e3b8687b86dafc631d51ee29ded10e512ec4a07f21659b93404",
+}
 
 
 def test_complete_graph():
@@ -142,3 +163,17 @@ def test_relabel_randomly_is_isomorphic():
     )
     # IDs are no longer 0..n-1
     assert max(relabeled.vertices()) > g.num_vertices
+
+
+@pytest.mark.parametrize("family", GRAPH_FAMILIES)
+def test_family_builds_its_pinned_graph(family):
+    graph = build_family(family, 60, density=0.1, seed=3)
+    digest = hashlib.sha256()
+    for values in (graph._ids, graph._indptr, graph._indices):
+        digest.update(array("q", values).tobytes())
+    assert digest.hexdigest() == FAMILY_DIGESTS[family]
+
+
+def test_one_builder_per_family():
+    assert sorted(FAMILY_BUILDERS) == sorted(FAMILY_DIGESTS)
+    assert FAMILY_BUILDERS["gnp-stream"] is FAMILY_BUILDERS["gnp"]

@@ -1,12 +1,12 @@
-"""Streaming graph builders ≡ in-memory construction (the scale-plane pin).
+"""The chunk builder ≡ in-memory construction.
 
-The scale plane's entire value proposition is that the chunked path is a
-*pure refactor* of graph construction: same seed → bit-identical CSR arrays,
-neighbor orderings and kernel probe counts, with no Python edge list in
-between.  These tests pin that equivalence across every streaming family,
-exercise the re-iterability contract of :class:`~repro.graphs.EdgeChunkStream`,
-and check the one-line error surface of the chunk builder, the streaming
-edge-list reader and the scenario-spec validation.
+``gnp_graph`` builds its edge chunks straight into CSR arrays, and that
+path must be a *pure refactor* of graph construction: same seed →
+bit-identical CSR arrays, neighbor orderings and kernel probe counts, with
+no Python edge list in between.  These tests pin that equivalence against
+``Graph.from_edges``, exercise the re-iterability contract of
+:class:`~repro.graphs.EdgeChunkStream`, and check the one-line error surface
+of the chunk builder and of the scenario-spec validation.
 """
 
 from __future__ import annotations
@@ -22,16 +22,12 @@ from repro.core.registry import create
 from repro.graphs import (
     EdgeChunkStream,
     Graph,
+    build_csr_from_chunks,
     build_family,
-    cluster_edge_chunks,
     gnp_edge_chunks,
-    power_law_edge_chunks,
-    read_edge_list,
-    read_edge_list_stream,
-    write_edge_list,
 )
+from repro.graphs.generators import _gnp_edge_iter, _rng
 from repro.reports.spec import SpecError, load_scenario_file
-from repro.scale import build_csr_from_chunks, build_stream_family, stream_family
 
 relaxed = settings(
     max_examples=20,
@@ -39,11 +35,9 @@ relaxed = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-STREAM_PARAMS = [
-    ("gnp-stream", 0.15),
-    ("power-law-stream", 0.1),
-    ("clustered-stream", 0.08),
-]
+#: (family, density): ``gnp`` is the one family built from edge chunks
+#: (:func:`~repro.graphs.gnp_edge_chunks`), so the tests below emit its chunks.
+STREAM_PARAMS = [("gnp", 0.15)]
 
 
 def _chunk_edges(chunks: EdgeChunkStream):
@@ -64,13 +58,12 @@ def _csr_arrays(graph):
 @relaxed
 @given(
     n=st.integers(min_value=2, max_value=60),
+    p=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=10**6),
     chunk_edges=st.integers(min_value=1, max_value=17),
-    family_index=st.integers(min_value=0, max_value=len(STREAM_PARAMS) - 1),
 )
-def test_stream_build_matches_from_edges(n, seed, chunk_edges, family_index):
-    family, density = STREAM_PARAMS[family_index]
-    chunks = stream_family(family, n, density=density, seed=seed, chunk_edges=chunk_edges)
+def test_stream_build_matches_from_edges(n, p, seed, chunk_edges):
+    chunks = gnp_edge_chunks(n, p, seed=seed, chunk_edges=chunk_edges)
     streamed = build_csr_from_chunks(chunks, shuffle_seed=seed)
     reference = Graph.from_edges(
         list(_chunk_edges(chunks)), vertices=range(n), shuffle_seed=seed
@@ -87,18 +80,21 @@ def test_stream_build_matches_from_edges(n, seed, chunk_edges, family_index):
     seed=st.integers(min_value=0, max_value=10**6),
 )
 def test_gnp_stream_bit_identical_to_legacy_gnp(n, p, seed):
-    """The legacy family and its streamed variant share one rng schedule."""
-    legacy = graphs.gnp_graph(n, p, seed=seed)
-    streamed = build_stream_family("gnp-stream", n, density=p, seed=seed)
+    """``gnp_graph`` equals the in-memory build of the same rng schedule."""
+    streamed = graphs.gnp_graph(n, p, seed=seed)
+    legacy = Graph.from_edges(
+        list(_gnp_edge_iter(n, p, _rng(seed))), vertices=range(n), shuffle_seed=seed
+    )
     assert _csr_arrays(streamed) == _csr_arrays(legacy)
 
 
 def test_stream_families_registered_and_equal_via_build_family():
     for family, density in STREAM_PARAMS:
         assert family in graphs.FAMILY_BUILDERS
-        assert family in graphs.STREAM_FAMILIES
         via_registry = build_family(family, 50, density=density, seed=9)
-        direct = build_stream_family(family, 50, density=density, seed=9)
+        direct = build_csr_from_chunks(
+            gnp_edge_chunks(50, density, seed=9), shuffle_seed=9
+        )
         assert _csr_arrays(via_registry) == _csr_arrays(direct)
 
 
@@ -106,7 +102,7 @@ def test_stream_families_registered_and_equal_via_build_family():
 def test_stream_build_probe_counts_match_from_edges(family, density):
     """Same arrays → same kernel probe counts, query by query."""
     n, seed = 48, 4
-    chunks = stream_family(family, n, density=density, seed=seed, chunk_edges=11)
+    chunks = gnp_edge_chunks(n, density, seed=seed, chunk_edges=11)
     streamed = build_csr_from_chunks(chunks, shuffle_seed=seed)
     reference = Graph.from_edges(
         list(_chunk_edges(chunks)), vertices=range(n), shuffle_seed=seed
@@ -127,10 +123,11 @@ def test_stream_build_probe_counts_match_from_edges(family, density):
     "make",
     [
         lambda: gnp_edge_chunks(40, 0.3, seed=12, chunk_edges=5),
-        lambda: power_law_edge_chunks(40, seed=12, chunk_edges=5),
-        lambda: cluster_edge_chunks(40, 4, inter_probability=0.1, seed=12, chunk_edges=5),
+        lambda: EdgeChunkStream(
+            40, lambda: ((i, (i + 1) % 40) for i in range(40)), chunk_edges=5
+        ),
     ],
-    ids=["gnp", "power-law", "clustered"],
+    ids=["gnp", "hand-made"],
 )
 def test_chunk_stream_is_reiterable_and_chunk_sized(make):
     chunks = make()
@@ -147,8 +144,6 @@ def test_chunk_stream_rejects_bad_parameters():
         EdgeChunkStream(-1, lambda: iter(()))
     with pytest.raises(ParameterError):
         EdgeChunkStream(4, lambda: iter(()), chunk_edges=0)
-    with pytest.raises(ParameterError):
-        stream_family("grid", 10)
 
 
 # --------------------------------------------------------------------------- #
@@ -202,56 +197,27 @@ def test_builder_empty_and_isolated_vertices():
 
 
 # --------------------------------------------------------------------------- #
-# Streaming edge-list reader
+# Scenario-spec validation for the chunk-built family
 # --------------------------------------------------------------------------- #
-def test_read_edge_list_stream_round_trip(tmp_path):
-    graph = graphs.gnp_graph(30, 0.2, seed=6)
-    path = tmp_path / "g.txt"
-    write_edge_list(graph, path)
-    chunks = read_edge_list_stream(path, chunk_edges=7)
-    rebuilt = build_csr_from_chunks(chunks)
-    reference = read_edge_list(path)
-    assert _csr_arrays(rebuilt) == _csr_arrays(reference)
-    # Re-iterable: a second build sees the same file contents.
-    assert _csr_arrays(build_csr_from_chunks(chunks)) == _csr_arrays(rebuilt)
-
-
-def test_read_edge_list_stream_errors(tmp_path):
-    with pytest.raises(GraphError, match="does not exist"):
-        list(read_edge_list_stream(tmp_path / "missing.txt"))
-    headerless = tmp_path / "h.txt"
-    headerless.write_text("0 1\n")
-    with pytest.raises(GraphError, match="header"):
-        read_edge_list_stream(headerless)
-    malformed = tmp_path / "m.txt"
-    malformed.write_text("# 3 1\n0 one\n")
-    chunks = read_edge_list_stream(malformed)
-    with pytest.raises(GraphError, match="malformed edge line"):
-        list(chunks)
-
-
-# --------------------------------------------------------------------------- #
-# Scenario-spec validation for streaming families
-# --------------------------------------------------------------------------- #
-def _scenario_toml():
-    return """
+def _scenario_toml(family="gnp"):
+    return f"""
 [[scenario]]
 name = "s"
 algorithm = "spanner3"
 
 [scenario.graph]
-family = "gnp-stream"
+family = "{family}"
 sizes = [40]
 density = 0.1
 seed = 3
 """
 
 
-def test_spec_accepts_stream_family_with_csr_backend(tmp_path):
+def test_spec_accepts_gnp_family(tmp_path):
     path = tmp_path / "ok.toml"
     path.write_text(_scenario_toml())
     (spec,) = load_scenario_file(path)
-    assert spec.graph.family == "gnp-stream"
+    assert spec.graph.family == "gnp"
 
 
 def test_spec_rejects_stream_family_with_dict_backend(tmp_path):
@@ -263,3 +229,14 @@ def test_spec_rejects_stream_family_with_dict_backend(tmp_path):
         load_scenario_file(path)
     assert "\n" not in str(excinfo.value)
 
+
+@pytest.mark.parametrize("family", ["power-law-stream", "clustered-stream"])
+def test_spec_rejects_retired_stream_families(tmp_path, family):
+    """Each model has one name; the retired sibling names fail in one line."""
+    path = tmp_path / "retired.toml"
+    path.write_text(_scenario_toml(family))
+    with pytest.raises(
+        SpecError, match=rf"graph family '{family}' is not one of \["
+    ) as excinfo:
+        load_scenario_file(path)
+    assert "\n" not in str(excinfo.value)
